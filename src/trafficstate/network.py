@@ -117,12 +117,14 @@ class NetworkConfig:
         Boundaries belong to the downstream segment, except the stretch end
         which belongs to segment N.
         """
-        if x_km < 0.0 or x_km > self.total_length_km:
-            return None
+        return int(self.segments_of_positions(x_km)) or None
+
+    def segments_of_positions(self, x_km) -> np.ndarray:
+        """Array form of ``segment_of_position``, with 0 for "outside"."""
+        x = np.asarray(x_km, dtype=float)
         edges = self.boundaries_km()
-        if x_km >= edges[-1]:
-            return self.n_segments
-        return int(np.searchsorted(edges, x_km, side="right"))
+        seg = np.where(x >= edges[-1], self.n_segments, np.searchsorted(edges, x, side="right"))
+        return np.where((x >= 0.0) & (x <= self.total_length_km), seg, 0)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -121,38 +122,88 @@ class RampLaneRule:
     kind: RampType
 
 
-def load_trajectories(path: str | Path) -> TrajectoryData:
-    """Read a trajectory CSV: vehicle_id,t_s,x_m,lane,speed_mps."""
-    required = {"vehicle_id", "t_s", "x_m", "lane", "speed_mps"}
-    rows: dict[int, list[tuple[float, float, float, int]]] = {}
+def _bad_row(path: str | Path, columns: Mapping[str, type]) -> str | None:
+    """Describe the first row whose columns fail to convert, as ``path:line:``."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise TrajectoryFormatError(
-                f"{path}: header must contain {sorted(required)}, got {reader.fieldnames}"
-            )
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in enumerate(csv.DictReader(fh), start=2):
             try:
-                vid = int(row["vehicle_id"])
-                rows.setdefault(vid, []).append(
-                    (float(row["t_s"]), float(row["x_m"]), float(row["speed_mps"]), int(row["lane"]))
+                for name, kind in columns.items():
+                    kind(row[name])
+            except (TypeError, ValueError):
+                return f"{path}:{lineno}: bad row {row!r}"
+    return None
+
+
+def _read_columns(
+    path: str | Path, columns: Mapping[str, type], error: type[ValueError]
+) -> dict[str, np.ndarray] | None:
+    """Parse the named CSV columns (int or float) in C; None when there are no rows.
+
+    The header may list the columns in any order, among others.
+    """
+    with open(path) as fh:
+        header = fh.readline()
+        fields = next(csv.reader([header])) if header else None
+        if fields is None or not set(columns).issubset(fields):
+            raise error(f"{path}: header must contain {sorted(columns)}, got {fields}")
+        start = fh.tell()
+        if not any(line.strip() for line in iter(fh.readline, "")):
+            return None
+        fh.seek(start)
+        where = {name: i for i, name in enumerate(fields)}
+        try:
+            with warnings.catch_warnings():
+                # numpy < 2 only warns when it truncates "2.5" to an integer.
+                warnings.simplefilter("error", DeprecationWarning)
+                table = np.loadtxt(
+                    fh,
+                    delimiter=",",
+                    comments=None,
+                    ndmin=1,
+                    usecols=[where[name] for name in columns],
+                    dtype=[(name, "i8" if kind is int else "f8") for name, kind in columns.items()],
                 )
-            except (TypeError, ValueError) as exc:
-                raise TrajectoryFormatError(f"{path}:{lineno}: bad row {row!r}") from exc
-    tracks = []
-    for vid, samples in rows.items():
-        samples.sort(key=lambda s: s[0])
-        arr = np.array(samples, dtype=float)
-        tracks.append(
-            VehicleTrack(
-                vehicle_id=vid,
-                times_s=arr[:, 0],
-                positions_m=arr[:, 1],
-                speeds_mps=arr[:, 2],
-                lanes=arr[:, 3].astype(int),
-            )
+        except (ValueError, DeprecationWarning) as exc:
+            raise error(_bad_row(path, columns) or f"{path}: {exc}") from exc
+    return {name: np.ascontiguousarray(table[name]) for name in columns}
+
+
+def _group_starts(keys: np.ndarray) -> np.ndarray:
+    """Start index of each run of equal values in sorted ``keys``, plus the end."""
+    change = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+    return np.concatenate([[0], change, [keys.size]])
+
+
+def load_trajectories(path: str | Path) -> TrajectoryData:
+    """Read a trajectory CSV: vehicle_id,t_s,x_m,lane,speed_mps.
+
+    Tracks keep the order in which vehicles first appear; samples are
+    sorted by time, ties keeping file order.
+    """
+    cols = _read_columns(
+        path,
+        {"vehicle_id": int, "t_s": float, "x_m": float, "lane": int, "speed_mps": float},
+        TrajectoryFormatError,
+    )
+    if cols is None:
+        raise TrajectoryFormatError("no trajectory samples")
+    ids, first, inverse = np.unique(cols["vehicle_id"], return_index=True, return_inverse=True)
+    appearance = np.empty(ids.size, dtype=np.int64)
+    appearance[np.argsort(first)] = np.arange(ids.size)
+    vehicle = appearance[inverse.ravel()]
+    order = np.lexsort((cols["t_s"], vehicle))
+    cols = {name: col[order] for name, col in cols.items()}
+    starts = _group_starts(vehicle[order])
+    return TrajectoryData(
+        VehicleTrack(
+            vehicle_id=int(cols["vehicle_id"][a]),
+            times_s=cols["t_s"][a:b],
+            positions_m=cols["x_m"][a:b],
+            speeds_mps=cols["speed_mps"][a:b],
+            lanes=cols["lane"][a:b],
         )
-    return TrajectoryData(tracks)
+        for a, b in zip(starts[:-1], starts[1:])
+    )
 
 
 def assign_connected(vehicle_ids: Sequence[int], penetration: float, rng: np.random.Generator) -> frozenset[int]:
@@ -166,6 +217,42 @@ def assign_connected(vehicle_ids: Sequence[int], penetration: float, rng: np.ran
     return frozenset(vid for vid in sorted(vehicle_ids) if rng.random() < penetration)
 
 
+def _step_grid(
+    traj: TrajectoryData, times_s: np.ndarray, max_gap_s: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each vehicle's latest sample at or before each grid time.
+
+    A sample older than ``max_gap_s`` means the vehicle has left the
+    recording. Returns flat (track, step, x_m, speed_mps, lane) arrays with
+    one entry per vehicle present at a step, track after track in the
+    order of ``traj.tracks``.
+    """
+    parts = []
+    for j, track in enumerate(traj.tracks.values()):
+        i = np.searchsorted(track.times_s, times_s, side="right") - 1
+        k = np.flatnonzero(i >= 0)
+        i = i[k]
+        fresh = ~(times_s[k] - track.times_s[i] > max_gap_s)
+        k, i = k[fresh], i[fresh]
+        parts.append(
+            (np.full(k.size, j), k, track.positions_m[i], track.speeds_mps[i], track.lanes[i])
+        )
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _step_times(t0_s: float, n_steps: int, T_s: float) -> np.ndarray:
+    return t0_s + np.arange(n_steps, dtype=float) * T_s
+
+
+def _cells(
+    cfg: NetworkConfig, steps: np.ndarray, x_m: np.ndarray, keep: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (step, segment) cell of each kept entry inside the stretch, and the new mask."""
+    seg = cfg.segments_of_positions(x_m / 1000.0)
+    keep = keep & (seg > 0)
+    return steps[keep] * cfg.n_segments + seg[keep] - 1, keep
+
+
 def positions_at(
     traj: TrajectoryData, t_s: float, *, max_gap_s: float = 1.0
 ) -> dict[int, tuple[float, float, int]]:
@@ -174,15 +261,12 @@ def positions_at(
     Uses each vehicle's latest sample at or before t, ignored when older
     than ``max_gap_s`` (the vehicle has left the recording).
     """
-    out: dict[int, tuple[float, float, int]] = {}
-    for vid, track in traj.tracks.items():
-        i = int(np.searchsorted(track.times_s, t_s, side="right")) - 1
-        if i < 0:
-            continue
-        if t_s - track.times_s[i] > max_gap_s:
-            continue
-        out[vid] = (float(track.positions_m[i]), float(track.speeds_mps[i]), int(track.lanes[i]))
-    return out
+    track, _k, x, v, lane = _step_grid(traj, np.array([t_s], dtype=float), max_gap_s)
+    ids = list(traj.tracks)
+    return {
+        ids[j]: (float(xj), float(vj), int(lj))
+        for j, xj, vj, lj in zip(track.tolist(), x.tolist(), v.tolist(), lane.tolist())
+    }
 
 
 def segment_speed_series(
@@ -201,22 +285,16 @@ def segment_speed_series(
     the connected vehicles located in segment i at time t0 + k*T.
     """
     T_s = cfg.time_step_h * 3600.0
-    n = cfg.n_segments
-    out = np.full((n_steps, n), np.nan)
-    for k in range(n_steps):
-        snap = positions_at(traj, t0_s + k * T_s, max_gap_s=max_gap_s)
-        sums = np.zeros(n)
-        counts = np.zeros(n, dtype=int)
-        for vid, (x_m, v_mps, lane) in snap.items():
-            if vid not in connected or lane in exclude_lanes:
-                continue
-            seg = cfg.segment_of_position(x_m / 1000.0)
-            if seg is None:
-                continue
-            sums[seg - 1] += v_mps
-            counts[seg - 1] += 1
-        present = counts > 0
-        out[k, present] = sums[present] / counts[present] * MPS_TO_KMH
+    shape = (n_steps, cfg.n_segments)
+    track, k, x, v, lane = _step_grid(traj, _step_times(t0_s, n_steps, T_s), max_gap_s)
+    is_connected = np.isin(list(traj.tracks), list(connected))
+    keep = is_connected[track] & ~np.isin(lane, list(exclude_lanes))
+    cells, keep = _cells(cfg, k, x, keep)
+    sums = np.bincount(cells, weights=v[keep], minlength=n_steps * cfg.n_segments).reshape(shape)
+    counts = np.bincount(cells, minlength=n_steps * cfg.n_segments).reshape(shape)
+    out = np.full(shape, np.nan)
+    present = counts > 0
+    out[present] = sums[present] / counts[present] * MPS_TO_KMH
     return out
 
 
@@ -342,21 +420,11 @@ def ground_truth_densities(
     max_gap_s: float = 1.0,
 ) -> np.ndarray:
     """(K, N) reference density: vehicles in segment at kT over its length."""
-    n = cfg.n_segments
-    lengths = cfg.lengths_km
     T_s = cfg.time_step_h * 3600.0
-    out = np.zeros((n_steps, n))
-    for k in range(n_steps):
-        snap = positions_at(traj, t0_s + k * T_s, max_gap_s=max_gap_s)
-        counts = np.zeros(n)
-        for vid, (x_m, _v, lane) in snap.items():
-            if lane in exclude_lanes:
-                continue
-            seg = cfg.segment_of_position(x_m / 1000.0)
-            if seg is not None:
-                counts[seg - 1] += 1
-        out[k] = counts / lengths
-    return out
+    _track, k, x, _v, lane = _step_grid(traj, _step_times(t0_s, n_steps, T_s), max_gap_s)
+    cells, _keep = _cells(cfg, k, x, ~np.isin(lane, list(exclude_lanes)))
+    counts = np.bincount(cells, minlength=n_steps * cfg.n_segments)
+    return counts.reshape(n_steps, cfg.n_segments) / cfg.lengths_km
 
 
 def frames_from_trajectories(
@@ -440,35 +508,29 @@ class DetectorSeries:
 
 
 def load_detectors(path: str | Path) -> list[DetectorSeries]:
-    """Read a detector CSV: detector_pos_m,t_s,flow_vph,speed_kmh."""
-    required = {"detector_pos_m", "t_s", "flow_vph", "speed_kmh"}
-    rows: dict[float, list[tuple[float, float, float]]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise DetectorFormatError(
-                f"{path}: header must contain {sorted(required)}, got {reader.fieldnames}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                pos = float(row["detector_pos_m"])
-                rows.setdefault(pos, []).append(
-                    (float(row["t_s"]), float(row["flow_vph"]), float(row["speed_kmh"]))
-                )
-            except (TypeError, ValueError) as exc:
-                raise DetectorFormatError(f"{path}:{lineno}: bad row {row!r}") from exc
-    if not rows:
+    """Read a detector CSV: detector_pos_m,t_s,flow_vph,speed_kmh.
+
+    Series are sorted by position; samples by time, ties keeping file order.
+    """
+    cols = _read_columns(
+        path,
+        {"detector_pos_m": float, "t_s": float, "flow_vph": float, "speed_kmh": float},
+        DetectorFormatError,
+    )
+    if cols is None:
         raise DetectorFormatError(f"{path}: no detector rows")
-    series = []
-    for pos in sorted(rows):
-        samples = sorted(rows[pos], key=lambda s: s[0])
-        arr = np.array(samples, dtype=float)
-        series.append(
-            DetectorSeries(
-                position_m=pos, times_s=arr[:, 0], flows_vph=arr[:, 1], speeds_kmh=arr[:, 2]
-            )
+    order = np.lexsort((cols["t_s"], cols["detector_pos_m"]))
+    cols = {name: col[order] for name, col in cols.items()}
+    starts = _group_starts(cols["detector_pos_m"])
+    return [
+        DetectorSeries(
+            position_m=float(cols["detector_pos_m"][a]),
+            times_s=cols["t_s"][a:b],
+            flows_vph=cols["flow_vph"][a:b],
+            speeds_kmh=cols["speed_kmh"][a:b],
         )
-    return series
+        for a, b in zip(starts[:-1], starts[1:])
+    ]
 
 
 def snap_detectors_to_boundaries(

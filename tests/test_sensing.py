@@ -1,7 +1,12 @@
 """Tests for measurement extraction from trajectories and detector files."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trafficstate.network import NetworkConfig, RampType, Segment
 from trafficstate.sensing import (
@@ -110,6 +115,25 @@ class TestLoaders:
         with pytest.raises(TrajectoryFormatError, match=":3:"):
             load_trajectories(path)
 
+    def test_trajectory_columns_in_any_order(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        path.write_text(
+            "lane,speed_mps,extra,x_m,t_s,vehicle_id\n"
+            "2,15.0,a,10.0,1.0,7\n"
+            "2,15.0,b,0.0,0.0,7\n"
+        )
+        track = load_trajectories(path).tracks[7]
+        assert np.array_equal(track.times_s, [0.0, 1.0])
+        assert np.array_equal(track.positions_m, [0.0, 10.0])
+        assert np.array_equal(track.lanes, [2, 2])
+
+    @pytest.mark.parametrize("bad", ["7.0,0.0,0.0,2,15.0", "7,0.0,0.0,2.5,15.0"])
+    def test_trajectory_ids_and_lanes_must_be_integers(self, tmp_path, bad):
+        path = tmp_path / "traj.csv"
+        path.write_text("vehicle_id,t_s,x_m,lane,speed_mps\n7,0.0,0.0,2,15.0\n" + bad + "\n")
+        with pytest.raises(TrajectoryFormatError, match=":3: bad row"):
+            load_trajectories(path)
+
     def test_empty_trajectory_raises(self, tmp_path):
         path = tmp_path / "traj.csv"
         path.write_text("vehicle_id,t_s,x_m,lane,speed_mps\n")
@@ -128,6 +152,24 @@ class TestLoaders:
         assert [d.position_m for d in series] == [0.0, 500.0]
         assert np.allclose(series[1].times_s, [0.0, 5.0])
         assert np.allclose(series[1].flows_vph, [3000.0, 2800.0])
+
+    def test_detector_columns_in_any_order_keep_tie_order(self, tmp_path):
+        path = tmp_path / "det.csv"
+        path.write_text(
+            "speed_kmh,flow_vph,t_s,detector_pos_m\n"
+            "95.0,2800.0,5.0,500.0\n"
+            "97.0,3000.0,0.0,500.0\n"
+            "96.0,2900.0,0.0,500.0\n"
+        )
+        (series,) = load_detectors(path)
+        assert np.array_equal(series.times_s, [0.0, 0.0, 5.0])
+        assert np.array_equal(series.flows_vph, [3000.0, 2900.0, 2800.0])
+
+    def test_detector_bad_row_reports_line(self, tmp_path):
+        path = tmp_path / "det.csv"
+        path.write_text("detector_pos_m,t_s,flow_vph,speed_kmh\n0.0,0.0,100,90\n0.0,5.0,x,90\n")
+        with pytest.raises(DetectorFormatError, match=":3: bad row"):
+            load_detectors(path)
 
     def test_detector_missing_column_raises(self, tmp_path):
         path = tmp_path / "det.csv"
@@ -518,3 +560,152 @@ class TestMeasurementNoise:
     def test_negative_std_raises(self):
         with pytest.raises(ValueError, match="non-negative"):
             add_measurement_noise(self.frames(), np.random.default_rng(0), flow_std_vph=-1.0)
+
+
+# Property tests: the step grid against the per-step, per-vehicle loop it
+# replaced, on recordings with the cases the presets never reach.
+
+
+def _oracle_segment(cfg, x_km):
+    if x_km < 0.0 or x_km > cfg.total_length_km:
+        return None
+    edges = cfg.boundaries_km()
+    if x_km >= edges[-1]:
+        return cfg.n_segments
+    return int(np.searchsorted(edges, x_km, side="right"))
+
+
+def _oracle_snapshot(traj, t_s, max_gap_s):
+    out = {}
+    for vid, track in traj.tracks.items():
+        i = int(np.searchsorted(track.times_s, t_s, side="right")) - 1
+        if i < 0 or t_s - track.times_s[i] > max_gap_s:
+            continue
+        out[vid] = (float(track.positions_m[i]), float(track.speeds_mps[i]), int(track.lanes[i]))
+    return out
+
+
+def _oracle_series(traj, cfg, n_steps, connected, exclude, max_gap_s):
+    T_s = cfg.time_step_h * 3600.0
+    n = cfg.n_segments
+    speeds = np.full((n_steps, n), np.nan)
+    density = np.zeros((n_steps, n))
+    for k in range(n_steps):
+        sums = np.zeros(n)
+        counts = np.zeros(n, dtype=int)
+        everyone = np.zeros(n)
+        for vid, (x_m, v_mps, lane) in _oracle_snapshot(traj, 0.0 + k * T_s, max_gap_s).items():
+            seg = _oracle_segment(cfg, x_m / 1000.0)
+            if lane in exclude or seg is None:
+                continue
+            everyone[seg - 1] += 1
+            if vid in connected:
+                sums[seg - 1] += v_mps
+                counts[seg - 1] += 1
+        present = counts > 0
+        speeds[k, present] = sums[present] / counts[present] * 3.6
+        density[k] = everyone / cfg.lengths_km
+    return speeds, density
+
+
+LENGTHS_KM = (0.25, 0.5)
+
+
+@st.composite
+def recordings(draw, *, unique_times=False):
+    """Small recordings with stale gaps, early samples, off-stretch and boundary positions."""
+    n_seg = draw(st.integers(1, 3))
+    cfg = make_config(n=n_seg, sensors=(n_seg,))
+    cfg = NetworkConfig(
+        segments=tuple(Segment(length_km=draw(st.sampled_from(LENGTHS_KM))) for _ in range(n_seg)),
+        flow_sensor_segments=cfg.flow_sensor_segments,
+        time_step_h=T_STEP_H,
+    )
+    edges_m = [float(b) * 1000.0 for b in cfg.boundaries_km()]
+    position = st.one_of(
+        st.sampled_from(edges_m + [-1.0, edges_m[-1] + 1.0]),
+        st.floats(-100.0, edges_m[-1] + 100.0, allow_nan=False),
+    )
+    tracks = []
+    ids = draw(st.lists(st.integers(0, 50), min_size=1, max_size=6, unique=True))
+    for vid in ids:
+        n = draw(st.integers(1, 8))
+        t0 = draw(st.sampled_from([-3.0, -0.5, 0.0, 0.7, 2.0, 6.0]))
+        steps = draw(
+            st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5, 7.0]), min_size=n - 1, max_size=n - 1)
+        )
+        if unique_times:
+            steps = [d + 0.25 for d in steps]
+        tracks.append(
+            VehicleTrack(
+                vehicle_id=vid,
+                times_s=t0 + np.concatenate([[0.0], np.cumsum(steps)]),
+                positions_m=np.array(draw(st.lists(position, min_size=n, max_size=n))),
+                speeds_mps=np.array(
+                    draw(st.lists(st.floats(0.0, 40.0), min_size=n, max_size=n))
+                ),
+                lanes=np.array(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))),
+            )
+        )
+    traj = TrajectoryData(tracks)
+    connected = frozenset(draw(st.lists(st.sampled_from(ids), unique=True)))
+    exclude = frozenset(draw(st.lists(st.integers(1, 3), max_size=2, unique=True)))
+    return traj, cfg, connected, exclude
+
+
+class TestStepGridProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(recordings(), st.integers(0, 6), st.sampled_from([0.5, 1.0, 3.0]))
+    def test_grid_matches_per_step_loop(self, rec, n_steps, max_gap_s):
+        traj, cfg, connected, exclude = rec
+        want_speeds, want_density = _oracle_series(traj, cfg, n_steps, connected, exclude, max_gap_s)
+        speeds = segment_speed_series(
+            traj, cfg, n_steps, connected, exclude_lanes=exclude, max_gap_s=max_gap_s
+        )
+        density = ground_truth_densities(
+            traj, cfg, n_steps, exclude_lanes=exclude, max_gap_s=max_gap_s
+        )
+        # Bit-for-bit, NaN cells included.
+        assert speeds.tobytes() == want_speeds.tobytes()
+        assert density.tobytes() == want_density.tobytes()
+        for k in range(n_steps):
+            t = k * cfg.time_step_h * 3600.0
+            assert positions_at(traj, t, max_gap_s=max_gap_s) == _oracle_snapshot(traj, t, max_gap_s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(recordings(unique_times=True), st.randoms(use_true_random=False))
+    def test_loading_ignores_row_and_column_order(self, rec, rnd):
+        traj, cfg, connected, _exclude = rec
+        columns = ["vehicle_id", "t_s", "x_m", "lane", "speed_mps"]
+        rows = [
+            dict(zip(columns, (vid, t, x, lane, v)))
+            for vid, tr in traj.tracks.items()
+            for t, x, lane, v in zip(
+                tr.times_s.tolist(), tr.positions_m.tolist(), tr.lanes.tolist(), tr.speeds_mps.tolist()
+            )
+        ]
+        rnd.shuffle(rows)
+        rnd.shuffle(columns)
+        lines = [",".join(columns)] + [",".join(repr(row[c]) for c in columns) for row in rows]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "traj.csv"
+            path.write_text("\n".join(lines) + "\n")
+            loaded = load_trajectories(path)
+        assert loaded.vehicle_ids == traj.vehicle_ids
+        assert (loaded.t_min_s, loaded.t_max_s) == (traj.t_min_s, traj.t_max_s)
+        for vid, track in traj.tracks.items():
+            got = loaded.tracks[vid]
+            assert np.array_equal(got.times_s, track.times_s)
+            assert np.array_equal(got.positions_m, track.positions_m)
+            assert np.array_equal(got.speeds_mps, track.speeds_mps)
+            assert np.array_equal(got.lanes, track.lanes)
+        n_steps = 4
+        assert np.array_equal(
+            ground_truth_densities(loaded, cfg, n_steps), ground_truth_densities(traj, cfg, n_steps)
+        )
+        assert np.allclose(
+            segment_speed_series(loaded, cfg, n_steps, connected),
+            segment_speed_series(traj, cfg, n_steps, connected),
+            rtol=1e-12,
+            equal_nan=True,
+        )
