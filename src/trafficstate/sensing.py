@@ -366,7 +366,38 @@ def virtual_detector_flow(
     Step k covers the interval (t0 + k*T, t0 + (k+1)*T]. ``lanes``
     restricts the count to vehicles in those lanes at the crossing.
     """
-    times = crossing_times(traj, x_m)
+    return _event_flow(traj, crossing_times(traj, x_m), n_steps, time_step_h, t0_s, lanes)
+
+
+def _entry_flow(
+    traj: TrajectoryData,
+    cfg: NetworkConfig,
+    n_steps: int,
+    t0_s: float,
+    lanes: frozenset[int] | None,
+) -> np.ndarray:
+    """(K,) flow in veh/h into the stretch.
+
+    Counts crossings of the origin, and vehicles whose first sample already
+    lies inside segment 1 (a recording that starts at the origin sees most
+    vehicles only after they pass it) at that first sample.
+    """
+    events = crossing_times(traj, 0.0)
+    end_m = cfg.boundaries_km()[1] * 1000.0
+    for vid, track in traj.tracks.items():
+        if 0.0 <= track.positions_m[0] < end_m:
+            events[vid] = float(track.times_s[0])
+    return _event_flow(traj, events, n_steps, cfg.time_step_h, t0_s, lanes)
+
+
+def _event_flow(
+    traj: TrajectoryData,
+    times: dict[int, float],
+    n_steps: int,
+    time_step_h: float,
+    t0_s: float,
+    lanes: frozenset[int] | None,
+) -> np.ndarray:
     if lanes is not None:
         kept = {}
         for vid, t in times.items():
@@ -443,8 +474,9 @@ def frames_from_trajectories(
     """Build the estimator input sequence from microscopic data.
 
     Connected vehicles are drawn once for the whole recording. Flows come
-    from virtual detectors at the entry boundary and at the downstream
-    boundary of every segment carrying a flow sensor; measured ramps need
+    from virtual detectors at the entry boundary (which also counts vehicles
+    first seen inside segment 1) and at the downstream boundary of every
+    segment carrying a flow sensor; measured ramps need
     a RampLaneRule. Speeds are smoothed with the trailing window average.
     """
     T_s = cfg.time_step_h * 3600.0
@@ -464,9 +496,7 @@ def frames_from_trajectories(
     if exclude_lanes:
         all_lanes = {int(l) for tr in traj.tracks.values() for l in np.unique(tr.lanes)}
         lanes_kept = frozenset(all_lanes - set(exclude_lanes))
-    entry = virtual_detector_flow(
-        traj, boundaries_m[0], n_steps, cfg.time_step_h, t0_s=t0_s, lanes=lanes_kept
-    )
+    entry = _entry_flow(traj, cfg, n_steps, t0_s, lanes_kept)
     sensor_flows = {
         j: virtual_detector_flow(
             traj, boundaries_m[j], n_steps, cfg.time_step_h, t0_s=t0_s, lanes=lanes_kept

@@ -419,6 +419,31 @@ class TestFramesFromTrajectories:
         assert frames[0].measured_ramp_flows_vph == {2: pytest.approx(720.0)}
         assert frames[1].measured_ramp_flows_vph == {2: pytest.approx(0.0)}
 
+    def test_vehicles_first_seen_inside_segment_one_enter(self):
+        # A recording that starts at the origin sees each vehicle only after
+        # it has passed it: 300 vehicles, one per second, first seen 0.5-5 m
+        # in, driving 25 m/s through both segments.
+        rng = np.random.default_rng(7)
+        tracks = [
+            make_track(vid, float(rng.uniform(0.5, 5.0)), 25.0, t0_s=float(vid), n_samples=42)
+            for vid in range(1, 301)
+        ]
+        tracks.append(make_track(301, 2.0, 25.0, t0_s=3.5, n_samples=42, lane=9))
+        frames = frames_from_trajectories(
+            TrajectoryData(tracks),
+            make_config(),
+            1.0,
+            np.random.default_rng(0),
+            exclude_lanes=frozenset({9}),
+        )
+        entry = np.array([f.entry_flow_vph for f in frames])
+        exit_ = np.array([f.sensor_flows_vph[2] for f in frames])
+        assert entry[:50].mean() == pytest.approx(3600.0)
+        assert exit_[10:60].mean() == pytest.approx(3600.0)
+        # Each vehicle enters once and leaves once; the one at t = 1 is seen
+        # in the first interval, the excluded lane is never counted.
+        assert entry.sum() == pytest.approx(exit_.sum())
+
     def test_too_short_recording_raises(self):
         traj = TrajectoryData([make_track(1, 0.0, 10.0, n_samples=3)])
         with pytest.raises(ValueError, match="too short"):
