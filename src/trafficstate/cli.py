@@ -103,10 +103,10 @@ def _resolve_tuning(args, idx, n_sensors, source_defaults: dict[str, float]):
     )
 
 
-def _tuning_echo(tuning) -> dict:
+def _tuning_echo(tuning, idx) -> dict:
     return {
         "q_density": float(tuning.process_cov[0, 0]),
-        "q_ramp": float(tuning.process_cov[-1, -1]) if tuning.dim > 0 else None,
+        "q_ramp": float(tuning.process_cov[-1, -1]) if idx.n_theta else None,
         "measurement_var": float(tuning.measurement_cov[0, 0]),
         "initial_mean": float(tuning.initial_mean[0]),
         "initial_var": float(tuning.initial_cov[0, 0]),
@@ -333,7 +333,7 @@ def cmd_estimate(args) -> int:
             v_true[k] = frame.speeds_kmh
             for j, q in frame.sensor_flows_vph.items():
                 v = frame.speeds_kmh[j - 1]
-                if np.isfinite(v) and v > 2.0:
+                if np.isfinite(v) and v > kalman.V_FLOOR_KMH:
                     rho_true[k, j - 1] = q / v
         source_defaults = {"measurement_var": 100.0, "initial_density": 4.0}
         default_speed = 100.0
@@ -402,7 +402,7 @@ def cmd_estimate(args) -> int:
         ramp_est=ramp_est,
     )
     config_echo["network"] = _network_echo(cfg)
-    config_echo["tuning"] = _tuning_echo(tuning)
+    config_echo["tuning"] = _tuning_echo(tuning, idx)
     summary = {
         "config": config_echo,
         "sensors_used": list(fr.sensor_segments),
@@ -496,7 +496,7 @@ def cmd_sweep(args) -> int:
             "speed_noise_std": args.speed_noise_std,
             "warmup": args.warmup,
             "network": _network_echo(cfg),
-            "tuning": _tuning_echo(tuning),
+            "tuning": _tuning_echo(tuning, idx),
         }
     }
     _write_json(out / SUMMARY_JSON, summary)

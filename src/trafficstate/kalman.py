@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 COND_LIMIT = 1e12
+# At or below this speed a sensor's flow says nothing about its density.
+V_FLOOR_KMH = 2.0
 
 
 class SingularInnovationError(RuntimeError):
@@ -201,7 +203,7 @@ def run_filter(
     frames: Sequence[MeasurementFrame],
     *,
     sensor_segments: Sequence[int] | None = None,
-    v_floor_kmh: float = 2.0,
+    v_floor_kmh: float = V_FLOOR_KMH,
     default_speed_kmh: float = 100.0,
     strict_cfl: bool = False,
     clamp_nonnegative: bool = False,

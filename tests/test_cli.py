@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from trafficstate import cli
+from trafficstate import cli, kalman
 from trafficstate.simulate import load_scenario
 
 
@@ -217,6 +217,36 @@ class TestEstimate:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["metrics"]["horizon_steps"] == 11
         assert np.isfinite(summary["metrics"]["cv_rho"])
+
+    def test_detector_truth_uses_the_filter_speed_floor(self, tmp_path):
+        # The exit detector reads exactly the floor speed at even steps: its
+        # density truth is missing exactly where the filter holds its reading.
+        net = write_network(tmp_path / "net.json")
+        det = tmp_path / "det.csv"
+        lines = ["detector_pos_m,t_s,flow_vph,speed_kmh"]
+        for k in range(11):
+            exit_speed = kalman.V_FLOOR_KMH + (k % 2)
+            lines += [f"0.0,{5 * k},2700.0,90.0", f"500.0,{5 * k},2700.0,90.0"]
+            lines.append(f"1000.0,{5 * k},2700.0,{exit_speed}")
+        det.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "est"
+        args = ["estimate", "--detectors", str(det), "--network", str(net), "--warmup", "0"]
+        assert cli.main(args + ["--out", str(out)]) == 0
+        _, rows = read_csv(out / "estimates.csv")
+        blank = [int(r[0]) for r in rows if r[1] == "2" and r[2] == ""]
+        assert blank == [0, 2, 4, 6, 8, 10]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["held_measurement_steps"] == len(blank)
+
+    def test_q_ramp_is_null_without_ramp_states(self, tmp_path):
+        net = write_network(tmp_path / "net.json")
+        traj = write_trajectories(tmp_path / "traj.csv")
+        out = tmp_path / "est"
+        args = ["estimate", "--trajectories", str(traj), "--network", str(net), "--warmup", "0"]
+        assert cli.main(args + ["--q-density", "7.0", "--out", str(out)]) == 0
+        tuning = json.loads((out / "summary.json").read_text())["config"]["tuning"]
+        assert tuning["q_density"] == 7.0
+        assert tuning["q_ramp"] is None
 
     def test_network_flag_required_for_file_sources(self, tmp_path):
         traj = write_trajectories(tmp_path / "traj.csv")
