@@ -240,10 +240,6 @@ def _step_grid(
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
-def _step_times(t0_s: float, n_steps: int, T_s: float) -> np.ndarray:
-    return t0_s + np.arange(n_steps, dtype=float) * T_s
-
-
 def _cells(
     cfg: NetworkConfig, steps: np.ndarray, x_m: np.ndarray, keep: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -286,7 +282,7 @@ def segment_speed_series(
     """
     T_s = cfg.time_step_h * 3600.0
     shape = (n_steps, cfg.n_segments)
-    track, k, x, v, lane = _step_grid(traj, _step_times(t0_s, n_steps, T_s), max_gap_s)
+    track, k, x, v, lane = _step_grid(traj, t0_s + np.arange(n_steps) * T_s, max_gap_s)
     is_connected = np.isin(list(traj.tracks), list(connected))
     keep = is_connected[track] & ~np.isin(lane, list(exclude_lanes))
     cells, keep = _cells(cfg, k, x, keep)
@@ -452,7 +448,7 @@ def ground_truth_densities(
 ) -> np.ndarray:
     """(K, N) reference density: vehicles in segment at kT over its length."""
     T_s = cfg.time_step_h * 3600.0
-    _track, k, x, _v, lane = _step_grid(traj, _step_times(t0_s, n_steps, T_s), max_gap_s)
+    _track, k, x, _v, lane = _step_grid(traj, t0_s + np.arange(n_steps) * T_s, max_gap_s)
     cells, _keep = _cells(cfg, k, x, ~np.isin(lane, list(exclude_lanes)))
     counts = np.bincount(cells, minlength=n_steps * cfg.n_segments)
     return counts.reshape(n_steps, cfg.n_segments) / cfg.lengths_km
