@@ -472,8 +472,8 @@ def frames_from_trajectories(
     Connected vehicles are drawn once for the whole recording. Flows come
     from virtual detectors at the entry boundary (which also counts vehicles
     first seen inside segment 1) and at the downstream boundary of every
-    segment carrying a flow sensor; measured ramps need
-    a RampLaneRule. Speeds are smoothed with the trailing window average.
+    segment carrying a flow sensor; measured ramps need a RampLaneRule.
+    Speeds are smoothed with the trailing window average.
     """
     T_s = cfg.time_step_h * 3600.0
     if n_steps is None:

@@ -619,7 +619,7 @@ def _oracle_series(traj, cfg, n_steps, connected, exclude, max_gap_s):
         sums = np.zeros(n)
         counts = np.zeros(n, dtype=int)
         everyone = np.zeros(n)
-        for vid, (x_m, v_mps, lane) in _oracle_snapshot(traj, 0.0 + k * T_s, max_gap_s).items():
+        for vid, (x_m, v_mps, lane) in _oracle_snapshot(traj, k * T_s, max_gap_s).items():
             seg = _oracle_segment(cfg, x_m / 1000.0)
             if lane in exclude or seg is None:
                 continue
@@ -640,10 +640,9 @@ LENGTHS_KM = (0.25, 0.5)
 def recordings(draw, *, unique_times=False):
     """Small recordings with stale gaps, early samples, off-stretch and boundary positions."""
     n_seg = draw(st.integers(1, 3))
-    cfg = make_config(n=n_seg, sensors=(n_seg,))
     cfg = NetworkConfig(
         segments=tuple(Segment(length_km=draw(st.sampled_from(LENGTHS_KM))) for _ in range(n_seg)),
-        flow_sensor_segments=cfg.flow_sensor_segments,
+        flow_sensor_segments=frozenset({n_seg}),
         time_step_h=T_STEP_H,
     )
     edges_m = [float(b) * 1000.0 for b in cfg.boundaries_km()]
