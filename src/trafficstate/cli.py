@@ -22,6 +22,7 @@ import numpy as np
 from trafficstate import kalman, metrics, sensing, simulate
 from trafficstate.ltv_model import build_state_index
 from trafficstate.network import (
+    CflViolationError,
     NetworkConfig,
     NetworkFormatError,
     RampType,
@@ -408,6 +409,7 @@ def cmd_estimate(args) -> int:
         "sensors_used": list(fr.sensor_segments),
         "cfl": {"max_ratio": fr.cfl.max_ratio, "violations": len(fr.cfl.violations)},
         "held_measurement_steps": fr.held_measurement_steps,
+        "held_entry_steps": fr.held_entry_steps,
         "validation_ok": report.ok,
         "metrics": {k: v for k, v in run_metrics.to_dict().items()},
     }
@@ -677,8 +679,7 @@ def main(argv=None) -> int:
         return 2
     except (
         kalman.SingularInnovationError,
-        kalman.CflViolationError,
-        simulate.CflViolationError,
+        CflViolationError,
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

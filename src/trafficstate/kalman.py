@@ -4,19 +4,38 @@ The filter is run in one-step-ahead predictor form: the state estimate
 published for step k+1 uses measurements up to and including step k. The
 gain solve goes through a Cholesky factorization of the innovation
 covariance rather than an explicit inverse.
+
+``run_filter`` uses the model's structure: the transition matrix is
+lower-bidiagonal plus the ramp columns and an identity block on the ramp
+states, so A P A^T is two O(dim^2) row passes (``ltv_model.apply_A``), and
+the output matrix only selects rows, so C P is indexing. A step costs
+O(dim^2) and no dense A is formed. ``kf_step`` is the dense form of the
+same update for an arbitrary snapshot.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrf, dpotrs
 
-from trafficstate.ltv_model import LtvSnapshot, StateIndex, build_A, build_B, build_C, build_u
-from trafficstate.network import CflReport, NetworkConfig, check_cfl
+# build_A stays importable from this module for code that binds it here;
+# run_filter itself never forms A.
+from trafficstate.ltv_model import (  # noqa: F401
+    LtvSnapshot,
+    StateIndex,
+    apply_A,
+    build_A,
+    build_B,
+    build_C,
+    build_u,
+)
+from trafficstate.network import CflReport, CflViolationError, NetworkConfig, check_cfl
 from trafficstate.sensing import MeasurementFrame
 
 logger = logging.getLogger(__name__)
@@ -48,10 +67,6 @@ class SingularInnovationError(RuntimeError):
         )
         self.step = step
         self.cond = cond
-
-
-class CflViolationError(RuntimeError):
-    """Raised in strict mode when the discretization accuracy bound fails."""
 
 
 def _check_symmetric_psd(name: str, M: np.ndarray, dim: int) -> np.ndarray:
@@ -146,21 +161,38 @@ class FilterState:
     k: int
 
 
+def _gain(CP: np.ndarray, CPCt: np.ndarray, R: np.ndarray, step: int) -> np.ndarray:
+    """Kalman gain P C^T S^-1 from C P and C P C^T, with S = C P C^T + R.
+
+    cond(S) is the ratio of S's extreme eigenvalues; a non-positive smallest
+    eigenvalue counts as infinite. The solve calls LAPACK's Cholesky routines
+    directly: the scipy wrappers cost more than the solve at these sizes.
+    """
+    S = CPCt + R
+    S = 0.5 * (S + S.T)
+    eig = np.linalg.eigvalsh(S)
+    cond = float(eig[-1] / eig[0]) if eig[0] > 0.0 else math.inf
+    if not np.isfinite(cond) or cond > COND_LIMIT:
+        raise SingularInnovationError(step, cond)
+    L, info = dpotrf(S, lower=1)
+    if info == 0:
+        X, info = dpotrs(L, CP, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"Cholesky solve of the innovation covariance failed at step {step} (info {info})"
+        )
+    return X.T
+
+
 def kf_step(state: FilterState, snap: LtvSnapshot, z: np.ndarray, tuning: FilterTuning) -> FilterState:
     """One predictor update: absorb measurement z(k), return the k+1 state."""
     A, B, u, C = snap.A, snap.B, snap.u, snap.C
     P = state.cov
-    S = C @ P @ C.T + tuning.measurement_cov
-    S = 0.5 * (S + S.T)
-    cond = float(np.linalg.cond(S))
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularInnovationError(state.k, cond)
-    factor = cho_factor(S, lower=True)
-    gain = cho_solve(factor, C @ P).T
+    CP = C @ P
+    gain = _gain(CP, CP @ C.T, tuning.measurement_cov, state.k)
     innovation = z - C @ state.x_hat
     x_next = A @ state.x_hat + B @ u + A @ gain @ innovation
-    joseph = P - gain @ C @ P
-    P_next = A @ joseph @ A.T + tuning.process_cov
+    P_next = A @ (P - gain @ CP) @ A.T + tuning.process_cov
     P_next = 0.5 * (P_next + P_next.T)
     return FilterState(x_hat=x_next, cov=P_next, k=state.k + 1)
 
@@ -172,6 +204,8 @@ class FilterResult:
     ``states`` has K+1 rows: row k is the prediction for step k, row 0 the
     initial mean. ``speeds_used`` and ``measurements_used`` record what the
     filter actually consumed after gap filling and the speed floor guard.
+    ``held_measurement_steps`` and ``held_entry_steps`` count the steps that
+    held a previous sensor reading or entry flow.
     """
 
     states: np.ndarray
@@ -183,6 +217,7 @@ class FilterResult:
     final: FilterState
     index: StateIndex
     held_measurement_steps: int = 0
+    held_entry_steps: int = 0
 
     @property
     def densities(self) -> np.ndarray:
@@ -220,15 +255,18 @@ def run_filter(
 
     ``sensor_segments`` defaults to every declared flow sensor; pass an
     explicit subset to study reduced placements.
+
+    Each step is the update of ``kf_step`` computed from the model's
+    structure in O(dim^2): see the module docstring.
     """
     n = idx.n_segments
     if sensor_segments is None:
         sensor_segments = tuple(sorted(cfg.flow_sensor_segments))
     sensor_segments = tuple(sorted(set(int(j) for j in sensor_segments)))
-    lengths = cfg.lengths_km
-    T = cfg.time_step_h
-    B = build_B(idx, lengths, T)
-    C = build_C(idx, sensor_segments)
+    ratios = cfg.time_step_h / cfg.lengths_km
+    B = build_B(idx, cfg.lengths_km, cfg.time_step_h)
+    # C only selects rows: C M == M[sel].
+    sel = build_C(idx, sensor_segments).argmax(axis=1)
     if tuning.dim != idx.dim:
         raise ValueError(f"tuning is sized for dim {tuning.dim}, model has {idx.dim}")
     if tuning.n_measurements != len(sensor_segments):
@@ -238,17 +276,22 @@ def run_filter(
         )
 
     K = len(frames)
-    states = np.zeros((K + 1, idx.dim))
+    d = idx.dim
+    states = np.zeros((K + 1, d))
     speeds_used = np.zeros((K, n))
     z_used = np.zeros((K, len(sensor_segments)))
     innovations = np.zeros((K, len(sensor_segments)))
 
-    state = FilterState(x_hat=tuning.initial_mean.copy(), cov=tuning.initial_cov.copy(), k=0)
-    states[0] = state.x_hat
+    R, Q = tuning.measurement_cov, tuning.process_cov
+    x, P = tuning.initial_mean.copy(), tuning.initial_cov.copy()
+    states[0] = x
+    # Posterior [P - K C P | x + K nu], multiplied by A in one pass.
+    posterior = np.empty((d, d + 1))
     last_speed = np.full(n, np.nan)
-    held_z = C @ tuning.initial_mean
+    held_z = tuning.initial_mean[sel]
     last_entry = 0.0
     held_steps = 0
+    held_entry_steps = 0
 
     for k, frame in enumerate(frames):
         v = np.asarray(frame.speeds_kmh, dtype=float)
@@ -263,7 +306,7 @@ def run_filter(
 
         entry = frame.entry_flow_vph
         if entry is None or not np.isfinite(entry):
-            logger.warning("step %d: entry flow missing, holding %.1f veh/h", k, last_entry)
+            held_entry_steps += 1
             entry = last_entry
         last_entry = float(entry)
 
@@ -281,13 +324,24 @@ def run_filter(
         held_z = z
         z_used[k] = z
 
-        A = build_A(idx, lengths, T, filled)
         u = build_u(idx, entry, frame.measured_ramp_flows_vph)
-        snap = LtvSnapshot(A=A, B=B, u=u, C=C)
-        innovations[k] = z - C @ state.x_hat
-        state = kf_step(state, snap, z, tuning)
-        states[k + 1] = state.x_hat
+        innovation = z - x[sel]
+        innovations[k] = innovation
+        CP = P[sel]
+        gain = _gain(CP, CP[:, sel], R, k)
+        np.subtract(P, gain @ CP, out=posterior[:, :d])
+        posterior[:, d] = x + gain @ innovation
+        AM = apply_A(idx, ratios, filled, posterior)
+        x = AM[:, d] + B @ u
+        # P is symmetric, so A P A^T = A (A P)^T.
+        P = apply_A(idx, ratios, filled, AM[:, :d].T) + Q
+        P = 0.5 * (P + P.T)
+        states[k + 1] = x
 
+    if held_entry_steps:
+        logger.warning(
+            "entry flow missing at %d of %d steps; held the previous value", held_entry_steps, K
+        )
     cfl = check_cfl(cfg, speeds_used) if K else CflReport(0.0, ())
     if not cfl.ok:
         msg = (
@@ -310,9 +364,10 @@ def run_filter(
         measurements_used=z_used,
         innovations=innovations,
         cfl=cfl,
-        final=state,
+        final=FilterState(x_hat=x, cov=P, k=K),
         index=idx,
         held_measurement_steps=held_steps,
+        held_entry_steps=held_entry_steps,
     )
 
 

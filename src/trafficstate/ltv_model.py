@@ -22,6 +22,7 @@ __all__ = [
     "StateIndex",
     "LtvSnapshot",
     "build_state_index",
+    "apply_A",
     "build_A",
     "build_B",
     "build_u",
@@ -105,6 +106,29 @@ def _ratios(lengths_km: Sequence[float], time_step_h: float) -> np.ndarray:
     return time_step_h / lengths
 
 
+def apply_A(idx: StateIndex, ratios: np.ndarray, speeds_kmh: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Product A M of one step's transition matrix with a (dim, k) matrix.
+
+    ``ratios`` holds T/delta_i per segment. A is lower-bidiagonal on the
+    densities (diagonal 1 - c_i v_i, subdiagonal c_i v_{i-1}), carries +1
+    (on-ramp) or -1 (off-ramp) in each ramp state's column on its segment's
+    row, and is the identity on the ramp states, so the product costs
+    O(dim * k) and A itself is never formed.
+    """
+    n = idx.n_segments
+    c, v = ratios, speeds_kmh
+    out = np.empty(M.shape)
+    out[:n] = (1.0 - c * v)[:, np.newaxis] * M[:n]
+    out[1:n] += (c[1:] * v[:-1])[:, np.newaxis] * M[: n - 1]
+    for j, (seg, kind) in enumerate(zip(idx.theta_segments, idx.theta_kinds)):
+        if kind is RampType.ON:
+            out[seg - 1] += M[n + j]
+        else:
+            out[seg - 1] -= M[n + j]
+    out[n:] = M[n:]
+    return out
+
+
 def build_A(
     idx: StateIndex,
     lengths_km: Sequence[float],
@@ -119,16 +143,7 @@ def build_A(
     c = _ratios(lengths_km, time_step_h)
     if c.shape != (n,):
         raise ValueError(f"expected {n} segment lengths, got {c.shape[0]}")
-
-    A = np.zeros((idx.dim, idx.dim))
-    A[np.arange(n), np.arange(n)] = 1.0 - c * v
-    if n > 1:
-        A[np.arange(1, n), np.arange(n - 1)] = c[1:] * v[:-1]
-    for j, (seg, kind) in enumerate(zip(idx.theta_segments, idx.theta_kinds)):
-        col = n + j
-        A[seg - 1, col] = 1.0 if kind is RampType.ON else -1.0
-        A[col, col] = 1.0
-    return A
+    return apply_A(idx, c, v, np.eye(idx.dim))
 
 
 def build_B(idx: StateIndex, lengths_km: Sequence[float], time_step_h: float) -> np.ndarray:

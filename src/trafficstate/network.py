@@ -27,6 +27,7 @@ __all__ = [
     "Violation",
     "ValidationReport",
     "CflReport",
+    "CflViolationError",
     "NetworkFormatError",
     "validate_network",
     "check_cfl",
@@ -203,6 +204,10 @@ def validate_network(cfg: NetworkConfig) -> ValidationReport:
             )
 
     return ValidationReport(ok=not violations, violations=tuple(violations))
+
+
+class CflViolationError(RuntimeError):
+    """Raised in strict mode when the discretization accuracy bound fails."""
 
 
 def check_cfl(cfg: NetworkConfig, speeds_kmh) -> CflReport:

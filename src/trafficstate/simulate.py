@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from trafficstate.network import NetworkConfig, RampType, Segment, check_cfl
+from trafficstate.network import CflViolationError, NetworkConfig, RampType, Segment, check_cfl
 from trafficstate.sensing import MeasurementFrame, moving_average_speed
 
 logger = logging.getLogger(__name__)
@@ -42,10 +42,6 @@ __all__ = [
 ]
 
 PRESET_NAMES = ("ngsim_like", "a20_like")
-
-
-class CflViolationError(RuntimeError):
-    """Raised in strict mode when a scenario breaks the accuracy bound."""
 
 
 @dataclass(frozen=True)

@@ -238,6 +238,19 @@ class TestEstimate:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["held_measurement_steps"] == len(blank)
 
+    def test_summary_counts_held_entry_flows(self, tmp_path):
+        net = write_network(tmp_path / "net.json")
+        det = write_detectors(tmp_path / "det.csv")
+        # The entry detector drops two samples.
+        dropped = {"0.0,10,2700.0,90.0", "0.0,30,2700.0,90.0"}
+        kept = [r for r in det.read_text().splitlines() if r not in dropped]
+        det.write_text("\n".join(kept) + "\n")
+        out = tmp_path / "est"
+        args = ["estimate", "--detectors", str(det), "--network", str(net), "--warmup", "0"]
+        assert cli.main(args + ["--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["held_entry_steps"] == 2
+
     def test_q_ramp_is_null_without_ramp_states(self, tmp_path):
         net = write_network(tmp_path / "net.json")
         traj = write_trajectories(tmp_path / "traj.csv")

@@ -1,7 +1,13 @@
 """Tests for the predictor-form Kalman filter and the observability check."""
 
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_acceptance import random_observable_network
 
 from trafficstate.kalman import (
     CflViolationError,
@@ -13,7 +19,14 @@ from trafficstate.kalman import (
     observability_gramian,
     run_filter,
 )
-from trafficstate.ltv_model import LtvSnapshot, build_A, build_C, build_state_index
+from trafficstate.ltv_model import (
+    LtvSnapshot,
+    build_A,
+    build_B,
+    build_C,
+    build_state_index,
+    build_u,
+)
 from trafficstate.network import NetworkConfig, RampType, Segment
 from trafficstate.sensing import MeasurementFrame
 
@@ -185,7 +198,105 @@ def fixed_point_frames(k_steps, entry=1800.0, speed=90.0, flow=1800.0):
     ]
 
 
+def random_frames(rng, cfg, idx, n_steps, *, max_ratio=0.9, drop=0.2):
+    """Random measurements; about ``drop`` of speeds, flows and entries are missing."""
+    n = cfg.n_segments
+    frames = []
+    for _ in range(n_steps):
+        v = rng.uniform(0.0, max_ratio, size=n) * cfg.lengths_km / cfg.time_step_h
+        v[rng.random(n) < drop] = np.nan
+        flows = {
+            s: float(rng.uniform(500.0, 3000.0))
+            for s in sorted(cfg.flow_sensor_segments)
+            if rng.random() >= drop
+        }
+        ramps = {s: float(rng.uniform(0.0, 600.0)) for s in idx.measured_ramp_segments}
+        entry = float(rng.uniform(500.0, 4000.0)) if rng.random() >= drop else None
+        frames.append(
+            MeasurementFrame(
+                speeds_kmh=v,
+                entry_flow_vph=entry,
+                sensor_flows_vph=flows,
+                measured_ramp_flows_vph=ramps,
+            )
+        )
+    return frames
+
+
+def with_measured_ramp(rng, cfg):
+    """The network with one more ramp, measured, on a segment that has none."""
+    free = [i for i, seg in enumerate(cfg.segments) if seg.ramp is RampType.NONE]
+    i = int(rng.choice(free))
+    kind = RampType.ON if rng.random() < 0.5 else RampType.OFF
+    segments = list(cfg.segments)
+    segments[i] = dataclasses.replace(segments[i], ramp=kind, ramp_measured=True)
+    return dataclasses.replace(cfg, segments=tuple(segments))
+
+
 class TestRunFilter:
+    def test_matches_a_loop_of_dense_kf_steps(self):
+        # The structured step equals kf_step on build_A/build_C snapshots fed
+        # with what the run actually consumed, held values included.
+        rng = np.random.default_rng(7)
+        ramp_kinds = set()
+        worst = 0.0
+        for _ in range(20):
+            cfg, _ = random_observable_network(rng)
+            cfg = with_measured_ramp(rng, cfg)
+            idx = build_state_index(cfg)
+            ramp_kinds |= set(idx.theta_kinds)
+            base = default_tuning(idx, len(cfg.flow_sensor_segments), initial_ramp_state=0.1)
+            L = rng.normal(size=(idx.dim, idx.dim))
+            tuning = dataclasses.replace(base, initial_cov=L @ L.T + np.eye(idx.dim))
+            frames = random_frames(rng, cfg, idx, 60)
+            result = run_filter(cfg, idx, tuning, frames)
+            assert result.held_measurement_steps > 0
+
+            B = build_B(idx, cfg.lengths_km, cfg.time_step_h)
+            C = build_C(idx, result.sensor_segments)
+            state = FilterState(x_hat=tuning.initial_mean, cov=tuning.initial_cov, k=0)
+            entry = 0.0
+            for k, frame in enumerate(frames):
+                if frame.entry_flow_vph is not None:
+                    entry = frame.entry_flow_vph
+                A = build_A(idx, cfg.lengths_km, cfg.time_step_h, result.speeds_used[k])
+                u = build_u(idx, entry, frame.measured_ramp_flows_vph)
+                z = result.measurements_used[k]
+                assert np.allclose(result.innovations[k], z - C @ state.x_hat, rtol=0, atol=1e-9)
+                state = kf_step(state, LtvSnapshot(A=A, B=B, u=u, C=C), z, tuning)
+                worst = max(worst, float(np.max(np.abs(result.states[k + 1] - state.x_hat))))
+            worst = max(worst, float(np.max(np.abs(result.final.cov - state.cov))))
+        assert ramp_kinds == {RampType.ON, RampType.OFF}
+        assert worst <= 1e-9
+
+    @settings(max_examples=25)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_steps=st.integers(100, 400),
+        max_ratio=st.floats(0.05, 0.99),
+    )
+    def test_covariance_stays_symmetric_psd(self, seed, n_steps, max_ratio):
+        rng = np.random.default_rng(seed)
+        cfg, _ = random_observable_network(rng)
+        idx = build_state_index(cfg)
+        tuning = default_tuning(idx, len(cfg.flow_sensor_segments))
+        frames = random_frames(rng, cfg, idx, n_steps, max_ratio=max_ratio)
+        P = run_filter(cfg, idx, tuning, frames).final.cov
+        assert np.array_equal(P, P.T)
+        eig = np.linalg.eigvalsh(P)
+        assert eig[0] >= -1e-9 * eig[-1]
+
+    def test_ill_conditioned_innovation_reports_the_step(self):
+        cfg = make_config(3, sensors=(1, 3))
+        idx = build_state_index(cfg)
+        cov = np.eye(3)
+        cov[0, 0] = 1e15
+        tuning = dataclasses.replace(default_tuning(idx, 2), initial_cov=cov)
+        with pytest.raises(SingularInnovationError) as err:
+            run_filter(cfg, idx, tuning, random_frames(np.random.default_rng(0), cfg, idx, 3))
+        assert err.value.step == 0
+        assert err.value.cond > 1e12
+
     def test_uniform_flow_is_reproduced_exactly(self):
         # Density 20 at speed 90 carries the entry flow through unchanged;
         # starting on the fixed point, every innovation is zero.
@@ -321,6 +432,18 @@ class TestRunFilter:
         result = run_filter(cfg, idx, tuning, frames)
         # No inflow ever arrives, so the empty-road estimate stays empty.
         assert np.allclose(result.states, 0.0)
+
+    def test_missing_entry_flows_are_counted_and_logged_once(self, caplog):
+        cfg = make_config(2, sensors=(2,))
+        idx = build_state_index(cfg)
+        frames = fixed_point_frames(5)
+        for k in (0, 2, 3):
+            frames[k] = dataclasses.replace(frames[k], entry_flow_vph=None)
+        with caplog.at_level(logging.WARNING, logger="trafficstate.kalman"):
+            result = run_filter(cfg, idx, default_tuning(idx, 1), frames)
+        assert result.held_entry_steps == 3
+        warnings = [r.getMessage() for r in caplog.records if "entry flow" in r.getMessage()]
+        assert warnings == ["entry flow missing at 3 of 5 steps; held the previous value"]
 
     def test_strict_cfl_raises(self):
         cfg = make_config(2, sensors=(2,), time_step_h=5 / 3600, length=0.05)

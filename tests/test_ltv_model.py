@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trafficstate.ltv_model import (
+    apply_A,
     build_A,
     build_B,
     build_C,
@@ -109,6 +110,18 @@ class TestBuildA:
         idx = build_state_index(cfg)
         with pytest.raises(ValueError):
             build_A(idx, cfg.lengths_km, cfg.time_step_h, [80.0, 80.0])
+
+    def test_apply_equals_the_dense_product(self):
+        ramps = {2: (RampType.ON, False), 3: (RampType.OFF, True), 4: (RampType.OFF, False)}
+        cfg = make_config(5, sensors=(3, 5), ramps=ramps)
+        idx = build_state_index(cfg)
+        rng = np.random.default_rng(3)
+        v = rng.uniform(20.0, 120.0, size=5)
+        A = build_A(idx, cfg.lengths_km, cfg.time_step_h, v)
+        # A row-major matrix and a transposed view, as the filter passes both.
+        for M in (rng.normal(size=(idx.dim, idx.dim + 1)), rng.normal(size=(idx.dim, idx.dim)).T):
+            got = apply_A(idx, cfg.time_step_h / cfg.lengths_km, v, M)
+            assert np.allclose(got, A @ M, rtol=0, atol=1e-12)
 
 
 class TestBuildBAndU:

@@ -678,7 +678,7 @@ def recordings(draw, *, unique_times=False):
 
 
 class TestStepGridProperties:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(recordings(), st.integers(0, 6), st.sampled_from([0.5, 1.0, 3.0]))
     def test_grid_matches_per_step_loop(self, rec, n_steps, max_gap_s):
         traj, cfg, connected, exclude = rec
@@ -696,7 +696,7 @@ class TestStepGridProperties:
             t = k * cfg.time_step_h * 3600.0
             assert positions_at(traj, t, max_gap_s=max_gap_s) == _oracle_snapshot(traj, t, max_gap_s)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(recordings(unique_times=True), st.randoms(use_true_random=False))
     def test_loading_ignores_row_and_column_order(self, rec, rnd):
         traj, cfg, connected, _exclude = rec
