@@ -17,7 +17,6 @@ from trafficstate.ltv_model import (
     build_C,
     build_state_index,
     build_u,
-    select_sensor_segments,
 )
 from trafficstate.network import (
     CflReport,
@@ -30,7 +29,7 @@ from trafficstate.network import (
     save_network,
     validate_network,
 )
-from trafficstate.sensing import MeasurementFrame, load_detectors, load_trajectories
+from trafficstate.sensing import Measurements, load_detectors, load_trajectories
 from trafficstate.simulate import (
     Scenario,
     SimulationResult,
@@ -47,7 +46,7 @@ __all__ = [
     "FilterState",
     "FilterTuning",
     "LtvSnapshot",
-    "MeasurementFrame",
+    "Measurements",
     "NetworkConfig",
     "RampType",
     "Scenario",
@@ -71,7 +70,6 @@ __all__ = [
     "observability_gramian",
     "run_filter",
     "save_network",
-    "select_sensor_segments",
     "simulate_truth",
     "validate_network",
     "__version__",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import math
@@ -26,7 +27,6 @@ from trafficstate.network import (
     NetworkConfig,
     NetworkFormatError,
     RampType,
-    Segment,
     check_cfl,
     load_network,
     validate_network,
@@ -70,18 +70,6 @@ def _rep_rng(seed: int, rep: int, reps: int) -> np.random.Generator:
     """Generator for repetition ``rep`` of a run seeded with ``seed``."""
     children = np.random.SeedSequence(seed).spawn(reps)
     return np.random.default_rng(children[rep])
-
-
-def _network_echo(cfg: NetworkConfig) -> dict:
-    return {
-        "time_step_h": cfg.time_step_h,
-        "segments": [
-            {"length_km": s.length_km, "ramp": s.ramp.value, "ramp_measured": s.ramp_measured}
-            for s in cfg.segments
-        ],
-        "flow_sensors": sorted(cfg.flow_sensor_segments),
-        "entry_flow_measured": cfg.entry_flow_measured,
-    }
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -145,7 +133,7 @@ def _ramp_metrics(est_table: np.ndarray | None, truth_table: np.ndarray | None, 
 def _write_estimates_csv(
     path: Path,
     cfg: NetworkConfig,
-    frames,
+    meas: sensing.Measurements,
     filter_result,
     *,
     rho_true: np.ndarray | None,
@@ -154,7 +142,8 @@ def _write_estimates_csv(
     ramp_est: dict[int, np.ndarray],
 ) -> None:
     n = cfg.n_segments
-    K = len(frames)
+    K = meas.n_steps
+    q_sensor = meas.sensor_table(range(1, n + 1))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
@@ -167,7 +156,7 @@ def _write_estimates_csv(
                         _fmt(rho_true[k, i - 1]) if rho_true is not None else "",
                         _fmt(filter_result.densities[k, i - 1]),
                         _fmt(filter_result.speeds_used[k, i - 1]),
-                        _fmt(frames[k].sensor_flows_vph.get(i)),
+                        _fmt(q_sensor[k, i - 1]),
                         _fmt(v_true[k, i - 1]) if v_true is not None else "",
                         _fmt(ramp_true[i][k]) if i in ramp_true else "",
                         _fmt(ramp_est[i][k]) if i in ramp_est else "",
@@ -261,7 +250,7 @@ def cmd_estimate(args) -> int:
         sc = simulate.make_congestion_scenario(args.preset, args.seed)
         cfg = sc.cfg
         result = simulate.simulate_truth(sc, strict_cfl=args.strict_cfl)
-        frames = simulate.frames_from_simulation(
+        meas = simulate.frames_from_simulation(
             result,
             rng,
             penetration=args.penetration,
@@ -271,7 +260,7 @@ def cmd_estimate(args) -> int:
             speed_noise_std_kmh=args.speed_noise_std,
             clamp_nonnegative=args.clamp_noise,
         )
-        K = len(frames)
+        K = meas.n_steps
         rho_true = result.densities[:K]
         v_true = sc.speeds_kmh
         ramp_true = {seg: series for seg, series in sc.ramp_flows_vph.items()}
@@ -284,7 +273,7 @@ def cmd_estimate(args) -> int:
         exclude = _parse_lanes(args.exclude_lanes)
         rules = _parse_ramp_lane(args.ramp_lane, cfg)
         t0 = traj.t_min_s
-        frames = sensing.frames_from_trajectories(
+        meas = sensing.frames_from_trajectories(
             traj,
             cfg,
             args.penetration,
@@ -295,14 +284,14 @@ def cmd_estimate(args) -> int:
             ramp_rules=[r for r in rules if cfg.segments[r.segment - 1].ramp_measured],
         )
         if args.flow_noise_std > 0 or args.speed_noise_std > 0:
-            frames = sensing.add_measurement_noise(
-                frames,
+            meas = sensing.add_measurement_noise(
+                meas,
                 rng,
                 flow_std_vph=args.flow_noise_std,
                 speed_std_kmh=args.speed_noise_std,
                 clamp_nonnegative=args.clamp_noise,
             )
-        K = len(frames)
+        K = meas.n_steps
         rho_true = sensing.ground_truth_densities(traj, cfg, K, t0_s=t0, exclude_lanes=exclude)
         v_true = sensing.segment_speed_series(
             traj, cfg, K, frozenset(traj.vehicle_ids), t0_s=t0, exclude_lanes=exclude
@@ -317,25 +306,23 @@ def cmd_estimate(args) -> int:
     else:
         cfg = load_network(args.network)
         detectors = sensing.load_detectors(args.detectors)
-        frames = sensing.frames_from_detectors(detectors, cfg)
-        clean_frames = frames
+        clean = sensing.frames_from_detectors(detectors, cfg)
+        meas = clean
         if args.flow_noise_std > 0 or args.speed_noise_std > 0:
-            frames = sensing.add_measurement_noise(
-                frames,
+            meas = sensing.add_measurement_noise(
+                clean,
                 rng,
                 flow_std_vph=args.flow_noise_std,
                 speed_std_kmh=args.speed_noise_std,
                 clamp_nonnegative=args.clamp_noise,
             )
-        K = len(frames)
-        rho_true = np.full((K, cfg.n_segments), np.nan)
-        v_true = np.full((K, cfg.n_segments), np.nan)
-        for k, frame in enumerate(clean_frames):
-            v_true[k] = frame.speeds_kmh
-            for j, q in frame.sensor_flows_vph.items():
-                v = frame.speeds_kmh[j - 1]
-                if np.isfinite(v) and v > kalman.V_FLOOR_KMH:
-                    rho_true[k, j - 1] = q / v
+        K = meas.n_steps
+        # Density truth: the clean sensor flow over the clean speed, where
+        # the filter would read it.
+        v_true = clean.speeds_kmh.copy()
+        q = clean.sensor_table(range(1, cfg.n_segments + 1))
+        reading = np.isfinite(q) & (v_true > kalman.V_FLOOR_KMH)
+        rho_true = np.divide(q, v_true, out=np.full_like(q, np.nan), where=reading)
         source_defaults = {"measurement_var": 100.0, "initial_density": 4.0}
         default_speed = 100.0
         config_echo["source"] = {"detectors": str(args.detectors), "network": str(args.network)}
@@ -351,7 +338,7 @@ def cmd_estimate(args) -> int:
         cfg,
         idx,
         tuning,
-        frames,
+        meas,
         sensor_segments=sensors,
         default_speed_kmh=default_speed,
         strict_cfl=args.strict_cfl,
@@ -395,14 +382,14 @@ def cmd_estimate(args) -> int:
     _write_estimates_csv(
         out / ESTIMATES_CSV,
         cfg,
-        frames,
+        meas,
         fr,
         rho_true=rho_true,
         v_true=v_true,
         ramp_true={s: np.asarray(v)[:K] for s, v in ramp_true.items()},
         ramp_est=ramp_est,
     )
-    config_echo["network"] = _network_echo(cfg)
+    config_echo["network"] = cfg.to_dict()
     config_echo["tuning"] = _tuning_echo(tuning, idx)
     summary = {
         "config": config_echo,
@@ -439,12 +426,12 @@ def cmd_sweep(args) -> int:
 
     default_speed = float(np.mean(sc.speeds_kmh))
 
-    def one_run(frames):
+    def one_run(meas):
         fr = kalman.run_filter(
             cfg,
             idx,
             tuning,
-            frames,
+            meas,
             sensor_segments=sensors,
             default_speed_kmh=default_speed,
             strict_cfl=args.strict_cfl,
@@ -470,8 +457,12 @@ def cmd_sweep(args) -> int:
                 speed_noise_std_kmh=args.speed_noise_std,
                 clamp_nonnegative=args.clamp_noise,
             )
-            for variant, window in (("instantaneous", 1), ("moving_average", args.window)):
-                cv, w = one_run(simulate.frames_from_raw(raw, window=window))
+            smoothed = raw
+            if args.window > 1:
+                speeds = sensing.moving_average_speed(raw.speeds_kmh, args.window)
+                smoothed = dataclasses.replace(raw, speeds_kmh=speeds)
+            for variant, meas in (("instantaneous", raw), ("moving_average", smoothed)):
+                cv, w = one_run(meas)
                 scores[variant][0].append(cv)
                 scores[variant][1].append(w)
         for variant in ("instantaneous", "moving_average"):
@@ -497,7 +488,7 @@ def cmd_sweep(args) -> int:
             "flow_noise_std": args.flow_noise_std,
             "speed_noise_std": args.speed_noise_std,
             "warmup": args.warmup,
-            "network": _network_echo(cfg),
+            "network": cfg.to_dict(),
             "tuning": _tuning_echo(tuning, idx),
         }
     }
@@ -510,19 +501,7 @@ def cmd_metrics(args) -> int:
     out = Path(args.out)
     summary = json.loads((out / SUMMARY_JSON).read_text())
     config = summary["config"]
-    net = config["network"]
-    cfg = NetworkConfig(
-        segments=tuple(
-            Segment(
-                length_km=float(d["length_km"]),
-                ramp=RampType(d.get("ramp", "none")),
-                ramp_measured=bool(d.get("ramp_measured", False)),
-            )
-            for d in net["segments"]
-        ),
-        flow_sensor_segments=frozenset(int(j) for j in net.get("flow_sensors", [])),
-        time_step_h=float(net["time_step_h"]),
-    )
+    cfg = NetworkConfig.from_dict(config["network"])
     warmup = int(config.get("warmup", metrics.DEFAULT_WARMUP_STEPS))
 
     table: dict[str, list[float]] = {c: [] for c in _CSV_COLUMNS}

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +36,7 @@ from trafficstate.ltv_model import (  # noqa: F401
     build_u,
 )
 from trafficstate.network import CflReport, CflViolationError, NetworkConfig, check_cfl
-from trafficstate.sensing import MeasurementFrame
+from trafficstate.sensing import Measurements
 
 logger = logging.getLogger(__name__)
 
@@ -231,11 +231,19 @@ class FilterResult:
         return theta * scale[np.newaxis, :]
 
 
+def _hold(values: np.ndarray, valid: np.ndarray, initial) -> np.ndarray:
+    """Each invalid cell takes the last valid value above it in its column, else ``initial``."""
+    rows = np.where(valid, np.arange(values.shape[0])[:, np.newaxis], -1)
+    np.maximum.accumulate(rows, axis=0, out=rows)
+    held = np.take_along_axis(values, np.maximum(rows, 0), axis=0)
+    return np.where(rows >= 0, held, initial)
+
+
 def run_filter(
     cfg: NetworkConfig,
     idx: StateIndex,
     tuning: FilterTuning,
-    frames: Sequence[MeasurementFrame],
+    meas: Measurements,
     *,
     sensor_segments: Sequence[int] | None = None,
     v_floor_kmh: float = V_FLOOR_KMH,
@@ -243,13 +251,14 @@ def run_filter(
     strict_cfl: bool = False,
     clamp_nonnegative: bool = False,
 ) -> FilterResult:
-    """Run the predictor over a measurement sequence.
+    """Run the predictor over K steps of measurements.
 
     Gap handling: a missing segment speed holds the last seen value for
     that segment (free-flow ``default_speed_kmh`` before anything is seen);
     a missing sensor flow, or a sensor speed at or below ``v_floor_kmh``,
     holds the previous density reading for that sensor, seeded from the
-    initial mean. Discretization violations warn unless ``strict_cfl``.
+    initial mean; a missing entry flow holds the previous one, starting at
+    zero. Discretization violations warn unless ``strict_cfl``.
     ``clamp_nonnegative`` floors published density estimates at zero
     (the raw filter state keeps evolving unclamped).
 
@@ -274,67 +283,43 @@ def run_filter(
             f"measurement_cov is {tuning.n_measurements}x{tuning.n_measurements},"
             f" but {len(sensor_segments)} sensors are in use"
         )
+    K, n_speeds = meas.speeds_kmh.shape
+    if n_speeds != n:
+        raise ValueError(f"expected {n} segment speeds per step, got {n_speeds}")
 
-    K = len(frames)
+    speeds_used = _hold(meas.speeds_kmh, np.isfinite(meas.speeds_kmh), default_speed_kmh)
+    entry_ok = np.isfinite(meas.entry_flow_vph)
+    held_entry_steps = K - int(np.count_nonzero(entry_ok))
+    entry = _hold(meas.entry_flow_vph[:, np.newaxis], entry_ok[:, np.newaxis], 0.0)[:, 0]
+    u = build_u(idx, entry, meas.measured_ramp_flows_vph)
+
+    q = meas.sensor_table(sensor_segments)
+    v_sensor = speeds_used[:, sel]
+    reading = np.isfinite(q) & (v_sensor > v_floor_kmh)
+    z_raw = np.divide(q, v_sensor, out=np.full_like(q, np.nan), where=reading)
+    z_used = _hold(z_raw, reading, tuning.initial_mean[sel])
+    held_steps = int(np.count_nonzero(~reading.all(axis=1)))
+
     d = idx.dim
     states = np.zeros((K + 1, d))
-    speeds_used = np.zeros((K, n))
-    z_used = np.zeros((K, len(sensor_segments)))
     innovations = np.zeros((K, len(sensor_segments)))
-
     R, Q = tuning.measurement_cov, tuning.process_cov
     x, P = tuning.initial_mean.copy(), tuning.initial_cov.copy()
     states[0] = x
     # Posterior [P - K C P | x + K nu], multiplied by A in one pass.
     posterior = np.empty((d, d + 1))
-    last_speed = np.full(n, np.nan)
-    held_z = tuning.initial_mean[sel]
-    last_entry = 0.0
-    held_steps = 0
-    held_entry_steps = 0
 
-    for k, frame in enumerate(frames):
-        v = np.asarray(frame.speeds_kmh, dtype=float)
-        if v.shape != (n,):
-            raise ValueError(f"frame {k}: expected {n} speeds, got shape {v.shape}")
-        missing = ~np.isfinite(v)
-        filled = np.where(missing, last_speed, v)
-        still = ~np.isfinite(filled)
-        filled[still] = default_speed_kmh
-        last_speed = filled
-        speeds_used[k] = filled
-
-        entry = frame.entry_flow_vph
-        if entry is None or not np.isfinite(entry):
-            held_entry_steps += 1
-            entry = last_entry
-        last_entry = float(entry)
-
-        z = held_z.copy()
-        held_any = False
-        for row, seg in enumerate(sensor_segments):
-            q = frame.sensor_flows_vph.get(seg)
-            v_seg = filled[seg - 1]
-            if q is None or not np.isfinite(q) or v_seg <= v_floor_kmh:
-                held_any = True
-                continue
-            z[row] = q / v_seg
-        if held_any:
-            held_steps += 1
-        held_z = z
-        z_used[k] = z
-
-        u = build_u(idx, entry, frame.measured_ramp_flows_vph)
-        innovation = z - x[sel]
+    for k in range(K):
+        innovation = z_used[k] - x[sel]
         innovations[k] = innovation
         CP = P[sel]
         gain = _gain(CP, CP[:, sel], R, k)
         np.subtract(P, gain @ CP, out=posterior[:, :d])
         posterior[:, d] = x + gain @ innovation
-        AM = apply_A(idx, ratios, filled, posterior)
-        x = AM[:, d] + B @ u
+        AM = apply_A(idx, ratios, speeds_used[k], posterior)
+        x = AM[:, d] + B @ u[k]
         # P is symmetric, so A P A^T = A (A P)^T.
-        P = apply_A(idx, ratios, filled, AM[:, :d].T) + Q
+        P = apply_A(idx, ratios, speeds_used[k], AM[:, :d].T) + Q
         P = 0.5 * (P + P.T)
         states[k + 1] = x
 

@@ -27,12 +27,6 @@ __all__ = [
     "build_B",
     "build_u",
     "build_C",
-    "build_snapshot",
-    "select_sensor_segments",
-    "step_dynamics",
-    "density_to_flow",
-    "ramp_states_to_flows",
-    "ramp_flow_to_state",
 ]
 
 
@@ -162,25 +156,30 @@ def build_B(idx: StateIndex, lengths_km: Sequence[float], time_step_h: float) ->
 
 def build_u(
     idx: StateIndex,
-    entry_flow_vph: float,
-    measured_ramp_flows_vph: Mapping[int, float] | None = None,
+    entry_flow_vph,
+    measured_ramp_flows_vph: Mapping[int, object] | None = None,
 ) -> np.ndarray:
     """Input vector from the entry flow and measured ramp flow magnitudes.
 
     Ramp flows are keyed by 1-based segment and given as non-negative
     magnitudes; the sign is applied here from the ramp kind (off-ramps
     enter negatively). Segments absent from the mapping default to zero.
+    Given (K,) columns instead of scalars, the result has a leading step
+    axis: one input vector per step, shape (K, n_inputs).
     """
     flows = dict(measured_ramp_flows_vph or {})
-    u = np.zeros(idx.n_inputs)
-    u[0] = float(entry_flow_vph)
+    entry = np.asarray(entry_flow_vph, dtype=float)
+    u = np.zeros(entry.shape + (idx.n_inputs,))
+    u[..., 0] = entry
     for jcol, (seg, kind) in enumerate(
         zip(idx.measured_ramp_segments, idx.measured_ramp_kinds), start=1
     ):
-        mag = float(flows.pop(seg, 0.0))
-        if mag < 0.0:
-            raise ValueError(f"ramp flow magnitude at segment {seg} must be non-negative, got {mag}")
-        u[jcol] = mag if kind is RampType.ON else -mag
+        mag = np.asarray(flows.pop(seg, 0.0), dtype=float)
+        if (mag < 0.0).any():
+            raise ValueError(
+                f"ramp flow magnitude at segment {seg} must be non-negative, got {mag[mag < 0.0].min()}"
+            )
+        u[..., jcol] = mag if kind is RampType.ON else -mag
     if flows:
         raise ValueError(f"flows given for segments without a measured ramp: {sorted(flows)}")
     return u
@@ -202,72 +201,3 @@ def build_C(idx: StateIndex, sensor_segments: Sequence[int]) -> np.ndarray:
     for row, seg in enumerate(segs):
         C[row, seg - 1] = 1.0
     return C
-
-
-def select_sensor_segments(cfg: NetworkConfig) -> tuple[int, ...]:
-    """Default measurement set: exit sensor plus one per unmeasured-ramp gap.
-
-    For each pair of consecutive unmeasured ramps at segments a < b, the
-    downstream-most available sensor in a..b-1 is taken. Selection is best
-    effort: gaps without any sensor are skipped here and left to
-    validate_network to report, so a deficient placement can still be
-    built and shown to be unobservable.
-    """
-    chosen: set[int] = set()
-    if cfg.n_segments in cfg.flow_sensor_segments:
-        chosen.add(cfg.n_segments)
-    unmeasured = cfg.ramp_segments(measured=False)
-    for a, b in zip(unmeasured, unmeasured[1:]):
-        candidates = [j for j in cfg.flow_sensor_segments if a <= j <= b - 1]
-        if candidates:
-            chosen.add(max(candidates))
-    return tuple(sorted(chosen))
-
-
-def build_snapshot(
-    idx: StateIndex,
-    lengths_km: Sequence[float],
-    time_step_h: float,
-    speeds_kmh: Sequence[float],
-    entry_flow_vph: float,
-    sensor_segments: Sequence[int],
-    measured_ramp_flows_vph: Mapping[int, float] | None = None,
-) -> LtvSnapshot:
-    return LtvSnapshot(
-        A=build_A(idx, lengths_km, time_step_h, speeds_kmh),
-        B=build_B(idx, lengths_km, time_step_h),
-        u=build_u(idx, entry_flow_vph, measured_ramp_flows_vph),
-        C=build_C(idx, sensor_segments),
-    )
-
-
-def step_dynamics(x: np.ndarray, snap: LtvSnapshot) -> np.ndarray:
-    """Propagate the state one step with the snapshot's A, B and u."""
-    return snap.A @ x + snap.B @ snap.u
-
-
-def density_to_flow(density_veh_km, speed_kmh) -> np.ndarray:
-    """Segment flow q = rho * v, elementwise."""
-    return np.asarray(density_veh_km, dtype=float) * np.asarray(speed_kmh, dtype=float)
-
-
-def ramp_states_to_flows(
-    idx: StateIndex, x: np.ndarray, lengths_km: Sequence[float], time_step_h: float
-) -> dict[int, float]:
-    """Recover ramp flow magnitudes (veh/h) from the augmented states.
-
-    Returns {segment: flow}; off-ramp flows come out as positive
-    magnitudes the same way on-ramp flows do, because the sign lives in
-    the dynamics, not the state.
-    """
-    lengths = np.asarray(lengths_km, dtype=float)
-    out: dict[int, float] = {}
-    for j, seg in enumerate(idx.theta_segments):
-        theta = float(x[idx.n_segments + j])
-        out[seg] = theta * lengths[seg - 1] / time_step_h
-    return out
-
-
-def ramp_flow_to_state(flow_vph: float, length_km: float, time_step_h: float) -> float:
-    """Per-step density contribution of a ramp flow: (T/delta) * flow."""
-    return time_step_h / length_km * float(flow_vph)

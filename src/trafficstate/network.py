@@ -63,6 +63,19 @@ class Segment:
             object.__setattr__(self, "ramp", RampType(self.ramp))
 
 
+def _segment_from_dict(d: dict, pos: int) -> Segment:
+    try:
+        length = float(d["length_km"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise NetworkFormatError(f"segment {pos}: bad or missing length_km") from exc
+    ramp_raw = d.get("ramp", "none")
+    try:
+        ramp = RampType(ramp_raw)
+    except ValueError as exc:
+        raise NetworkFormatError(f"segment {pos}: unknown ramp type {ramp_raw!r}") from exc
+    return Segment(length_km=length, ramp=ramp, ramp_measured=bool(d.get("ramp_measured", False)))
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """A single linear stretch: ordered segments plus sensor placement.
@@ -126,6 +139,50 @@ class NetworkConfig:
         edges = self.boundaries_km()
         seg = np.where(x >= edges[-1], self.n_segments, np.searchsorted(edges, x, side="right"))
         return np.where((x >= 0.0) & (x <= self.total_length_km), seg, 0)
+
+    def to_dict(self) -> dict:
+        """The JSON form of the network, read back by ``from_dict``."""
+        return {
+            "time_step_h": self.time_step_h,
+            "segments": [
+                {"length_km": s.length_km, "ramp": s.ramp.value, "ramp_measured": s.ramp_measured}
+                for s in self.segments
+            ],
+            "flow_sensors": sorted(self.flow_sensor_segments),
+            "entry_flow_measured": self.entry_flow_measured,
+        }
+
+    @classmethod
+    def from_dict(cls, raw) -> NetworkConfig:
+        """Parse the JSON form, raising NetworkFormatError on a malformed one.
+
+        Schema: ``{"time_step_h": float, "segments": [{"length_km": float,
+        "ramp": "none"|"on_ramp"|"off_ramp", "ramp_measured": bool}, ...],
+        "flow_sensors": [int, ...], "entry_flow_measured": bool}``.
+        """
+        if not isinstance(raw, dict):
+            raise NetworkFormatError("expected a JSON object at top level")
+        try:
+            time_step = float(raw["time_step_h"])
+            seg_list = raw["segments"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise NetworkFormatError("missing or malformed time_step_h/segments") from exc
+        if not isinstance(seg_list, list) or not seg_list:
+            raise NetworkFormatError("segments must be a non-empty array")
+        segments = tuple(_segment_from_dict(d, i) for i, d in enumerate(seg_list, start=1))
+        sensors = raw.get("flow_sensors", [])
+        if not isinstance(sensors, list):
+            raise NetworkFormatError("flow_sensors must be an array of segment indices")
+        try:
+            sensor_set = frozenset(int(j) for j in sensors)
+        except (TypeError, ValueError) as exc:
+            raise NetworkFormatError("flow_sensors entries must be integers") from exc
+        return cls(
+            segments=segments,
+            flow_sensor_segments=sensor_set,
+            time_step_h=time_step,
+            entry_flow_measured=bool(raw.get("entry_flow_measured", True)),
+        )
 
 
 @dataclass(frozen=True)
@@ -232,64 +289,18 @@ def check_cfl(cfg: NetworkConfig, speeds_kmh) -> CflReport:
     return CflReport(max_ratio=max_ratio, violations=violations)
 
 
-def _segment_from_dict(d: dict, pos: int) -> Segment:
-    try:
-        length = float(d["length_km"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise NetworkFormatError(f"segment {pos}: bad or missing length_km") from exc
-    ramp_raw = d.get("ramp", "none")
-    try:
-        ramp = RampType(ramp_raw)
-    except ValueError as exc:
-        raise NetworkFormatError(f"segment {pos}: unknown ramp type {ramp_raw!r}") from exc
-    return Segment(length_km=length, ramp=ramp, ramp_measured=bool(d.get("ramp_measured", False)))
-
-
 def load_network(path: str | Path) -> NetworkConfig:
-    """Read a network config from its JSON file format.
-
-    Schema: ``{"time_step_h": float, "segments": [{"length_km": float,
-    "ramp": "none"|"on_ramp"|"off_ramp", "ramp_measured": bool}, ...],
-    "flow_sensors": [int, ...], "entry_flow_measured": bool}``.
-    """
+    """Read a network config from its JSON file format (see ``NetworkConfig.from_dict``)."""
     text = Path(path).read_text()
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise NetworkFormatError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise NetworkFormatError(f"{path}: expected a JSON object at top level")
     try:
-        time_step = float(raw["time_step_h"])
-        seg_list = raw["segments"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise NetworkFormatError(f"{path}: missing or malformed time_step_h/segments") from exc
-    if not isinstance(seg_list, list) or not seg_list:
-        raise NetworkFormatError(f"{path}: segments must be a non-empty array")
-    segments = tuple(_segment_from_dict(d, i) for i, d in enumerate(seg_list, start=1))
-    sensors = raw.get("flow_sensors", [])
-    if not isinstance(sensors, list):
-        raise NetworkFormatError(f"{path}: flow_sensors must be an array of segment indices")
-    try:
-        sensor_set = frozenset(int(j) for j in sensors)
-    except (TypeError, ValueError) as exc:
-        raise NetworkFormatError(f"{path}: flow_sensors entries must be integers") from exc
-    return NetworkConfig(
-        segments=segments,
-        flow_sensor_segments=sensor_set,
-        time_step_h=time_step,
-        entry_flow_measured=bool(raw.get("entry_flow_measured", True)),
-    )
+        return NetworkConfig.from_dict(raw)
+    except NetworkFormatError as exc:
+        raise NetworkFormatError(f"{path}: {exc}") from exc
 
 
 def save_network(cfg: NetworkConfig, path: str | Path) -> None:
-    payload = {
-        "time_step_h": cfg.time_step_h,
-        "segments": [
-            {"length_km": s.length_km, "ramp": s.ramp.value, "ramp_measured": s.ramp_measured}
-            for s in cfg.segments
-        ],
-        "flow_sensors": sorted(cfg.flow_sensor_segments),
-        "entry_flow_measured": cfg.entry_flow_measured,
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")

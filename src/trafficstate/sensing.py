@@ -1,6 +1,6 @@
 """Measurement extraction: probe speeds, flow detectors, ground truth.
 
-Two ingestion paths produce the same MeasurementFrame sequence:
+Two ingestion paths produce the same columnar Measurements:
 
 * vehicle trajectories (microscopic data): a random subset of vehicles is
   marked as connected, segment speeds are averaged over the connected
@@ -30,7 +30,7 @@ from trafficstate.network import NetworkConfig, RampType
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "MeasurementFrame",
+    "Measurements",
     "VehicleTrack",
     "TrajectoryData",
     "RampLaneRule",
@@ -63,24 +63,50 @@ class DetectorFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class MeasurementFrame:
-    """Everything the estimator consumes for one time step.
+class Measurements:
+    """Everything the estimator consumes over K steps, one column per quantity.
 
-    ``speeds_kmh`` has one entry per segment, NaN where no connected
-    vehicle reported. Flow maps are keyed by 1-based segment; ramp flows
-    are non-negative magnitudes regardless of ramp direction. A missing
-    entry flow is None (the filter holds the previous value).
+    ``speeds_kmh`` is (K, N), NaN where no vehicle reported. The entry flow
+    and every flow series are (K,), NaN where missing (the filter holds the
+    previous value). Flow maps are keyed by 1-based segment; ramp flows are
+    non-negative magnitudes regardless of ramp direction.
     """
 
     speeds_kmh: np.ndarray
-    entry_flow_vph: float | None
-    sensor_flows_vph: Mapping[int, float] = field(default_factory=dict)
-    measured_ramp_flows_vph: Mapping[int, float] = field(default_factory=dict)
+    entry_flow_vph: np.ndarray
+    sensor_flows_vph: Mapping[int, np.ndarray] = field(default_factory=dict)
+    measured_ramp_flows_vph: Mapping[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "speeds_kmh", np.asarray(self.speeds_kmh, dtype=float))
-        object.__setattr__(self, "sensor_flows_vph", dict(self.sensor_flows_vph))
-        object.__setattr__(self, "measured_ramp_flows_vph", dict(self.measured_ramp_flows_vph))
+        speeds = np.ascontiguousarray(self.speeds_kmh, dtype=float)
+        if speeds.ndim != 2:
+            raise ValueError(f"speeds must be a (K, N) table, got shape {speeds.shape}")
+        K = speeds.shape[0]
+
+        def column(name: str, values) -> np.ndarray:
+            arr = np.ascontiguousarray(values, dtype=float)
+            if arr.shape != (K,):
+                raise ValueError(f"{name} must have shape ({K},), got {arr.shape}")
+            return arr
+
+        object.__setattr__(self, "speeds_kmh", speeds)
+        object.__setattr__(self, "entry_flow_vph", column("entry flow", self.entry_flow_vph))
+        for name in ("sensor_flows_vph", "measured_ramp_flows_vph"):
+            series = {
+                int(seg): column(f"flow at segment {seg}", q)
+                for seg, q in sorted(dict(getattr(self, name)).items())
+            }
+            object.__setattr__(self, name, series)
+
+    @property
+    def n_steps(self) -> int:
+        return self.speeds_kmh.shape[0]
+
+    def sensor_table(self, segments: Sequence[int]) -> np.ndarray:
+        """(K, len(segments)) sensor flows, NaN where a segment has no reading."""
+        missing = np.full(self.n_steps, np.nan)
+        rows = [self.sensor_flows_vph.get(j, missing) for j in segments]
+        return np.array(rows, dtype=float).reshape(len(rows), self.n_steps).T.copy()
 
 
 @dataclass(frozen=True)
@@ -299,19 +325,23 @@ def moving_average_speed(series_kmh: np.ndarray, window: int = 3) -> np.ndarray:
 
     Each output cell averages the finite values among the ``window`` most
     recent steps of that segment; it stays NaN only when all of them are
-    missing.
+    missing. The lagged slices are added to a zero total oldest first, the
+    order in which a sum over each window adds them.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     s = np.asarray(series_kmh, dtype=float)
+    K = s.shape[0]
+    finite = np.isfinite(s)
+    values = np.where(finite, s, 0.0)
+    sums = np.zeros_like(s)
+    counts = np.zeros(s.shape, dtype=int)
+    for lag in range(min(window, K) - 1, -1, -1):
+        sums[lag:] += values[: K - lag]
+        counts[lag:] += finite[: K - lag]
     out = np.full_like(s, np.nan)
-    for k in range(s.shape[0]):
-        chunk = s[max(0, k - window + 1) : k + 1]
-        finite = np.isfinite(chunk)
-        counts = finite.sum(axis=0)
-        sums = np.where(finite, chunk, 0.0).sum(axis=0)
-        good = counts > 0
-        out[k, good] = sums[good] / counts[good]
+    good = counts > 0
+    out[good] = sums[good] / counts[good]
     return out
 
 
@@ -466,8 +496,8 @@ def frames_from_trajectories(
     exclude_lanes: frozenset[int] = frozenset(),
     ramp_rules: Sequence[RampLaneRule] = (),
     max_gap_s: float = 1.0,
-) -> list[MeasurementFrame]:
-    """Build the estimator input sequence from microscopic data.
+) -> Measurements:
+    """Build the estimator inputs from microscopic data.
 
     Connected vehicles are drawn once for the whole recording. Flows come
     from virtual detectors at the entry boundary (which also counts vehicles
@@ -510,17 +540,7 @@ def frames_from_trajectories(
         for seg in sorted(measured_segments)
     }
 
-    frames = []
-    for k in range(n_steps):
-        frames.append(
-            MeasurementFrame(
-                speeds_kmh=speeds[k],
-                entry_flow_vph=float(entry[k]),
-                sensor_flows_vph={j: float(q[k]) for j, q in sensor_flows.items()},
-                measured_ramp_flows_vph={s: float(q[k]) for s, q in ramp_flows.items()},
-            )
-        )
-    return frames
+    return Measurements(speeds, entry, sensor_flows, ramp_flows)
 
 
 @dataclass(frozen=True)
@@ -594,13 +614,15 @@ def frames_from_detectors(
     n_steps: int | None = None,
     t0_s: float | None = None,
     tolerance_m: float = 100.0,
-) -> list[MeasurementFrame]:
-    """Build the estimator input sequence from stationary detector files.
+) -> Measurements:
+    """Build the estimator inputs from stationary detector files.
 
     The detector snapped to boundary i supplies segment i's speed, and its
     flow when segment i carries a sensor in the network config; boundary 0
     supplies the entry flow. Each detector sample is mapped to the nearest
-    step of the grid t0 + k*T; steps without a sample stay missing.
+    step of the grid t0 + k*T; steps without a sample stay missing. When
+    several samples of one detector map to the same step, the later one
+    wins; the dropped ones are counted in one warning.
     """
     by_boundary = snap_detectors_to_boundaries(detectors, cfg, tolerance_m=tolerance_m)
     if not by_boundary:
@@ -617,73 +639,71 @@ def frames_from_detectors(
     entry = np.full(n_steps, np.nan)
     sensor_flows = {j: np.full(n_steps, np.nan) for j in sorted(cfg.flow_sensor_segments)}
 
+    dropped = 0
     for b, det in sorted(by_boundary.items()):
         ks = np.rint((det.times_s - t0_s) / T_s).astype(int)
+        # Samples are in time order, so the last of each run of equal steps is the latest.
+        latest = np.append(ks[1:] != ks[:-1], True)
         keep = (ks >= 0) & (ks < n_steps)
+        dropped += int(np.count_nonzero(keep & ~latest))
+        keep &= latest
         if b == 0:
             entry[ks[keep]] = det.flows_vph[keep]
             continue
         speeds[ks[keep], b - 1] = det.speeds_kmh[keep]
         if b in sensor_flows:
             sensor_flows[b][ks[keep]] = det.flows_vph[keep]
-
-    frames = []
-    for k in range(n_steps):
-        frames.append(
-            MeasurementFrame(
-                speeds_kmh=speeds[k],
-                entry_flow_vph=None if not np.isfinite(entry[k]) else float(entry[k]),
-                sensor_flows_vph={
-                    j: float(q[k]) for j, q in sensor_flows.items() if np.isfinite(q[k])
-                },
-                measured_ramp_flows_vph={},
-            )
+    if dropped:
+        logger.warning(
+            "%d detector samples fell on a step already sampled by the same detector;"
+            " kept the later one",
+            dropped,
         )
-    return frames
+    return Measurements(speeds, entry, sensor_flows)
 
 
 def add_measurement_noise(
-    frames: Sequence[MeasurementFrame],
+    meas: Measurements,
     rng: np.random.Generator,
     *,
     flow_std_vph: float = 0.0,
     speed_std_kmh: float = 0.0,
     clamp_nonnegative: bool = False,
-) -> list[MeasurementFrame]:
-    """Corrupt frames with independent zero-mean Gaussian noise.
+) -> Measurements:
+    """Corrupt measurements with independent zero-mean Gaussian noise.
 
-    Flow noise hits the entry flow, every sensor flow and every measured
-    ramp flow; speed noise hits every reported segment speed. Values are
-    not clipped unless ``clamp_nonnegative`` floors them at zero, except
-    measured ramp magnitudes, which are always floored (a negative
-    magnitude has no direction to encode).
+    Flow noise hits every present (finite) entry, sensor and measured ramp
+    flow; speed noise hits every segment speed cell. Values are not clipped
+    unless ``clamp_nonnegative`` floors them at zero, except measured ramp
+    magnitudes, which are always floored (a negative magnitude has no
+    direction to encode). Draws run step by step: the N speeds, then the
+    entry flow, the sensors and the ramps in segment order.
     """
     if flow_std_vph < 0 or speed_std_kmh < 0:
         raise ValueError("noise standard deviations must be non-negative")
+    K, n = meas.speeds_kmh.shape
+    sensors, ramps = meas.sensor_flows_vph, meas.measured_ramp_flows_vph
+    flows = np.column_stack([meas.entry_flow_vph, *sensors.values(), *ramps.values()])
+    table = np.concatenate([meas.speeds_kmh, flows], axis=1)
+    mask = np.concatenate(
+        [np.full((K, n), speed_std_kmh > 0), np.isfinite(flows) & (flow_std_vph > 0)], axis=1
+    )
+    scale = np.concatenate([np.full(n, speed_std_kmh), np.full(flows.shape[1], flow_std_vph)])
+    draws = rng.standard_normal(np.count_nonzero(mask))
+    table[mask] += np.broadcast_to(scale, table.shape)[mask] * draws
 
-    def flow(x: float, floor: bool) -> float:
-        y = x + rng.normal(0.0, flow_std_vph) if flow_std_vph > 0 else x
-        return max(y, 0.0) if floor or clamp_nonnegative else y
+    def floored(x: np.ndarray) -> np.ndarray:
+        # Python's max(x, 0.0): -0.0 and NaN pass through unchanged.
+        return np.where(0.0 > x, 0.0, x)
 
-    out = []
-    for frame in frames:
-        speeds = frame.speeds_kmh.copy()
+    speeds, entry = table[:, :n], table[:, n]
+    flow_cols = table[:, n + 1 :].T
+    noisy_sensors = dict(zip(sensors, flow_cols[: len(sensors)]))
+    noisy_ramps = {s: floored(q) for s, q in zip(ramps, flow_cols[len(sensors) :])}
+    if clamp_nonnegative:
+        # Speeds are floored only when speed noise was added.
         if speed_std_kmh > 0:
-            noise = rng.normal(0.0, speed_std_kmh, speeds.shape[0])
-            speeds = speeds + noise
-            if clamp_nonnegative:
-                speeds = np.maximum(speeds, 0.0)
-        entry = frame.entry_flow_vph
-        out.append(
-            MeasurementFrame(
-                speeds_kmh=speeds,
-                entry_flow_vph=None if entry is None else flow(entry, False),
-                sensor_flows_vph={
-                    j: flow(q, False) for j, q in sorted(frame.sensor_flows_vph.items())
-                },
-                measured_ramp_flows_vph={
-                    s: flow(q, True) for s, q in sorted(frame.measured_ramp_flows_vph.items())
-                },
-            )
-        )
-    return out
+            speeds = np.maximum(speeds, 0.0)
+        entry = floored(entry)
+        noisy_sensors = {j: floored(q) for j, q in noisy_sensors.items()}
+    return Measurements(speeds, entry, noisy_sensors, noisy_ramps)

@@ -10,6 +10,7 @@ microscopic data.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import math
@@ -20,19 +21,17 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from trafficstate.network import CflViolationError, NetworkConfig, RampType, Segment, check_cfl
-from trafficstate.sensing import MeasurementFrame, moving_average_speed
+from trafficstate.sensing import Measurements, moving_average_speed
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
     "Scenario",
     "SimulationResult",
-    "RawMeasurements",
     "CflViolationError",
     "simulate_truth",
     "emulate_probe_speeds",
     "synthetic_measurements",
-    "frames_from_raw",
     "frames_from_simulation",
     "make_congestion_scenario",
     "preset_filter_defaults",
@@ -194,20 +193,6 @@ def emulate_probe_speeds(
     return out
 
 
-@dataclass(frozen=True)
-class RawMeasurements:
-    """Unsmoothed per-step measurements, shared by smoothing variants.
-
-    Splitting raw generation from windowing lets paired experiments feed
-    the same sampled speeds through several smoothing windows.
-    """
-
-    speeds_kmh: np.ndarray
-    entry_flow_vph: np.ndarray
-    sensor_flows_vph: dict[int, np.ndarray]
-    measured_ramp_flows_vph: dict[int, np.ndarray]
-
-
 def synthetic_measurements(
     result: SimulationResult,
     rng: np.random.Generator | None = None,
@@ -217,8 +202,8 @@ def synthetic_measurements(
     flow_noise_std_vph: float = 0.0,
     speed_noise_std_kmh: float = 0.0,
     clamp_nonnegative: bool = False,
-) -> RawMeasurements:
-    """Extract raw measurements from a simulated truth.
+) -> Measurements:
+    """Extract unsmoothed measurements from a simulated truth.
 
     Full penetration with zero spread and zero noise is the exact path:
     speeds and flows are the truth tables and the generator is untouched.
@@ -261,31 +246,7 @@ def synthetic_measurements(
         if clamp_nonnegative:
             entry = np.maximum(entry, 0.0)
             sensors = {j: np.maximum(q, 0.0) for j, q in sensors.items()}
-    return RawMeasurements(
-        speeds_kmh=speeds,
-        entry_flow_vph=entry,
-        sensor_flows_vph=sensors,
-        measured_ramp_flows_vph=measured,
-    )
-
-
-def frames_from_raw(raw: RawMeasurements, *, window: int = 1) -> list[MeasurementFrame]:
-    """Assemble estimator frames, smoothing speeds with a trailing window."""
-    speeds = raw.speeds_kmh if window <= 1 else moving_average_speed(raw.speeds_kmh, window)
-    K = speeds.shape[0]
-    frames = []
-    for k in range(K):
-        frames.append(
-            MeasurementFrame(
-                speeds_kmh=speeds[k],
-                entry_flow_vph=float(raw.entry_flow_vph[k]),
-                sensor_flows_vph={j: float(q[k]) for j, q in raw.sensor_flows_vph.items()},
-                measured_ramp_flows_vph={
-                    s: float(q[k]) for s, q in raw.measured_ramp_flows_vph.items()
-                },
-            )
-        )
-    return frames
+    return Measurements(speeds, entry, sensors, measured)
 
 
 def frames_from_simulation(
@@ -298,8 +259,9 @@ def frames_from_simulation(
     flow_noise_std_vph: float = 0.0,
     speed_noise_std_kmh: float = 0.0,
     clamp_nonnegative: bool = False,
-) -> list[MeasurementFrame]:
-    raw = synthetic_measurements(
+) -> Measurements:
+    """``synthetic_measurements`` with speeds smoothed by a trailing window."""
+    meas = synthetic_measurements(
         result,
         rng,
         penetration=penetration,
@@ -308,7 +270,9 @@ def frames_from_simulation(
         speed_noise_std_kmh=speed_noise_std_kmh,
         clamp_nonnegative=clamp_nonnegative,
     )
-    return frames_from_raw(raw, window=window)
+    if window <= 1:
+        return meas
+    return dataclasses.replace(meas, speeds_kmh=moving_average_speed(meas.speeds_kmh, window))
 
 
 def _raised_cosine(k: np.ndarray, start: int, end: int) -> np.ndarray:
@@ -446,15 +410,7 @@ def save_scenario(sc: Scenario, path: str | Path) -> None:
     payload = {
         "name": sc.name,
         "n_steps": sc.n_steps,
-        "network": {
-            "time_step_h": sc.cfg.time_step_h,
-            "segments": [
-                {"length_km": s.length_km, "ramp": s.ramp.value, "ramp_measured": s.ramp_measured}
-                for s in sc.cfg.segments
-            ],
-            "flow_sensors": sorted(sc.cfg.flow_sensor_segments),
-            "entry_flow_measured": sc.cfg.entry_flow_measured,
-        },
+        "network": sc.cfg.to_dict(),
         "initial_density_veh_km": sc.initial_density_veh_km.tolist(),
         "speeds_kmh": sc.speeds_kmh.tolist(),
         "entry_flow_vph": sc.entry_flow_vph.tolist(),
@@ -464,23 +420,10 @@ def save_scenario(sc: Scenario, path: str | Path) -> None:
 
 
 def load_scenario(path: str | Path) -> Scenario:
+    """Read a scenario written by ``save_scenario``; a bad network raises NetworkFormatError."""
     raw = json.loads(Path(path).read_text())
-    net = raw["network"]
-    cfg = NetworkConfig(
-        segments=tuple(
-            Segment(
-                length_km=float(d["length_km"]),
-                ramp=RampType(d.get("ramp", "none")),
-                ramp_measured=bool(d.get("ramp_measured", False)),
-            )
-            for d in net["segments"]
-        ),
-        flow_sensor_segments=frozenset(int(j) for j in net.get("flow_sensors", [])),
-        time_step_h=float(net["time_step_h"]),
-        entry_flow_measured=bool(net.get("entry_flow_measured", True)),
-    )
     return Scenario(
-        cfg=cfg,
+        cfg=NetworkConfig.from_dict(raw.get("network")),
         n_steps=int(raw["n_steps"]),
         initial_density_veh_km=np.array(raw["initial_density_veh_km"], dtype=float),
         speeds_kmh=np.array(raw["speeds_kmh"], dtype=float),

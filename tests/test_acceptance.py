@@ -42,12 +42,10 @@ from trafficstate.network import (
 from trafficstate.sensing import frames_from_trajectories, ground_truth_densities, load_trajectories
 from trafficstate.simulate import (
     Scenario,
-    frames_from_raw,
     frames_from_simulation,
     make_congestion_scenario,
     preset_filter_defaults,
     simulate_truth,
-    synthetic_measurements,
 )
 
 T_DEFAULT = 10 / 3600
@@ -80,10 +78,9 @@ def preset_estimate_cv(name, *, window=1, rng=None, flow_noise=0.0, speed_noise=
     """Preset run with the shipped per-preset calibration; returns cv_rho."""
     sc = make_congestion_scenario(name, seed=seed)
     sim = simulate_truth(sc)
-    raw = synthetic_measurements(
-        sim, rng, flow_noise_std_vph=flow_noise, speed_noise_std_kmh=speed_noise
+    frames = frames_from_simulation(
+        sim, rng, window=window, flow_noise_std_vph=flow_noise, speed_noise_std_kmh=speed_noise
     )
-    frames = frames_from_raw(raw, window=window)
     idx = build_state_index(sc.cfg)
     defaults = preset_filter_defaults(name)
     tuning = default_tuning(
@@ -414,10 +411,10 @@ def test_criterion_10_recorded_trajectories():
     def run(penetration, seed):
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
         frames = frames_from_trajectories(traj, cfg, penetration, rng, t0_s=traj.t_min_s)
-        truth = ground_truth_densities(traj, cfg, len(frames), t0_s=traj.t_min_s)
+        truth = ground_truth_densities(traj, cfg, frames.n_steps, t0_s=traj.t_min_s)
         tuning = default_tuning(idx, len(cfg.flow_sensor_segments))
         result = run_filter(cfg, idx, tuning, frames)
-        est = result.densities[: len(frames)]
+        est = result.densities[: frames.n_steps]
         mask = np.isfinite(est) & np.isfinite(truth)
         return cv_rho(est[10:][mask[10:]], truth[10:][mask[10:]], warmup=0)
 

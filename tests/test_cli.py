@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from trafficstate import cli, kalman
+from trafficstate import cli, kalman, metrics
+from trafficstate.network import NetworkConfig
 from trafficstate.simulate import load_scenario
 
 
@@ -360,3 +361,28 @@ class TestMetricsCommand:
         (out / "estimates.csv").write_text("k,segment,weird\n0,1,2\n")
         with pytest.raises(SystemExit, match="unexpected header"):
             cli.main(["metrics", "--out", str(out)])
+
+    def test_network_round_trips_through_the_summary(self, tmp_path, monkeypatch):
+        # The network echoed in summary.json is the one metrics rebuilds,
+        # entry_flow_measured included.
+        net = tmp_path / "net.json"
+        payload = json.loads(write_network(net).read_text())
+        payload["entry_flow_measured"] = False
+        net.write_text(json.dumps(payload))
+        out = tmp_path / "est"
+        args = ["estimate", "--trajectories", str(write_trajectories(tmp_path / "traj.csv"))]
+        assert cli.main(args + ["--network", str(net), "--warmup", "0", "--out", str(out)]) == 0
+        echoed = json.loads((out / "summary.json").read_text())["config"]["network"]
+        assert echoed == payload
+
+        seen = []
+        real = metrics.speed_error_covariance
+
+        def spy(rho, v_used, v_true, cfg, **kwargs):
+            seen.append(cfg)
+            return real(rho, v_used, v_true, cfg, **kwargs)
+
+        monkeypatch.setattr(metrics, "speed_error_covariance", spy)
+        assert cli.main(["metrics", "--out", str(out)]) == 0
+        assert seen == [NetworkConfig.from_dict(payload)]
+        assert seen[0].entry_flow_measured is False

@@ -28,7 +28,7 @@ from trafficstate.ltv_model import (
     build_u,
 )
 from trafficstate.network import NetworkConfig, RampType, Segment
-from trafficstate.sensing import MeasurementFrame
+from trafficstate.sensing import Measurements
 
 
 def make_config(n, sensors, ramps=None, time_step_h=10 / 3600, length=0.5):
@@ -188,39 +188,32 @@ class TestKfStep:
 
 
 def fixed_point_frames(k_steps, entry=1800.0, speed=90.0, flow=1800.0):
-    return [
-        MeasurementFrame(
-            speeds_kmh=np.array([speed, speed]),
-            entry_flow_vph=entry,
-            sensor_flows_vph={2: flow},
-        )
-        for _ in range(k_steps)
-    ]
+    return Measurements(
+        speeds_kmh=np.full((k_steps, 2), speed),
+        entry_flow_vph=np.full(k_steps, entry),
+        sensor_flows_vph={2: np.full(k_steps, flow)},
+    )
 
 
 def random_frames(rng, cfg, idx, n_steps, *, max_ratio=0.9, drop=0.2):
     """Random measurements; about ``drop`` of speeds, flows and entries are missing."""
     n = cfg.n_segments
-    frames = []
-    for _ in range(n_steps):
+    speeds = np.empty((n_steps, n))
+    sensors = {s: np.full(n_steps, np.nan) for s in sorted(cfg.flow_sensor_segments)}
+    ramps = {s: np.empty(n_steps) for s in idx.measured_ramp_segments}
+    entry = np.full(n_steps, np.nan)
+    for k in range(n_steps):
         v = rng.uniform(0.0, max_ratio, size=n) * cfg.lengths_km / cfg.time_step_h
         v[rng.random(n) < drop] = np.nan
-        flows = {
-            s: float(rng.uniform(500.0, 3000.0))
-            for s in sorted(cfg.flow_sensor_segments)
-            if rng.random() >= drop
-        }
-        ramps = {s: float(rng.uniform(0.0, 600.0)) for s in idx.measured_ramp_segments}
-        entry = float(rng.uniform(500.0, 4000.0)) if rng.random() >= drop else None
-        frames.append(
-            MeasurementFrame(
-                speeds_kmh=v,
-                entry_flow_vph=entry,
-                sensor_flows_vph=flows,
-                measured_ramp_flows_vph=ramps,
-            )
-        )
-    return frames
+        speeds[k] = v
+        for s in sensors:
+            if rng.random() >= drop:
+                sensors[s][k] = rng.uniform(500.0, 3000.0)
+        for s in ramps:
+            ramps[s][k] = rng.uniform(0.0, 600.0)
+        if rng.random() >= drop:
+            entry[k] = rng.uniform(500.0, 4000.0)
+    return Measurements(speeds, entry, sensors, ramps)
 
 
 def with_measured_ramp(rng, cfg):
@@ -256,11 +249,12 @@ class TestRunFilter:
             C = build_C(idx, result.sensor_segments)
             state = FilterState(x_hat=tuning.initial_mean, cov=tuning.initial_cov, k=0)
             entry = 0.0
-            for k, frame in enumerate(frames):
-                if frame.entry_flow_vph is not None:
-                    entry = frame.entry_flow_vph
+            for k in range(frames.n_steps):
+                if np.isfinite(frames.entry_flow_vph[k]):
+                    entry = frames.entry_flow_vph[k]
                 A = build_A(idx, cfg.lengths_km, cfg.time_step_h, result.speeds_used[k])
-                u = build_u(idx, entry, frame.measured_ramp_flows_vph)
+                ramps = {s: q[k] for s, q in frames.measured_ramp_flows_vph.items()}
+                u = build_u(idx, entry, ramps)
                 z = result.measurements_used[k]
                 assert np.allclose(result.innovations[k], z - C @ state.x_hat, rtol=0, atol=1e-9)
                 state = kf_step(state, LtvSnapshot(A=A, B=B, u=u, C=C), z, tuning)
@@ -285,6 +279,49 @@ class TestRunFilter:
         assert np.array_equal(P, P.T)
         eig = np.linalg.eigvalsh(P)
         assert eig[0] >= -1e-9 * eig[-1]
+
+    @settings(max_examples=40)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_steps=st.integers(0, 30),
+        drop=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
+        v_floor=st.sampled_from([0.0, 2.0, 40.0]),
+    )
+    def test_gap_filling_matches_the_per_step_loop(self, seed, n_steps, drop, v_floor):
+        # The per-step hold loop run_filter used before its columnar gap filling.
+        rng = np.random.default_rng(seed)
+        cfg, _ = random_observable_network(rng)
+        idx = build_state_index(cfg)
+        sensors = tuple(sorted(cfg.flow_sensor_segments))
+        tuning = default_tuning(idx, len(sensors), initial_density=rng.uniform(10.0, 50.0))
+        meas = random_frames(rng, cfg, idx, n_steps, drop=drop)
+        result = run_filter(cfg, idx, tuning, meas, v_floor_kmh=v_floor, default_speed_kmh=55.0)
+
+        speeds = np.zeros((n_steps, idx.n_segments))
+        z_used = np.zeros((n_steps, len(sensors)))
+        last_speed = np.full(idx.n_segments, np.nan)
+        held_z = tuning.initial_mean[[j - 1 for j in sensors]]
+        held_steps = held_entry_steps = 0
+        for k in range(n_steps):
+            v = meas.speeds_kmh[k]
+            filled = np.where(~np.isfinite(v), last_speed, v)
+            filled[~np.isfinite(filled)] = 55.0
+            last_speed = speeds[k] = filled
+            held_entry_steps += not np.isfinite(meas.entry_flow_vph[k])
+            z = held_z.copy()
+            held_any = False
+            for row, seg in enumerate(sensors):
+                q = meas.sensor_flows_vph[seg][k]
+                if not np.isfinite(q) or filled[seg - 1] <= v_floor:
+                    held_any = True
+                    continue
+                z[row] = q / filled[seg - 1]
+            held_steps += held_any
+            held_z = z_used[k] = z
+        assert result.speeds_used.tobytes() == speeds.tobytes()
+        assert result.measurements_used.tobytes() == z_used.tobytes()
+        assert result.held_measurement_steps == held_steps
+        assert result.held_entry_steps == held_entry_steps
 
     def test_ill_conditioned_innovation_reports_the_step(self):
         cfg = make_config(3, sensors=(1, 3))
@@ -328,13 +365,11 @@ class TestRunFilter:
         cfg = make_config(3, sensors=(1, 3))
         idx = build_state_index(cfg)
         tuning = default_tuning(idx, 2)
-        frames = [
-            MeasurementFrame(
-                speeds_kmh=np.full(3, 90.0),
-                entry_flow_vph=1800.0,
-                sensor_flows_vph={1: 1800.0, 3: 1800.0},
-            )
-        ]
+        frames = Measurements(
+            speeds_kmh=np.full((1, 3), 90.0),
+            entry_flow_vph=[1800.0],
+            sensor_flows_vph={1: [1800.0], 3: [1800.0]},
+        )
         result = run_filter(cfg, idx, tuning, frames)
         assert result.sensor_segments == (1, 3)
         assert result.measurements_used.shape == (1, 2)
@@ -343,18 +378,11 @@ class TestRunFilter:
         cfg = make_config(2, sensors=(2,))
         idx = build_state_index(cfg)
         tuning = default_tuning(idx, 1)
-        frames = [
-            MeasurementFrame(
-                speeds_kmh=np.array([np.nan, 90.0]),
-                entry_flow_vph=1800.0,
-                sensor_flows_vph={2: 1800.0},
-            ),
-            MeasurementFrame(
-                speeds_kmh=np.array([80.0, np.nan]),
-                entry_flow_vph=1800.0,
-                sensor_flows_vph={2: 1800.0},
-            ),
-        ]
+        frames = Measurements(
+            speeds_kmh=np.array([[np.nan, 90.0], [80.0, np.nan]]),
+            entry_flow_vph=[1800.0, 1800.0],
+            sensor_flows_vph={2: [1800.0, 1800.0]},
+        )
         result = run_filter(cfg, idx, tuning, frames, default_speed_kmh=100.0)
         assert np.allclose(result.speeds_used[0], [100.0, 90.0])
         assert np.allclose(result.speeds_used[1], [80.0, 90.0])
@@ -368,23 +396,11 @@ class TestRunFilter:
             initial_mean=np.array([20.0, 25.0]),
             initial_cov=np.eye(2),
         )
-        frames = [
-            MeasurementFrame(
-                speeds_kmh=np.full(2, 90.0),
-                entry_flow_vph=1800.0,
-                sensor_flows_vph={},
-            ),
-            MeasurementFrame(
-                speeds_kmh=np.full(2, 90.0),
-                entry_flow_vph=1800.0,
-                sensor_flows_vph={2: 2700.0},
-            ),
-            MeasurementFrame(
-                speeds_kmh=np.full(2, 90.0),
-                entry_flow_vph=1800.0,
-                sensor_flows_vph={},
-            ),
-        ]
+        frames = Measurements(
+            speeds_kmh=np.full((3, 2), 90.0),
+            entry_flow_vph=np.full(3, 1800.0),
+            sensor_flows_vph={2: [np.nan, 2700.0, np.nan]},
+        )
         result = run_filter(cfg, idx, tuning, frames)
         # Seeded from the initial mean, then the real reading, then held.
         assert result.measurements_used[0, 0] == pytest.approx(25.0)
@@ -401,13 +417,11 @@ class TestRunFilter:
             initial_mean=np.array([20.0, 25.0]),
             initial_cov=np.eye(2),
         )
-        frames = [
-            MeasurementFrame(
-                speeds_kmh=np.array([90.0, 1.5]),
-                entry_flow_vph=1800.0,
-                sensor_flows_vph={2: 2700.0},
-            )
-        ]
+        frames = Measurements(
+            speeds_kmh=np.array([[90.0, 1.5]]),
+            entry_flow_vph=[1800.0],
+            sensor_flows_vph={2: [2700.0]},
+        )
         result = run_filter(cfg, idx, tuning, frames, v_floor_kmh=2.0)
         assert result.measurements_used[0, 0] == pytest.approx(25.0)
         assert result.held_measurement_steps == 1
@@ -421,14 +435,7 @@ class TestRunFilter:
             initial_mean=np.zeros(2),
             initial_cov=np.zeros((2, 2)),
         )
-        frames = [
-            MeasurementFrame(
-                speeds_kmh=np.full(2, 90.0),
-                entry_flow_vph=None,
-                sensor_flows_vph={},
-            )
-            for _ in range(3)
-        ]
+        frames = Measurements(speeds_kmh=np.full((3, 2), 90.0), entry_flow_vph=np.full(3, np.nan))
         result = run_filter(cfg, idx, tuning, frames)
         # No inflow ever arrives, so the empty-road estimate stays empty.
         assert np.allclose(result.states, 0.0)
@@ -436,9 +443,9 @@ class TestRunFilter:
     def test_missing_entry_flows_are_counted_and_logged_once(self, caplog):
         cfg = make_config(2, sensors=(2,))
         idx = build_state_index(cfg)
-        frames = fixed_point_frames(5)
-        for k in (0, 2, 3):
-            frames[k] = dataclasses.replace(frames[k], entry_flow_vph=None)
+        entry = np.full(5, 1800.0)
+        entry[[0, 2, 3]] = np.nan
+        frames = dataclasses.replace(fixed_point_frames(5), entry_flow_vph=entry)
         with caplog.at_level(logging.WARNING, logger="trafficstate.kalman"):
             result = run_filter(cfg, idx, default_tuning(idx, 1), frames)
         assert result.held_entry_steps == 3
@@ -449,13 +456,11 @@ class TestRunFilter:
         cfg = make_config(2, sensors=(2,), time_step_h=5 / 3600, length=0.05)
         idx = build_state_index(cfg)
         tuning = default_tuning(idx, 1)
-        frames = [
-            MeasurementFrame(
-                speeds_kmh=np.full(2, 40.0),
-                entry_flow_vph=1000.0,
-                sensor_flows_vph={2: 1000.0},
-            )
-        ]
+        frames = Measurements(
+            speeds_kmh=np.full((1, 2), 40.0),
+            entry_flow_vph=[1000.0],
+            sensor_flows_vph={2: [1000.0]},
+        )
         with pytest.raises(CflViolationError, match="max ratio"):
             run_filter(cfg, idx, tuning, frames, strict_cfl=True)
         relaxed = run_filter(cfg, idx, tuning, frames, strict_cfl=False)
@@ -471,14 +476,7 @@ class TestRunFilter:
             initial_mean=np.array([-5.0, -5.0, 0.2]),
             initial_cov=np.zeros((3, 3)),
         )
-        frames = [
-            MeasurementFrame(
-                speeds_kmh=np.full(2, 50.0),
-                entry_flow_vph=0.0,
-                sensor_flows_vph={},
-            )
-            for _ in range(4)
-        ]
+        frames = Measurements(speeds_kmh=np.full((4, 2), 50.0), entry_flow_vph=np.zeros(4))
         clamped = run_filter(cfg, idx, tuning, frames, clamp_nonnegative=True)
         raw = run_filter(cfg, idx, tuning, frames, clamp_nonnegative=False)
         assert np.all(clamped.densities >= 0.0)
@@ -489,29 +487,29 @@ class TestRunFilter:
     def test_mismatched_tuning_sizes_raise(self):
         cfg = make_config(3, sensors=(3,))
         idx = build_state_index(cfg)
+        empty = Measurements(speeds_kmh=np.zeros((0, 3)), entry_flow_vph=np.zeros(0))
         with pytest.raises(ValueError, match="dim"):
-            run_filter(cfg, idx, default_tuning(build_state_index(make_config(2, (2,))), 1), [])
+            run_filter(cfg, idx, default_tuning(build_state_index(make_config(2, (2,))), 1), empty)
         with pytest.raises(ValueError, match="sensors are in use"):
-            run_filter(cfg, idx, default_tuning(idx, 2), [])
+            run_filter(cfg, idx, default_tuning(idx, 2), empty)
 
     def test_wrong_frame_speed_shape_raises(self):
         cfg = make_config(3, sensors=(3,))
         idx = build_state_index(cfg)
-        frames = [
-            MeasurementFrame(
-                speeds_kmh=np.full(2, 80.0),
-                entry_flow_vph=1000.0,
-                sensor_flows_vph={3: 900.0},
-            )
-        ]
-        with pytest.raises(ValueError, match="frame 0"):
+        frames = Measurements(
+            speeds_kmh=np.full((1, 2), 80.0),
+            entry_flow_vph=[1000.0],
+            sensor_flows_vph={3: [900.0]},
+        )
+        with pytest.raises(ValueError, match="expected 3 segment speeds"):
             run_filter(cfg, idx, default_tuning(idx, 1), frames)
 
     def test_ramp_flows_rescale_the_extra_state(self):
         cfg = make_config(3, sensors=(1, 3), ramps={2: (RampType.ON, False)})
         idx = build_state_index(cfg)
         tuning = default_tuning(idx, 2, initial_density=20.0, initial_ramp_state=0.5)
-        result = run_filter(cfg, idx, tuning, fixed_point_frames(0))
+        empty = Measurements(speeds_kmh=np.zeros((0, 3)), entry_flow_vph=np.zeros(0))
+        result = run_filter(cfg, idx, tuning, empty)
         flows = result.ramp_flows(cfg.lengths_km, cfg.time_step_h)
         assert flows.shape == (1, 1)
         assert flows[0, 0] == pytest.approx(0.5 * 0.5 / (10 / 3600))

@@ -1,23 +1,21 @@
 """Tests for the time-varying density model builders."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from trafficstate.kalman import default_tuning, run_filter
 from trafficstate.ltv_model import (
     apply_A,
     build_A,
     build_B,
     build_C,
-    build_snapshot,
     build_state_index,
     build_u,
-    density_to_flow,
-    ramp_flow_to_state,
-    ramp_states_to_flows,
-    select_sensor_segments,
-    step_dynamics,
 )
 from trafficstate.network import NetworkConfig, RampType, Segment
+from trafficstate.sensing import Measurements
 
 
 def make_config(n, sensors, ramps=None, time_step_h=10 / 3600, lengths=None):
@@ -154,6 +152,19 @@ class TestBuildBAndU:
         with pytest.raises(ValueError, match="non-negative"):
             build_u(idx, 1000.0, {2: -5.0})
 
+    def test_u_broadcasts_over_a_step_axis(self):
+        ramps = {2: (RampType.ON, True), 3: (RampType.OFF, True)}
+        idx = build_state_index(make_config(4, sensors=(4,), ramps=ramps))
+        entry = np.array([3600.0, 1200.0, np.nan])
+        flows = {2: np.array([600.0, 0.0, 50.0]), 3: np.array([400.0, 10.0, np.nan])}
+        u = build_u(idx, entry, flows)
+        assert u.shape == (3, 3)
+        for k in range(3):
+            want = build_u(idx, entry[k], {seg: q[k] for seg, q in flows.items()})
+            assert np.array_equal(u[k], want, equal_nan=True)
+        with pytest.raises(ValueError, match="segment 3 must be non-negative, got -2.0"):
+            build_u(idx, entry, {3: np.array([1.0, -2.0, -1.0])})
+
     def test_u_rejects_flows_for_unknown_segments(self):
         cfg = make_config(2, sensors=(2,), ramps={2: (RampType.ON, True)})
         idx = build_state_index(cfg)
@@ -187,20 +198,19 @@ class TestBuildC:
             build_C(idx, [4])
 
 
-class TestSelectSensorSegments:
-    def test_exit_plus_downstream_most_gap_sensor(self):
-        ramps = {2: (RampType.ON, False), 5: (RampType.OFF, False)}
-        cfg = make_config(6, sensors=(3, 4, 6), ramps=ramps)
-        assert select_sensor_segments(cfg) == (4, 6)
+def step(idx, cfg, x, speeds, entry, measured=None):
+    """One step of the model dynamics, x+ = A x + B u."""
+    A = build_A(idx, cfg.lengths_km, cfg.time_step_h, speeds)
+    B = build_B(idx, cfg.lengths_km, cfg.time_step_h)
+    return A @ x + B @ build_u(idx, entry, measured)
 
-    def test_gap_without_candidate_is_skipped(self):
-        ramps = {2: (RampType.ON, False), 5: (RampType.OFF, False)}
-        cfg = make_config(6, sensors=(6,), ramps=ramps)
-        assert select_sensor_segments(cfg) == (6,)
 
-    def test_no_ramps_yields_exit_only(self):
-        cfg = make_config(4, sensors=(2, 4))
-        assert select_sensor_segments(cfg) == (4,)
+def ramp_flows_of(cfg, idx, x):
+    """Ramp flows (veh/h) of state x, as FilterResult.ramp_flows reports them."""
+    tuning = dataclasses.replace(default_tuning(idx, 1), initial_mean=x)
+    empty = Measurements(np.zeros((0, idx.n_segments)), np.zeros(0))
+    result = run_filter(cfg, idx, tuning, empty, sensor_segments=[idx.n_segments])
+    return dict(zip(idx.theta_segments, result.ramp_flows(cfg.lengths_km, cfg.time_step_h)[0]))
 
 
 class TestDynamics:
@@ -209,10 +219,7 @@ class TestDynamics:
         # the first segment gains (T/delta) * 2000 = 11.111... veh/km.
         cfg = make_config(2, sensors=(2,))
         idx = build_state_index(cfg)
-        snap = build_snapshot(
-            idx, cfg.lengths_km, cfg.time_step_h, [80.0, 80.0], 2000.0, [2]
-        )
-        x1 = step_dynamics(np.zeros(2), snap)
+        x1 = step(idx, cfg, np.zeros(2), [80.0, 80.0], 2000.0)
         assert x1[0] == pytest.approx(2000.0 * (10 / 3600) / 0.5)
         assert x1[1] == 0.0
 
@@ -223,10 +230,7 @@ class TestDynamics:
         idx = build_state_index(cfg)
         v = np.array([90.0, 90.0, 90.0])
         rho = np.full(3, 20.0)
-        snap = build_snapshot(
-            idx, cfg.lengths_km, cfg.time_step_h, v, 1800.0, [3]
-        )
-        assert np.allclose(step_dynamics(rho, snap), rho)
+        assert np.allclose(step(idx, cfg, rho, v, 1800.0), rho)
 
     def test_vehicle_count_is_conserved_on_random_systems(self):
         rng = np.random.default_rng(7)
@@ -243,15 +247,14 @@ class TestDynamics:
                 seg: float(rng.uniform(0.0, 800.0)) for seg in idx.measured_ramp_segments
             }
             entry = float(rng.uniform(500.0, 4000.0))
-            snap = build_snapshot(idx, lengths, T, speeds, entry, [n], measured)
-            x1 = step_dynamics(x, snap)
+            x1 = step(idx, cfg, x, speeds, entry, measured)
 
             gained = float(np.sum(lengths * (x1[:n] - x[:n])))
             signed_measured = sum(
                 (1.0 if kind is RampType.ON else -1.0) * measured[seg]
                 for seg, kind in zip(idx.measured_ramp_segments, idx.measured_ramp_kinds)
             )
-            theta_flows = ramp_states_to_flows(idx, x, lengths, T)
+            theta_flows = ramp_flows_of(cfg, idx, x)
             signed_theta = sum(
                 (1.0 if kind is RampType.ON else -1.0) * theta_flows[seg]
                 for seg, kind in zip(idx.theta_segments, idx.theta_kinds)
@@ -264,11 +267,8 @@ class TestDynamics:
         ramps = {2: (RampType.ON, False)}
         cfg = make_config(3, sensors=(2, 3), ramps=ramps)
         idx = build_state_index(cfg)
-        snap = build_snapshot(
-            idx, cfg.lengths_km, cfg.time_step_h, [70.0, 70.0, 70.0], 1500.0, [3]
-        )
         x = np.array([10.0, 12.0, 14.0, 0.4])
-        x1 = step_dynamics(x, snap)
+        x1 = step(idx, cfg, x, [70.0, 70.0, 70.0], 1500.0)
         assert x1[3] == 0.4
         # The on-ramp state feeds its segment one unit per step.
         assert x1[1] == pytest.approx(
@@ -277,16 +277,12 @@ class TestDynamics:
 
 
 class TestConversions:
-    def test_density_to_flow_is_elementwise(self):
-        assert np.allclose(density_to_flow([10.0, 20.0], [50.0, 60.0]), [500.0, 1200.0])
-
     def test_ramp_state_round_trip(self):
-        theta = ramp_flow_to_state(720.0, 0.4, 10 / 3600)
-        assert theta == pytest.approx(720.0 * (10 / 3600) / 0.4)
+        # A ramp state is its flow's per-step density contribution (T/delta) q.
+        theta = (10 / 3600) / 0.4 * 720.0
         ramps = {3: (RampType.ON, False)}
         cfg = make_config(4, sensors=(4,), ramps=ramps, lengths=[0.5, 0.5, 0.4, 0.5])
         idx = build_state_index(cfg)
         x = np.zeros(idx.dim)
         x[idx.theta_position(3)] = theta
-        flows = ramp_states_to_flows(idx, x, cfg.lengths_km, cfg.time_step_h)
-        assert flows == {3: pytest.approx(720.0)}
+        assert ramp_flows_of(cfg, idx, x) == {3: pytest.approx(720.0)}

@@ -292,3 +292,13 @@ class TestNetworkIo:
         path.write_text(json.dumps(payload))
         with pytest.raises(NetworkFormatError):
             load_network(path)
+
+    def test_dict_form_round_trips_and_names_the_bad_field(self):
+        cfg = make_config(n=3, sensors=(3, 1), ramps={2: (RampType.OFF, True)})
+        raw = cfg.to_dict()
+        assert raw["flow_sensors"] == [1, 3]
+        assert raw["segments"][1] == {"length_km": 0.5, "ramp": "off_ramp", "ramp_measured": True}
+        assert NetworkConfig.from_dict(json.loads(json.dumps(raw))) == cfg
+        raw["flow_sensors"] = "3"
+        with pytest.raises(NetworkFormatError, match="^flow_sensors must be an array"):
+            NetworkConfig.from_dict(raw)

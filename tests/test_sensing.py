@@ -1,5 +1,6 @@
 """Tests for measurement extraction from trajectories and detector files."""
 
+import logging
 import tempfile
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from trafficstate.network import NetworkConfig, RampType, Segment
 from trafficstate.sensing import (
     DetectorFormatError,
-    MeasurementFrame,
+    Measurements,
     RampLaneRule,
     TrajectoryData,
     TrajectoryFormatError,
@@ -69,16 +70,39 @@ def three_vehicle_traj():
     )
 
 
-class TestMeasurementFrame:
+class TestMeasurements:
     def test_coerces_container_types(self):
-        frame = MeasurementFrame(
-            speeds_kmh=[80.0, 90.0],
-            entry_flow_vph=1200.0,
-            sensor_flows_vph=((2, 900.0),),
+        meas = Measurements(
+            speeds_kmh=[[80.0, 90.0]],
+            entry_flow_vph=[1200.0],
+            sensor_flows_vph=((2, [900.0]),),
         )
-        assert isinstance(frame.speeds_kmh, np.ndarray)
-        assert frame.sensor_flows_vph == {2: 900.0}
-        assert frame.measured_ramp_flows_vph == {}
+        assert isinstance(meas.speeds_kmh, np.ndarray)
+        assert isinstance(meas.entry_flow_vph, np.ndarray)
+        assert list(meas.sensor_flows_vph) == [2]
+        assert np.array_equal(meas.sensor_flows_vph[2], [900.0])
+        assert meas.measured_ramp_flows_vph == {}
+        assert meas.n_steps == 1
+
+    def test_rejects_columns_of_mismatched_length(self):
+        speeds = np.full((3, 2), 80.0)
+        with pytest.raises(ValueError, match="entry flow must have shape"):
+            Measurements(speeds, np.zeros(2))
+        with pytest.raises(ValueError, match="segment 2 must have shape"):
+            Measurements(speeds, np.zeros(3), {2: np.zeros(4)})
+        with pytest.raises(ValueError, match="segment 1 must have shape"):
+            Measurements(speeds, np.zeros(3), {}, {1: np.zeros((3, 1))})
+        with pytest.raises(ValueError, match="speeds must be a"):
+            Measurements(np.zeros(3), np.zeros(3))
+
+    def test_sensor_table_fills_absent_segments_with_nan(self):
+        meas = Measurements(np.zeros((2, 3)), np.zeros(2), {3: [5.0, np.nan], 1: [1.0, 2.0]})
+        assert list(meas.sensor_flows_vph) == [1, 3]
+        table = meas.sensor_table([1, 2, 3])
+        assert table.flags.c_contiguous
+        assert np.array_equal(
+            table, [[1.0, np.nan, 5.0], [2.0, np.nan, np.nan]], equal_nan=True
+        )
 
 
 class TestLoaders:
@@ -389,14 +413,14 @@ class TestFramesFromTrajectories:
     def test_full_penetration_frames(self):
         traj = three_vehicle_traj()
         cfg = make_config()
-        frames = frames_from_trajectories(traj, cfg, 1.0, np.random.default_rng(0), window=3)
+        meas = frames_from_trajectories(traj, cfg, 1.0, np.random.default_rng(0), window=3)
         # 12 s of samples at a 5 s step give two full intervals.
-        assert len(frames) == 2
-        assert np.allclose(frames[0].speeds_kmh, 180.0)
-        assert np.allclose(frames[1].speeds_kmh, 180.0)
-        assert frames[0].entry_flow_vph == pytest.approx(720.0)
-        assert frames[0].sensor_flows_vph == {2: pytest.approx(720.0)}
-        assert frames[1].entry_flow_vph == pytest.approx(0.0)
+        assert meas.n_steps == 2
+        assert np.allclose(meas.speeds_kmh, 180.0)
+        assert meas.entry_flow_vph[0] == pytest.approx(720.0)
+        assert list(meas.sensor_flows_vph) == [2]
+        assert meas.sensor_flows_vph[2][0] == pytest.approx(720.0)
+        assert meas.entry_flow_vph[1] == pytest.approx(0.0)
 
     def test_measured_ramp_requires_lane_rule(self):
         cfg = make_config(ramps={2: (RampType.ON, True)})
@@ -413,11 +437,11 @@ class TestFramesFromTrajectories:
             [make_track(1, -50.0, 50.0), make_track(2, 450.0, 50.0), merger]
         )
         rule = RampLaneRule(segment=2, lane=9, kind=RampType.ON)
-        frames = frames_from_trajectories(
+        meas = frames_from_trajectories(
             traj, cfg, 1.0, np.random.default_rng(0), ramp_rules=[rule]
         )
-        assert frames[0].measured_ramp_flows_vph == {2: pytest.approx(720.0)}
-        assert frames[1].measured_ramp_flows_vph == {2: pytest.approx(0.0)}
+        assert list(meas.measured_ramp_flows_vph) == [2]
+        assert meas.measured_ramp_flows_vph[2] == pytest.approx([720.0, 0.0])
 
     def test_vehicles_first_seen_inside_segment_one_enter(self):
         # A recording that starts at the origin sees each vehicle only after
@@ -429,15 +453,15 @@ class TestFramesFromTrajectories:
             for vid in range(1, 301)
         ]
         tracks.append(make_track(301, 2.0, 25.0, t0_s=3.5, n_samples=42, lane=9))
-        frames = frames_from_trajectories(
+        meas = frames_from_trajectories(
             TrajectoryData(tracks),
             make_config(),
             1.0,
             np.random.default_rng(0),
             exclude_lanes=frozenset({9}),
         )
-        entry = np.array([f.entry_flow_vph for f in frames])
-        exit_ = np.array([f.sensor_flows_vph[2] for f in frames])
+        entry = meas.entry_flow_vph
+        exit_ = meas.sensor_flows_vph[2]
         assert entry[:50].mean() == pytest.approx(3600.0)
         assert exit_[10:60].mean() == pytest.approx(3600.0)
         # Each vehicle enters once and leaves once; the one at t = 1 is seen
@@ -493,46 +517,65 @@ class TestFramesFromDetectors:
             _series(495.0, times=(0.0, 10.0), flows=(2800.0, 2600.0), speeds=(95.0, 90.0)),
             _series(1002.0, times=(5.0,), flows=(2500.0,), speeds=(88.0,)),
         ]
-        frames = frames_from_detectors(detectors, cfg)
-        assert len(frames) == 3
+        meas = frames_from_detectors(detectors, cfg)
+        assert meas.n_steps == 3
+        assert list(meas.sensor_flows_vph) == [2]
+        exit_flow = meas.sensor_flows_vph[2]
 
-        assert frames[0].entry_flow_vph == pytest.approx(3600.0)
-        assert frames[0].speeds_kmh[0] == pytest.approx(95.0)
-        assert np.isnan(frames[0].speeds_kmh[1])
-        assert frames[0].sensor_flows_vph == {}
+        assert meas.entry_flow_vph[0] == pytest.approx(3600.0)
+        assert meas.speeds_kmh[0, 0] == pytest.approx(95.0)
+        assert np.isnan(meas.speeds_kmh[0, 1])
+        assert np.isnan(exit_flow[0])
 
-        assert frames[1].entry_flow_vph == pytest.approx(3000.0)
-        assert frames[1].speeds_kmh[1] == pytest.approx(88.0)
-        assert frames[1].sensor_flows_vph == {2: pytest.approx(2500.0)}
+        assert meas.entry_flow_vph[1] == pytest.approx(3000.0)
+        assert meas.speeds_kmh[1, 1] == pytest.approx(88.0)
+        assert exit_flow[1] == pytest.approx(2500.0)
 
-        assert frames[2].entry_flow_vph is None
-        assert frames[2].speeds_kmh[0] == pytest.approx(90.0)
+        assert np.isnan(meas.entry_flow_vph[2])
+        assert np.isnan(exit_flow[2])
+        assert meas.speeds_kmh[2, 0] == pytest.approx(90.0)
 
     def test_samples_snap_to_nearest_step(self):
         cfg = make_config(sensors=(2,))
         detectors = [_series(1000.0, times=(4.9,), flows=(2000.0,), speeds=(85.0,))]
-        frames = frames_from_detectors(detectors, cfg, t0_s=0.0, n_steps=2)
-        assert frames[1].sensor_flows_vph == {2: pytest.approx(2000.0)}
-        assert np.isnan(frames[0].speeds_kmh[1])
+        meas = frames_from_detectors(detectors, cfg, t0_s=0.0, n_steps=2)
+        assert np.array_equal(meas.sensor_flows_vph[2], [np.nan, 2000.0], equal_nan=True)
+        assert np.isnan(meas.speeds_kmh[0, 1])
+
+    def test_later_sample_on_the_same_step_wins_and_is_counted(self, caplog):
+        # With T = 5 s, samples at 3.0 s and 5.0 s (0.4 T apart) both round
+        # to step 1; the entry detector's pair at 10 s and 12 s to step 2.
+        cfg = make_config(sensors=(2,))
+        detectors = [
+            _series(0.0, times=(0.0, 10.0, 12.0), flows=(900.0, 1000.0, 1100.0), speeds=(1.0, 1.0, 1.0)),
+            _series(1000.0, times=(0.0, 3.0, 5.0), flows=(1.0, 2000.0, 2200.0), speeds=(80.0, 85.0, 87.0)),
+        ]
+        with caplog.at_level(logging.WARNING, logger="trafficstate.sensing"):
+            meas = frames_from_detectors(detectors, cfg)
+        assert meas.n_steps == 3
+        assert meas.sensor_flows_vph[2][1] == 2200.0
+        assert meas.speeds_kmh[1, 1] == 87.0
+        assert meas.entry_flow_vph[2] == 1100.0
+        warnings = [r.getMessage() for r in caplog.records]
+        assert len(warnings) == 1
+        assert warnings[0].startswith("2 detector samples fell on a step already sampled")
 
 
 class TestMeasurementNoise:
     def frames(self):
-        return [
-            MeasurementFrame(
-                speeds_kmh=np.array([80.0, 90.0]),
-                entry_flow_vph=2000.0,
-                sensor_flows_vph={2: 1500.0},
-                measured_ramp_flows_vph={1: 10.0},
-            )
-            for _ in range(40)
-        ]
+        return Measurements(
+            speeds_kmh=np.tile([80.0, 90.0], (40, 1)),
+            entry_flow_vph=np.full(40, 2000.0),
+            sensor_flows_vph={2: np.full(40, 1500.0)},
+            measured_ramp_flows_vph={1: np.full(40, 10.0)},
+        )
 
     def test_zero_noise_is_identity(self):
         out = add_measurement_noise(self.frames(), np.random.default_rng(0))
-        assert np.allclose(out[0].speeds_kmh, [80.0, 90.0])
-        assert out[0].entry_flow_vph == 2000.0
-        assert out[0].sensor_flows_vph == {2: 1500.0}
+        assert np.allclose(out.speeds_kmh, [80.0, 90.0])
+        assert np.all(out.entry_flow_vph == 2000.0)
+        assert list(out.sensor_flows_vph) == [2]
+        assert np.all(out.sensor_flows_vph[2] == 1500.0)
 
     def test_same_seed_same_noise(self):
         a = add_measurement_noise(
@@ -541,15 +584,15 @@ class TestMeasurementNoise:
         b = add_measurement_noise(
             self.frames(), np.random.default_rng(3), flow_std_vph=50.0, speed_std_kmh=2.0
         )
-        assert all(np.allclose(x.speeds_kmh, y.speeds_kmh) for x, y in zip(a, b))
-        assert all(x.entry_flow_vph == y.entry_flow_vph for x, y in zip(a, b))
+        assert np.array_equal(a.speeds_kmh, b.speeds_kmh)
+        assert np.array_equal(a.entry_flow_vph, b.entry_flow_vph)
 
     def test_speed_noise_leaves_flows_alone(self):
         out = add_measurement_noise(
             self.frames(), np.random.default_rng(1), speed_std_kmh=3.0
         )
-        assert out[0].entry_flow_vph == 2000.0
-        assert not np.allclose(out[0].speeds_kmh, [80.0, 90.0])
+        assert np.all(out.entry_flow_vph == 2000.0)
+        assert not np.allclose(out.speeds_kmh[0], [80.0, 90.0])
 
     def test_ramp_magnitudes_are_always_floored(self):
         # Noise far larger than the 10 veh/h ramp flow would otherwise send
@@ -558,10 +601,8 @@ class TestMeasurementNoise:
         out = add_measurement_noise(
             self.frames(), np.random.default_rng(2), flow_std_vph=5000.0
         )
-        ramp_values = [f.measured_ramp_flows_vph[1] for f in out]
-        sensor_values = [f.sensor_flows_vph[2] for f in out]
-        assert min(ramp_values) >= 0.0
-        assert min(sensor_values) < 0.0
+        assert out.measured_ramp_flows_vph[1].min() >= 0.0
+        assert out.sensor_flows_vph[2].min() < 0.0
 
     def test_clamp_floors_flows_and_speeds(self):
         out = add_measurement_noise(
@@ -571,20 +612,126 @@ class TestMeasurementNoise:
             speed_std_kmh=200.0,
             clamp_nonnegative=True,
         )
-        assert min(f.entry_flow_vph for f in out) >= 0.0
-        assert min(f.sensor_flows_vph[2] for f in out) >= 0.0
-        assert min(float(f.speeds_kmh.min()) for f in out) >= 0.0
+        assert out.entry_flow_vph.min() >= 0.0
+        assert out.sensor_flows_vph[2].min() >= 0.0
+        assert out.speeds_kmh.min() >= 0.0
 
     def test_none_entry_flow_stays_none(self):
-        frame = MeasurementFrame(
-            speeds_kmh=np.array([80.0]), entry_flow_vph=None, sensor_flows_vph={}
-        )
-        out = add_measurement_noise([frame], np.random.default_rng(0), flow_std_vph=10.0)
-        assert out[0].entry_flow_vph is None
+        # A missing (NaN) entry flow stays missing and takes no draw.
+        meas = Measurements(speeds_kmh=[[80.0]], entry_flow_vph=[np.nan])
+        rng = np.random.default_rng(0)
+        out = add_measurement_noise(meas, rng, flow_std_vph=10.0)
+        assert np.isnan(out.entry_flow_vph[0])
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
     def test_negative_std_raises(self):
         with pytest.raises(ValueError, match="non-negative"):
             add_measurement_noise(self.frames(), np.random.default_rng(0), flow_std_vph=-1.0)
+
+
+def _oracle_noise(meas, rng, flow_std, speed_std, clamp):
+    """The per-step noise loop ``add_measurement_noise`` replaced, over the same columns."""
+
+    def flow(x, floor):
+        y = x + rng.normal(0.0, flow_std) if flow_std > 0 else x
+        return max(y, 0.0) if floor or clamp else y
+
+    K = meas.n_steps
+    speeds = np.empty_like(meas.speeds_kmh)
+    entry = np.full(K, np.nan)
+    sensors = {j: np.full(K, np.nan) for j in meas.sensor_flows_vph}
+    ramps = {s: np.full(K, np.nan) for s in meas.measured_ramp_flows_vph}
+    for k in range(K):
+        v = meas.speeds_kmh[k].copy()
+        if speed_std > 0:
+            v = v + rng.normal(0.0, speed_std, v.shape[0])
+            if clamp:
+                v = np.maximum(v, 0.0)
+        speeds[k] = v
+        if np.isfinite(meas.entry_flow_vph[k]):
+            entry[k] = flow(float(meas.entry_flow_vph[k]), False)
+        for j in sorted(sensors):
+            q = float(meas.sensor_flows_vph[j][k])
+            if np.isfinite(q):
+                sensors[j][k] = flow(q, False)
+        for s in sorted(ramps):
+            q = float(meas.measured_ramp_flows_vph[s][k])
+            if np.isfinite(q):
+                ramps[s][k] = flow(q, True)
+    return Measurements(speeds, entry, sensors, ramps)
+
+
+@st.composite
+def measurement_columns(draw):
+    """Measurements with missing speeds, entry flows and sensor readings."""
+    K = draw(st.integers(0, 6))
+    n = draw(st.integers(1, 3))
+    value = st.one_of(st.just(np.nan), st.just(-0.0), st.floats(-50.0, 3000.0))
+    segments = st.lists(st.integers(1, 6), max_size=3, unique=True)
+
+    def column():
+        return draw(st.lists(value, min_size=K, max_size=K))
+
+    return Measurements(
+        speeds_kmh=np.array(draw(st.lists(value, min_size=K * n, max_size=K * n))).reshape(K, n),
+        entry_flow_vph=column(),
+        sensor_flows_vph={j: column() for j in draw(segments)},
+        measured_ramp_flows_vph={
+            s: draw(st.lists(st.floats(0.0, 800.0), min_size=K, max_size=K)) for s in draw(segments)
+        },
+    )
+
+
+def _oracle_moving_average(s, window):
+    out = np.full_like(s, np.nan)
+    for k in range(s.shape[0]):
+        chunk = s[max(0, k - window + 1) : k + 1]
+        finite = np.isfinite(chunk)
+        counts = finite.sum(axis=0)
+        sums = np.where(finite, chunk, 0.0).sum(axis=0)
+        good = counts > 0
+        out[k, good] = sums[good] / counts[good]
+    return out
+
+
+class TestColumnarOracles:
+    @settings(max_examples=150)
+    @given(
+        measurement_columns(),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 0.7, 25.0]),
+        st.sampled_from([0.0, 2.5]),
+        st.booleans(),
+    )
+    def test_noise_matches_the_per_step_loop(self, meas, seed, flow_std, speed_std, clamp):
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = _oracle_noise(meas, want_rng, flow_std, speed_std, clamp)
+        got = add_measurement_noise(
+            meas, got_rng, flow_std_vph=flow_std, speed_std_kmh=speed_std, clamp_nonnegative=clamp
+        )
+        # Bit-for-bit, NaN cells included, and the generator ends in the same state.
+        assert got.speeds_kmh.tobytes() == want.speeds_kmh.tobytes()
+        assert got.entry_flow_vph.tobytes() == want.entry_flow_vph.tobytes()
+        for name in ("sensor_flows_vph", "measured_ramp_flows_vph"):
+            got_map, want_map = getattr(got, name), getattr(want, name)
+            assert list(got_map) == list(want_map)
+            for seg in want_map:
+                assert got_map[seg].tobytes() == want_map[seg].tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @settings(max_examples=200)
+    @given(
+        st.integers(0, 12),
+        st.integers(1, 4),
+        st.integers(1, 6),
+        st.data(),
+    )
+    def test_moving_average_matches_the_per_step_loop(self, K, n, window, data):
+        value = st.one_of(st.just(np.nan), st.just(-0.0), st.floats(0.0, 130.0))
+        cells = data.draw(st.lists(value, min_size=K * n, max_size=K * n))
+        series = np.array(cells, dtype=float).reshape(K, n)
+        got = moving_average_speed(series, window=window)
+        assert got.tobytes() == _oracle_moving_average(series, window).tobytes()
 
 
 # Property tests: the step grid against the per-step, per-vehicle loop it

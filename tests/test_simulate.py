@@ -1,20 +1,27 @@
 """Tests for synthetic truth generation and measurement emulation."""
 
+import json
+
 import numpy as np
 import pytest
 
 from trafficstate.kalman import FilterTuning, run_filter
-from trafficstate.ltv_model import build_state_index, ramp_flow_to_state
+from trafficstate.ltv_model import build_state_index
 from trafficstate.metrics import cv_rho
-from trafficstate.network import NetworkConfig, RampType, Segment, check_cfl, validate_network
+from trafficstate.network import (
+    NetworkConfig,
+    NetworkFormatError,
+    RampType,
+    Segment,
+    check_cfl,
+    validate_network,
+)
 from trafficstate.sensing import moving_average_speed
 from trafficstate.simulate import (
     PRESET_NAMES,
     CflViolationError,
-    RawMeasurements,
     Scenario,
     emulate_probe_speeds,
-    frames_from_raw,
     frames_from_simulation,
     load_scenario,
     make_congestion_scenario,
@@ -267,38 +274,35 @@ class TestSyntheticMeasurements:
 
 class TestFrameAssembly:
     def test_window_one_keeps_raw_speeds(self):
-        raw = RawMeasurements(
-            speeds_kmh=np.array([[80.0, np.nan], [70.0, 60.0]]),
-            entry_flow_vph=np.array([1000.0, 1100.0]),
-            sensor_flows_vph={2: np.array([900.0, 950.0])},
-            measured_ramp_flows_vph={},
+        sim = simulate_truth(
+            make_scenario(make_config(n=3, sensors=(3,)), 30, 20.0, 90.0, 1800.0)
         )
-        frames = frames_from_raw(raw, window=1)
-        assert len(frames) == 2
-        assert np.array_equal(frames[0].speeds_kmh, [80.0, np.nan], equal_nan=True)
-        assert frames[1].entry_flow_vph == 1100.0
-        assert frames[1].sensor_flows_vph == {2: 950.0}
+        rng_args = dict(penetration=0.3, flow_noise_std_vph=20.0)
+        raw = synthetic_measurements(sim, np.random.default_rng(4), **rng_args)
+        meas = frames_from_simulation(sim, np.random.default_rng(4), window=1, **rng_args)
+        assert np.isnan(raw.speeds_kmh).any()
+        assert np.array_equal(meas.speeds_kmh, raw.speeds_kmh, equal_nan=True)
+        assert np.array_equal(meas.entry_flow_vph, raw.entry_flow_vph)
+        assert np.array_equal(meas.sensor_flows_vph[3], raw.sensor_flows_vph[3])
 
     def test_windowed_frames_use_the_trailing_average(self):
-        speeds = np.array([[80.0], [np.nan], [60.0], [70.0]])
-        raw = RawMeasurements(
-            speeds_kmh=speeds,
-            entry_flow_vph=np.zeros(4),
-            sensor_flows_vph={},
-            measured_ramp_flows_vph={},
+        sim = simulate_truth(
+            make_scenario(make_config(n=3, sensors=(3,)), 30, 20.0, 90.0, 1800.0)
         )
-        frames = frames_from_raw(raw, window=3)
-        expected = moving_average_speed(speeds, window=3)
-        got = np.vstack([f.speeds_kmh for f in frames])
-        assert np.allclose(got, expected, equal_nan=True)
+        raw = synthetic_measurements(sim, np.random.default_rng(5), penetration=0.3)
+        meas = frames_from_simulation(sim, np.random.default_rng(5), penetration=0.3, window=3)
+        expected = moving_average_speed(raw.speeds_kmh, window=3)
+        assert np.array_equal(meas.speeds_kmh, expected, equal_nan=True)
+        assert np.array_equal(meas.entry_flow_vph, raw.entry_flow_vph)
 
     def test_frames_from_simulation_exact_path(self):
         cfg = make_config(n=3, sensors=(3,))
         sim = simulate_truth(make_scenario(cfg, 10, 20.0, 90.0, 1800.0))
-        frames = frames_from_simulation(sim, window=1)
-        assert len(frames) == 10
-        assert all(np.allclose(f.speeds_kmh, 90.0) for f in frames)
-        assert all(f.sensor_flows_vph == {3: 1800.0} for f in frames)
+        meas = frames_from_simulation(sim, window=1)
+        assert meas.n_steps == 10
+        assert np.allclose(meas.speeds_kmh, 90.0)
+        assert list(meas.sensor_flows_vph) == [3]
+        assert np.allclose(meas.sensor_flows_vph[3], 1800.0)
 
 
 class TestPresets:
@@ -369,10 +373,9 @@ class TestTruthReconstruction:
             frames = frames_from_simulation(sim, window=1)
             idx = build_state_index(sc.cfg)
             lengths = sc.cfg.lengths_km
+            # Each ramp state is its flow's per-step density contribution (T/delta) q.
             theta0 = [
-                ramp_flow_to_state(
-                    float(sc.ramp_flows_vph[seg][0]), lengths[seg - 1], sc.cfg.time_step_h
-                )
+                sc.cfg.time_step_h / lengths[seg - 1] * float(sc.ramp_flows_vph[seg][0])
                 for seg in idx.theta_segments
             ]
             diag_q = np.concatenate(
@@ -413,3 +416,12 @@ class TestScenarioIo:
         a = simulate_truth(sc)
         b = simulate_truth(load_scenario(path))
         assert np.allclose(a.densities, b.densities, atol=1e-12)
+
+    def test_bad_network_raises_network_format_error(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        save_scenario(make_congestion_scenario("ngsim_like", seed=0), path)
+        payload = json.loads(path.read_text())
+        payload["network"]["segments"][2]["ramp"] = "diagonal"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(NetworkFormatError, match="segment 3: unknown ramp type"):
+            load_scenario(path)
