@@ -8,6 +8,7 @@ from trafficstate.kalman import (
     kf_step,
     observability_gramian,
     run_filter,
+    run_filter_batch,
 )
 from trafficstate.ltv_model import (
     LtvSnapshot,
@@ -69,6 +70,7 @@ __all__ = [
     "make_congestion_scenario",
     "observability_gramian",
     "run_filter",
+    "run_filter_batch",
     "save_network",
     "simulate_truth",
     "validate_network",

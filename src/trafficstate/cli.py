@@ -219,6 +219,17 @@ def _parse_ramp_lane(values, cfg: NetworkConfig) -> list[sensing.RampLaneRule]:
     return rules
 
 
+def _window(text: str) -> int:
+    """argparse type for ``--window``: a whole number of steps, at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_lanes(spec: str | None) -> frozenset[int]:
     if not spec:
         return frozenset()
@@ -325,6 +336,8 @@ def cmd_estimate(args) -> int:
         rho_true = np.divide(q, v_true, out=np.full_like(q, np.nan), where=reading)
         source_defaults = {"measurement_var": 100.0, "initial_density": 4.0}
         default_speed = 100.0
+        # Detector speeds are used as reported: no smoothing window applies.
+        config_echo["window"] = None
         config_echo["source"] = {"detectors": str(args.detectors), "network": str(args.network)}
 
     report = validate_network(cfg)
@@ -426,26 +439,10 @@ def cmd_sweep(args) -> int:
 
     default_speed = float(np.mean(sc.speeds_kmh))
 
-    def one_run(meas):
-        fr = kalman.run_filter(
-            cfg,
-            idx,
-            tuning,
-            meas,
-            sensor_segments=sensors,
-            default_speed_kmh=default_speed,
-            strict_cfl=args.strict_cfl,
-            clamp_nonnegative=args.clamp_output,
-        )
-        cv = metrics.cv_rho(fr.densities[:K], rho_true, warmup=args.warmup)
-        w = metrics.speed_error_covariance(
-            rho_true, fr.speeds_used, sc.speeds_kmh, cfg, warmup=args.warmup
-        )
-        return cv, w
-
-    rows = []
-    for p in p_values:
-        scores = {"instantaneous": ([], []), "moving_average": ([], [])}
+    def rate_rows(p: float) -> list[tuple]:
+        # Every repetition and variant of the rate is filtered as one batch,
+        # ordered rep by rep: (rep 0 raw, rep 0 smoothed, rep 1 raw, ...).
+        batch = []
         for rep in range(args.reps):
             rng = _rep_rng(args.seed, rep, args.reps)
             raw = simulate.synthetic_measurements(
@@ -461,14 +458,31 @@ def cmd_sweep(args) -> int:
             if args.window > 1:
                 speeds = sensing.moving_average_speed(raw.speeds_kmh, args.window)
                 smoothed = dataclasses.replace(raw, speeds_kmh=speeds)
-            for variant, meas in (("instantaneous", raw), ("moving_average", smoothed)):
-                cv, w = one_run(meas)
-                scores[variant][0].append(cv)
-                scores[variant][1].append(w)
-        for variant in ("instantaneous", "moving_average"):
-            cvs, ws = scores[variant]
+            batch += [raw, smoothed]
+        results = kalman.run_filter_batch(
+            cfg,
+            idx,
+            tuning,
+            batch,
+            sensor_segments=sensors,
+            default_speed_kmh=default_speed,
+            strict_cfl=args.strict_cfl,
+            clamp_nonnegative=args.clamp_output,
+        )
+        rows = []
+        for j, variant in enumerate(("instantaneous", "moving_average")):
+            cvs = [metrics.cv_rho(fr.densities[:K], rho_true, warmup=args.warmup) for fr in results[j::2]]
+            ws = [
+                metrics.speed_error_covariance(rho_true, fr.speeds_used, sc.speeds_kmh, cfg, warmup=args.warmup)
+                for fr in results[j::2]
+            ]
             std = float(np.std(cvs, ddof=1)) if len(cvs) > 1 else 0.0
             rows.append((p, variant, float(np.mean(cvs)), std, float(np.mean(ws))))
+        return rows
+
+    # One batch per rate, not one for the whole sweep, bounds peak memory;
+    # each rate's batch is freed before the next is built.
+    rows = [row for p in p_values for row in rate_rows(p)]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -603,7 +617,9 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--network", help="network JSON (required with --trajectories/--detectors)")
     pe.add_argument("--penetration", type=float, default=1.0)
     pe.add_argument("--seed", type=int, default=0)
-    pe.add_argument("--window", type=int, default=3, help="speed moving-average window, steps")
+    pe.add_argument(
+        "--window", type=_window, default=3, help="speed moving-average window, steps (presets and trajectories)"
+    )
     pe.add_argument("--out", required=True, help="output directory")
     pe.add_argument("--strict-cfl", action="store_true", help="fail instead of warn on accuracy-bound violations")
     pe.add_argument("--clamp-output", action="store_true", help="floor published density estimates at zero")
@@ -623,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--p", default="0.02,0.05,0.2,1.0", help="comma-separated penetration rates")
     pw.add_argument("--reps", type=int, default=10, help="seeded repetitions per rate")
     pw.add_argument("--seed", type=int, default=0)
-    pw.add_argument("--window", type=int, default=3)
+    pw.add_argument("--window", type=_window, default=3, help="speed moving-average window, steps")
     pw.add_argument("--out", required=True, help="output directory")
     pw.add_argument("--strict-cfl", action="store_true")
     pw.add_argument("--clamp-output", action="store_true")

@@ -2,15 +2,17 @@
 
 The filter is run in one-step-ahead predictor form: the state estimate
 published for step k+1 uses measurements up to and including step k. The
-gain solve goes through a Cholesky factorization of the innovation
-covariance rather than an explicit inverse.
+gain solve goes through the Cholesky factor of the innovation covariance,
+never its explicit inverse.
 
-``run_filter`` uses the model's structure: the transition matrix is
+``run_filter_batch`` uses the model's structure: the transition matrix is
 lower-bidiagonal plus the ramp columns and an identity block on the ramp
 states, so A P A^T is two O(dim^2) row passes (``ltv_model.apply_A``), and
 the output matrix only selects rows, so C P is indexing. A step costs
-O(dim^2) and no dense A is formed. ``kf_step`` is the dense form of the
-same update for an arbitrary snapshot.
+O(dim^2) and no dense A is formed. Runs that share a network, tuning and
+step count are filtered together on a leading run axis, so one step of
+numpy calls serves the whole batch; ``run_filter`` is a batch of one.
+``kf_step`` is the dense form of the same update for an arbitrary snapshot.
 """
 
 from __future__ import annotations
@@ -22,10 +24,9 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 # build_A stays importable from this module for code that binds it here;
-# run_filter itself never forms A.
+# the filter itself never forms A.
 from trafficstate.ltv_model import (  # noqa: F401
     LtvSnapshot,
     StateIndex,
@@ -49,6 +50,7 @@ __all__ = [
     "default_tuning",
     "kf_step",
     "run_filter",
+    "run_filter_batch",
     "observability_gramian",
 ]
 
@@ -58,15 +60,21 @@ V_FLOOR_KMH = 2.0
 
 
 class SingularInnovationError(RuntimeError):
-    """Innovation covariance too ill-conditioned to invert reliably."""
+    """Innovation covariance too ill-conditioned to invert reliably.
 
-    def __init__(self, step: int, cond: float):
+    ``run`` is the index of the offending run within a batch of several,
+    else None.
+    """
+
+    def __init__(self, step: int, cond: float, run: int | None = None):
+        where = f"step {step}" if run is None else f"step {step} of run {run}"
         super().__init__(
-            f"innovation covariance at step {step} has condition number {cond:.3e}"
+            f"innovation covariance at {where} has condition number {cond:.3e}"
             f" (limit {COND_LIMIT:.0e})"
         )
         self.step = step
         self.cond = cond
+        self.run = run
 
 
 def _check_symmetric_psd(name: str, M: np.ndarray, dim: int) -> np.ndarray:
@@ -164,24 +172,31 @@ class FilterState:
 def _gain(CP: np.ndarray, CPCt: np.ndarray, R: np.ndarray, step: int) -> np.ndarray:
     """Kalman gain P C^T S^-1 from C P and C P C^T, with S = C P C^T + R.
 
-    cond(S) is the ratio of S's extreme eigenvalues; a non-positive smallest
-    eigenvalue counts as infinite. The solve calls LAPACK's Cholesky routines
-    directly: the scipy wrappers cost more than the solve at these sizes.
+    Leading axes are runs of a batch: CP is (..., m, dim) and the gain
+    (..., dim, m). cond(S) is the ratio of S's extreme eigenvalues; a
+    non-positive smallest eigenvalue counts as infinite. The solve goes
+    through the Cholesky factor L of S: the gain is (L^-T L^-1 C P)^T, with
+    L^-1 from a stacked inverse of the small m x m factor.
     """
     S = CPCt + R
-    S = 0.5 * (S + S.T)
+    S = 0.5 * (S + S.swapaxes(-1, -2))
     eig = np.linalg.eigvalsh(S)
-    cond = float(eig[-1] / eig[0]) if eig[0] > 0.0 else math.inf
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularInnovationError(step, cond)
-    L, info = dpotrf(S, lower=1)
-    if info == 0:
-        X, info = dpotrs(L, CP, lower=1)
-    if info != 0:
+    lo, hi = eig[..., 0], eig[..., -1]
+    # cond(S) = hi / lo < COND_LIMIT without dividing: false for lo <= 0 and for NaN.
+    ok = hi < COND_LIMIT * lo
+    if not ok.all():
+        run = int(np.argmin(ok))
+        lo_r, hi_r = float(lo.flat[run]), float(hi.flat[run])
+        cond = hi_r / lo_r if lo_r > 0.0 else math.inf
+        raise SingularInnovationError(step, cond, run if ok.size > 1 else None)
+    try:
+        L_inv = np.linalg.inv(np.linalg.cholesky(S))
+    except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
-            f"Cholesky solve of the innovation covariance failed at step {step} (info {info})"
-        )
-    return X.T
+            f"Cholesky factorization of the innovation covariance failed at step {step}"
+        ) from exc
+    X = L_inv.swapaxes(-1, -2) @ (L_inv @ CP)
+    return X.swapaxes(-1, -2)
 
 
 def kf_step(state: FilterState, snap: LtvSnapshot, z: np.ndarray, tuning: FilterTuning) -> FilterState:
@@ -232,11 +247,15 @@ class FilterResult:
 
 
 def _hold(values: np.ndarray, valid: np.ndarray, initial) -> np.ndarray:
-    """Each invalid cell takes the last valid value above it in its column, else ``initial``."""
-    rows = np.where(valid, np.arange(values.shape[0])[:, np.newaxis], -1)
-    np.maximum.accumulate(rows, axis=0, out=rows)
-    held = np.take_along_axis(values, np.maximum(rows, 0), axis=0)
-    return np.where(rows >= 0, held, initial)
+    """Each invalid cell takes the last valid value above it in its column, else ``initial``.
+
+    Rows are the second-to-last axis; leading axes are independent runs.
+    """
+    rows = np.where(valid, np.arange(values.shape[-2])[:, np.newaxis], -1)
+    np.maximum.accumulate(rows, axis=-2, out=rows)
+    held = np.take_along_axis(values, np.maximum(rows, 0), axis=-2)
+    np.copyto(held, initial, where=rows < 0)
+    return held
 
 
 def run_filter(
@@ -251,16 +270,45 @@ def run_filter(
     strict_cfl: bool = False,
     clamp_nonnegative: bool = False,
 ) -> FilterResult:
-    """Run the predictor over K steps of measurements.
+    """Run the predictor over K steps of measurements: ``run_filter_batch`` on one run."""
+    return run_filter_batch(
+        cfg,
+        idx,
+        tuning,
+        [meas],
+        sensor_segments=sensor_segments,
+        v_floor_kmh=v_floor_kmh,
+        default_speed_kmh=default_speed_kmh,
+        strict_cfl=strict_cfl,
+        clamp_nonnegative=clamp_nonnegative,
+    )[0]
+
+
+def run_filter_batch(
+    cfg: NetworkConfig,
+    idx: StateIndex,
+    tuning: FilterTuning,
+    runs: Sequence[Measurements],
+    *,
+    sensor_segments: Sequence[int] | None = None,
+    v_floor_kmh: float = V_FLOOR_KMH,
+    default_speed_kmh: float = 100.0,
+    strict_cfl: bool = False,
+    clamp_nonnegative: bool = False,
+) -> list[FilterResult]:
+    """Run the predictor over K steps of measurements for each run of a batch.
+
+    The runs share the network, the tuning and the step count K; each is
+    filtered independently and gets its own ``FilterResult``, in order.
 
     Gap handling: a missing segment speed holds the last seen value for
     that segment (free-flow ``default_speed_kmh`` before anything is seen);
     a missing sensor flow, or a sensor speed at or below ``v_floor_kmh``,
     holds the previous density reading for that sensor, seeded from the
     initial mean; a missing entry flow holds the previous one, starting at
-    zero. Discretization violations warn unless ``strict_cfl``.
-    ``clamp_nonnegative`` floors published density estimates at zero
-    (the raw filter state keeps evolving unclamped).
+    zero. Discretization violations warn (one line for the batch) unless
+    ``strict_cfl``. ``clamp_nonnegative`` floors published density
+    estimates at zero (the raw filter state keeps evolving unclamped).
 
     ``sensor_segments`` defaults to every declared flow sensor; pass an
     explicit subset to study reduced placements.
@@ -268,6 +316,9 @@ def run_filter(
     Each step is the update of ``kf_step`` computed from the model's
     structure in O(dim^2): see the module docstring.
     """
+    runs = list(runs)
+    if not runs:
+        raise ValueError("run_filter_batch needs at least one run")
     n = idx.n_segments
     if sensor_segments is None:
         sensor_segments = tuple(sorted(cfg.flow_sensor_segments))
@@ -283,55 +334,71 @@ def run_filter(
             f"measurement_cov is {tuning.n_measurements}x{tuning.n_measurements},"
             f" but {len(sensor_segments)} sensors are in use"
         )
-    K, n_speeds = meas.speeds_kmh.shape
-    if n_speeds != n:
-        raise ValueError(f"expected {n} segment speeds per step, got {n_speeds}")
+    step_counts = sorted({meas.n_steps for meas in runs})
+    if len(step_counts) > 1:
+        raise ValueError(f"runs of a batch must share their step count, got {step_counts}")
+    for meas in runs:
+        if meas.speeds_kmh.shape[1] != n:
+            raise ValueError(f"expected {n} segment speeds per step, got {meas.speeds_kmh.shape[1]}")
+    n_runs, K = len(runs), step_counts[0]
 
-    speeds_used = _hold(meas.speeds_kmh, np.isfinite(meas.speeds_kmh), default_speed_kmh)
-    entry_ok = np.isfinite(meas.entry_flow_vph)
-    held_entry_steps = K - int(np.count_nonzero(entry_ok))
-    entry = _hold(meas.entry_flow_vph[:, np.newaxis], entry_ok[:, np.newaxis], 0.0)[:, 0]
-    u = build_u(idx, entry, meas.measured_ramp_flows_vph)
+    # Run-major columns: (runs, K, ...).
+    speeds_used = np.stack([meas.speeds_kmh for meas in runs])
+    speeds_used = _hold(speeds_used, np.isfinite(speeds_used), default_speed_kmh)
+    entry = np.stack([meas.entry_flow_vph for meas in runs])[..., np.newaxis]
+    entry_ok = np.isfinite(entry)
+    held_entry_steps = K - np.count_nonzero(entry_ok, axis=(1, 2))
+    entry = _hold(entry, entry_ok, 0.0)[..., 0]
+    # B u is formed per step: a (runs, K, dim) table would be as large as the states.
+    u = np.stack([build_u(idx, entry[r], meas.measured_ramp_flows_vph) for r, meas in enumerate(runs)])
 
-    q = meas.sensor_table(sensor_segments)
-    v_sensor = speeds_used[:, sel]
+    q = np.stack([meas.sensor_table(sensor_segments) for meas in runs])
+    v_sensor = speeds_used[..., sel]
     reading = np.isfinite(q) & (v_sensor > v_floor_kmh)
     z_raw = np.divide(q, v_sensor, out=np.full_like(q, np.nan), where=reading)
     z_used = _hold(z_raw, reading, tuning.initial_mean[sel])
-    held_steps = int(np.count_nonzero(~reading.all(axis=1)))
+    held_steps = np.count_nonzero(~reading.all(axis=2), axis=1)
 
     d = idx.dim
-    states = np.zeros((K + 1, d))
-    innovations = np.zeros((K, len(sensor_segments)))
+    states = np.zeros((n_runs, K + 1, d))
+    innovations = np.zeros((n_runs, K, len(sensor_segments)))
     R, Q = tuning.measurement_cov, tuning.process_cov
-    x, P = tuning.initial_mean.copy(), tuning.initial_cov.copy()
-    states[0] = x
+    x = np.repeat(tuning.initial_mean[np.newaxis], n_runs, axis=0)
+    P = np.repeat(tuning.initial_cov[np.newaxis], n_runs, axis=0)
+    states[:, 0] = x
     # Posterior [P - K C P | x + K nu], multiplied by A in one pass.
-    posterior = np.empty((d, d + 1))
+    posterior = np.empty((n_runs, d, d + 1))
 
     for k in range(K):
-        innovation = z_used[k] - x[sel]
-        innovations[k] = innovation
-        CP = P[sel]
-        gain = _gain(CP, CP[:, sel], R, k)
-        np.subtract(P, gain @ CP, out=posterior[:, :d])
-        posterior[:, d] = x + gain @ innovation
-        AM = apply_A(idx, ratios, speeds_used[k], posterior)
-        x = AM[:, d] + B @ u[k]
+        innovation = z_used[:, k] - x[:, sel]
+        innovations[:, k] = innovation
+        CP = P[:, sel]
+        gain = _gain(CP, CP[..., sel], R, k)
+        np.subtract(P, gain @ CP, out=posterior[..., :d])
+        posterior[..., d] = x + (gain @ innovation[..., np.newaxis])[..., 0]
+        AM = apply_A(idx, ratios, speeds_used[:, k], posterior)
+        x = AM[..., d] + u[:, k] @ B.T
         # P is symmetric, so A P A^T = A (A P)^T.
-        P = apply_A(idx, ratios, speeds_used[k], AM[:, :d].T) + Q
-        P = 0.5 * (P + P.T)
-        states[k + 1] = x
+        P = apply_A(idx, ratios, speeds_used[:, k], AM[..., :d].swapaxes(-1, -2)) + Q
+        P = 0.5 * (P + P.swapaxes(-1, -2))
+        states[:, k + 1] = x
 
-    if held_entry_steps:
+    # One log line per batch for each kind of fill or violation.
+    held_total = int(held_entry_steps.sum())
+    if held_total:
         logger.warning(
-            "entry flow missing at %d of %d steps; held the previous value", held_entry_steps, K
+            "entry flow missing at %d of %d steps%s; held the previous value",
+            held_total,
+            n_runs * K,
+            _in_runs(np.count_nonzero(held_entry_steps), n_runs),
         )
-    cfl = check_cfl(cfg, speeds_used) if K else CflReport(0.0, ())
-    if not cfl.ok:
+    cfls = [check_cfl(cfg, v) if K else CflReport(0.0, ()) for v in speeds_used]
+    hit = [c for c in cfls if not c.ok]
+    if hit:
         msg = (
-            f"discretization accuracy bound exceeded at {len(cfl.violations)} (step, segment)"
-            f" pairs, max ratio {cfl.max_ratio:.3f}"
+            f"discretization accuracy bound exceeded at {sum(len(c.violations) for c in hit)}"
+            f" (step, segment) pairs{_in_runs(len(hit), n_runs)},"
+            f" max ratio {max(c.max_ratio for c in hit):.3f}"
         )
         if strict_cfl:
             raise CflViolationError(msg)
@@ -340,20 +407,28 @@ def run_filter(
     published = states
     if clamp_nonnegative:
         published = states.copy()
-        published[:, :n] = np.maximum(published[:, :n], 0.0)
+        published[..., :n] = np.maximum(published[..., :n], 0.0)
 
-    return FilterResult(
-        states=published,
-        sensor_segments=sensor_segments,
-        speeds_used=speeds_used,
-        measurements_used=z_used,
-        innovations=innovations,
-        cfl=cfl,
-        final=FilterState(x_hat=x, cov=P, k=K),
-        index=idx,
-        held_measurement_steps=held_steps,
-        held_entry_steps=held_entry_steps,
-    )
+    return [
+        FilterResult(
+            states=published[r],
+            sensor_segments=sensor_segments,
+            speeds_used=speeds_used[r],
+            measurements_used=z_used[r],
+            innovations=innovations[r],
+            cfl=cfls[r],
+            final=FilterState(x_hat=x[r], cov=P[r], k=K),
+            index=idx,
+            held_measurement_steps=int(held_steps[r]),
+            held_entry_steps=int(held_entry_steps[r]),
+        )
+        for r in range(n_runs)
+    ]
+
+
+def _in_runs(hits: int, n_runs: int) -> str:
+    """Which runs of a batch a log line covers; empty for a single run."""
+    return f" in {hits} of {n_runs} runs" if n_runs > 1 else ""
 
 
 def observability_gramian(

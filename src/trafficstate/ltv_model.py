@@ -108,18 +108,21 @@ def apply_A(idx: StateIndex, ratios: np.ndarray, speeds_kmh: np.ndarray, M: np.n
     (on-ramp) or -1 (off-ramp) in each ramp state's column on its segment's
     row, and is the identity on the ramp states, so the product costs
     O(dim * k) and A itself is never formed.
+
+    Leading axes are runs of a batch: speeds (..., N) and M (..., dim, k)
+    give one product per run.
     """
     n = idx.n_segments
     c, v = ratios, speeds_kmh
     out = np.empty(M.shape)
-    out[:n] = (1.0 - c * v)[:, np.newaxis] * M[:n]
-    out[1:n] += (c[1:] * v[:-1])[:, np.newaxis] * M[: n - 1]
+    out[..., :n, :] = (1.0 - c * v)[..., np.newaxis] * M[..., :n, :]
+    out[..., 1:n, :] += (c[1:] * v[..., :-1])[..., np.newaxis] * M[..., : n - 1, :]
     for j, (seg, kind) in enumerate(zip(idx.theta_segments, idx.theta_kinds)):
         if kind is RampType.ON:
-            out[seg - 1] += M[n + j]
+            out[..., seg - 1, :] += M[..., n + j, :]
         else:
-            out[seg - 1] -= M[n + j]
-    out[n:] = M[n:]
+            out[..., seg - 1, :] -= M[..., n + j, :]
+    out[..., n:, :] = M[..., n:, :]
     return out
 
 

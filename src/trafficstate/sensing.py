@@ -701,9 +701,7 @@ def add_measurement_noise(
     noisy_sensors = dict(zip(sensors, flow_cols[: len(sensors)]))
     noisy_ramps = {s: floored(q) for s, q in zip(ramps, flow_cols[len(sensors) :])}
     if clamp_nonnegative:
-        # Speeds are floored only when speed noise was added.
-        if speed_std_kmh > 0:
-            speeds = np.maximum(speeds, 0.0)
+        speeds = np.maximum(speeds, 0.0)
         entry = floored(entry)
         noisy_sensors = {j: floored(q) for j, q in noisy_sensors.items()}
     return Measurements(speeds, entry, noisy_sensors, noisy_ramps)

@@ -219,6 +219,33 @@ class TestEstimate:
         assert summary["metrics"]["horizon_steps"] == 11
         assert np.isfinite(summary["metrics"]["cv_rho"])
 
+    def test_detector_source_echoes_no_window(self, tmp_path):
+        # Detector speeds are never smoothed, so no window is echoed.
+        net = write_network(tmp_path / "net.json")
+        det = write_detectors(tmp_path / "det.csv")
+        out = tmp_path / "est"
+        args = ["estimate", "--detectors", str(det), "--network", str(net), "--window", "5"]
+        assert cli.main(args + ["--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["config"]["window"] is None
+
+    def test_clamp_noise_floors_detector_speeds_without_speed_noise(self, tmp_path):
+        # A detector reports a negative speed; flow noise alone must not let
+        # it through when --clamp-noise is set.
+        net = write_network(tmp_path / "net.json")
+        det = write_detectors(tmp_path / "det.csv")
+        lines = det.read_text().splitlines()
+        bad = lines.index("500.0,20,2700.0,90.0")
+        lines[bad] = "500.0,20,2700.0,-12.0"
+        det.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "est"
+        args = ["estimate", "--detectors", str(det), "--network", str(net), "--warmup", "0"]
+        args += ["--flow-noise-std", "20", "--clamp-noise", "--out", str(out)]
+        assert cli.main(args) == 0
+        header, rows = read_csv(out / "estimates.csv")
+        v_used = {(int(r[0]), int(r[1])): float(r[header.index("v_used")]) for r in rows}
+        assert v_used[(4, 1)] == 0.0
+        assert min(v_used.values()) == 0.0
+
     def test_detector_truth_uses_the_filter_speed_floor(self, tmp_path):
         # The exit detector reads exactly the floor speed at even steps: its
         # density truth is missing exactly where the filter holds its reading.
@@ -352,6 +379,17 @@ class TestSweep:
             cli.main(base + ["--p", "1.5"])
         with pytest.raises(SystemExit):
             cli.main(["sweep", "--preset", "ngsim_like", "--reps", "0", "--p", "1.0", "--out", str(tmp_path / "o")])
+
+
+@pytest.mark.parametrize("command", ["estimate", "sweep"])
+@pytest.mark.parametrize("window", ["0", "-3"])
+def test_window_below_one_exits_two(tmp_path, capsys, command, window):
+    args = [command, "--preset", "ngsim_like", "--window", window, "--out", str(tmp_path / "o")]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 2
+    assert "--window" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 class TestMetricsCommand:

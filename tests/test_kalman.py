@@ -18,6 +18,7 @@ from trafficstate.kalman import (
     kf_step,
     observability_gramian,
     run_filter,
+    run_filter_batch,
 )
 from trafficstate.ltv_model import (
     LtvSnapshot,
@@ -216,6 +217,26 @@ def random_frames(rng, cfg, idx, n_steps, *, max_ratio=0.9, drop=0.2):
     return Measurements(speeds, entry, sensors, ramps)
 
 
+def _worst_gap_to_kf_steps(cfg, idx, tuning, meas, result):
+    """Largest gap between a filter result and a kf_step loop over what it consumed."""
+    B = build_B(idx, cfg.lengths_km, cfg.time_step_h)
+    C = build_C(idx, result.sensor_segments)
+    state = FilterState(x_hat=tuning.initial_mean, cov=tuning.initial_cov, k=0)
+    entry = 0.0
+    worst = 0.0
+    for k in range(meas.n_steps):
+        if np.isfinite(meas.entry_flow_vph[k]):
+            entry = meas.entry_flow_vph[k]
+        A = build_A(idx, cfg.lengths_km, cfg.time_step_h, result.speeds_used[k])
+        ramps = {s: q[k] for s, q in meas.measured_ramp_flows_vph.items()}
+        u = build_u(idx, entry, ramps)
+        z = result.measurements_used[k]
+        assert np.allclose(result.innovations[k], z - C @ state.x_hat, rtol=0, atol=1e-9)
+        state = kf_step(state, LtvSnapshot(A=A, B=B, u=u, C=C), z, tuning)
+        worst = max(worst, float(np.max(np.abs(result.states[k + 1] - state.x_hat))))
+    return max(worst, float(np.max(np.abs(result.final.cov - state.cov))))
+
+
 def with_measured_ramp(rng, cfg):
     """The network with one more ramp, measured, on a segment that has none."""
     free = [i for i, seg in enumerate(cfg.segments) if seg.ramp is RampType.NONE]
@@ -229,7 +250,8 @@ def with_measured_ramp(rng, cfg):
 class TestRunFilter:
     def test_matches_a_loop_of_dense_kf_steps(self):
         # The structured step equals kf_step on build_A/build_C snapshots fed
-        # with what the run actually consumed, held values included.
+        # with what the run actually consumed, held values included: alone,
+        # and as each member of a batch on the same network.
         rng = np.random.default_rng(7)
         ramp_kinds = set()
         worst = 0.0
@@ -242,24 +264,12 @@ class TestRunFilter:
             L = rng.normal(size=(idx.dim, idx.dim))
             tuning = dataclasses.replace(base, initial_cov=L @ L.T + np.eye(idx.dim))
             frames = random_frames(rng, cfg, idx, 60)
-            result = run_filter(cfg, idx, tuning, frames)
-            assert result.held_measurement_steps > 0
-
-            B = build_B(idx, cfg.lengths_km, cfg.time_step_h)
-            C = build_C(idx, result.sensor_segments)
-            state = FilterState(x_hat=tuning.initial_mean, cov=tuning.initial_cov, k=0)
-            entry = 0.0
-            for k in range(frames.n_steps):
-                if np.isfinite(frames.entry_flow_vph[k]):
-                    entry = frames.entry_flow_vph[k]
-                A = build_A(idx, cfg.lengths_km, cfg.time_step_h, result.speeds_used[k])
-                ramps = {s: q[k] for s, q in frames.measured_ramp_flows_vph.items()}
-                u = build_u(idx, entry, ramps)
-                z = result.measurements_used[k]
-                assert np.allclose(result.innovations[k], z - C @ state.x_hat, rtol=0, atol=1e-9)
-                state = kf_step(state, LtvSnapshot(A=A, B=B, u=u, C=C), z, tuning)
-                worst = max(worst, float(np.max(np.abs(result.states[k + 1] - state.x_hat))))
-            worst = max(worst, float(np.max(np.abs(result.final.cov - state.cov))))
+            batch = [frames] + [random_frames(rng, cfg, idx, 60, drop=drop) for drop in (0.0, 0.5)]
+            runs = [(frames, run_filter(cfg, idx, tuning, frames))]
+            runs += zip(batch, run_filter_batch(cfg, idx, tuning, batch))
+            assert runs[0][1].held_measurement_steps > 0
+            for meas, result in runs:
+                worst = max(worst, _worst_gap_to_kf_steps(cfg, idx, tuning, meas, result))
         assert ramp_kinds == {RampType.ON, RampType.OFF}
         assert worst <= 1e-9
 
@@ -513,6 +523,92 @@ class TestRunFilter:
         flows = result.ramp_flows(cfg.lengths_km, cfg.time_step_h)
         assert flows.shape == (1, 1)
         assert flows[0, 0] == pytest.approx(0.5 * 0.5 / (10 / 3600))
+
+
+def mixed_batch_network():
+    """Unmeasured on- and off-ramps with a sensor between them, plus measured ramps of both kinds."""
+    ramps = {
+        2: (RampType.ON, False),
+        3: (RampType.OFF, True),
+        4: (RampType.OFF, False),
+        5: (RampType.ON, True),
+    }
+    return make_config(6, sensors=(3, 6), ramps=ramps)
+
+
+class TestRunFilterBatch:
+    def test_members_equal_their_runs_alone(self):
+        cfg = mixed_batch_network()
+        idx = build_state_index(cfg)
+        tuning = default_tuning(idx, 2, initial_ramp_state=0.1)
+        rng = np.random.default_rng(5)
+        batch = [random_frames(rng, cfg, idx, 80, drop=drop) for drop in (0.0, 0.3, 0.8)]
+        no_entry = random_frames(rng, cfg, idx, 80)
+        batch.append(dataclasses.replace(no_entry, entry_flow_vph=np.full(80, np.nan)))
+        batch.append(random_frames(rng, cfg, idx, 80, max_ratio=1.2))
+        results = run_filter_batch(cfg, idx, tuning, batch, default_speed_kmh=70.0, clamp_nonnegative=True)
+        assert len(results) == len(batch)
+        assert results[2].held_measurement_steps > 0 and results[3].held_entry_steps == 80
+        assert results[0].cfl.ok and not results[4].cfl.ok
+        for meas, got in zip(batch, results):
+            want = run_filter(cfg, idx, tuning, meas, default_speed_kmh=70.0, clamp_nonnegative=True)
+            for name in ("states", "speeds_used", "measurements_used", "innovations"):
+                assert np.allclose(getattr(got, name), getattr(want, name), rtol=0, atol=1e-12), name
+            assert np.allclose(got.final.cov, want.final.cov, rtol=0, atol=1e-12)
+            assert got.cfl == want.cfl
+            assert got.held_measurement_steps == want.held_measurement_steps
+            assert got.held_entry_steps == want.held_entry_steps
+
+    def test_ill_conditioned_run_is_named(self):
+        cfg = make_config(3, sensors=(1, 3))
+        idx = build_state_index(cfg)
+        tuning = default_tuning(idx, 2)
+        flows = {1: np.full(6, 1800.0), 3: np.full(6, 1800.0)}
+        batch = [Measurements(np.full((6, 3), 90.0), np.full(6, 1800.0), flows) for _ in range(3)]
+        # A speed far past the accuracy bound at step 2 blows up run 1's
+        # covariance on segment 1, so S is ill-conditioned at step 3.
+        batch[1].speeds_kmh[2, 0] = 1e9
+        with pytest.raises(SingularInnovationError, match="step 3 of run 1") as err:
+            run_filter_batch(cfg, idx, tuning, batch)
+        assert (err.value.step, err.value.run) == (3, 1)
+        assert err.value.cond > 1e12
+        with pytest.raises(SingularInnovationError) as alone:
+            run_filter(cfg, idx, tuning, batch[1])
+        assert alone.value.run is None
+        assert "at step 3 has condition number" in str(alone.value)
+
+    def test_empty_batch_and_mixed_step_counts_raise(self):
+        cfg = make_config(2, sensors=(2,))
+        idx = build_state_index(cfg)
+        tuning = default_tuning(idx, 1)
+        with pytest.raises(ValueError, match="at least one run"):
+            run_filter_batch(cfg, idx, tuning, [])
+        with pytest.raises(ValueError, match="step count"):
+            run_filter_batch(cfg, idx, tuning, [fixed_point_frames(3), fixed_point_frames(4)])
+
+    def test_one_warning_per_batch(self, caplog):
+        # Every run breaks the accuracy bound and misses entry flows; the
+        # batch logs one line of each, and each result keeps its own counts.
+        cfg = make_config(2, sensors=(2,), time_step_h=5 / 3600, length=0.05)
+        idx = build_state_index(cfg)
+        batch = []
+        for j in range(3):
+            entry = np.full(4, 1000.0)
+            entry[: j + 1] = np.nan
+            speeds = np.full((4, 2), 20.0)
+            speeds[: j + 1, 1] = 40.0
+            batch.append(Measurements(speeds, entry, {2: np.full(4, 1000.0)}))
+        with caplog.at_level(logging.WARNING, logger="trafficstate.kalman"):
+            results = run_filter_batch(cfg, idx, default_tuning(idx, 1), batch)
+        messages = [r.getMessage() for r in caplog.records]
+        assert messages == [
+            "entry flow missing at 6 of 12 steps in 3 of 3 runs; held the previous value",
+            "discretization accuracy bound exceeded at 6 (step, segment) pairs in 3 of 3 runs, max ratio 1.111",
+        ]
+        assert [len(r.cfl.violations) for r in results] == [1, 2, 3]
+        assert [r.held_entry_steps for r in results] == [1, 2, 3]
+        with pytest.raises(CflViolationError, match="in 3 of 3 runs"):
+            run_filter_batch(cfg, idx, default_tuning(idx, 1), batch, strict_cfl=True)
 
 
 class TestObservabilityGramian:

@@ -121,6 +121,20 @@ class TestBuildA:
             got = apply_A(idx, cfg.time_step_h / cfg.lengths_km, v, M)
             assert np.allclose(got, A @ M, rtol=0, atol=1e-12)
 
+    def test_apply_broadcasts_over_a_run_axis(self):
+        # One speed row and one matrix per run: each product is that run's A M.
+        ramps = {2: (RampType.ON, False), 3: (RampType.OFF, True), 4: (RampType.OFF, False)}
+        cfg = make_config(5, sensors=(3, 5), ramps=ramps)
+        idx = build_state_index(cfg)
+        rng = np.random.default_rng(4)
+        v = rng.uniform(20.0, 120.0, size=(3, 5))
+        M = rng.normal(size=(3, idx.dim, idx.dim + 1))
+        got = apply_A(idx, cfg.time_step_h / cfg.lengths_km, v, M)
+        assert got.shape == M.shape
+        for r in range(3):
+            A = build_A(idx, cfg.lengths_km, cfg.time_step_h, v[r])
+            assert np.allclose(got[r], A @ M[r], rtol=0, atol=1e-12)
+
 
 class TestBuildBAndU:
     def test_entry_and_measured_ramp_columns(self):

@@ -645,8 +645,8 @@ def _oracle_noise(meas, rng, flow_std, speed_std, clamp):
         v = meas.speeds_kmh[k].copy()
         if speed_std > 0:
             v = v + rng.normal(0.0, speed_std, v.shape[0])
-            if clamp:
-                v = np.maximum(v, 0.0)
+        if clamp:
+            v = np.maximum(v, 0.0)
         speeds[k] = v
         if np.isfinite(meas.entry_flow_vph[k]):
             entry[k] = flow(float(meas.entry_flow_vph[k]), False)

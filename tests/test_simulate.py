@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trafficstate.kalman import FilterTuning, run_filter
 from trafficstate.ltv_model import build_state_index
@@ -75,6 +77,39 @@ def random_scenario(rng, n_max=8, k_max=60):
         ramp_flows_vph={seg: rng.uniform(0.0, 600.0, size=K) for seg in ramps},
     )
     return sc
+
+
+@st.composite
+def valid_scenarios(draw):
+    """Scenarios on random rule-valid networks: mixed lengths, on- and off-ramps,
+    measured or not, sensors at the exit and between unmeasured ramps."""
+    n = draw(st.integers(2, 12))
+    segments = []
+    for _ in range(n):
+        kind = draw(st.sampled_from([RampType.NONE, RampType.ON, RampType.OFF]))
+        measured = kind is not RampType.NONE and draw(st.booleans())
+        segments.append(Segment(length_km=draw(st.floats(0.1, 1.0)), ramp=kind, ramp_measured=measured))
+    unmeasured = [i for i, seg in enumerate(segments, start=1) if seg.ramp is not RampType.NONE and not seg.ramp_measured]
+    sensors = {n} | {draw(st.integers(a, b - 1)) for a, b in zip(unmeasured, unmeasured[1:])}
+    cfg = NetworkConfig(
+        segments=tuple(segments),
+        flow_sensor_segments=frozenset(sensors),
+        time_step_h=draw(st.sampled_from([5 / 3600, 10 / 3600])),
+    )
+    assert validate_network(cfg).ok
+    K = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Speeds within the accuracy bound, stopped traffic included.
+    speeds = rng.uniform(0.0, 0.99, size=(K, n)) * cfg.lengths_km / cfg.time_step_h
+    speeds[rng.random((K, n)) < 0.1] = 0.0
+    return Scenario(
+        cfg=cfg,
+        n_steps=K,
+        initial_density_veh_km=rng.uniform(0.0, 150.0, size=n),
+        speeds_kmh=speeds,
+        entry_flow_vph=rng.uniform(0.0, 4000.0, size=K),
+        ramp_flows_vph={seg: rng.uniform(0.0, 900.0, size=K) for seg in cfg.ramp_segments()},
+    )
 
 
 class TestScenarioValidation:
@@ -168,6 +203,22 @@ class TestSimulateTruth:
             through = float(T * np.sum(sc.entry_flow_vph - sim.exit_flow_vph + net_ramp))
             scale = max(abs(stored), abs(through), 1.0)
             assert abs(stored - through) / scale < 1e-9
+
+    @settings(max_examples=200)
+    @given(valid_scenarios())
+    def test_every_step_conserves_vehicles(self, sc):
+        # Vehicles stored in the stretch change by what enters (entry flow,
+        # on-ramps) minus what leaves (exit flow, off-ramps), step by step.
+        sim = simulate_truth(sc)
+        T, lengths = sc.cfg.time_step_h, sc.cfg.lengths_km
+        on = sum(q for seg, q in sc.ramp_flows_vph.items() if sc.cfg.segments[seg - 1].ramp is RampType.ON)
+        off = sum(q for seg, q in sc.ramp_flows_vph.items() if sc.cfg.segments[seg - 1].ramp is RampType.OFF)
+        stored = sim.densities @ lengths
+        change = np.diff(stored)
+        through = T * (sc.entry_flow_vph - sim.exit_flow_vph + on - off)
+        # Relative to the vehicles stored plus those moved in the step.
+        gross = np.abs(sim.densities[:-1]) @ lengths + T * (sc.entry_flow_vph + np.abs(sim.exit_flow_vph) + on + off)
+        assert np.all(np.abs(change - through) <= 1e-9 * np.maximum(gross, 1.0))
 
     def test_strict_cfl_raises_on_fast_scenarios(self):
         cfg = make_config(time_step_h=5 / 3600, length=0.05)
