@@ -130,6 +130,41 @@ def _ramp_metrics(est_table: np.ndarray | None, truth_table: np.ndarray | None, 
     return r, lag, lag_rmse
 
 
+# Rows per block of the grid writer: enough to amortise the numpy calls,
+# few enough that the strings in flight do not grow with steps x segments.
+_BLOCK_ROWS = 4096
+
+
+def _column_fields(block: np.ndarray) -> list[str]:
+    """Row-major CSV fields of a block: repr of finite values, else ""."""
+    flat = block.ravel()
+    finite = np.isfinite(flat)
+    fields = [""] * flat.size
+    for i, text in zip(np.flatnonzero(finite).tolist(), map(repr, flat[finite].tolist())):
+        fields[i] = text
+    return fields
+
+
+def _write_grid_csv(path: Path, n_steps: int, n_segments: int, columns: dict[str, np.ndarray | None]) -> None:
+    """Write one row per (step, segment): ``k``, ``segment`` and ``columns``.
+
+    Each table is (steps, segments) with extra trailing steps ignored; None
+    or a non-finite cell writes an empty field. No field can hold a comma,
+    quote or newline, so rows are joined without CSV quoting.
+    """
+    tables = [None if t is None else np.asarray(t, dtype=float)[:n_steps] for t in columns.values()]
+    segments = [str(i) for i in range(1, n_segments + 1)]
+    block_steps = max(1, _BLOCK_ROWS // n_segments)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(["k", "segment", *columns]) + "\n")
+        for k0 in range(0, n_steps, block_steps):
+            steps = range(k0, min(k0 + block_steps, n_steps))
+            rows = len(steps) * n_segments
+            fields = [[str(k) for k in steps for _ in segments], segments * len(steps)]
+            fields += [[""] * rows if t is None else _column_fields(t[steps.start : steps.stop]) for t in tables]
+            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
+
+
 def _write_estimates_csv(
     path: Path,
     cfg: NetworkConfig,
@@ -143,25 +178,27 @@ def _write_estimates_csv(
 ) -> None:
     n = cfg.n_segments
     K = meas.n_steps
-    q_sensor = meas.sensor_table(range(1, n + 1))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
-        for k in range(K):
-            for i in range(1, n + 1):
-                writer.writerow(
-                    [
-                        k,
-                        i,
-                        _fmt(rho_true[k, i - 1]) if rho_true is not None else "",
-                        _fmt(filter_result.densities[k, i - 1]),
-                        _fmt(filter_result.speeds_used[k, i - 1]),
-                        _fmt(q_sensor[k, i - 1]),
-                        _fmt(v_true[k, i - 1]) if v_true is not None else "",
-                        _fmt(ramp_true[i][k]) if i in ramp_true else "",
-                        _fmt(ramp_est[i][k]) if i in ramp_est else "",
-                    ]
-                )
+
+    def ramp_table(series: dict[int, np.ndarray]) -> np.ndarray:
+        table = np.full((K, n), np.nan)
+        for seg, values in series.items():
+            table[:, seg - 1] = np.asarray(values, dtype=float)[:K]
+        return table
+
+    _write_grid_csv(
+        path,
+        K,
+        n,
+        {
+            "rho_true": rho_true,
+            "rho_est": filter_result.densities,
+            "v_used": filter_result.speeds_used,
+            "q_sensor": meas.sensor_table(range(1, n + 1)),
+            "v_true": v_true,
+            "ramp_flow_true": ramp_table(ramp_true),
+            "ramp_flow_est": ramp_table(ramp_est),
+        },
+    )
 
 
 def cmd_validate(args) -> int:
@@ -181,20 +218,12 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     simulate.save_scenario(sc, out / SCENARIO_JSON)
-    with open(out / TRUTH_CSV, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["k", "segment", "rho_true", "v_true", "q_true"])
-        for k in range(sc.n_steps):
-            for i in range(1, sc.cfg.n_segments + 1):
-                writer.writerow(
-                    [
-                        k,
-                        i,
-                        _fmt(result.densities[k, i - 1]),
-                        _fmt(sc.speeds_kmh[k, i - 1]),
-                        _fmt(result.segment_flows[k, i - 1]),
-                    ]
-                )
+    _write_grid_csv(
+        out / TRUTH_CSV,
+        sc.n_steps,
+        sc.cfg.n_segments,
+        {"rho_true": result.densities, "v_true": sc.speeds_kmh, "q_true": result.segment_flows},
+    )
     print(
         f"wrote {sc.n_steps} steps x {sc.cfg.n_segments} segments to {out / TRUTH_CSV}"
         f" (max accuracy ratio {cfl.max_ratio:.3f})"

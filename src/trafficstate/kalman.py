@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor
 
 # build_A stays importable from this module for code that binds it here;
 # the filter itself never forms A.
@@ -93,9 +92,9 @@ def _check_symmetric_psd(name: str, M: np.ndarray, dim: int) -> np.ndarray:
 class FilterTuning:
     """Process/measurement covariances and the initial state belief.
 
-    Q is sized to the augmented state, R to the measurement vector. R must
-    be positive definite; Q and the initial covariance only need to be
-    positive semidefinite.
+    Q is sized to the augmented state, R to the measurement vector. Every
+    entry must be finite. R must be positive definite; Q and the initial
+    covariance only need to be positive semidefinite.
     """
 
     process_cov: np.ndarray
@@ -104,6 +103,9 @@ class FilterTuning:
     initial_cov: np.ndarray
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not np.isfinite(np.asarray(getattr(self, f.name), dtype=float)).all():
+                raise ValueError(f"{f.name} must be finite")
         dim = np.asarray(self.initial_mean, dtype=float).shape[0]
         object.__setattr__(self, "initial_mean", np.asarray(self.initial_mean, dtype=float))
         object.__setattr__(self, "process_cov", _check_symmetric_psd("process_cov", self.process_cov, dim))
@@ -114,7 +116,7 @@ class FilterTuning:
         if not np.allclose(R, R.T, atol=1e-10):
             raise ValueError("measurement_cov must be symmetric")
         try:
-            cho_factor(R, lower=True)
+            np.linalg.cholesky(R)
         except np.linalg.LinAlgError as exc:
             raise ValueError("measurement_cov must be positive definite") from exc
         object.__setattr__(self, "measurement_cov", R)
@@ -154,9 +156,9 @@ def default_tuning(
     )
     return FilterTuning(
         process_cov=np.diag(q),
-        measurement_cov=measurement_var * np.eye(n_sensors),
+        measurement_cov=np.diag(np.full(n_sensors, measurement_var)),
         initial_mean=mean,
-        initial_cov=initial_var * np.eye(idx.dim),
+        initial_cov=np.diag(np.full(idx.dim, initial_var)),
     )
 
 

@@ -16,7 +16,6 @@ from trafficstate.network import NetworkConfig
 __all__ = [
     "RunMetrics",
     "DEFAULT_WARMUP_STEPS",
-    "rmse",
     "cv_rho",
     "speed_error_covariance",
     "ramp_flow_rmse",
@@ -56,11 +55,6 @@ def _paired(est, truth, warmup: int):
     if not 0 <= warmup < e.shape[0]:
         raise ValueError(f"warmup {warmup} outside horizon of {e.shape[0]} steps")
     return e[warmup:], t[warmup:]
-
-
-def rmse(est, truth, *, warmup: int = 0) -> float:
-    e, t = _paired(est, truth, warmup)
-    return float(np.sqrt(np.mean((e - t) ** 2)))
 
 
 def cv_rho(est, truth, *, warmup: int = DEFAULT_WARMUP_STEPS) -> float:

@@ -2,12 +2,23 @@
 
 import csv
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trafficstate import cli, kalman, metrics
-from trafficstate.network import NetworkConfig
+from trafficstate.network import NetworkConfig, Segment
+from trafficstate.sensing import Measurements
 from trafficstate.simulate import load_scenario
 
 
@@ -424,3 +435,159 @@ class TestMetricsCommand:
         assert cli.main(["metrics", "--out", str(out)]) == 0
         assert seen == [NetworkConfig.from_dict(payload)]
         assert seen[0].entry_flow_measured is False
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--q-density", "inf", "process_cov"),
+        ("--meas-var", "inf", "measurement_cov"),
+        ("--init-mean", "nan", "initial_mean"),
+        ("--init-var", "inf", "initial_cov"),
+    ],
+)
+def test_non_finite_tuning_exits_one(tmp_path, capsys, flag, value, field):
+    out = tmp_path / "o"
+    assert cli.main(["estimate", "--preset", "ngsim_like", flag, value, "--out", str(out)]) == 1
+    assert f"error: {field} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, trafficstate.cli; sys.exit('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+# The per-cell writers the columnar grid writer replaced, kept verbatim as
+# oracles for its output bytes.
+
+
+def _oracle_fmt(x) -> str:
+    if x is None:
+        return ""
+    x = float(x)
+    if not math.isfinite(x):
+        return ""
+    return repr(x)
+
+
+def _oracle_estimates_csv(path, cfg, meas, filter_result, *, rho_true, v_true, ramp_true, ramp_est):
+    _fmt = _oracle_fmt
+    n = cfg.n_segments
+    K = meas.n_steps
+    q_sensor = meas.sensor_table(range(1, n + 1))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(cli._CSV_COLUMNS)
+        for k in range(K):
+            for i in range(1, n + 1):
+                writer.writerow(
+                    [
+                        k,
+                        i,
+                        _fmt(rho_true[k, i - 1]) if rho_true is not None else "",
+                        _fmt(filter_result.densities[k, i - 1]),
+                        _fmt(filter_result.speeds_used[k, i - 1]),
+                        _fmt(q_sensor[k, i - 1]),
+                        _fmt(v_true[k, i - 1]) if v_true is not None else "",
+                        _fmt(ramp_true[i][k]) if i in ramp_true else "",
+                        _fmt(ramp_est[i][k]) if i in ramp_est else "",
+                    ]
+                )
+
+
+def _oracle_truth_csv(path, n_steps, n_segments, densities, speeds, flows):
+    _fmt = _oracle_fmt
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["k", "segment", "rho_true", "v_true", "q_true"])
+        for k in range(n_steps):
+            for i in range(1, n_segments + 1):
+                writer.writerow(
+                    [
+                        k,
+                        i,
+                        _fmt(densities[k, i - 1]),
+                        _fmt(speeds[k, i - 1]),
+                        _fmt(flows[k, i - 1]),
+                    ]
+                )
+
+
+_CELL_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(
+        [
+            math.nan,
+            math.inf,
+            -math.inf,
+            -0.0,
+            0.0,
+            5e-324,
+            -2.225073858507201e-308,
+            0.30000000000000004,
+            1.2345678901234567,
+            -9.876543210987654e-05,
+            123456789.01234567,
+        ]
+    ),
+)
+
+
+def _tables(K: int, N: int, count: int):
+    return st.lists(hnp.arrays(np.float64, (K, N), elements=_CELL_VALUES), min_size=count, max_size=count)
+
+
+def _assert_unquoted_grid(path, n_columns: int, n_rows: int) -> None:
+    text = path.read_text()
+    assert '"' not in text
+    lines = text.split("\n")
+    assert lines[-1] == "" and len(lines) == n_rows + 2
+    assert all(line.count(",") == n_columns - 1 for line in lines[:-1])
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_grid_writer_matches_the_per_cell_writer(tmp_path_factory, data):
+    K = data.draw(st.integers(1, 9), label="K")
+    N = data.draw(st.integers(1, 6), label="N")
+    block_rows = data.draw(st.integers(1, 2 * K * N + 1), label="block_rows")
+    rho_true, states, speeds_used, speeds, v_true, ramp_values = data.draw(_tables(K, N, 6))
+    extra_row = data.draw(hnp.arrays(np.float64, (1, N), elements=_CELL_VALUES))
+    sensors = data.draw(st.sets(st.integers(1, N)), label="sensors")
+    sensor_rows = data.draw(_tables(K, N, 1))[0]
+    truth_ramps = data.draw(st.sets(st.integers(1, N)), label="truth_ramps")
+    est_ramps = data.draw(st.sets(st.integers(1, N)), label="est_ramps")
+    absent = data.draw(st.sets(st.sampled_from(["rho_true", "v_true"])), label="absent")
+
+    cfg = NetworkConfig(segments=tuple(Segment(0.5) for _ in range(N)), flow_sensor_segments=frozenset({N}), time_step_h=5 / 3600)
+    meas = Measurements(
+        speeds_kmh=speeds,
+        entry_flow_vph=np.full(K, 1000.0),
+        sensor_flows_vph={seg: sensor_rows[:, seg - 1] for seg in sensors},
+    )
+    # Filter densities carry one more row than there are steps.
+    result = SimpleNamespace(densities=np.vstack([states, extra_row]), speeds_used=speeds_used)
+    kwargs = dict(
+        rho_true=None if "rho_true" in absent else rho_true,
+        v_true=None if "v_true" in absent else v_true,
+        ramp_true={seg: ramp_values[:, seg - 1] for seg in truth_ramps},
+        ramp_est={seg: -ramp_values[:, seg - 1] for seg in est_ramps},
+    )
+    tmp = tmp_path_factory.mktemp("grid")
+    _oracle_estimates_csv(tmp / "oracle.csv", cfg, meas, result, **kwargs)
+    with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+        cli._write_estimates_csv(tmp / "columnar.csv", cfg, meas, result, **kwargs)
+    assert (tmp / "columnar.csv").read_bytes() == (tmp / "oracle.csv").read_bytes()
+    _assert_unquoted_grid(tmp / "columnar.csv", len(cli._CSV_COLUMNS), K * N)
+
+    flows = np.vstack([ramp_values, extra_row])
+    _oracle_truth_csv(tmp / "oracle_truth.csv", K, N, states, speeds, flows)
+    with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+        cli._write_grid_csv(
+            tmp / "truth.csv", K, N, {"rho_true": states, "v_true": speeds, "q_true": flows}
+        )
+    assert (tmp / "truth.csv").read_bytes() == (tmp / "oracle_truth.csv").read_bytes()
+    _assert_unquoted_grid(tmp / "truth.csv", 5, K * N)

@@ -100,6 +100,22 @@ class TestFilterTuning:
                 initial_cov=np.eye(2),
             )
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("field", ["process_cov", "measurement_cov", "initial_mean", "initial_cov"])
+    def test_non_finite_field_rejected_first(self, field, value):
+        # R is singular, so a later check would fail too: the finite check
+        # must come first and name the field.
+        fields = dict(
+            process_cov=np.eye(2),
+            measurement_cov=np.zeros((1, 1)),
+            initial_mean=np.zeros(2),
+            initial_cov=np.eye(2),
+        )
+        fields[field] = fields[field].copy()
+        fields[field].flat[0] = value
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            FilterTuning(**fields)
+
     def test_semidefinite_process_cov_accepted(self):
         tuning = FilterTuning(
             process_cov=np.zeros((2, 2)),

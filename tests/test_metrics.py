@@ -9,7 +9,6 @@ from trafficstate.metrics import (
     cv_rho,
     ramp_flow_best_lag,
     ramp_flow_rmse,
-    rmse,
     speed_error_covariance,
 )
 from trafficstate.network import NetworkConfig, Segment
@@ -21,24 +20,6 @@ def one_cell_config(time_step_h=0.05, length_km=0.5):
         flow_sensor_segments=frozenset({1}),
         time_step_h=time_step_h,
     )
-
-
-class TestRmse:
-    def test_hand_value(self):
-        assert rmse([1.0, 2.0], [0.0, 0.0]) == pytest.approx(np.sqrt(2.5), rel=1e-15)
-
-    def test_warmup_trims_both_series(self):
-        est = np.array([100.0, 3.0])
-        truth = np.array([0.0, 3.0])
-        assert rmse(est, truth, warmup=1) == 0.0
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            rmse(np.zeros(3), np.zeros(4))
-
-    def test_warmup_outside_horizon_raises(self):
-        with pytest.raises(ValueError, match="warmup"):
-            rmse(np.zeros(3), np.zeros(3), warmup=3)
 
 
 class TestCvRho:
@@ -60,6 +41,19 @@ class TestCvRho:
         truth = np.array([[1000.0], [10.0]])
         est = np.array([[1000.0], [15.0]])
         assert cv_rho(est, truth, warmup=1) == pytest.approx(0.5, abs=1e-15)
+
+    def test_warmup_trims_both_series(self):
+        est = np.array([[100.0], [3.0]])
+        truth = np.array([[0.0], [3.0]])
+        assert cv_rho(est, truth, warmup=1) == 0.0
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            cv_rho(np.ones((3, 2)), np.ones((4, 2)), warmup=0)
+
+    def test_warmup_outside_horizon_raises(self):
+        with pytest.raises(ValueError, match="warmup"):
+            cv_rho(np.ones((3, 2)), np.ones((3, 2)), warmup=3)
 
     def test_nonpositive_truth_mean_raises(self):
         with pytest.raises(ValueError, match="grand mean"):
