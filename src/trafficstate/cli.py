@@ -259,6 +259,17 @@ def _window(text: str) -> int:
     return value
 
 
+def _spread(text: str) -> float:
+    """argparse type for ``--speed-spread``: a finite, non-negative km/h value."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text}")
+    return value
+
+
 def _parse_lanes(spec: str | None) -> frozenset[int]:
     if not spec:
         return frozenset()
@@ -282,13 +293,27 @@ def cmd_estimate(args) -> int:
         "clamp_output": args.clamp_output,
     }
 
+    # The network and the source's tuning defaults are known before any
+    # ingestion, so bad tuning flags fail before the costly part of the run.
+    if args.preset:
+        sc = simulate.make_congestion_scenario(args.preset, args.seed)
+        cfg = sc.cfg
+        source_defaults = simulate.preset_filter_defaults(args.preset)
+    else:
+        cfg = load_network(args.network)
+        if args.trajectories:
+            source_defaults = {"measurement_var": 10.0, "initial_density": 40.0}
+        else:
+            source_defaults = {"measurement_var": 100.0, "initial_density": 4.0}
+    idx = build_state_index(cfg)
+    sensors = tuple(sorted(cfg.flow_sensor_segments))
+    tuning = _resolve_tuning(args, idx, len(sensors), source_defaults)
+
     ramp_true: dict[int, np.ndarray] = {}
     v_true = None
     rho_true = None
 
     if args.preset:
-        sc = simulate.make_congestion_scenario(args.preset, args.seed)
-        cfg = sc.cfg
         result = simulate.simulate_truth(sc, strict_cfl=args.strict_cfl)
         meas = simulate.frames_from_simulation(
             result,
@@ -304,11 +329,9 @@ def cmd_estimate(args) -> int:
         rho_true = result.densities[:K]
         v_true = sc.speeds_kmh
         ramp_true = {seg: series for seg, series in sc.ramp_flows_vph.items()}
-        source_defaults = simulate.preset_filter_defaults(args.preset)
         default_speed = float(np.mean(sc.speeds_kmh))
         config_echo["source"] = {"preset": args.preset}
     elif args.trajectories:
-        cfg = load_network(args.network)
         traj = sensing.load_trajectories(args.trajectories)
         exclude = _parse_lanes(args.exclude_lanes)
         rules = _parse_ramp_lane(args.ramp_lane, cfg)
@@ -340,11 +363,9 @@ def cmd_estimate(args) -> int:
             ramp_true[rule.segment] = sensing.lane_transition_flow(
                 traj, rule, K, cfg.time_step_h, t0_s=t0
             )
-        source_defaults = {"measurement_var": 10.0, "initial_density": 40.0}
         default_speed = 100.0
         config_echo["source"] = {"trajectories": str(args.trajectories), "network": str(args.network)}
     else:
-        cfg = load_network(args.network)
         detectors = sensing.load_detectors(args.detectors)
         clean = sensing.frames_from_detectors(detectors, cfg)
         meas = clean
@@ -363,7 +384,6 @@ def cmd_estimate(args) -> int:
         q = clean.sensor_table(range(1, cfg.n_segments + 1))
         reading = np.isfinite(q) & (v_true > kalman.V_FLOOR_KMH)
         rho_true = np.divide(q, v_true, out=np.full_like(q, np.nan), where=reading)
-        source_defaults = {"measurement_var": 100.0, "initial_density": 4.0}
         default_speed = 100.0
         # Detector speeds are used as reported: no smoothing window applies.
         config_echo["window"] = None
@@ -373,9 +393,6 @@ def cmd_estimate(args) -> int:
     if not report.ok:
         logger.warning("network validation failed:\n%s", report)
 
-    idx = build_state_index(cfg)
-    sensors = tuple(sorted(cfg.flow_sensor_segments))
-    tuning = _resolve_tuning(args, idx, len(sensors), source_defaults)
     fr = kalman.run_filter(
         cfg,
         idx,
@@ -458,11 +475,11 @@ def cmd_sweep(args) -> int:
         raise SystemExit("--reps must be at least 1")
 
     sc = simulate.make_congestion_scenario(args.preset, args.seed)
-    result = simulate.simulate_truth(sc, strict_cfl=args.strict_cfl)
     cfg = sc.cfg
     idx = build_state_index(cfg)
     sensors = tuple(sorted(cfg.flow_sensor_segments))
     tuning = _resolve_tuning(args, idx, len(sensors), simulate.preset_filter_defaults(args.preset))
+    result = simulate.simulate_truth(sc, strict_cfl=args.strict_cfl)
     K = sc.n_steps
     rho_true = result.densities[:K]
 
@@ -613,7 +630,9 @@ def _add_tuning_flags(p: argparse.ArgumentParser) -> None:
 def _add_noise_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--flow-noise-std", type=float, default=0.0, help="flow measurement noise std, veh/h")
     p.add_argument("--speed-noise-std", type=float, default=0.0, help="speed measurement noise std, km/h")
-    p.add_argument("--speed-spread", type=float, default=3.0, help="per-vehicle speed dispersion for sampling emulation, km/h")
+    p.add_argument(
+        "--speed-spread", type=_spread, default=3.0, help="per-vehicle speed dispersion for sampling emulation, km/h"
+    )
     p.add_argument("--clamp-noise", action="store_true", help="floor noisy measurements at zero")
 
 

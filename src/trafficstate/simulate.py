@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from trafficstate.network import CflViolationError, NetworkConfig, RampType, Segment, check_cfl
-from trafficstate.sensing import Measurements, moving_average_speed
+from trafficstate.sensing import Measurements, add_measurement_noise, moving_average_speed
 
 logger = logging.getLogger(__name__)
 
@@ -165,31 +165,28 @@ def emulate_probe_speeds(
 ) -> np.ndarray:
     """Per-step reported segment speeds under partial penetration.
 
-    Each cell holds rho*delta vehicles (rounded); a binomial draw decides
-    how many are connected. No connected vehicle means no report (NaN).
+    Each cell holds n = rho*delta vehicles (rounded); a binomial draw decides
+    how many, m, are connected. No connected vehicle means no report (NaN).
     Otherwise the reported mean speed deviates from the true mean with the
     finite-population standard error spread*sqrt(1/m - 1/n), which
     vanishes when every vehicle reports.
+
+    Draw order: one binomial draw over the whole (K, N) table, then, when
+    the spread is positive, one normal draw for the cells with 0 < m < n
+    in row-major (step, then segment) order.
     """
     if not 0.0 <= penetration <= 1.0:
         raise ValueError(f"penetration must be in [0, 1], got {penetration}")
-    sc = result.scenario
-    K, n = sc.n_steps, sc.cfg.n_segments
-    lengths = sc.cfg.lengths_km
-    out = np.full((K, n), np.nan)
-    for k in range(K):
-        counts = np.rint(np.maximum(result.densities[k] * lengths, 0.0)).astype(int)
-        for i in range(n):
-            total = int(counts[i])
-            if total == 0:
-                continue
-            m = int(rng.binomial(total, penetration))
-            if m == 0:
-                continue
-            v = result.speeds_kmh[k, i]
-            if 0 < m < total and speed_spread_kmh > 0:
-                v = v + rng.normal(0.0, speed_spread_kmh * math.sqrt(1.0 / m - 1.0 / total))
-            out[k, i] = v
+    if not (math.isfinite(speed_spread_kmh) and speed_spread_kmh >= 0.0):
+        raise ValueError(f"speed spread must be finite and non-negative, got {speed_spread_kmh}")
+    K = result.scenario.n_steps
+    counts = np.rint(np.maximum(result.densities[:K] * result.scenario.cfg.lengths_km, 0.0)).astype(np.int64)
+    connected = rng.binomial(counts, penetration)
+    out = np.where(connected > 0, result.speeds_kmh, np.nan)
+    if speed_spread_kmh > 0:
+        partial = (connected > 0) & (connected < counts)
+        m, total = connected[partial], counts[partial]
+        out[partial] += rng.normal(0.0, speed_spread_kmh * np.sqrt(1.0 / m - 1.0 / total))
     return out
 
 
@@ -205,48 +202,38 @@ def synthetic_measurements(
 ) -> Measurements:
     """Extract unsmoothed measurements from a simulated truth.
 
-    Full penetration with zero spread and zero noise is the exact path:
-    speeds and flows are the truth tables and the generator is untouched.
-    Draw order is fixed (probe emulation, then speed noise, then flow
-    noise on entry, sensors, measured ramps) so results depend only on the
-    generator state. Measured ramp magnitudes are floored at zero.
+    Full penetration with zero noise is the exact path: speeds and flows
+    are the truth tables and the generator is untouched. Otherwise probe
+    speeds are emulated first (``emulate_probe_speeds``, skipped at full
+    penetration), then ``add_measurement_noise`` adds the speed and flow
+    noise and applies ``clamp_nonnegative``, with its draw order (step by
+    step: the N speeds, then the entry flow, the sensors and the measured
+    ramps). Results depend only on the generator state. Measured ramp
+    magnitudes are floored at zero.
     """
     sc = result.scenario
-    needs_rng = penetration < 1.0 or flow_noise_std_vph > 0 or speed_noise_std_kmh > 0
-    exact_speeds = penetration >= 1.0
     if rng is None:
-        if needs_rng:
+        if penetration < 1.0 or flow_noise_std_vph > 0 or speed_noise_std_kmh > 0:
             raise ValueError("an rng is required when sampling or noise is requested")
         rng = np.random.default_rng(0)
 
-    if exact_speeds:
-        speeds = result.speeds_kmh.copy()
+    if penetration >= 1.0:
+        speeds = result.speeds_kmh
     else:
         speeds = emulate_probe_speeds(result, penetration, rng, speed_spread_kmh=speed_spread_kmh)
-    if speed_noise_std_kmh > 0:
-        speeds = speeds + rng.normal(0.0, speed_noise_std_kmh, speeds.shape)
-    if clamp_nonnegative:
-        speeds = np.maximum(speeds, 0.0)
-
-    entry = sc.entry_flow_vph.copy()
-    sensors = {
-        j: result.segment_flows[:, j - 1].copy() for j in sorted(sc.cfg.flow_sensor_segments)
-    }
-    measured = {
-        seg: np.asarray(sc.ramp_flows_vph.get(seg, np.zeros(sc.n_steps)), dtype=float).copy()
-        for seg in sc.cfg.ramp_segments(measured=True)
-    }
-    if flow_noise_std_vph > 0:
-        entry = entry + rng.normal(0.0, flow_noise_std_vph, entry.shape)
-        for j in sorted(sensors):
-            sensors[j] = sensors[j] + rng.normal(0.0, flow_noise_std_vph, sc.n_steps)
-        for seg in sorted(measured):
-            noisy = measured[seg] + rng.normal(0.0, flow_noise_std_vph, sc.n_steps)
-            measured[seg] = np.maximum(noisy, 0.0)
-        if clamp_nonnegative:
-            entry = np.maximum(entry, 0.0)
-            sensors = {j: np.maximum(q, 0.0) for j, q in sensors.items()}
-    return Measurements(speeds, entry, sensors, measured)
+    clean = Measurements(
+        speeds,
+        sc.entry_flow_vph,
+        {j: result.segment_flows[:, j - 1] for j in sc.cfg.flow_sensor_segments},
+        {seg: sc.ramp_flows_vph.get(seg, np.zeros(sc.n_steps)) for seg in sc.cfg.ramp_segments(measured=True)},
+    )
+    return add_measurement_noise(
+        clean,
+        rng,
+        flow_std_vph=flow_noise_std_vph,
+        speed_std_kmh=speed_noise_std_kmh,
+        clamp_nonnegative=clamp_nonnegative,
+    )
 
 
 def frames_from_simulation(

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trafficstate import cli, kalman, metrics
+from trafficstate import cli, kalman, metrics, sensing, simulate
 from trafficstate.network import NetworkConfig, Segment
 from trafficstate.sensing import Measurements
 from trafficstate.simulate import load_scenario
@@ -403,6 +403,19 @@ def test_window_below_one_exits_two(tmp_path, capsys, command, window):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["estimate", "sweep"])
+@pytest.mark.parametrize("spread", ["nan", "inf", "-3"])
+def test_invalid_speed_spread_exits_two(tmp_path, capsys, command, spread):
+    args = [command, "--preset", "ngsim_like", "--speed-spread", spread, "--out", str(tmp_path / "o")]
+    if command == "estimate":
+        args += ["--penetration", "0.05"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 2
+    assert "--speed-spread" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 class TestMetricsCommand:
     def test_header_mismatch_aborts(self, tmp_path):
         out = tmp_path / "est"
@@ -450,6 +463,33 @@ def test_non_finite_tuning_exits_one(tmp_path, capsys, flag, value, field):
     out = tmp_path / "o"
     assert cli.main(["estimate", "--preset", "ngsim_like", flag, value, "--out", str(out)]) == 1
     assert f"error: {field} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "source, ingest",
+    [
+        ("preset", (simulate, "simulate_truth")),
+        ("trajectories", (sensing, "load_trajectories")),
+        ("detectors", (sensing, "load_detectors")),
+        ("sweep", (simulate, "simulate_truth")),
+    ],
+)
+def test_tuning_is_checked_before_ingestion(tmp_path, capsys, monkeypatch, source, ingest):
+    def unreachable(*args, **kwargs):
+        raise AssertionError(f"{ingest[1]} ran before the tuning flags were checked")
+
+    monkeypatch.setattr(*ingest, unreachable)
+    out = tmp_path / "o"
+    net = ["--network", str(write_network(tmp_path / "net.json"))]
+    args = {
+        "preset": ["estimate", "--preset", "ngsim_like"],
+        "trajectories": ["estimate", "--trajectories", str(write_trajectories(tmp_path / "t.csv")), *net],
+        "detectors": ["estimate", "--detectors", str(write_detectors(tmp_path / "d.csv")), *net],
+        "sweep": ["sweep", "--preset", "ngsim_like"],
+    }[source]
+    assert cli.main([*args, "--meas-var", "inf", "--out", str(out)]) == 1
+    assert "error: measurement_cov must be finite" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,6 +1,8 @@
 """Tests for synthetic truth generation and measurement emulation."""
 
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -269,6 +271,81 @@ class TestProbeEmulation:
         with pytest.raises(ValueError, match="penetration"):
             emulate_probe_speeds(self.scenario(), -0.1, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("spread", [-3.0, math.nan, math.inf])
+    def test_invalid_spread_raises(self, spread):
+        with pytest.raises(ValueError, match="speed spread"):
+            emulate_probe_speeds(self.scenario(), 0.5, np.random.default_rng(0), speed_spread_kmh=spread)
+
+    def test_matches_a_per_cell_reference(self):
+        # The draw order written out cell by cell: every binomial draw first,
+        # then one standard normal per partially connected cell, row-major.
+        sc = dataclasses.replace(self.scenario().scenario, initial_density_veh_km=np.array([0.0, 4.0, 25.0]))
+        sim = simulate_truth(sc)
+        p, spread = 0.3, 3.0
+        got = emulate_probe_speeds(sim, p, np.random.default_rng(11), speed_spread_kmh=spread)
+
+        rng = np.random.default_rng(11)
+        counts = np.rint(np.maximum(sim.densities[: sc.n_steps] * sc.cfg.lengths_km, 0.0)).astype(int)
+        connected = rng.binomial(counts, p)
+        expected = np.full(counts.shape, np.nan)
+        partial_cells = 0
+        for k, i in np.ndindex(*counts.shape):
+            m, total = int(connected[k, i]), int(counts[k, i])
+            if m == 0:
+                continue
+            v = sim.speeds_kmh[k, i]
+            if m < total:
+                v = v + spread * math.sqrt(1.0 / m - 1.0 / total) * rng.standard_normal()
+                partial_cells += 1
+            expected[k, i] = v
+        assert partial_cells > 0 and np.isnan(expected).any()
+        assert np.array_equal(got, expected, equal_nan=True)
+
+
+def _vehicle_counts(sim) -> np.ndarray:
+    sc = sim.scenario
+    return np.rint(np.maximum(sim.densities[: sc.n_steps] * sc.cfg.lengths_km, 0.0)).astype(int)
+
+
+class TestProbeEmulationProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(valid_scenarios(), st.floats(0.0, 1.0), st.floats(0.0, 20.0), st.integers(0, 2**32 - 1))
+    def test_empty_cells_never_report(self, sc, p, spread, seed):
+        sim = simulate_truth(sc)
+        speeds = emulate_probe_speeds(sim, p, np.random.default_rng(seed), speed_spread_kmh=spread)
+        assert np.isnan(speeds[_vehicle_counts(sim) == 0]).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(valid_scenarios(), st.floats(0.0, 20.0), st.integers(0, 2**32 - 1))
+    def test_zero_penetration_reports_nothing(self, sc, spread, seed):
+        speeds = emulate_probe_speeds(simulate_truth(sc), 0.0, np.random.default_rng(seed), speed_spread_kmh=spread)
+        assert np.isnan(speeds).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(valid_scenarios(), st.floats(0.0, 20.0), st.integers(0, 2**32 - 1))
+    def test_full_penetration_reports_the_true_speed(self, sc, spread, seed):
+        sim = simulate_truth(sc)
+        speeds = emulate_probe_speeds(sim, 1.0, np.random.default_rng(seed), speed_spread_kmh=spread)
+        occupied = _vehicle_counts(sim) > 0
+        assert np.array_equal(speeds[occupied], sim.speeds_kmh[occupied])
+        assert np.isnan(speeds[~occupied]).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(valid_scenarios(), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_zero_spread_reports_the_true_speed(self, sc, p, seed):
+        sim = simulate_truth(sc)
+        speeds = emulate_probe_speeds(sim, p, np.random.default_rng(seed), speed_spread_kmh=0.0)
+        finite = np.isfinite(speeds)
+        assert np.array_equal(speeds[finite], sim.speeds_kmh[finite])
+
+    @settings(max_examples=40, deadline=None)
+    @given(valid_scenarios(), st.floats(0.0, 1.0), st.floats(0.0, 20.0), st.integers(0, 2**32 - 1))
+    def test_same_generator_state_same_table(self, sc, p, spread, seed):
+        sim = simulate_truth(sc)
+        a = emulate_probe_speeds(sim, p, np.random.default_rng(seed), speed_spread_kmh=spread)
+        b = emulate_probe_speeds(sim, p, np.random.default_rng(seed), speed_spread_kmh=spread)
+        assert np.array_equal(a, b, equal_nan=True)
+
 
 class TestSyntheticMeasurements:
     def scenario(self):
@@ -325,13 +402,14 @@ class TestSyntheticMeasurements:
 
 class TestFrameAssembly:
     def test_window_one_keeps_raw_speeds(self):
-        sim = simulate_truth(
-            make_scenario(make_config(n=3, sensors=(3,)), 30, 20.0, 90.0, 1800.0)
-        )
+        # Segment 1 starts empty, so its step-0 cell reports nothing whatever
+        # the draws: the raw speeds have a gap for window=1 to keep.
+        sc = make_scenario(make_config(n=3, sensors=(3,)), 30, 20.0, 90.0, 1800.0)
+        sim = simulate_truth(dataclasses.replace(sc, initial_density_veh_km=np.array([0.0, 20.0, 20.0])))
         rng_args = dict(penetration=0.3, flow_noise_std_vph=20.0)
         raw = synthetic_measurements(sim, np.random.default_rng(4), **rng_args)
         meas = frames_from_simulation(sim, np.random.default_rng(4), window=1, **rng_args)
-        assert np.isnan(raw.speeds_kmh).any()
+        assert np.isnan(raw.speeds_kmh[0, 0])
         assert np.array_equal(meas.speeds_kmh, raw.speeds_kmh, equal_nan=True)
         assert np.array_equal(meas.entry_flow_vph, raw.entry_flow_vph)
         assert np.array_equal(meas.sensor_flows_vph[3], raw.sensor_flows_vph[3])
