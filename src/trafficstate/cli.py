@@ -259,14 +259,22 @@ def _window(text: str) -> int:
     return value
 
 
-def _spread(text: str) -> float:
-    """argparse type for ``--speed-spread``: a finite, non-negative km/h value."""
+def _non_negative(text: str) -> float:
+    """argparse type for spreads and noise levels: a finite, non-negative number."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
     if not (math.isfinite(value) and value >= 0.0):
         raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    """argparse type for ``--penetration``: a finite number in [0, 1]."""
+    value = _non_negative(text)
+    if value > 1.0:
+        raise argparse.ArgumentTypeError(f"must be at most 1, got {text}")
     return value
 
 
@@ -628,10 +636,10 @@ def _add_tuning_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_noise_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--flow-noise-std", type=float, default=0.0, help="flow measurement noise std, veh/h")
-    p.add_argument("--speed-noise-std", type=float, default=0.0, help="speed measurement noise std, km/h")
+    p.add_argument("--flow-noise-std", type=_non_negative, default=0.0, help="flow measurement noise std, veh/h")
+    p.add_argument("--speed-noise-std", type=_non_negative, default=0.0, help="speed measurement noise std, km/h")
     p.add_argument(
-        "--speed-spread", type=_spread, default=3.0, help="per-vehicle speed dispersion for sampling emulation, km/h"
+        "--speed-spread", type=_non_negative, default=3.0, help="per-vehicle speed dispersion for sampling emulation, km/h"
     )
     p.add_argument("--clamp-noise", action="store_true", help="floor noisy measurements at zero")
 
@@ -663,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--trajectories", help="trajectory CSV (vehicle_id,t_s,x_m,lane,speed_mps)")
     src.add_argument("--detectors", help="detector CSV (detector_pos_m,t_s,flow_vph,speed_kmh)")
     pe.add_argument("--network", help="network JSON (required with --trajectories/--detectors)")
-    pe.add_argument("--penetration", type=float, default=1.0)
+    pe.add_argument("--penetration", type=_fraction, default=1.0, help="share of vehicles reporting speeds")
     pe.add_argument("--seed", type=int, default=0)
     pe.add_argument(
         "--window", type=_window, default=3, help="speed moving-average window, steps (presets and trajectories)"

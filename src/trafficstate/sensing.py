@@ -5,12 +5,18 @@ Two ingestion paths produce the same columnar Measurements:
 * vehicle trajectories (microscopic data): a random subset of vehicles is
   marked as connected, segment speeds are averaged over the connected
   vehicles present at each sampling instant, and flows are obtained from
-  virtual detectors that count trajectory crossings at segment boundaries;
+  virtual detectors that count trajectory crossings at segment boundaries.
+  The samples are held in one flat table sorted by vehicle and time, and
+  every quantity is computed by array passes over it; which sample each
+  vehicle reports at each sampling instant (the step grid) is evaluated
+  once per recording and grid;
 * stationary detector files (macroscopic data): each detector snaps to the
   nearest segment boundary, boundary i feeding segment i and boundary 0
   feeding the entry flow.
 
-External units (meters, seconds, m/s) are converted here, once.
+External units (meters, seconds, m/s) are converted here, once. Both
+loaders reject NaN or infinite times and positions (and trajectory speeds)
+with the file and line of the first such row.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -121,18 +128,67 @@ class VehicleTrack:
 
 
 class TrajectoryData:
-    """Per-vehicle trajectory samples for one recording period."""
+    """Trajectory samples of one recording period, as one flat table.
+
+    The read-only columns ``t_s``, ``x_m``, ``speed_mps`` and ``lane`` hold
+    every sample, vehicle after vehicle in the order of ``ids``, each
+    vehicle's samples sorted by time: vehicle ``ids[j]`` owns rows
+    ``starts[j]:starts[j + 1]``. ``tracks`` maps each id to its samples as
+    views into the columns, in the same order.
+    """
 
     def __init__(self, tracks: Iterable[VehicleTrack]):
-        self.tracks: dict[int, VehicleTrack] = {t.vehicle_id: t for t in tracks}
-        if not self.tracks:
+        by_id = {t.vehicle_id: t for t in tracks}
+        if not by_id:
             raise TrajectoryFormatError("no trajectory samples")
-        self.vehicle_ids: tuple[int, ...] = tuple(sorted(self.tracks))
-        self.t_min_s = min(float(t.times_s[0]) for t in self.tracks.values())
-        self.t_max_s = max(float(t.times_s[-1]) for t in self.tracks.values())
+        parts = by_id.values()
+        self._adopt(
+            np.array(list(by_id), dtype=np.int64),
+            np.cumsum([0] + [len(t.times_s) for t in parts]),
+            np.concatenate([t.times_s for t in parts], dtype=float),
+            np.concatenate([t.positions_m for t in parts], dtype=float),
+            np.concatenate([t.speeds_mps for t in parts], dtype=float),
+            np.concatenate([t.lanes for t in parts]),
+        )
+
+    @classmethod
+    def _from_columns(cls, ids, starts, t_s, x_m, speed_mps, lane) -> TrajectoryData:
+        """Adopt columns already in table order, without copying them."""
+        traj = cls.__new__(cls)
+        traj._adopt(ids, starts, t_s, x_m, speed_mps, lane)
+        return traj
+
+    def _adopt(self, ids, starts, t_s, x_m, speed_mps, lane) -> None:
+        self.ids, self.starts = ids, starts
+        self.t_s, self.x_m, self.speed_mps, self.lane = t_s, x_m, speed_mps, lane
+        for column in (ids, starts, t_s, x_m, speed_mps, lane):
+            column.flags.writeable = False
+        self.vehicle_ids: tuple[int, ...] = tuple(sorted(ids.tolist()))
+        self.t_min_s = float(t_s[starts[:-1]].min())
+        self.t_max_s = float(t_s[starts[1:] - 1].max())
+        self._grid_key, self._grid_value = None, None
+
+    @cached_property
+    def tracks(self) -> dict[int, VehicleTrack]:
+        bounds = self.starts.tolist()
+        return {
+            vid: VehicleTrack(vid, self.t_s[a:b], self.x_m[a:b], self.speed_mps[a:b], self.lane[a:b])
+            for vid, a, b in zip(self.ids.tolist(), bounds[:-1], bounds[1:])
+        }
+
+    def _grid(self, times_s: np.ndarray, max_gap_s: float):
+        """``_step_grid`` of this recording, kept for the next request of the same grid.
+
+        The speed series, the truth densities and the all-vehicle speeds of
+        one run ask for the same grid; it is evaluated once.
+        """
+        key = (times_s.tobytes(), max_gap_s)
+        if self._grid_key != key:
+            self._grid_key, self._grid_value = key, _step_grid(self, times_s, max_gap_s)
+        return self._grid_value
 
     def __len__(self) -> int:
-        return len(self.tracks)
+        return self.ids.size
 
 
 @dataclass(frozen=True)
@@ -148,24 +204,35 @@ class RampLaneRule:
     kind: RampType
 
 
+def _finite(text: str) -> float:
+    """A column kind for ``_read_columns``: a float that must be finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
 def _bad_row(path: str | Path, columns: Mapping[str, type]) -> str | None:
     """Describe the first row whose columns fail to convert, as ``path:line:``."""
     with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.DictReader(fh), start=2):
+        reader = csv.DictReader(fh)
+        for row in reader:
             try:
                 for name, kind in columns.items():
                     kind(row[name])
             except (TypeError, ValueError):
-                return f"{path}:{lineno}: bad row {row!r}"
+                return f"{path}:{reader.line_num}: bad row {row!r}"
     return None
 
 
 def _read_columns(
     path: str | Path, columns: Mapping[str, type], error: type[ValueError]
 ) -> dict[str, np.ndarray] | None:
-    """Parse the named CSV columns (int or float) in C; None when there are no rows.
+    """Parse the named CSV columns in C; None when there are no rows.
 
-    The header may list the columns in any order, among others.
+    A column's kind is ``int``, ``float`` or ``_finite`` (a float that may
+    not be NaN or infinite). The header may list the columns in any order,
+    among others. The columns returned are views into one parsed table.
     """
     with open(path) as fh:
         header = fh.readline()
@@ -191,7 +258,9 @@ def _read_columns(
                 )
         except (ValueError, DeprecationWarning) as exc:
             raise error(_bad_row(path, columns) or f"{path}: {exc}") from exc
-    return {name: np.ascontiguousarray(table[name]) for name in columns}
+    if not all(np.isfinite(table[name]).all() for name, kind in columns.items() if kind is _finite):
+        raise error(_bad_row(path, columns) or f"{path}: non-finite values")
+    return {name: table[name] for name in columns}
 
 
 def _group_starts(keys: np.ndarray) -> np.ndarray:
@@ -204,43 +273,57 @@ def load_trajectories(path: str | Path) -> TrajectoryData:
     """Read a trajectory CSV: vehicle_id,t_s,x_m,lane,speed_mps.
 
     Tracks keep the order in which vehicles first appear; samples are
-    sorted by time, ties keeping file order.
+    sorted by time, ties keeping file order. A NaN or infinite time,
+    position or speed is a format error.
     """
     cols = _read_columns(
         path,
-        {"vehicle_id": int, "t_s": float, "x_m": float, "lane": int, "speed_mps": float},
+        {"vehicle_id": int, "t_s": _finite, "x_m": _finite, "lane": int, "speed_mps": _finite},
         TrajectoryFormatError,
     )
     if cols is None:
         raise TrajectoryFormatError("no trajectory samples")
-    ids, first, inverse = np.unique(cols["vehicle_id"], return_index=True, return_inverse=True)
-    appearance = np.empty(ids.size, dtype=np.int64)
-    appearance[np.argsort(first)] = np.arange(ids.size)
-    vehicle = appearance[inverse.ravel()]
+    ids, first, inverse = np.unique(cols.pop("vehicle_id"), return_index=True, return_inverse=True)
+    appearance = np.argsort(first)
+    rank = np.empty_like(appearance)
+    rank[appearance] = np.arange(ids.size)
+    vehicle = rank[inverse.ravel()]
+    del first, inverse, rank
     order = np.lexsort((cols["t_s"], vehicle))
-    cols = {name: col[order] for name, col in cols.items()}
-    starts = _group_starts(vehicle[order])
-    return TrajectoryData(
-        VehicleTrack(
-            vehicle_id=int(cols["vehicle_id"][a]),
-            times_s=cols["t_s"][a:b],
-            positions_m=cols["x_m"][a:b],
-            speeds_mps=cols["speed_mps"][a:b],
-            lanes=cols["lane"][a:b],
-        )
-        for a, b in zip(starts[:-1], starts[1:])
-    )
+    starts = np.concatenate([[0], np.cumsum(np.bincount(vehicle))])
+    del vehicle
+    # This sets the run's peak memory: the sort keys are gone, and the parsed
+    # table is freed once its last column is replaced by its sorted copy.
+    for name in cols:
+        cols[name] = cols[name][order]
+    del order
+    return TrajectoryData._from_columns(ids[appearance], starts, **cols)
 
 
 def assign_connected(vehicle_ids: Sequence[int], penetration: float, rng: np.random.Generator) -> frozenset[int]:
     """Mark each vehicle as connected independently with probability p.
 
-    Iterates ids in sorted order so the marking depends only on the seed,
-    not on container ordering.
+    Draws one uniform number per id in sorted id order, so the marking
+    depends only on the seed, not on container ordering.
     """
     if not 0.0 <= penetration <= 1.0:
         raise ValueError(f"penetration must be in [0, 1], got {penetration}")
-    return frozenset(vid for vid in sorted(vehicle_ids) if rng.random() < penetration)
+    ids = np.sort(np.fromiter(vehicle_ids, dtype=np.int64))
+    return frozenset(ids[rng.random(ids.size) < penetration].tolist())
+
+
+def _bisect(lo: np.ndarray, hi: np.ndarray, holds) -> np.ndarray:
+    """Per entry, the first index in [lo, hi) at which ``holds`` fails, else hi.
+
+    ``holds`` maps an array of indices to a bool array and must hold on a
+    prefix of every range: one binary search over all the ranges at once.
+    """
+    while (open_ := lo < hi).any():
+        # Closed entries probe index 0, which exists while any entry is open.
+        mid = np.where(open_, (lo + hi) // 2, 0)
+        ok = open_ & holds(mid)
+        lo, hi = np.where(ok, mid + 1, lo), np.where(open_ & ~ok, mid, hi)
+    return lo
 
 
 def _step_grid(
@@ -248,22 +331,27 @@ def _step_grid(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Each vehicle's latest sample at or before each grid time.
 
-    A sample older than ``max_gap_s`` means the vehicle has left the
-    recording. Returns flat (track, step, x_m, speed_mps, lane) arrays with
-    one entry per vehicle present at a step, track after track in the
-    order of ``traj.tracks``.
+    A sample covers the grid times from its own time up to, not including,
+    its vehicle's next sample (every later grid time after the vehicle's
+    last sample), as long as it is fresh: a sample older than ``max_gap_s``
+    means the vehicle has left the recording. Returns flat (track, step,
+    x_m, speed_mps, lane) arrays with one entry per vehicle present at a
+    step, track after track in table order, steps ascending.
     """
-    parts = []
-    for j, track in enumerate(traj.tracks.values()):
-        i = np.searchsorted(track.times_s, times_s, side="right") - 1
-        k = np.flatnonzero(i >= 0)
-        i = i[k]
-        fresh = ~(times_s[k] - track.times_s[i] > max_gap_s)
-        k, i = k[fresh], i[fresh]
-        parts.append(
-            (np.full(k.size, j), k, track.positions_m[i], track.speeds_mps[i], track.lanes[i])
-        )
-    return tuple(np.concatenate(col) for col in zip(*parts))
+    first = np.searchsorted(times_s, traj.t_s)
+    stop = np.empty_like(first)
+    stop[:-1] = first[1:]
+    stop[traj.starts[1:] - 1] = times_s.size
+    rows = np.flatnonzero(stop > first)
+    first, t_s = first[rows], traj.t_s[rows]
+    # A sample only gets staler as the grid time grows, so its fresh grid
+    # times are a prefix of the ones it covers.
+    stop = _bisect(first, stop[rows], lambda k: ~(times_s[k] - t_s > max_gap_s))
+    counts = stop - first
+    steps = np.repeat(first - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+    rows = np.repeat(rows, counts)
+    track = np.searchsorted(traj.starts, rows, side="right") - 1
+    return track, steps, traj.x_m[rows], traj.speed_mps[rows], traj.lane[rows]
 
 
 def _cells(
@@ -284,7 +372,7 @@ def positions_at(
     than ``max_gap_s`` (the vehicle has left the recording).
     """
     track, _k, x, v, lane = _step_grid(traj, np.array([t_s], dtype=float), max_gap_s)
-    ids = list(traj.tracks)
+    ids = traj.ids.tolist()
     return {
         ids[j]: (float(xj), float(vj), int(lj))
         for j, xj, vj, lj in zip(track.tolist(), x.tolist(), v.tolist(), lane.tolist())
@@ -308,8 +396,8 @@ def segment_speed_series(
     """
     T_s = cfg.time_step_h * 3600.0
     shape = (n_steps, cfg.n_segments)
-    track, k, x, v, lane = _step_grid(traj, t0_s + np.arange(n_steps) * T_s, max_gap_s)
-    is_connected = np.isin(list(traj.tracks), list(connected))
+    track, k, x, v, lane = traj._grid(t0_s + np.arange(n_steps) * T_s, max_gap_s)
+    is_connected = np.isin(traj.ids, list(connected))
     keep = is_connected[track] & ~np.isin(lane, list(exclude_lanes))
     cells, keep = _cells(cfg, k, x, keep)
     sums = np.bincount(cells, weights=v[keep], minlength=n_steps * cfg.n_segments).reshape(shape)
@@ -345,37 +433,51 @@ def moving_average_speed(series_kmh: np.ndarray, window: int = 3) -> np.ndarray:
     return out
 
 
+def _first_steps(traj: TrajectoryData, hit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each track's first step between consecutive samples for which ``hit`` holds.
+
+    ``hit[r]`` describes the step from row r to row r + 1; steps from one
+    vehicle's last sample to the next vehicle's first are ignored. Returns
+    the later row of each track's first such step, and its track.
+    """
+    rows = np.flatnonzero(hit) + 1
+    track = np.searchsorted(traj.starts, rows, side="right") - 1
+    within = rows != traj.starts[track]
+    rows, track = rows[within], track[within]
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = track[1:] != track[:-1]
+    return rows[first], track[first]
+
+
+def _crossings(traj: TrajectoryData, x_m: float) -> tuple[np.ndarray, np.ndarray]:
+    """(track, time) of each vehicle's first crossing of x, tracks ascending.
+
+    The crossing is interpolated between the first sample at or past x and
+    the one before it; a vehicle whose first sample is at or past x never
+    crosses.
+    """
+    past = traj.x_m >= x_m
+    i, track = _first_steps(traj, ~past[:-1] & past[1:])
+    crosses = ~past[traj.starts[track]]
+    i, track = i[crosses], track[crosses]
+    x0, x1 = traj.x_m[i - 1], traj.x_m[i]
+    t0, t1 = traj.t_s[i - 1], traj.t_s[i]
+    return track, t0 + (x_m - x0) / (x1 - x0) * (t1 - t0)
+
+
 def crossing_times(traj: TrajectoryData, x_m: float) -> dict[int, float]:
     """First time each vehicle crosses position x, by linear interpolation.
 
     Vehicles already past x at their first sample never cross and are
     omitted, as are vehicles that never reach x.
     """
-    out: dict[int, float] = {}
-    for vid, track in traj.tracks.items():
-        pos = track.positions_m
-        if pos[0] >= x_m:
-            continue
-        above = np.nonzero(pos >= x_m)[0]
-        if above.size == 0:
-            continue
-        i = int(above[0])
-        x0, x1 = pos[i - 1], pos[i]
-        t0, t1 = track.times_s[i - 1], track.times_s[i]
-        if x1 == x0:
-            out[vid] = float(t1)
-        else:
-            out[vid] = float(t0 + (x_m - x0) / (x1 - x0) * (t1 - t0))
-    return out
+    track, times = _crossings(traj, x_m)
+    return dict(zip(traj.ids[track].tolist(), times.tolist()))
 
 
-def _bin_crossings(times_s: Iterable[float], n_steps: int, T_s: float, t0_s: float) -> np.ndarray:
-    counts = np.zeros(n_steps, dtype=int)
-    for t in times_s:
-        k = math.ceil((t - t0_s) / T_s) - 1
-        if 0 <= k < n_steps:
-            counts[k] += 1
-    return counts
+def _bin_crossings(times_s: np.ndarray, n_steps: int, T_s: float, t0_s: float) -> np.ndarray:
+    k = np.ceil((times_s - t0_s) / T_s) - 1
+    return np.bincount(k[(k >= 0) & (k < n_steps)].astype(np.int64), minlength=n_steps)
 
 
 def virtual_detector_flow(
@@ -392,7 +494,7 @@ def virtual_detector_flow(
     Step k covers the interval (t0 + k*T, t0 + (k+1)*T]. ``lanes``
     restricts the count to vehicles in those lanes at the crossing.
     """
-    return _event_flow(traj, crossing_times(traj, x_m), n_steps, time_step_h, t0_s, lanes)
+    return _event_flow(traj, *_crossings(traj, x_m), n_steps, time_step_h, t0_s, lanes)
 
 
 def _entry_flow(
@@ -406,34 +508,37 @@ def _entry_flow(
 
     Counts crossings of the origin, and vehicles whose first sample already
     lies inside segment 1 (a recording that starts at the origin sees most
-    vehicles only after they pass it) at that first sample.
+    vehicles only after they pass it) at that first sample. No vehicle is
+    both: a crossing starts before the origin.
     """
-    events = crossing_times(traj, 0.0)
+    track, times = _crossings(traj, 0.0)
     end_m = cfg.boundaries_km()[1] * 1000.0
-    for vid, track in traj.tracks.items():
-        if 0.0 <= track.positions_m[0] < end_m:
-            events[vid] = float(track.times_s[0])
-    return _event_flow(traj, events, n_steps, cfg.time_step_h, t0_s, lanes)
+    first = traj.starts[:-1]
+    inside = np.flatnonzero((0.0 <= traj.x_m[first]) & (traj.x_m[first] < end_m))
+    track = np.concatenate([track, inside])
+    times = np.concatenate([times, traj.t_s[first[inside]]])
+    return _event_flow(traj, track, times, n_steps, cfg.time_step_h, t0_s, lanes)
 
 
 def _event_flow(
     traj: TrajectoryData,
-    times: dict[int, float],
+    track: np.ndarray,
+    times_s: np.ndarray,
     n_steps: int,
     time_step_h: float,
     t0_s: float,
     lanes: frozenset[int] | None,
 ) -> np.ndarray:
+    """(K,) flow in veh/h of one event per (track, time) pair.
+
+    ``lanes`` keeps the events whose vehicle is in one of them at its first
+    sample after the event (its last sample when there is none).
+    """
     if lanes is not None:
-        kept = {}
-        for vid, t in times.items():
-            track = traj.tracks[vid]
-            i = min(int(np.searchsorted(track.times_s, t, side="right")), len(track.lanes) - 1)
-            if int(track.lanes[i]) in lanes:
-                kept[vid] = t
-        times = kept
-    T_s = time_step_h * 3600.0
-    counts = _bin_crossings(times.values(), n_steps, T_s, t0_s)
+        end = traj.starts[track + 1]
+        after = _bisect(traj.starts[track], end, lambda i: traj.t_s[i] <= times_s)
+        times_s = times_s[np.isin(traj.lane[np.minimum(after, end - 1)], list(lanes))]
+    counts = _bin_crossings(times_s, n_steps, time_step_h * 3600.0, t0_s)
     return counts / time_step_h
 
 
@@ -450,20 +555,12 @@ def lane_transition_flow(
     Each vehicle contributes at most once, at its first transition off the
     ramp lane (on-ramp) or onto it (off-ramp).
     """
-    events: list[float] = []
-    for track in traj.tracks.values():
-        lanes = track.lanes
-        if len(lanes) < 2:
-            continue
-        on_ramp_lane = lanes == rule.lane
-        if rule.kind is RampType.ON:
-            hits = np.nonzero(on_ramp_lane[:-1] & ~on_ramp_lane[1:])[0]
-        else:
-            hits = np.nonzero(~on_ramp_lane[:-1] & on_ramp_lane[1:])[0]
-        if hits.size:
-            events.append(float(track.times_s[int(hits[0]) + 1]))
-    T_s = time_step_h * 3600.0
-    counts = _bin_crossings(events, n_steps, T_s, t0_s)
+    on = traj.lane == rule.lane
+    if rule.kind is RampType.ON:
+        rows, _track = _first_steps(traj, on[:-1] & ~on[1:])
+    else:
+        rows, _track = _first_steps(traj, ~on[:-1] & on[1:])
+    counts = _bin_crossings(traj.t_s[rows], n_steps, time_step_h * 3600.0, t0_s)
     return counts / time_step_h
 
 
@@ -478,7 +575,7 @@ def ground_truth_densities(
 ) -> np.ndarray:
     """(K, N) reference density: vehicles in segment at kT over its length."""
     T_s = cfg.time_step_h * 3600.0
-    _track, k, x, _v, lane = _step_grid(traj, t0_s + np.arange(n_steps) * T_s, max_gap_s)
+    _track, k, x, _v, lane = traj._grid(t0_s + np.arange(n_steps) * T_s, max_gap_s)
     cells, _keep = _cells(cfg, k, x, ~np.isin(lane, list(exclude_lanes)))
     counts = np.bincount(cells, minlength=n_steps * cfg.n_segments)
     return counts.reshape(n_steps, cfg.n_segments) / cfg.lengths_km
@@ -520,8 +617,7 @@ def frames_from_trajectories(
     boundaries_m = cfg.boundaries_km() * 1000.0
     lanes_kept = None
     if exclude_lanes:
-        all_lanes = {int(l) for tr in traj.tracks.values() for l in np.unique(tr.lanes)}
-        lanes_kept = frozenset(all_lanes - set(exclude_lanes))
+        lanes_kept = frozenset(set(np.unique(traj.lane).tolist()) - set(exclude_lanes))
     entry = _entry_flow(traj, cfg, n_steps, t0_s, lanes_kept)
     sensor_flows = {
         j: virtual_detector_flow(
@@ -557,10 +653,12 @@ def load_detectors(path: str | Path) -> list[DetectorSeries]:
     """Read a detector CSV: detector_pos_m,t_s,flow_vph,speed_kmh.
 
     Series are sorted by position; samples by time, ties keeping file order.
+    A NaN or infinite position or time is a format error; a NaN flow or
+    speed is a missing reading.
     """
     cols = _read_columns(
         path,
-        {"detector_pos_m": float, "t_s": float, "flow_vph": float, "speed_kmh": float},
+        {"detector_pos_m": _finite, "t_s": _finite, "flow_vph": float, "speed_kmh": float},
         DetectorFormatError,
     )
     if cols is None:

@@ -102,7 +102,7 @@ class TestSimulate:
 
 
 class TestEstimate:
-    def test_preset_run_outputs(self, tmp_path, capsys):
+    def test_preset_run_outputs(self, tmp_path, capsys, read_summary):
         out = tmp_path / "est"
         code = cli.main(
             ["estimate", "--preset", "ngsim_like", "--seed", "0", "--window", "1", "--out", str(out)]
@@ -124,7 +124,7 @@ class TestEstimate:
         ]
         assert len(rows) == 360 * 8
 
-        summary = json.loads((out / "summary.json").read_text())
+        summary = read_summary(out)
         assert summary["validation_ok"] is True
         assert summary["sensors_used"] == [8]
         assert summary["cfl"]["violations"] == 0
@@ -134,7 +134,7 @@ class TestEstimate:
         assert m["speed_error_covariance_w"] is not None
         assert m["ramp_flow_rmse"] is not None
 
-    def test_tuning_flags_are_echoed(self, tmp_path):
+    def test_tuning_flags_are_echoed(self, tmp_path, read_summary):
         out = tmp_path / "est"
         code = cli.main(
             [
@@ -152,14 +152,14 @@ class TestEstimate:
             ]
         )
         assert code == 0
-        tuning = json.loads((out / "summary.json").read_text())["config"]["tuning"]
+        tuning = read_summary(out)["config"]["tuning"]
         assert tuning["measurement_var"] == 25.0
         assert tuning["initial_mean"] == 123.0
 
-    def test_metrics_command_recomputes_the_summary(self, tmp_path, capsys):
+    def test_metrics_command_recomputes_the_summary(self, tmp_path, capsys, read_summary):
         out = tmp_path / "est"
         cli.main(["estimate", "--preset", "ngsim_like", "--window", "1", "--out", str(out)])
-        stored = json.loads((out / "summary.json").read_text())["metrics"]
+        stored = read_summary(out)["metrics"]
         capsys.readouterr()
 
         assert cli.main(["metrics", "--out", str(out)]) == 0
@@ -181,7 +181,7 @@ class TestEstimate:
         assert (a / "estimates.csv").read_bytes() == (b / "estimates.csv").read_bytes()
         assert (a / "estimates.csv").read_bytes() != (c / "estimates.csv").read_bytes()
 
-    def test_trajectory_source(self, tmp_path):
+    def test_trajectory_source(self, tmp_path, read_summary):
         net = write_network(tmp_path / "net.json")
         traj = write_trajectories(tmp_path / "traj.csv")
         out = tmp_path / "est"
@@ -203,10 +203,10 @@ class TestEstimate:
         assert code == 0
         header, rows = read_csv(out / "estimates.csv")
         assert len(rows) == 2 * 2
-        summary = json.loads((out / "summary.json").read_text())
+        summary = read_summary(out)
         assert summary["metrics"]["horizon_steps"] == 2
 
-    def test_detector_source(self, tmp_path):
+    def test_detector_source(self, tmp_path, read_summary):
         net = write_network(tmp_path / "net.json")
         det = write_detectors(tmp_path / "det.csv")
         out = tmp_path / "est"
@@ -226,18 +226,18 @@ class TestEstimate:
             ]
         )
         assert code == 0
-        summary = json.loads((out / "summary.json").read_text())
+        summary = read_summary(out)
         assert summary["metrics"]["horizon_steps"] == 11
         assert np.isfinite(summary["metrics"]["cv_rho"])
 
-    def test_detector_source_echoes_no_window(self, tmp_path):
+    def test_detector_source_echoes_no_window(self, tmp_path, read_summary):
         # Detector speeds are never smoothed, so no window is echoed.
         net = write_network(tmp_path / "net.json")
         det = write_detectors(tmp_path / "det.csv")
         out = tmp_path / "est"
         args = ["estimate", "--detectors", str(det), "--network", str(net), "--window", "5"]
         assert cli.main(args + ["--out", str(out)]) == 0
-        assert json.loads((out / "summary.json").read_text())["config"]["window"] is None
+        assert read_summary(out)["config"]["window"] is None
 
     def test_clamp_noise_floors_detector_speeds_without_speed_noise(self, tmp_path):
         # A detector reports a negative speed; flow noise alone must not let
@@ -257,7 +257,7 @@ class TestEstimate:
         assert v_used[(4, 1)] == 0.0
         assert min(v_used.values()) == 0.0
 
-    def test_detector_truth_uses_the_filter_speed_floor(self, tmp_path):
+    def test_detector_truth_uses_the_filter_speed_floor(self, tmp_path, read_summary):
         # The exit detector reads exactly the floor speed at even steps: its
         # density truth is missing exactly where the filter holds its reading.
         net = write_network(tmp_path / "net.json")
@@ -274,10 +274,10 @@ class TestEstimate:
         _, rows = read_csv(out / "estimates.csv")
         blank = [int(r[0]) for r in rows if r[1] == "2" and r[2] == ""]
         assert blank == [0, 2, 4, 6, 8, 10]
-        summary = json.loads((out / "summary.json").read_text())
+        summary = read_summary(out)
         assert summary["held_measurement_steps"] == len(blank)
 
-    def test_summary_counts_held_entry_flows(self, tmp_path):
+    def test_summary_counts_held_entry_flows(self, tmp_path, read_summary):
         net = write_network(tmp_path / "net.json")
         det = write_detectors(tmp_path / "det.csv")
         # The entry detector drops two samples.
@@ -287,16 +287,16 @@ class TestEstimate:
         out = tmp_path / "est"
         args = ["estimate", "--detectors", str(det), "--network", str(net), "--warmup", "0"]
         assert cli.main(args + ["--out", str(out)]) == 0
-        summary = json.loads((out / "summary.json").read_text())
+        summary = read_summary(out)
         assert summary["held_entry_steps"] == 2
 
-    def test_q_ramp_is_null_without_ramp_states(self, tmp_path):
+    def test_q_ramp_is_null_without_ramp_states(self, tmp_path, read_summary):
         net = write_network(tmp_path / "net.json")
         traj = write_trajectories(tmp_path / "traj.csv")
         out = tmp_path / "est"
         args = ["estimate", "--trajectories", str(traj), "--network", str(net), "--warmup", "0"]
         assert cli.main(args + ["--q-density", "7.0", "--out", str(out)]) == 0
-        tuning = json.loads((out / "summary.json").read_text())["config"]["tuning"]
+        tuning = read_summary(out)["config"]["tuning"]
         assert tuning["q_density"] == 7.0
         assert tuning["q_ramp"] is None
 
@@ -321,7 +321,7 @@ class TestEstimate:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_strict_cfl_exits_one(self, tmp_path, capsys):
+    def test_strict_cfl_exits_one(self, tmp_path, capsys, read_summary):
         # 90 km/h over 50 m segments at a 5 s step breaks the bound.
         net = write_network(tmp_path / "net.json", length_km=0.05)
         det = write_detectors(tmp_path / "det.csv", speed=90.0, positions=(0.0, 50.0, 100.0))
@@ -339,12 +339,12 @@ class TestEstimate:
         assert "error:" in capsys.readouterr().err
         relaxed = cli.main(base + ["--out", str(tmp_path / "relaxed")])
         assert relaxed == 0
-        summary = json.loads((tmp_path / "relaxed" / "summary.json").read_text())
+        summary = read_summary(tmp_path / "relaxed")
         assert summary["cfl"]["violations"] > 0
 
 
 class TestSweep:
-    def test_small_sweep_csv(self, tmp_path, capsys):
+    def test_small_sweep_csv(self, tmp_path, capsys, read_summary):
         out = tmp_path / "sweep"
         code = cli.main(
             [
@@ -380,7 +380,7 @@ class TestSweep:
         for r in rows:
             assert np.isfinite(float(r[2])) and float(r[2]) > 0.0
 
-        assert (out / "summary.json").exists()
+        assert read_summary(out)["config"]["p_values"] == [0.2, 1.0]
 
     def test_bad_p_specs_abort(self, tmp_path):
         base = ["sweep", "--preset", "ngsim_like", "--reps", "1", "--out", str(tmp_path / "o")]
@@ -416,6 +416,61 @@ def test_invalid_speed_spread_exits_two(tmp_path, capsys, command, spread):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        (command, flag, value)
+        for command in ("estimate", "sweep")
+        for flag in ("--flow-noise-std", "--speed-noise-std")
+        for value in ("nan", "inf", "-3")
+    ]
+    + [("estimate", "--penetration", value) for value in ("nan", "inf", "-3", "1.5")],
+)
+def test_invalid_noise_or_penetration_exits_two(tmp_path, capsys, command, flag, value):
+    args = [command, "--preset", "ngsim_like", flag, value, "--out", str(tmp_path / "o")]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "source, good, bad",
+    [
+        ("--trajectories", "1,0.0,0.0,1,15.0", "1,nan,15.0,1,15.0"),
+        ("--detectors", "0.0,0.0,2700.0,90.0", "0.0,inf,2700.0,90.0"),
+    ],
+)
+def test_non_finite_input_row_exits_two(tmp_path, capsys, source, good, bad):
+    header = {"--trajectories": "vehicle_id,t_s,x_m,lane,speed_mps", "--detectors": "detector_pos_m,t_s,flow_vph,speed_kmh"}
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join([header[source], good, bad]) + "\n")
+    net = write_network(tmp_path / "net.json")
+    out = tmp_path / "o"
+    assert cli.main(["estimate", source, str(data), "--network", str(net), "--out", str(out)]) == 2
+    assert f"error: {data}:3: bad row" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_trajectory_run_evaluates_the_step_grid_once(tmp_path, monkeypatch):
+    # The probe speeds, the density truth and the all-vehicle speed truth
+    # share one evaluation of the step grid.
+    calls = []
+    real = sensing._step_grid
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].size)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sensing, "_step_grid", counted)
+    net = write_network(tmp_path / "net.json")
+    traj = write_trajectories(tmp_path / "traj.csv")
+    args = ["estimate", "--trajectories", str(traj), "--network", str(net), "--penetration", "0.5"]
+    assert cli.main(args + ["--warmup", "0", "--out", str(tmp_path / "o")]) == 0
+    assert calls == [2]
+
+
 class TestMetricsCommand:
     def test_header_mismatch_aborts(self, tmp_path):
         out = tmp_path / "est"
@@ -424,7 +479,7 @@ class TestMetricsCommand:
         with pytest.raises(SystemExit, match="unexpected header"):
             cli.main(["metrics", "--out", str(out)])
 
-    def test_network_round_trips_through_the_summary(self, tmp_path, monkeypatch):
+    def test_network_round_trips_through_the_summary(self, tmp_path, monkeypatch, read_summary):
         # The network echoed in summary.json is the one metrics rebuilds,
         # entry_flow_measured included.
         net = tmp_path / "net.json"
@@ -434,7 +489,7 @@ class TestMetricsCommand:
         out = tmp_path / "est"
         args = ["estimate", "--trajectories", str(write_trajectories(tmp_path / "traj.csv"))]
         assert cli.main(args + ["--network", str(net), "--warmup", "0", "--out", str(out)]) == 0
-        echoed = json.loads((out / "summary.json").read_text())["config"]["network"]
+        echoed = read_summary(out)["config"]["network"]
         assert echoed == payload
 
         seen = []

@@ -1,6 +1,7 @@
 """Tests for measurement extraction from trajectories and detector files."""
 
 import logging
+import math
 import tempfile
 from pathlib import Path
 
@@ -163,6 +164,37 @@ class TestLoaders:
         path.write_text("vehicle_id,t_s,x_m,lane,speed_mps\n")
         with pytest.raises(TrajectoryFormatError, match="no trajectory samples"):
             load_trajectories(path)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["1,0.0,0.0,1,15.0", "1,nan,5.0,1,15.0"],
+            ["1,0.0,0.0,1,15.0", "1,inf,5.0,1,15.0"],
+            ["1,1.0,-inf,1,15.0"],
+            ["1,0.0,0.0,1,15.0", "1,1.0,5.0,1,nan"],
+            ["1,0.0,0.0,1,15.0", "", "1,nan,5.0,1,15.0"],
+        ],
+    )
+    def test_trajectory_non_finite_values_are_rejected(self, tmp_path, rows):
+        # The last row is the bad one; blank lines count toward its line number.
+        path = tmp_path / "traj.csv"
+        path.write_text("\n".join(["vehicle_id,t_s,x_m,lane,speed_mps", *rows]) + "\n")
+        with pytest.raises(TrajectoryFormatError, match=f":{len(rows) + 1}: bad row"):
+            load_trajectories(path)
+
+    @pytest.mark.parametrize("bad", ["nan,5.0,100.0,90.0", "0.0,inf,100.0,90.0", "0.0,nan,100.0,90.0"])
+    def test_detector_non_finite_position_or_time_is_rejected(self, tmp_path, bad):
+        path = tmp_path / "det.csv"
+        path.write_text("detector_pos_m,t_s,flow_vph,speed_kmh\n0.0,0.0,100.0,90.0\n" + bad + "\n")
+        with pytest.raises(DetectorFormatError, match=":3: bad row"):
+            load_detectors(path)
+
+    def test_detector_nan_readings_are_missing(self, tmp_path):
+        path = tmp_path / "det.csv"
+        path.write_text("detector_pos_m,t_s,flow_vph,speed_kmh\n0.0,0.0,nan,90.0\n0.0,5.0,100.0,nan\n")
+        (series,) = load_detectors(path)
+        assert np.array_equal(series.flows_vph, [np.nan, 100.0], equal_nan=True)
+        assert np.array_equal(series.speeds_kmh, [90.0, np.nan], equal_nan=True)
 
     def test_detector_round_trip(self, tmp_path):
         path = tmp_path / "det.csv"
@@ -880,3 +912,156 @@ class TestStepGridProperties:
             rtol=1e-12,
             equal_nan=True,
         )
+
+
+# Property tests: the array code of crossings, event flows, lane transitions
+# and connected-vehicle marking against the per-vehicle loops it replaced.
+
+
+def _oracle_crossing_times(traj, x_m):
+    out = {}
+    for vid, track in traj.tracks.items():
+        pos = track.positions_m
+        if pos[0] >= x_m:
+            continue
+        above = np.nonzero(pos >= x_m)[0]
+        if above.size == 0:
+            continue
+        i = int(above[0])
+        x0, x1 = pos[i - 1], pos[i]
+        t0, t1 = track.times_s[i - 1], track.times_s[i]
+        if x1 == x0:
+            out[vid] = float(t1)
+        else:
+            out[vid] = float(t0 + (x_m - x0) / (x1 - x0) * (t1 - t0))
+    return out
+
+
+def _oracle_bin_crossings(times_s, n_steps, T_s, t0_s):
+    counts = np.zeros(n_steps, dtype=int)
+    for t in times_s:
+        k = math.ceil((t - t0_s) / T_s) - 1
+        if 0 <= k < n_steps:
+            counts[k] += 1
+    return counts
+
+
+def _oracle_event_flow(traj, times, n_steps, time_step_h, t0_s, lanes):
+    if lanes is not None:
+        kept = {}
+        for vid, t in times.items():
+            track = traj.tracks[vid]
+            i = min(int(np.searchsorted(track.times_s, t, side="right")), len(track.lanes) - 1)
+            if int(track.lanes[i]) in lanes:
+                kept[vid] = t
+        times = kept
+    T_s = time_step_h * 3600.0
+    return _oracle_bin_crossings(times.values(), n_steps, T_s, t0_s) / time_step_h
+
+
+def _oracle_entry_flow(traj, cfg, n_steps, t0_s, lanes):
+    events = _oracle_crossing_times(traj, 0.0)
+    end_m = cfg.boundaries_km()[1] * 1000.0
+    for vid, track in traj.tracks.items():
+        if 0.0 <= track.positions_m[0] < end_m:
+            events[vid] = float(track.times_s[0])
+    return _oracle_event_flow(traj, events, n_steps, cfg.time_step_h, t0_s, lanes)
+
+
+def _oracle_lane_transition_flow(traj, rule, n_steps, time_step_h, t0_s):
+    events = []
+    for track in traj.tracks.values():
+        lanes = track.lanes
+        if len(lanes) < 2:
+            continue
+        on_ramp_lane = lanes == rule.lane
+        if rule.kind is RampType.ON:
+            hits = np.nonzero(on_ramp_lane[:-1] & ~on_ramp_lane[1:])[0]
+        else:
+            hits = np.nonzero(~on_ramp_lane[:-1] & on_ramp_lane[1:])[0]
+        if hits.size:
+            events.append(float(track.times_s[int(hits[0]) + 1]))
+    T_s = time_step_h * 3600.0
+    return _oracle_bin_crossings(events, n_steps, T_s, t0_s) / time_step_h
+
+
+def _oracle_assign_connected(vehicle_ids, penetration, rng):
+    return frozenset(vid for vid in sorted(vehicle_ids) if rng.random() < penetration)
+
+
+def _detector_positions(cfg):
+    edges_m = [float(b) * 1000.0 for b in cfg.boundaries_km()]
+    return st.one_of(st.sampled_from(edges_m), st.floats(-50.0, edges_m[-1] + 50.0))
+
+
+class TestFlowProperties:
+    @settings(max_examples=150)
+    @given(recordings(), st.data())
+    def test_crossings_match_the_per_vehicle_loop(self, rec, data):
+        traj, cfg, _connected, _exclude = rec
+        x_m = data.draw(_detector_positions(cfg))
+        got, want = crossing_times(traj, x_m), _oracle_crossing_times(traj, x_m)
+        assert list(got) == list(want)
+        assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
+
+    @settings(max_examples=150)
+    @given(
+        recordings(),
+        st.integers(0, 6),
+        st.sampled_from([-1.0, 0.0, 2.5]),
+        st.one_of(st.none(), st.frozensets(st.integers(1, 3))),
+        st.data(),
+    )
+    def test_detector_flows_match_the_per_vehicle_loop(self, rec, n_steps, t0_s, lanes, data):
+        traj, cfg, _connected, _exclude = rec
+        x_m = data.draw(_detector_positions(cfg))
+        got = virtual_detector_flow(traj, x_m, n_steps, T_STEP_H, t0_s=t0_s, lanes=lanes)
+        want = _oracle_event_flow(traj, _oracle_crossing_times(traj, x_m), n_steps, T_STEP_H, t0_s, lanes)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=150)
+    @given(recordings(), st.integers(1, 6), st.sampled_from([-1.0, 0.0, 2.5]), st.integers(0, 2**32 - 1))
+    def test_frames_match_the_per_vehicle_loops(self, rec, n_steps, t0_s, seed):
+        # Entry flow, sensor flows and the lanes kept after an exclusion.
+        traj, cfg, _connected, exclude = rec
+        meas = frames_from_trajectories(
+            traj, cfg, 0.5, np.random.default_rng(seed), n_steps=n_steps, t0_s=t0_s, exclude_lanes=exclude
+        )
+        lanes = None
+        if exclude:
+            lanes = frozenset({int(l) for tr in traj.tracks.values() for l in np.unique(tr.lanes)} - exclude)
+        want_entry = _oracle_entry_flow(traj, cfg, n_steps, t0_s, lanes)
+        assert meas.entry_flow_vph.tobytes() == want_entry.tobytes()
+        edges_m = cfg.boundaries_km() * 1000.0
+        for j, got in meas.sensor_flows_vph.items():
+            want = _oracle_event_flow(
+                traj, _oracle_crossing_times(traj, edges_m[j]), n_steps, T_STEP_H, t0_s, lanes
+            )
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=150)
+    @given(
+        recordings(),
+        st.integers(0, 6),
+        st.sampled_from([-1.0, 0.0, 2.5]),
+        st.integers(1, 3),
+        st.sampled_from([RampType.ON, RampType.OFF]),
+    )
+    def test_lane_transitions_match_the_per_vehicle_loop(self, rec, n_steps, t0_s, lane, kind):
+        traj, _cfg, _connected, _exclude = rec
+        rule = RampLaneRule(segment=1, lane=lane, kind=kind)
+        got = lane_transition_flow(traj, rule, n_steps, T_STEP_H, t0_s=t0_s)
+        want = _oracle_lane_transition_flow(traj, rule, n_steps, T_STEP_H, t0_s)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=150)
+    @given(
+        st.lists(st.integers(-5, 10**6)),
+        st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_connected_marking_matches_the_per_vehicle_loop(self, ids, penetration, seed):
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = _oracle_assign_connected(ids, penetration, want_rng)
+        assert assign_connected(ids, penetration, got_rng) == want
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
