@@ -12,11 +12,13 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import logging
 import math
 import sys
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
@@ -102,34 +104,6 @@ def _tuning_echo(tuning, idx) -> dict:
     }
 
 
-def _masked_cv(est: np.ndarray, truth: np.ndarray, warmup: int) -> tuple[float, float]:
-    """cv over warm-up-trimmed finite cells, plus the full-horizon value."""
-
-    def cv(w: int) -> float:
-        e, t = est[w:], truth[w:]
-        mask = np.isfinite(e) & np.isfinite(t)
-        if not mask.any():
-            raise ValueError("no overlapping finite cells between estimates and truth")
-        return metrics.cv_rho(e[mask], t[mask], warmup=0)
-
-    return cv(warmup), cv(0)
-
-
-def _ramp_metrics(est_table: np.ndarray | None, truth_table: np.ndarray | None, warmup: int):
-    """Stacked ramp RMSE plus a lag diagnostic when one series is present."""
-    if est_table is None or truth_table is None or est_table.size == 0:
-        return None, None, None
-    r = metrics.ramp_flow_rmse(est_table[warmup:], truth_table[warmup:])
-    lag = lag_rmse = None
-    if est_table.shape[1] == 1:
-        max_lag = min(20, est_table.shape[0] - warmup - 1)
-        if max_lag >= 1:
-            lag, lag_rmse = metrics.ramp_flow_best_lag(
-                est_table[warmup:, 0], truth_table[warmup:, 0], max_lag=max_lag
-            )
-    return r, lag, lag_rmse
-
-
 # Rows per block of the grid writer: enough to amortise the numpy calls,
 # few enough that the strings in flight do not grow with steps x segments.
 _BLOCK_ROWS = 4096
@@ -163,42 +137,6 @@ def _write_grid_csv(path: Path, n_steps: int, n_segments: int, columns: dict[str
             fields = [[str(k) for k in steps for _ in segments], segments * len(steps)]
             fields += [[""] * rows if t is None else _column_fields(t[steps.start : steps.stop]) for t in tables]
             fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
-
-
-def _write_estimates_csv(
-    path: Path,
-    cfg: NetworkConfig,
-    meas: sensing.Measurements,
-    filter_result,
-    *,
-    rho_true: np.ndarray | None,
-    v_true: np.ndarray | None,
-    ramp_true: dict[int, np.ndarray],
-    ramp_est: dict[int, np.ndarray],
-) -> None:
-    n = cfg.n_segments
-    K = meas.n_steps
-
-    def ramp_table(series: dict[int, np.ndarray]) -> np.ndarray:
-        table = np.full((K, n), np.nan)
-        for seg, values in series.items():
-            table[:, seg - 1] = np.asarray(values, dtype=float)[:K]
-        return table
-
-    _write_grid_csv(
-        path,
-        K,
-        n,
-        {
-            "rho_true": rho_true,
-            "rho_est": filter_result.densities,
-            "v_used": filter_result.speeds_used,
-            "q_sensor": meas.sensor_table(range(1, n + 1)),
-            "v_true": v_true,
-            "ramp_flow_true": ramp_table(ramp_true),
-            "ramp_flow_est": ramp_table(ramp_est),
-        },
-    )
 
 
 def cmd_validate(args) -> int:
@@ -248,15 +186,19 @@ def _parse_ramp_lane(values, cfg: NetworkConfig) -> list[sensing.RampLaneRule]:
     return rules
 
 
-def _window(text: str) -> int:
-    """argparse type for ``--window``: a whole number of steps, at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _whole(minimum: int):
+    """argparse type for a whole number of steps, at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _non_negative(text: str) -> float:
@@ -287,115 +229,203 @@ def _parse_lanes(spec: str | None) -> frozenset[int]:
         raise SystemExit(f"--exclude-lanes expects comma-separated integers, got {spec!r}")
 
 
-def cmd_estimate(args) -> int:
-    rng = _rep_rng(args.seed, 0, 1)
-    config_echo: dict = {
-        "penetration": args.penetration,
-        "seed": args.seed,
-        "window": args.window,
-        "flow_noise_std": args.flow_noise_std,
-        "speed_noise_std": args.speed_noise_std,
-        "speed_spread": args.speed_spread,
-        "warmup": args.warmup,
-        "strict_cfl": args.strict_cfl,
-        "clamp_output": args.clamp_output,
-    }
+@dataclasses.dataclass(frozen=True)
+class _Source:
+    """What one input source hands to the shared tail of ``estimate``.
 
+    ``meas`` is clean: no noise added and speeds not smoothed. The truth
+    tables are (K, N), NaN where the source has no value. ``smoothed`` says
+    whether ``--window`` applies to its speeds; ``echo`` holds the
+    ``source`` block of the config echo and the run flags the source reads.
+    """
+
+    meas: sensing.Measurements
+    rho_true: np.ndarray
+    v_true: np.ndarray
+    ramp_flow_true: np.ndarray
+    default_speed: float
+    smoothed: bool
+    echo: dict
+
+
+def _segment_table(n_steps: int, n_segments: int, series: Mapping[int, np.ndarray]) -> np.ndarray:
+    """(K, N) table of per-segment series keyed by 1-based segment, NaN elsewhere."""
+    table = np.full((n_steps, n_segments), np.nan)
+    for seg, values in series.items():
+        table[:, seg - 1] = np.asarray(values, dtype=float)[:n_steps]
+    return table
+
+
+def _preset_source(args, sc: simulate.Scenario, rng: np.random.Generator) -> _Source:
+    result = simulate.simulate_truth(sc, strict_cfl=args.strict_cfl)
+    meas = simulate.synthetic_measurements(
+        result, rng, penetration=args.penetration, speed_spread_kmh=args.speed_spread
+    )
+    K = meas.n_steps
+    return _Source(
+        meas,
+        rho_true=result.densities[:K],
+        v_true=sc.speeds_kmh,
+        ramp_flow_true=_segment_table(K, sc.cfg.n_segments, sc.ramp_flows_vph),
+        default_speed=float(np.mean(sc.speeds_kmh)),
+        smoothed=True,
+        echo={
+            "source": {"preset": args.preset},
+            "penetration": args.penetration,
+            "speed_spread": args.speed_spread,
+        },
+    )
+
+
+def _trajectory_source(args, cfg: NetworkConfig, rng: np.random.Generator) -> _Source:
+    exclude = _parse_lanes(args.exclude_lanes)
+    rules = _parse_ramp_lane(args.ramp_lane, cfg)
+    traj = sensing.load_trajectories(args.trajectories)
+    t0 = traj.t_min_s
+    meas = sensing.frames_from_trajectories(
+        traj,
+        cfg,
+        args.penetration,
+        rng,
+        t0_s=t0,
+        window=1,
+        exclude_lanes=exclude,
+        ramp_rules=[r for r in rules if cfg.segments[r.segment - 1].ramp_measured],
+    )
+    K = meas.n_steps
+    ramp_true = {r.segment: sensing.lane_transition_flow(traj, r, K, cfg.time_step_h, t0_s=t0) for r in rules}
+    return _Source(
+        meas,
+        rho_true=sensing.ground_truth_densities(traj, cfg, K, t0_s=t0, exclude_lanes=exclude),
+        v_true=sensing.segment_speed_series(
+            traj, cfg, K, frozenset(traj.vehicle_ids), t0_s=t0, exclude_lanes=exclude
+        ),
+        ramp_flow_true=_segment_table(K, cfg.n_segments, ramp_true),
+        default_speed=100.0,
+        smoothed=True,
+        echo={
+            "source": {
+                "trajectories": str(args.trajectories),
+                "network": str(args.network),
+                "exclude_lanes": sorted(exclude),
+                "ramp_lane": [f"{r.segment}:{r.lane}" for r in rules],
+            },
+            "penetration": args.penetration,
+        },
+    )
+
+
+def _detector_source(args, cfg: NetworkConfig, rng: np.random.Generator) -> _Source:
+    """Detector readings as reported: no sampling draws from ``rng``, no smoothing."""
+    meas = sensing.frames_from_detectors(sensing.load_detectors(args.detectors), cfg)
+    # Density truth: the sensor flow over the speed, where the filter would read it.
+    q = meas.sensor_table(range(1, cfg.n_segments + 1))
+    reading = np.isfinite(q) & (meas.speeds_kmh > kalman.V_FLOOR_KMH)
+    return _Source(
+        meas,
+        rho_true=np.divide(q, meas.speeds_kmh, out=np.full_like(q, np.nan), where=reading),
+        v_true=meas.speeds_kmh,
+        ramp_flow_true=np.full_like(q, np.nan),
+        default_speed=100.0,
+        smoothed=False,
+        echo={"source": {"detectors": str(args.detectors), "network": str(args.network)}},
+    )
+
+
+def _smoothed(meas: sensing.Measurements, window: int) -> sensing.Measurements:
+    """``meas`` with its speeds averaged over a trailing window of steps."""
+    if window <= 1:
+        return meas
+    return dataclasses.replace(meas, speeds_kmh=sensing.moving_average_speed(meas.speeds_kmh, window))
+
+
+def _check_warmup(warmup: int, n_steps: int) -> None:
+    """Fail before filtering when the warm-up leaves no step to score."""
+    if warmup >= n_steps:
+        raise ValueError(f"warmup {warmup} outside horizon of {n_steps} steps")
+
+
+def _run_metrics(cfg: NetworkConfig, columns: Mapping[str, np.ndarray], warmup: int) -> dict:
+    """The ``metrics`` block of a run, from its (K, N) ``estimates.csv`` columns.
+
+    Only finite cells are scored, so the columns read back from the CSV
+    (empty fields as NaN) give exactly the block the run wrote. A ramp
+    column is scored when both its estimate and its truth are finite at
+    every step.
+    """
+    rho_true, rho_est = columns["rho_true"], columns["rho_est"]
+    K = rho_est.shape[0]
+
+    def cv(w: int) -> float:
+        e, t = rho_est[w:], rho_true[w:]
+        mask = np.isfinite(e) & np.isfinite(t)
+        if not mask.any():
+            raise ValueError("no overlapping finite cells between estimates and truth")
+        return metrics.cv_rho(e[mask], t[mask], warmup=0)
+
+    w = None
+    v_used, v_true = columns["v_used"], columns["v_true"]
+    if np.isfinite(v_true).any():
+        rho_w = np.where(np.isfinite(rho_true), rho_true, 0.0)
+        vt = np.where(np.isfinite(v_true), v_true, v_used)
+        w = metrics.speed_error_covariance(rho_w, v_used, vt, cfg, warmup=warmup)
+
+    est, truth = columns["ramp_flow_est"], columns["ramp_flow_true"]
+    scored = (np.isfinite(est) & np.isfinite(truth)).all(axis=0)
+    ramp_rmse = lag = lag_rmse = None
+    if scored.any():
+        # C order: the mean then sums the cells in the same order for any
+        # layout of the input tables.
+        est = np.ascontiguousarray(est[warmup:, scored])
+        truth = np.ascontiguousarray(truth[warmup:, scored])
+        ramp_rmse = metrics.ramp_flow_rmse(est, truth)
+        max_lag = min(20, K - warmup - 1)
+        if est.shape[1] == 1 and max_lag >= 1:
+            lag, lag_rmse = metrics.ramp_flow_best_lag(est[:, 0], truth[:, 0], max_lag=max_lag)
+
+    return metrics.RunMetrics(
+        cv_rho=cv(warmup),
+        cv_rho_full=cv(0),
+        horizon_steps=K,
+        warmup_steps=warmup,
+        speed_error_covariance_w=w,
+        ramp_flow_rmse=ramp_rmse,
+        ramp_flow_best_lag=lag,
+        ramp_flow_rmse_at_best_lag=lag_rmse,
+    ).to_dict()
+
+
+def cmd_estimate(args) -> int:
     # The network and the source's tuning defaults are known before any
     # ingestion, so bad tuning flags fail before the costly part of the run.
     if args.preset:
         sc = simulate.make_congestion_scenario(args.preset, args.seed)
-        cfg = sc.cfg
-        source_defaults = simulate.preset_filter_defaults(args.preset)
+        cfg, defaults = sc.cfg, simulate.preset_filter_defaults(args.preset)
+        ingest = functools.partial(_preset_source, args, sc)
+    elif args.trajectories:
+        cfg, defaults = load_network(args.network), {"measurement_var": 10.0, "initial_density": 40.0}
+        ingest = functools.partial(_trajectory_source, args, cfg)
     else:
-        cfg = load_network(args.network)
-        if args.trajectories:
-            source_defaults = {"measurement_var": 10.0, "initial_density": 40.0}
-        else:
-            source_defaults = {"measurement_var": 100.0, "initial_density": 4.0}
+        cfg, defaults = load_network(args.network), {"measurement_var": 100.0, "initial_density": 4.0}
+        ingest = functools.partial(_detector_source, args, cfg)
     idx = build_state_index(cfg)
     sensors = tuple(sorted(cfg.flow_sensor_segments))
-    tuning = _resolve_tuning(args, idx, len(sensors), source_defaults)
+    tuning = _resolve_tuning(args, idx, len(sensors), defaults)
 
-    ramp_true: dict[int, np.ndarray] = {}
-    v_true = None
-    rho_true = None
-
-    if args.preset:
-        result = simulate.simulate_truth(sc, strict_cfl=args.strict_cfl)
-        meas = simulate.frames_from_simulation(
-            result,
-            rng,
-            penetration=args.penetration,
-            speed_spread_kmh=args.speed_spread,
-            window=args.window,
-            flow_noise_std_vph=args.flow_noise_std,
-            speed_noise_std_kmh=args.speed_noise_std,
-            clamp_nonnegative=args.clamp_noise,
-        )
-        K = meas.n_steps
-        rho_true = result.densities[:K]
-        v_true = sc.speeds_kmh
-        ramp_true = {seg: series for seg, series in sc.ramp_flows_vph.items()}
-        default_speed = float(np.mean(sc.speeds_kmh))
-        config_echo["source"] = {"preset": args.preset}
-    elif args.trajectories:
-        traj = sensing.load_trajectories(args.trajectories)
-        exclude = _parse_lanes(args.exclude_lanes)
-        rules = _parse_ramp_lane(args.ramp_lane, cfg)
-        t0 = traj.t_min_s
-        meas = sensing.frames_from_trajectories(
-            traj,
-            cfg,
-            args.penetration,
-            rng,
-            t0_s=t0,
-            window=args.window,
-            exclude_lanes=exclude,
-            ramp_rules=[r for r in rules if cfg.segments[r.segment - 1].ramp_measured],
-        )
-        if args.flow_noise_std > 0 or args.speed_noise_std > 0:
-            meas = sensing.add_measurement_noise(
-                meas,
-                rng,
-                flow_std_vph=args.flow_noise_std,
-                speed_std_kmh=args.speed_noise_std,
-                clamp_nonnegative=args.clamp_noise,
-            )
-        K = meas.n_steps
-        rho_true = sensing.ground_truth_densities(traj, cfg, K, t0_s=t0, exclude_lanes=exclude)
-        v_true = sensing.segment_speed_series(
-            traj, cfg, K, frozenset(traj.vehicle_ids), t0_s=t0, exclude_lanes=exclude
-        )
-        for rule in rules:
-            ramp_true[rule.segment] = sensing.lane_transition_flow(
-                traj, rule, K, cfg.time_step_h, t0_s=t0
-            )
-        default_speed = 100.0
-        config_echo["source"] = {"trajectories": str(args.trajectories), "network": str(args.network)}
-    else:
-        detectors = sensing.load_detectors(args.detectors)
-        clean = sensing.frames_from_detectors(detectors, cfg)
-        meas = clean
-        if args.flow_noise_std > 0 or args.speed_noise_std > 0:
-            meas = sensing.add_measurement_noise(
-                clean,
-                rng,
-                flow_std_vph=args.flow_noise_std,
-                speed_std_kmh=args.speed_noise_std,
-                clamp_nonnegative=args.clamp_noise,
-            )
-        K = meas.n_steps
-        # Density truth: the clean sensor flow over the clean speed, where
-        # the filter would read it.
-        v_true = clean.speeds_kmh.copy()
-        q = clean.sensor_table(range(1, cfg.n_segments + 1))
-        reading = np.isfinite(q) & (v_true > kalman.V_FLOOR_KMH)
-        rho_true = np.divide(q, v_true, out=np.full_like(q, np.nan), where=reading)
-        default_speed = 100.0
-        # Detector speeds are used as reported: no smoothing window applies.
-        config_echo["window"] = None
-        config_echo["source"] = {"detectors": str(args.detectors), "network": str(args.network)}
+    # Every source runs the same tail: noise, then smoothing, then the filter.
+    rng = _rep_rng(args.seed, 0, 1)
+    src = ingest(rng)
+    K, n = src.meas.n_steps, cfg.n_segments
+    _check_warmup(args.warmup, K)
+    meas = sensing.add_measurement_noise(
+        src.meas,
+        rng,
+        flow_std_vph=args.flow_noise_std,
+        speed_std_kmh=args.speed_noise_std,
+        clamp_nonnegative=args.clamp_noise,
+    )
+    if src.smoothed:
+        meas = _smoothed(meas, args.window)
 
     report = validate_network(cfg)
     if not report.ok:
@@ -407,57 +437,40 @@ def cmd_estimate(args) -> int:
         tuning,
         meas,
         sensor_segments=sensors,
-        default_speed_kmh=default_speed,
+        default_speed_kmh=src.default_speed,
         strict_cfl=args.strict_cfl,
         clamp_nonnegative=args.clamp_output,
     )
-
-    est = fr.densities[:K]
-    cv, cv_full = _masked_cv(est, rho_true, args.warmup)
-
-    w = None
-    if v_true is not None:
-        vt = v_true.copy()
-        rho_w = np.where(np.isfinite(rho_true), rho_true, 0.0)
-        vt = np.where(np.isfinite(vt), vt, fr.speeds_used)
-        w = metrics.speed_error_covariance(rho_w, fr.speeds_used, vt, cfg, warmup=args.warmup)
-
-    ramp_est: dict[int, np.ndarray] = {}
-    if idx.n_theta:
-        flows = fr.ramp_flows(cfg.lengths_km, cfg.time_step_h)[:K]
-        ramp_est = {seg: flows[:, j] for j, seg in enumerate(idx.theta_segments)}
-    recovered = sorted(set(ramp_est) & set(ramp_true))
-    est_table = truth_table = None
-    if recovered:
-        est_table = np.column_stack([ramp_est[s] for s in recovered])
-        truth_table = np.column_stack([ramp_true[s][:K] for s in recovered])
-    ramp_rmse, lag, lag_rmse = _ramp_metrics(est_table, truth_table, args.warmup)
-
-    run_metrics = metrics.RunMetrics(
-        cv_rho=cv,
-        cv_rho_full=cv_full,
-        horizon_steps=K,
-        warmup_steps=args.warmup,
-        speed_error_covariance_w=w,
-        ramp_flow_rmse=ramp_rmse,
-        ramp_flow_best_lag=lag,
-        ramp_flow_rmse_at_best_lag=lag_rmse,
-    )
+    ramp_est = dict(zip(idx.theta_segments, fr.ramp_flows(cfg.lengths_km, cfg.time_step_h).T))
+    columns = {
+        "rho_true": src.rho_true,
+        "rho_est": fr.densities[:K],
+        "v_used": fr.speeds_used,
+        "q_sensor": meas.sensor_table(range(1, n + 1)),
+        "v_true": src.v_true,
+        "ramp_flow_true": src.ramp_flow_true,
+        "ramp_flow_est": _segment_table(K, n, ramp_est),
+    }
+    run_metrics = _run_metrics(cfg, columns, args.warmup)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_estimates_csv(
-        out / ESTIMATES_CSV,
-        cfg,
-        meas,
-        fr,
-        rho_true=rho_true,
-        v_true=v_true,
-        ramp_true={s: np.asarray(v)[:K] for s, v in ramp_true.items()},
-        ramp_est=ramp_est,
-    )
-    config_echo["network"] = cfg.to_dict()
-    config_echo["tuning"] = _tuning_echo(tuning, idx)
+    _write_grid_csv(out / ESTIMATES_CSV, K, n, columns)
+    config_echo = {
+        # Flags a source does not read are echoed as null.
+        "penetration": None,
+        "speed_spread": None,
+        "window": args.window if src.smoothed else None,
+        **src.echo,
+        "seed": args.seed,
+        "flow_noise_std": args.flow_noise_std,
+        "speed_noise_std": args.speed_noise_std,
+        "warmup": args.warmup,
+        "strict_cfl": args.strict_cfl,
+        "clamp_output": args.clamp_output,
+        "network": cfg.to_dict(),
+        "tuning": _tuning_echo(tuning, idx),
+    }
     summary = {
         "config": config_echo,
         "sensors_used": list(fr.sensor_segments),
@@ -465,10 +478,13 @@ def cmd_estimate(args) -> int:
         "held_measurement_steps": fr.held_measurement_steps,
         "held_entry_steps": fr.held_entry_steps,
         "validation_ok": report.ok,
-        "metrics": {k: v for k, v in run_metrics.to_dict().items()},
+        "metrics": run_metrics,
     }
     _write_json(out / SUMMARY_JSON, summary)
-    print(f"cv_rho={cv:.4f} (full horizon {cv_full:.4f}), wrote {out / ESTIMATES_CSV}")
+    print(
+        f"cv_rho={run_metrics['cv_rho']:.4f} (full horizon {run_metrics['cv_rho_full']:.4f}),"
+        f" wrote {out / ESTIMATES_CSV}"
+    )
     return 0
 
 
@@ -489,6 +505,7 @@ def cmd_sweep(args) -> int:
     tuning = _resolve_tuning(args, idx, len(sensors), simulate.preset_filter_defaults(args.preset))
     result = simulate.simulate_truth(sc, strict_cfl=args.strict_cfl)
     K = sc.n_steps
+    _check_warmup(args.warmup, K)
     rho_true = result.densities[:K]
 
     default_speed = float(np.mean(sc.speeds_kmh))
@@ -508,11 +525,7 @@ def cmd_sweep(args) -> int:
                 speed_noise_std_kmh=args.speed_noise_std,
                 clamp_nonnegative=args.clamp_noise,
             )
-            smoothed = raw
-            if args.window > 1:
-                speeds = sensing.moving_average_speed(raw.speeds_kmh, args.window)
-                smoothed = dataclasses.replace(raw, speeds_kmh=speeds)
-            batch += [raw, smoothed]
+            batch += [raw, _smoothed(raw, args.window)]
         results = kalman.run_filter_batch(
             cfg,
             idx,
@@ -567,59 +580,22 @@ def cmd_sweep(args) -> int:
 
 def cmd_metrics(args) -> int:
     out = Path(args.out)
-    summary = json.loads((out / SUMMARY_JSON).read_text())
-    config = summary["config"]
+    config = json.loads((out / SUMMARY_JSON).read_text())["config"]
     cfg = NetworkConfig.from_dict(config["network"])
     warmup = int(config.get("warmup", metrics.DEFAULT_WARMUP_STEPS))
-
-    table: dict[str, list[float]] = {c: [] for c in _CSV_COLUMNS}
     with open(out / ESTIMATES_CSV, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != _CSV_COLUMNS:
-            raise SystemExit(f"{out / ESTIMATES_CSV}: unexpected header {reader.fieldnames}")
-        for row in reader:
-            for c in _CSV_COLUMNS:
-                table[c].append(_parse_cell(row[c]))
-
-    n = cfg.n_segments
-    K = len(table["k"]) // n
-    shape = (K, n)
-
-    def grid(column: str) -> np.ndarray:
-        return np.array(table[column], dtype=float).reshape(shape)
-
-    rho_true = grid("rho_true")
-    rho_est = grid("rho_est")
-    v_used = grid("v_used")
-    v_true = grid("v_true")
-    ramp_true = grid("ramp_flow_true")
-    ramp_est = grid("ramp_flow_est")
-
-    cv, cv_full = _masked_cv(rho_est, rho_true, warmup)
-    w = None
-    if np.isfinite(v_true).any():
-        rho_w = np.where(np.isfinite(rho_true), rho_true, 0.0)
-        vt = np.where(np.isfinite(v_true), v_true, v_used)
-        w = metrics.speed_error_covariance(rho_w, v_used, vt, cfg, warmup=warmup)
-    both = np.isfinite(ramp_true) & np.isfinite(ramp_est)
-    cols = [i for i in range(n) if both[:, i].all()]
-    est_table = truth_table = None
-    if cols:
-        est_table = ramp_est[:, cols]
-        truth_table = ramp_true[:, cols]
-    ramp_rmse, lag, lag_rmse = _ramp_metrics(est_table, truth_table, warmup)
-
-    recomputed = metrics.RunMetrics(
-        cv_rho=cv,
-        cv_rho_full=cv_full,
-        horizon_steps=K,
-        warmup_steps=warmup,
-        speed_error_covariance_w=w,
-        ramp_flow_rmse=ramp_rmse,
-        ramp_flow_best_lag=lag,
-        ramp_flow_rmse_at_best_lag=lag_rmse,
-    )
-    print(json.dumps(recomputed.to_dict(), indent=2, sort_keys=True))
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != _CSV_COLUMNS:
+            raise SystemExit(f"{out / ESTIMATES_CSV}: unexpected header {header}")
+        cells = np.array([[_parse_cell(c) for c in row] for row in reader], dtype=float)
+    cells = cells.reshape(-1, len(_CSV_COLUMNS))  # also when there are no rows
+    columns = {
+        name: np.ascontiguousarray(cells[:, j].reshape(-1, cfg.n_segments))
+        for j, name in enumerate(_CSV_COLUMNS)
+        if name not in ("k", "segment")
+    }
+    print(json.dumps(_run_metrics(cfg, columns, warmup), indent=2, sort_keys=True))
     return 0
 
 
@@ -632,7 +608,9 @@ def _add_tuning_flags(p: argparse.ArgumentParser) -> None:
         "--init-ramp", type=float, default=None, help="initial ramp-state mean (default per source, else --init-mean)"
     )
     p.add_argument("--init-var", type=float, default=1.0, help="initial covariance diagonal")
-    p.add_argument("--warmup", type=int, default=metrics.DEFAULT_WARMUP_STEPS, help="steps excluded from metrics")
+    p.add_argument(
+        "--warmup", type=_whole(0), default=metrics.DEFAULT_WARMUP_STEPS, help="steps excluded from metrics"
+    )
 
 
 def _add_noise_flags(p: argparse.ArgumentParser) -> None:
@@ -674,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--penetration", type=_fraction, default=1.0, help="share of vehicles reporting speeds")
     pe.add_argument("--seed", type=int, default=0)
     pe.add_argument(
-        "--window", type=_window, default=3, help="speed moving-average window, steps (presets and trajectories)"
+        "--window", type=_whole(1), default=3, help="speed moving-average window, steps (presets and trajectories)"
     )
     pe.add_argument("--out", required=True, help="output directory")
     pe.add_argument("--strict-cfl", action="store_true", help="fail instead of warn on accuracy-bound violations")
@@ -695,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--p", default="0.02,0.05,0.2,1.0", help="comma-separated penetration rates")
     pw.add_argument("--reps", type=int, default=10, help="seeded repetitions per rate")
     pw.add_argument("--seed", type=int, default=0)
-    pw.add_argument("--window", type=_window, default=3, help="speed moving-average window, steps")
+    pw.add_argument("--window", type=_whole(1), default=3, help="speed moving-average window, steps")
     pw.add_argument("--out", required=True, help="output directory")
     pw.add_argument("--strict-cfl", action="store_true")
     pw.add_argument("--clamp-output", action="store_true")
@@ -714,9 +692,11 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "trajectories", None) or getattr(args, "detectors", None):
-        if not args.network:
+    if args.command == "estimate":
+        if (args.trajectories or args.detectors) and not args.network:
             parser.error("--network is required with --trajectories/--detectors")
+        if (args.exclude_lanes or args.ramp_lane) and not args.trajectories:
+            parser.error("--exclude-lanes and --ramp-lane apply to --trajectories only")
     try:
         return args.func(args)
     except (

@@ -8,11 +8,16 @@ Two ingestion paths produce the same columnar Measurements:
   virtual detectors that count trajectory crossings at segment boundaries.
   The samples are held in one flat table sorted by vehicle and time, and
   every quantity is computed by array passes over it; which sample each
-  vehicle reports at each sampling instant (the step grid) is evaluated
-  once per recording and grid;
+  vehicle reports at each sampling instant (the step grid, ``_step_grid``)
+  is evaluated once per recording and grid, and each vehicle's first
+  crossing of a position comes from ``_crossings``;
 * stationary detector files (macroscopic data): each detector snaps to the
   nearest segment boundary, boundary i feeding segment i and boundary 0
   feeding the entry flow.
+
+``add_measurement_noise`` corrupts any Measurements and
+``moving_average_speed`` smooths their speeds; the command line applies
+them to every source in that order, noise first.
 
 External units (meters, seconds, m/s) are converted here, once. Both
 loaders reject NaN or infinite times and positions (and trajectory speeds)
@@ -46,10 +51,8 @@ __all__ = [
     "load_trajectories",
     "load_detectors",
     "assign_connected",
-    "positions_at",
     "segment_speed_series",
     "moving_average_speed",
-    "crossing_times",
     "virtual_detector_flow",
     "lane_transition_flow",
     "ground_truth_densities",
@@ -363,22 +366,6 @@ def _cells(
     return steps[keep] * cfg.n_segments + seg[keep] - 1, keep
 
 
-def positions_at(
-    traj: TrajectoryData, t_s: float, *, max_gap_s: float = 1.0
-) -> dict[int, tuple[float, float, int]]:
-    """Vehicles present at time t: {id: (x_m, speed_mps, lane)}.
-
-    Uses each vehicle's latest sample at or before t, ignored when older
-    than ``max_gap_s`` (the vehicle has left the recording).
-    """
-    track, _k, x, v, lane = _step_grid(traj, np.array([t_s], dtype=float), max_gap_s)
-    ids = traj.ids.tolist()
-    return {
-        ids[j]: (float(xj), float(vj), int(lj))
-        for j, xj, vj, lj in zip(track.tolist(), x.tolist(), v.tolist(), lane.tolist())
-    }
-
-
 def segment_speed_series(
     traj: TrajectoryData,
     cfg: NetworkConfig,
@@ -463,16 +450,6 @@ def _crossings(traj: TrajectoryData, x_m: float) -> tuple[np.ndarray, np.ndarray
     x0, x1 = traj.x_m[i - 1], traj.x_m[i]
     t0, t1 = traj.t_s[i - 1], traj.t_s[i]
     return track, t0 + (x_m - x0) / (x1 - x0) * (t1 - t0)
-
-
-def crossing_times(traj: TrajectoryData, x_m: float) -> dict[int, float]:
-    """First time each vehicle crosses position x, by linear interpolation.
-
-    Vehicles already past x at their first sample never cross and are
-    omitted, as are vehicles that never reach x.
-    """
-    track, times = _crossings(traj, x_m)
-    return dict(zip(traj.ids[track].tolist(), times.tolist()))
 
 
 def _bin_crossings(times_s: np.ndarray, n_steps: int, T_s: float, t0_s: float) -> np.ndarray:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trafficstate import cli, kalman, metrics, sensing, simulate
-from trafficstate.network import NetworkConfig, Segment
+from trafficstate.network import NetworkConfig, Segment, load_network
 from trafficstate.sensing import Measurements
 from trafficstate.simulate import load_scenario
 
@@ -51,6 +51,16 @@ def write_detectors(path, *, speed=90.0, positions=(0.0, 500.0, 1000.0)):
             lines.append(f"{pos},{t},2700.0,{speed}")
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def estimate_args(tmp_path, source):
+    """``estimate`` arguments reading the test network's inputs from ``source``."""
+    net = ["--network", str(write_network(tmp_path / "net.json"))]
+    return {
+        "preset": ["estimate", "--preset", "ngsim_like"],
+        "trajectories": ["estimate", "--trajectories", str(write_trajectories(tmp_path / "t.csv")), *net],
+        "detectors": ["estimate", "--detectors", str(write_detectors(tmp_path / "d.csv")), *net],
+    }[source]
 
 
 def read_csv(path):
@@ -157,20 +167,25 @@ class TestEstimate:
         assert tuning["initial_mean"] == 123.0
 
     def test_metrics_command_recomputes_the_summary(self, tmp_path, capsys, read_summary):
-        out = tmp_path / "est"
-        cli.main(["estimate", "--preset", "ngsim_like", "--window", "1", "--out", str(out)])
-        stored = read_summary(out)["metrics"]
-        capsys.readouterr()
-
-        assert cli.main(["metrics", "--out", str(out)]) == 0
-        recomputed = json.loads(capsys.readouterr().out)
-        # CSV cells round-trip through repr, so the recomputation is exact.
-        assert recomputed["cv_rho"] == pytest.approx(stored["cv_rho"], abs=1e-9)
-        assert recomputed["cv_rho_full"] == pytest.approx(stored["cv_rho_full"], abs=1e-9)
-        assert recomputed["speed_error_covariance_w"] == pytest.approx(
-            stored["speed_error_covariance_w"], abs=1e-9
-        )
-        assert recomputed["ramp_flow_rmse"] == pytest.approx(stored["ramp_flow_rmse"], abs=1e-6)
+        # One metrics function serves both commands, and CSV cells round-trip
+        # through repr, so the recomputed block equals the stored one exactly.
+        net = str(write_network(tmp_path / "net.json"))
+        runs = {
+            "preset": ["--preset", "ngsim_like", "--window", "1"],
+            # Several scored ramp columns and noise on every reading.
+            "noisy_preset": ["--preset", "a20_like", "--penetration", "0.05", "--seed", "42"]
+            + ["--flow-noise-std", "30", "--speed-noise-std", "2"],
+            "trajectories": ["--trajectories", str(write_trajectories(tmp_path / "traj.csv")), "--network", net]
+            + ["--warmup", "0"],
+            "detectors": ["--detectors", str(write_detectors(tmp_path / "det.csv")), "--network", net],
+        }
+        for name, args in runs.items():
+            out = tmp_path / name
+            assert cli.main(["estimate", *args, "--out", str(out)]) == 0
+            stored = read_summary(out)["metrics"]
+            capsys.readouterr()
+            assert cli.main(["metrics", "--out", str(out)]) == 0
+            assert json.loads(capsys.readouterr().out) == stored, name
 
     def test_same_seed_reproduces_outputs(self, tmp_path):
         args = ["estimate", "--preset", "ngsim_like", "--penetration", "0.3", "--seed", "11"]
@@ -239,9 +254,40 @@ class TestEstimate:
         assert cli.main(args + ["--out", str(out)]) == 0
         assert read_summary(out)["config"]["window"] is None
 
-    def test_clamp_noise_floors_detector_speeds_without_speed_noise(self, tmp_path):
-        # A detector reports a negative speed; flow noise alone must not let
-        # it through when --clamp-noise is set.
+    @pytest.mark.parametrize("source", ["preset", "trajectories", "detectors"])
+    def test_echo_names_only_the_flags_a_source_reads(self, tmp_path, read_summary, source):
+        out = tmp_path / "est"
+        args = estimate_args(tmp_path, source) + ["--penetration", "0.5", "--window", "2", "--warmup", "0"]
+        assert cli.main(args + ["--out", str(out)]) == 0
+        config = read_summary(out)["config"]
+        echoed = {key: config[key] for key in ("penetration", "speed_spread", "window")}
+        assert echoed == {
+            "preset": {"penetration": 0.5, "speed_spread": 3.0, "window": 2},
+            "trajectories": {"penetration": 0.5, "speed_spread": None, "window": 2},
+            "detectors": {"penetration": None, "speed_spread": None, "window": None},
+        }[source]
+
+    def test_trajectory_source_echoes_its_lane_flags(self, tmp_path, read_summary):
+        net = tmp_path / "net.json"
+        payload = json.loads(write_network(net).read_text())
+        payload["segments"][0]["ramp"] = "on_ramp"
+        net.write_text(json.dumps(payload))
+        traj = write_trajectories(tmp_path / "traj.csv")
+        out = tmp_path / "est"
+        args = ["estimate", "--trajectories", str(traj), "--network", str(net), "--warmup", "0"]
+        args += ["--exclude-lanes", "4,3", "--ramp-lane", "1:9", "--out", str(out)]
+        assert cli.main(args) == 0
+        assert read_summary(out)["config"]["source"] == {
+            "trajectories": str(traj),
+            "network": str(net),
+            "exclude_lanes": [3, 4],
+            "ramp_lane": ["1:9"],
+        }
+
+    @pytest.mark.parametrize("noise", [[], ["--flow-noise-std", "20"]], ids=["no-noise", "flow-noise"])
+    def test_clamp_noise_floors_detector_speeds_without_speed_noise(self, tmp_path, noise):
+        # A detector reports a negative speed; --clamp-noise floors it with
+        # or without noise on the flows.
         net = write_network(tmp_path / "net.json")
         det = write_detectors(tmp_path / "det.csv")
         lines = det.read_text().splitlines()
@@ -250,7 +296,7 @@ class TestEstimate:
         det.write_text("\n".join(lines) + "\n")
         out = tmp_path / "est"
         args = ["estimate", "--detectors", str(det), "--network", str(net), "--warmup", "0"]
-        args += ["--flow-noise-std", "20", "--clamp-noise", "--out", str(out)]
+        args += [*noise, "--clamp-noise", "--out", str(out)]
         assert cli.main(args) == 0
         header, rows = read_csv(out / "estimates.csv")
         v_used = {(int(r[0]), int(r[1])): float(r[header.index("v_used")]) for r in rows}
@@ -424,7 +470,9 @@ def test_invalid_speed_spread_exits_two(tmp_path, capsys, command, spread):
         for flag in ("--flow-noise-std", "--speed-noise-std")
         for value in ("nan", "inf", "-3")
     ]
-    + [("estimate", "--penetration", value) for value in ("nan", "inf", "-3", "1.5")],
+    + [("estimate", "--penetration", value) for value in ("nan", "inf", "-3", "1.5")]
+    + [("estimate", "--warmup", value) for value in ("-5", "2.5")]
+    + [("sweep", "--warmup", "-5")],
 )
 def test_invalid_noise_or_penetration_exits_two(tmp_path, capsys, command, flag, value):
     args = [command, "--preset", "ngsim_like", flag, value, "--out", str(tmp_path / "o")]
@@ -451,6 +499,68 @@ def test_non_finite_input_row_exits_two(tmp_path, capsys, source, good, bad):
     assert cli.main(["estimate", source, str(data), "--network", str(net), "--out", str(out)]) == 2
     assert f"error: {data}:3: bad row" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["preset", "detectors"])
+@pytest.mark.parametrize("flag, value", [("--exclude-lanes", "4"), ("--ramp-lane", "4:9")])
+def test_trajectory_only_flags_exit_two_on_other_sources(tmp_path, capsys, source, flag, value):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*estimate_args(tmp_path, source), flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "apply to --trajectories only" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source, steps", [("preset", 360), ("trajectories", 2), ("detectors", 11), ("sweep", 360)])
+def test_warmup_beyond_the_horizon_exits_one_before_filtering(tmp_path, capsys, monkeypatch, source, steps):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the filter ran before the warm-up was checked")
+
+    monkeypatch.setattr(kalman, "run_filter_batch", unreachable)
+    out = tmp_path / "o"
+    if source == "sweep":
+        args = ["sweep", "--preset", "ngsim_like", "--p", "1.0", "--reps", "1"]
+    else:
+        args = estimate_args(tmp_path, source)
+    assert cli.main([*args, "--warmup", str(steps), "--out", str(out)]) == 1
+    assert f"error: warmup {steps} outside horizon of {steps} steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_trajectory_speed_noise_is_added_before_smoothing(tmp_path, monkeypatch):
+    # Eight vehicles at 20 m/s, one entering every 4 s, sampled at 1 Hz.
+    lines = ["vehicle_id,t_s,x_m,lane,speed_mps"]
+    for vid in range(1, 9):
+        lines += [f"{vid},{4 * vid + s},{-40.0 + 20.0 * s},1,20.0" for s in range(61)]
+    path = tmp_path / "traj.csv"
+    path.write_text("\n".join(lines) + "\n")
+    net = write_network(tmp_path / "net.json")
+    seen = []
+    real = kalman.run_filter
+
+    def spy(cfg, idx, tuning, meas, **kwargs):
+        seen.append(meas)
+        return real(cfg, idx, tuning, meas, **kwargs)
+
+    monkeypatch.setattr(kalman, "run_filter", spy)
+    args = ["estimate", "--trajectories", str(path), "--network", str(net), "--penetration", "0.5", "--seed", "3"]
+    args += ["--speed-noise-std", "6", "--window", "3", "--warmup", "0", "--out", str(tmp_path / "o")]
+    assert cli.main(args) == 0
+
+    cfg, traj = load_network(net), sensing.load_trajectories(path)
+
+    def clean(window):
+        rng = cli._rep_rng(3, 0, 1)
+        return sensing.frames_from_trajectories(traj, cfg, 0.5, rng, t0_s=traj.t_min_s, window=window), rng
+
+    meas, rng = clean(1)
+    want = sensing.moving_average_speed(sensing.add_measurement_noise(meas, rng, speed_std_kmh=6.0).speeds_kmh, 3)
+    assert seen[0].speeds_kmh.tobytes() == want.tobytes()
+    # Noise added after smoothing gives other speeds.
+    smoothed, rng = clean(3)
+    late = sensing.add_measurement_noise(smoothed, rng, speed_std_kmh=6.0).speeds_kmh
+    assert not np.array_equal(late, want, equal_nan=True)
 
 
 def test_trajectory_run_evaluates_the_step_grid_once(tmp_path, monkeypatch):
@@ -536,13 +646,7 @@ def test_tuning_is_checked_before_ingestion(tmp_path, capsys, monkeypatch, sourc
 
     monkeypatch.setattr(*ingest, unreachable)
     out = tmp_path / "o"
-    net = ["--network", str(write_network(tmp_path / "net.json"))]
-    args = {
-        "preset": ["estimate", "--preset", "ngsim_like"],
-        "trajectories": ["estimate", "--trajectories", str(write_trajectories(tmp_path / "t.csv")), *net],
-        "detectors": ["estimate", "--detectors", str(write_detectors(tmp_path / "d.csv")), *net],
-        "sweep": ["sweep", "--preset", "ngsim_like"],
-    }[source]
+    args = ["sweep", "--preset", "ngsim_like"] if source == "sweep" else estimate_args(tmp_path, source)
     assert cli.main([*args, "--meas-var", "inf", "--out", str(out)]) == 1
     assert "error: measurement_cov must be finite" in capsys.readouterr().err
     assert not out.exists()
@@ -671,10 +775,20 @@ def test_grid_writer_matches_the_per_cell_writer(tmp_path_factory, data):
         ramp_true={seg: ramp_values[:, seg - 1] for seg in truth_ramps},
         ramp_est={seg: -ramp_values[:, seg - 1] for seg in est_ramps},
     )
+    columns = {
+        "rho_true": kwargs["rho_true"],
+        "rho_est": result.densities,
+        "v_used": speeds_used,
+        "q_sensor": meas.sensor_table(range(1, N + 1)),
+        "v_true": kwargs["v_true"],
+        "ramp_flow_true": cli._segment_table(K, N, kwargs["ramp_true"]),
+        "ramp_flow_est": cli._segment_table(K, N, kwargs["ramp_est"]),
+    }
+    assert ["k", "segment", *columns] == cli._CSV_COLUMNS
     tmp = tmp_path_factory.mktemp("grid")
     _oracle_estimates_csv(tmp / "oracle.csv", cfg, meas, result, **kwargs)
     with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
-        cli._write_estimates_csv(tmp / "columnar.csv", cfg, meas, result, **kwargs)
+        cli._write_grid_csv(tmp / "columnar.csv", K, N, columns)
     assert (tmp / "columnar.csv").read_bytes() == (tmp / "oracle.csv").read_bytes()
     _assert_unquoted_grid(tmp / "columnar.csv", len(cli._CSV_COLUMNS), K * N)
 

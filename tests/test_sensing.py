@@ -20,7 +20,6 @@ from trafficstate.sensing import (
     VehicleTrack,
     add_measurement_noise,
     assign_connected,
-    crossing_times,
     frames_from_detectors,
     frames_from_trajectories,
     ground_truth_densities,
@@ -28,13 +27,28 @@ from trafficstate.sensing import (
     load_detectors,
     load_trajectories,
     moving_average_speed,
-    positions_at,
     segment_speed_series,
     snap_detectors_to_boundaries,
     virtual_detector_flow,
 )
+from trafficstate.sensing import _crossings, _step_grid
 
 T_STEP_H = 5 / 3600  # 5 s
+
+
+def grid_snapshots(traj, times_s, max_gap_s=1.0):
+    """Per grid time, {id: (x_m, speed_mps, lane)} of the vehicles ``_step_grid`` places there."""
+    track, steps, x, v, lane = _step_grid(traj, np.asarray(times_s, dtype=float), max_gap_s)
+    out = [{} for _ in times_s]
+    for j, k, xj, vj, lj in zip(track.tolist(), steps.tolist(), x.tolist(), v.tolist(), lane.tolist()):
+        out[k][int(traj.ids[j])] = (xj, vj, lj)
+    return out
+
+
+def first_crossings(traj, x_m):
+    """{id: time} of each vehicle's first crossing of x, from ``_crossings``."""
+    track, times = _crossings(traj, x_m)
+    return dict(zip(traj.ids[track].tolist(), times.tolist()))
 
 
 def make_config(n=2, sensors=(2,), ramps=None):
@@ -267,17 +281,17 @@ class TestAssignConnected:
 class TestPositionsAt:
     def test_latest_sample_within_gap(self):
         traj = TrajectoryData([make_track(1, 0.0, 15.0, n_samples=3)])
-        snap = positions_at(traj, 1.5)
+        [snap] = grid_snapshots(traj, [1.5])
         assert snap[1] == (15.0, 15.0, 1)
 
     def test_stale_sample_is_dropped(self):
         traj = TrajectoryData([make_track(1, 0.0, 15.0, n_samples=3)])
-        assert 1 in positions_at(traj, 2.9)
-        assert positions_at(traj, 3.5) == {}
+        assert 1 in grid_snapshots(traj, [2.9])[0]
+        assert grid_snapshots(traj, [3.5]) == [{}]
 
     def test_before_first_sample_absent(self):
         traj = TrajectoryData([make_track(1, 0.0, 15.0, t0_s=10.0)])
-        assert positions_at(traj, 9.0) == {}
+        assert grid_snapshots(traj, [9.0]) == [{}]
 
 
 class TestSegmentSpeeds:
@@ -346,13 +360,13 @@ class TestCrossings:
             speeds_mps=np.array([100.0, 100.0]),
             lanes=np.array([1, 1]),
         )
-        times = crossing_times(TrajectoryData([track]), 500.0)
+        times = first_crossings(TrajectoryData([track]), 500.0)
         assert times[1] == pytest.approx(0.5)
 
     def test_vehicles_past_or_short_are_omitted(self):
         past = make_track(1, 600.0, 10.0, n_samples=3)
         short = make_track(2, 0.0, 10.0, n_samples=3)
-        times = crossing_times(TrajectoryData([past, short]), 500.0)
+        times = first_crossings(TrajectoryData([past, short]), 500.0)
         assert times == {}
 
     def test_flow_counts_per_interval(self):
@@ -388,7 +402,7 @@ class TestCrossings:
             lanes=np.array([1, 1]),
         )
         traj = TrajectoryData([at_zero, at_five])
-        times = crossing_times(traj, 500.0)
+        times = first_crossings(traj, 500.0)
         assert times[1] == pytest.approx(0.0)
         assert times[2] == pytest.approx(5.0)
         flow = virtual_detector_flow(traj, 500.0, 2, T_STEP_H)
@@ -871,9 +885,9 @@ class TestStepGridProperties:
         # Bit-for-bit, NaN cells included.
         assert speeds.tobytes() == want_speeds.tobytes()
         assert density.tobytes() == want_density.tobytes()
-        for k in range(n_steps):
-            t = k * cfg.time_step_h * 3600.0
-            assert positions_at(traj, t, max_gap_s=max_gap_s) == _oracle_snapshot(traj, t, max_gap_s)
+        times = np.arange(n_steps) * cfg.time_step_h * 3600.0
+        want = [_oracle_snapshot(traj, t, max_gap_s) for t in times]
+        assert grid_snapshots(traj, times, max_gap_s) == want
 
     @settings(max_examples=60)
     @given(recordings(unique_times=True), st.randoms(use_true_random=False))
@@ -1000,7 +1014,7 @@ class TestFlowProperties:
     def test_crossings_match_the_per_vehicle_loop(self, rec, data):
         traj, cfg, _connected, _exclude = rec
         x_m = data.draw(_detector_positions(cfg))
-        got, want = crossing_times(traj, x_m), _oracle_crossing_times(traj, x_m)
+        got, want = first_crossings(traj, x_m), _oracle_crossing_times(traj, x_m)
         assert list(got) == list(want)
         assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
 
