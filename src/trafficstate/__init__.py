@@ -34,7 +34,6 @@ from trafficstate.sensing import Measurements, load_detectors, load_trajectories
 from trafficstate.simulate import (
     Scenario,
     SimulationResult,
-    frames_from_simulation,
     make_congestion_scenario,
     simulate_truth,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "build_u",
     "check_cfl",
     "default_tuning",
-    "frames_from_simulation",
     "kf_step",
     "load_detectors",
     "load_network",

@@ -288,7 +288,6 @@ def _trajectory_source(args, cfg: NetworkConfig, rng: np.random.Generator) -> _S
         args.penetration,
         rng,
         t0_s=t0,
-        window=1,
         exclude_lanes=exclude,
         ramp_rules=[r for r in rules if cfg.segments[r.segment - 1].ramp_measured],
     )
@@ -329,6 +328,21 @@ def _detector_source(args, cfg: NetworkConfig, rng: np.random.Generator) -> _Sou
         default_speed=100.0,
         smoothed=False,
         echo={"source": {"detectors": str(args.detectors), "network": str(args.network)}},
+    )
+
+
+def _noisy(args, meas: sensing.Measurements, rng: np.random.Generator) -> sensing.Measurements:
+    """``meas`` with the noise of ``--flow-noise-std`` and ``--speed-noise-std``.
+
+    Speeds, entry flows and sensor flows are floored at zero under
+    ``--clamp-noise``, whatever the noise. A zero std draws nothing.
+    """
+    return sensing.add_measurement_noise(
+        meas,
+        rng,
+        flow_std_vph=args.flow_noise_std,
+        speed_std_kmh=args.speed_noise_std,
+        clamp_nonnegative=args.clamp_noise,
     )
 
 
@@ -395,6 +409,23 @@ def _run_metrics(cfg: NetworkConfig, columns: Mapping[str, np.ndarray], warmup: 
     ).to_dict()
 
 
+def _config_echo(args, cfg: NetworkConfig, tuning, idx) -> dict:
+    """The config echo of the flags ``estimate`` and ``sweep`` share."""
+    return {
+        "seed": args.seed,
+        "window": args.window,
+        "speed_spread": args.speed_spread,
+        "flow_noise_std": args.flow_noise_std,
+        "speed_noise_std": args.speed_noise_std,
+        "clamp_noise": args.clamp_noise,
+        "warmup": args.warmup,
+        "strict_cfl": args.strict_cfl,
+        "clamp_output": args.clamp_output,
+        "network": cfg.to_dict(),
+        "tuning": _tuning_echo(tuning, idx),
+    }
+
+
 def cmd_estimate(args) -> int:
     # The network and the source's tuning defaults are known before any
     # ingestion, so bad tuning flags fail before the costly part of the run.
@@ -417,13 +448,7 @@ def cmd_estimate(args) -> int:
     src = ingest(rng)
     K, n = src.meas.n_steps, cfg.n_segments
     _check_warmup(args.warmup, K)
-    meas = sensing.add_measurement_noise(
-        src.meas,
-        rng,
-        flow_std_vph=args.flow_noise_std,
-        speed_std_kmh=args.speed_noise_std,
-        clamp_nonnegative=args.clamp_noise,
-    )
+    meas = _noisy(args, src.meas, rng)
     if src.smoothed:
         meas = _smoothed(meas, args.window)
 
@@ -457,19 +482,12 @@ def cmd_estimate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_grid_csv(out / ESTIMATES_CSV, K, n, columns)
     config_echo = {
+        **_config_echo(args, cfg, tuning, idx),
         # Flags a source does not read are echoed as null.
         "penetration": None,
         "speed_spread": None,
         "window": args.window if src.smoothed else None,
         **src.echo,
-        "seed": args.seed,
-        "flow_noise_std": args.flow_noise_std,
-        "speed_noise_std": args.speed_noise_std,
-        "warmup": args.warmup,
-        "strict_cfl": args.strict_cfl,
-        "clamp_output": args.clamp_output,
-        "network": cfg.to_dict(),
-        "tuning": _tuning_echo(tuning, idx),
     }
     summary = {
         "config": config_echo,
@@ -495,8 +513,6 @@ def cmd_sweep(args) -> int:
         raise SystemExit(f"--p expects comma-separated numbers, got {args.p!r}")
     if not p_values or any(not 0.0 <= p <= 1.0 for p in p_values):
         raise SystemExit("--p values must lie in [0, 1]")
-    if args.reps < 1:
-        raise SystemExit("--reps must be at least 1")
 
     sc = simulate.make_congestion_scenario(args.preset, args.seed)
     cfg = sc.cfg
@@ -516,15 +532,8 @@ def cmd_sweep(args) -> int:
         batch = []
         for rep in range(args.reps):
             rng = _rep_rng(args.seed, rep, args.reps)
-            raw = simulate.synthetic_measurements(
-                result,
-                rng,
-                penetration=p,
-                speed_spread_kmh=args.speed_spread,
-                flow_noise_std_vph=args.flow_noise_std,
-                speed_noise_std_kmh=args.speed_noise_std,
-                clamp_nonnegative=args.clamp_noise,
-            )
+            clean = simulate.synthetic_measurements(result, rng, penetration=p, speed_spread_kmh=args.speed_spread)
+            raw = _noisy(args, clean, rng)
             batch += [raw, _smoothed(raw, args.window)]
         results = kalman.run_filter_batch(
             cfg,
@@ -558,22 +567,8 @@ def cmd_sweep(args) -> int:
         writer.writerow(["p", "variant", "mean_cv_rho", "std_cv_rho", "mean_w"])
         for p, variant, mean_cv, std_cv, mean_w in rows:
             writer.writerow([_fmt(p), variant, _fmt(mean_cv), _fmt(std_cv), _fmt(mean_w)])
-    summary = {
-        "config": {
-            "preset": args.preset,
-            "p_values": p_values,
-            "reps": args.reps,
-            "seed": args.seed,
-            "window": args.window,
-            "speed_spread": args.speed_spread,
-            "flow_noise_std": args.flow_noise_std,
-            "speed_noise_std": args.speed_noise_std,
-            "warmup": args.warmup,
-            "network": cfg.to_dict(),
-            "tuning": _tuning_echo(tuning, idx),
-        }
-    }
-    _write_json(out / SUMMARY_JSON, summary)
+    sweep_echo = {"preset": args.preset, "p_values": p_values, "reps": args.reps}
+    _write_json(out / SUMMARY_JSON, {"config": {**_config_echo(args, cfg, tuning, idx), **sweep_echo}})
     print(f"wrote {len(rows)} rows to {out / SWEEP_CSV}")
     return 0
 
@@ -619,7 +614,11 @@ def _add_noise_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--speed-spread", type=_non_negative, default=3.0, help="per-vehicle speed dispersion for sampling emulation, km/h"
     )
-    p.add_argument("--clamp-noise", action="store_true", help="floor noisy measurements at zero")
+    p.add_argument(
+        "--clamp-noise",
+        action="store_true",
+        help="floor speeds, entry flows and sensor flows at zero on every source, with or without noise",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -671,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
     pw = sub.add_parser("sweep", help="penetration sweep on a preset")
     pw.add_argument("--preset", required=True, choices=simulate.PRESET_NAMES)
     pw.add_argument("--p", default="0.02,0.05,0.2,1.0", help="comma-separated penetration rates")
-    pw.add_argument("--reps", type=int, default=10, help="seeded repetitions per rate")
+    pw.add_argument("--reps", type=_whole(1), default=10, help="seeded repetitions per rate")
     pw.add_argument("--seed", type=int, default=0)
     pw.add_argument("--window", type=_whole(1), default=3, help="speed moving-average window, steps")
     pw.add_argument("--out", required=True, help="output directory")
@@ -695,6 +694,8 @@ def main(argv=None) -> int:
     if args.command == "estimate":
         if (args.trajectories or args.detectors) and not args.network:
             parser.error("--network is required with --trajectories/--detectors")
+        if args.preset and args.network:
+            parser.error("--network applies to --trajectories/--detectors only")
         if (args.exclude_lanes or args.ramp_lane) and not args.trajectories:
             parser.error("--exclude-lanes and --ramp-lane apply to --trajectories only")
     try:

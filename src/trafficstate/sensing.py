@@ -15,7 +15,8 @@ Two ingestion paths produce the same columnar Measurements:
   nearest segment boundary, boundary i feeding segment i and boundary 0
   feeding the entry flow.
 
-``add_measurement_noise`` corrupts any Measurements and
+Every loader returns clean Measurements: no noise, and speeds not
+smoothed. ``add_measurement_noise`` corrupts any Measurements and
 ``moving_average_speed`` smooths their speeds; the command line applies
 them to every source in that order, noise first.
 
@@ -566,18 +567,18 @@ def frames_from_trajectories(
     *,
     n_steps: int | None = None,
     t0_s: float = 0.0,
-    window: int = 3,
     exclude_lanes: frozenset[int] = frozenset(),
     ramp_rules: Sequence[RampLaneRule] = (),
     max_gap_s: float = 1.0,
 ) -> Measurements:
-    """Build the estimator inputs from microscopic data.
+    """Clean estimator inputs from microscopic data: no noise, speeds not smoothed.
 
-    Connected vehicles are drawn once for the whole recording. Flows come
-    from virtual detectors at the entry boundary (which also counts vehicles
-    first seen inside segment 1) and at the downstream boundary of every
-    segment carrying a flow sensor; measured ramps need a RampLaneRule.
-    Speeds are smoothed with the trailing window average.
+    Connected vehicles are drawn once for the whole recording; each
+    segment speed is the mean over the connected vehicles present at the
+    sampling instant (``segment_speed_series``). Flows come from virtual
+    detectors at the entry boundary (which also counts vehicles first seen
+    inside segment 1) and at the downstream boundary of every segment
+    carrying a flow sensor; measured ramps need a RampLaneRule.
     """
     T_s = cfg.time_step_h * 3600.0
     if n_steps is None:
@@ -586,10 +587,9 @@ def frames_from_trajectories(
         raise ValueError(f"recording too short: {n_steps} steps")
 
     connected = assign_connected(traj.vehicle_ids, penetration, rng)
-    raw = segment_speed_series(
+    speeds = segment_speed_series(
         traj, cfg, n_steps, connected, t0_s=t0_s, exclude_lanes=exclude_lanes, max_gap_s=max_gap_s
     )
-    speeds = moving_average_speed(raw, window=window)
 
     boundaries_m = cfg.boundaries_km() * 1000.0
     lanes_kept = None

@@ -10,7 +10,6 @@ microscopic data.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 import math
@@ -21,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from trafficstate.network import CflViolationError, NetworkConfig, RampType, Segment, check_cfl
-from trafficstate.sensing import Measurements, add_measurement_noise, moving_average_speed
+from trafficstate.sensing import Measurements
 
 logger = logging.getLogger(__name__)
 
@@ -32,7 +31,6 @@ __all__ = [
     "simulate_truth",
     "emulate_probe_speeds",
     "synthetic_measurements",
-    "frames_from_simulation",
     "make_congestion_scenario",
     "preset_filter_defaults",
     "save_scenario",
@@ -196,70 +194,28 @@ def synthetic_measurements(
     *,
     penetration: float = 1.0,
     speed_spread_kmh: float = 3.0,
-    flow_noise_std_vph: float = 0.0,
-    speed_noise_std_kmh: float = 0.0,
-    clamp_nonnegative: bool = False,
 ) -> Measurements:
-    """Extract unsmoothed measurements from a simulated truth.
+    """Clean measurements of a simulated truth: no noise, speeds not smoothed.
 
-    Full penetration with zero noise is the exact path: speeds and flows
-    are the truth tables and the generator is untouched. Otherwise probe
-    speeds are emulated first (``emulate_probe_speeds``, skipped at full
-    penetration), then ``add_measurement_noise`` adds the speed and flow
-    noise and applies ``clamp_nonnegative``, with its draw order (step by
-    step: the N speeds, then the entry flow, the sensors and the measured
-    ramps). Results depend only on the generator state. Measured ramp
-    magnitudes are floored at zero.
+    Full penetration is the exact path: speeds and flows are the truth
+    tables and no ``rng`` is needed. Below it, probe speeds are emulated by
+    ``emulate_probe_speeds``, and the result depends only on the generator
+    state. Flows are the truth: the entry demand, the sensor segments'
+    flows and the measured ramps' magnitudes.
     """
     sc = result.scenario
-    if rng is None:
-        if penetration < 1.0 or flow_noise_std_vph > 0 or speed_noise_std_kmh > 0:
-            raise ValueError("an rng is required when sampling or noise is requested")
-        rng = np.random.default_rng(0)
-
     if penetration >= 1.0:
         speeds = result.speeds_kmh
+    elif rng is None:
+        raise ValueError("an rng is required when sampling is requested")
     else:
         speeds = emulate_probe_speeds(result, penetration, rng, speed_spread_kmh=speed_spread_kmh)
-    clean = Measurements(
+    return Measurements(
         speeds,
         sc.entry_flow_vph,
         {j: result.segment_flows[:, j - 1] for j in sc.cfg.flow_sensor_segments},
         {seg: sc.ramp_flows_vph.get(seg, np.zeros(sc.n_steps)) for seg in sc.cfg.ramp_segments(measured=True)},
     )
-    return add_measurement_noise(
-        clean,
-        rng,
-        flow_std_vph=flow_noise_std_vph,
-        speed_std_kmh=speed_noise_std_kmh,
-        clamp_nonnegative=clamp_nonnegative,
-    )
-
-
-def frames_from_simulation(
-    result: SimulationResult,
-    rng: np.random.Generator | None = None,
-    *,
-    penetration: float = 1.0,
-    speed_spread_kmh: float = 3.0,
-    window: int = 1,
-    flow_noise_std_vph: float = 0.0,
-    speed_noise_std_kmh: float = 0.0,
-    clamp_nonnegative: bool = False,
-) -> Measurements:
-    """``synthetic_measurements`` with speeds smoothed by a trailing window."""
-    meas = synthetic_measurements(
-        result,
-        rng,
-        penetration=penetration,
-        speed_spread_kmh=speed_spread_kmh,
-        flow_noise_std_vph=flow_noise_std_vph,
-        speed_noise_std_kmh=speed_noise_std_kmh,
-        clamp_nonnegative=clamp_nonnegative,
-    )
-    if window <= 1:
-        return meas
-    return dataclasses.replace(meas, speeds_kmh=moving_average_speed(meas.speeds_kmh, window))
 
 
 def _raised_cosine(k: np.ndarray, start: int, end: int) -> np.ndarray:

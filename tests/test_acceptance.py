@@ -39,13 +39,18 @@ from trafficstate.network import (
     load_network,
     validate_network,
 )
-from trafficstate.sensing import frames_from_trajectories, ground_truth_densities, load_trajectories
+from trafficstate.sensing import (
+    add_measurement_noise,
+    frames_from_trajectories,
+    ground_truth_densities,
+    load_trajectories,
+)
 from trafficstate.simulate import (
     Scenario,
-    frames_from_simulation,
     make_congestion_scenario,
     preset_filter_defaults,
     simulate_truth,
+    synthetic_measurements,
 )
 
 T_DEFAULT = 10 / 3600
@@ -78,9 +83,10 @@ def preset_estimate_cv(name, *, window=1, rng=None, flow_noise=0.0, speed_noise=
     """Preset run with the shipped per-preset calibration; returns cv_rho."""
     sc = make_congestion_scenario(name, seed=seed)
     sim = simulate_truth(sc)
-    frames = frames_from_simulation(
-        sim, rng, window=window, flow_noise_std_vph=flow_noise, speed_noise_std_kmh=speed_noise
-    )
+    frames = synthetic_measurements(sim, rng)
+    if flow_noise or speed_noise:
+        frames = add_measurement_noise(frames, rng, flow_std_vph=flow_noise, speed_std_kmh=speed_noise)
+    frames = cli._smoothed(frames, window)
     idx = build_state_index(sc.cfg)
     defaults = preset_filter_defaults(name)
     tuning = default_tuning(
@@ -245,7 +251,7 @@ def test_criterion_05_constant_ramp_flow_is_recovered():
         ramp_flows_vph={3: np.full(K, 600.0)},
     )
     sim = simulate_truth(sc)
-    frames = frames_from_simulation(sim, window=1)
+    frames = synthetic_measurements(sim)
     idx = build_state_index(cfg)
     tuning = default_tuning(
         idx, 1, measurement_var=10.0, initial_density=40.0, initial_ramp_state=0.0
@@ -410,7 +416,7 @@ def test_criterion_10_recorded_trajectories():
 
     def run(penetration, seed):
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-        frames = frames_from_trajectories(traj, cfg, penetration, rng, t0_s=traj.t_min_s)
+        frames = cli._smoothed(frames_from_trajectories(traj, cfg, penetration, rng, t0_s=traj.t_min_s), 3)
         truth = ground_truth_densities(traj, cfg, frames.n_steps, t0_s=traj.t_min_s)
         tuning = default_tuning(idx, len(cfg.flow_sensor_segments))
         result = run_filter(cfg, idx, tuning, frames)

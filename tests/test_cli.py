@@ -434,8 +434,22 @@ class TestSweep:
             cli.main(base + ["--p", "0.5,oops"])
         with pytest.raises(SystemExit):
             cli.main(base + ["--p", "1.5"])
-        with pytest.raises(SystemExit):
-            cli.main(["sweep", "--preset", "ngsim_like", "--reps", "0", "--p", "1.0", "--out", str(tmp_path / "o")])
+
+    def test_rows_match_single_estimate_runs(self, tmp_path, read_summary):
+        # One path from the clean measurements to the filter: each row of a
+        # one-repetition sweep is the estimate run with the same seed, flags
+        # and window (instantaneous: 1). A batch member matches a single run
+        # to about 1e-12.
+        flags = ["--seed", "5", "--flow-noise-std", "20", "--speed-noise-std", "2", "--clamp-noise", "--warmup", "20"]
+        sweep = ["sweep", "--preset", "ngsim_like", "--p", "0.2", "--reps", "1", "--window", "3", *flags]
+        assert cli.main([*sweep, "--out", str(tmp_path / "sweep")]) == 0
+        header, rows = read_csv(tmp_path / "sweep" / "sweep.csv")
+        by_variant = {r[1]: float(r[header.index("mean_cv_rho")]) for r in rows}
+        for variant, window in (("instantaneous", "1"), ("moving_average", "3")):
+            out = tmp_path / variant
+            args = ["estimate", "--preset", "ngsim_like", "--penetration", "0.2", "--window", window, *flags]
+            assert cli.main([*args, "--out", str(out)]) == 0
+            assert by_variant[variant] == pytest.approx(read_summary(out)["metrics"]["cv_rho"], rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("command", ["estimate", "sweep"])
@@ -472,7 +486,8 @@ def test_invalid_speed_spread_exits_two(tmp_path, capsys, command, spread):
     ]
     + [("estimate", "--penetration", value) for value in ("nan", "inf", "-3", "1.5")]
     + [("estimate", "--warmup", value) for value in ("-5", "2.5")]
-    + [("sweep", "--warmup", "-5")],
+    + [("sweep", "--warmup", "-5")]
+    + [("sweep", "--reps", value) for value in ("0", "-1")],
 )
 def test_invalid_noise_or_penetration_exits_two(tmp_path, capsys, command, flag, value):
     args = [command, "--preset", "ngsim_like", flag, value, "--out", str(tmp_path / "o")]
@@ -510,6 +525,40 @@ def test_trajectory_only_flags_exit_two_on_other_sources(tmp_path, capsys, sourc
     assert exc.value.code == 2
     assert "apply to --trajectories only" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("exists", [True, False], ids=["file", "missing-file"])
+def test_network_with_a_preset_exits_two(tmp_path, capsys, exists):
+    net = write_network(tmp_path / "net.json") if exists else tmp_path / "nope.json"
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["estimate", "--preset", "ngsim_like", "--network", str(net), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--network applies to --trajectories/--detectors only" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# The config keys ``estimate`` and ``sweep`` both echo.
+SHARED_ECHO = set(
+    "seed window speed_spread flow_noise_std speed_noise_std clamp_noise warmup strict_cfl clamp_output network tuning".split()
+)
+
+
+@pytest.mark.parametrize("source", ["preset", "trajectories", "detectors", "sweep"])
+def test_clamp_noise_is_the_only_echo_difference(tmp_path, read_summary, source):
+    # None of these inputs has a negative reading, so --clamp-noise changes
+    # no output; the summary still records that it was set.
+    if source == "sweep":
+        args = ["sweep", "--preset", "ngsim_like", "--p", "1.0", "--reps", "1"]
+    else:
+        args = estimate_args(tmp_path, source)
+    plain, clamped = tmp_path / "plain", tmp_path / "clamped"
+    assert cli.main([*args, "--warmup", "0", "--out", str(plain)]) == 0
+    assert cli.main([*args, "--warmup", "0", "--clamp-noise", "--out", str(clamped)]) == 0
+    plain, clamped = read_summary(plain), read_summary(clamped)
+    assert SHARED_ECHO <= set(clamped["config"])
+    assert (plain["config"].pop("clamp_noise"), clamped["config"].pop("clamp_noise")) == (False, True)
+    assert plain == clamped
 
 
 @pytest.mark.parametrize("source, steps", [("preset", 360), ("trajectories", 2), ("detectors", 11), ("sweep", 360)])
@@ -550,15 +599,16 @@ def test_trajectory_speed_noise_is_added_before_smoothing(tmp_path, monkeypatch)
 
     cfg, traj = load_network(net), sensing.load_trajectories(path)
 
-    def clean(window):
+    def clean():
         rng = cli._rep_rng(3, 0, 1)
-        return sensing.frames_from_trajectories(traj, cfg, 0.5, rng, t0_s=traj.t_min_s, window=window), rng
+        return sensing.frames_from_trajectories(traj, cfg, 0.5, rng, t0_s=traj.t_min_s), rng
 
-    meas, rng = clean(1)
+    meas, rng = clean()
     want = sensing.moving_average_speed(sensing.add_measurement_noise(meas, rng, speed_std_kmh=6.0).speeds_kmh, 3)
     assert seen[0].speeds_kmh.tobytes() == want.tobytes()
     # Noise added after smoothing gives other speeds.
-    smoothed, rng = clean(3)
+    meas, rng = clean()
+    smoothed = cli._smoothed(meas, 3)
     late = sensing.add_measurement_noise(smoothed, rng, speed_std_kmh=6.0).speeds_kmh
     assert not np.array_equal(late, want, equal_nan=True)
 

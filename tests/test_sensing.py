@@ -459,7 +459,7 @@ class TestFramesFromTrajectories:
     def test_full_penetration_frames(self):
         traj = three_vehicle_traj()
         cfg = make_config()
-        meas = frames_from_trajectories(traj, cfg, 1.0, np.random.default_rng(0), window=3)
+        meas = frames_from_trajectories(traj, cfg, 1.0, np.random.default_rng(0))
         # 12 s of samples at a 5 s step give two full intervals.
         assert meas.n_steps == 2
         assert np.allclose(meas.speeds_kmh, 180.0)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trafficstate import cli
 from trafficstate.kalman import FilterTuning, run_filter
 from trafficstate.ltv_model import build_state_index
 from trafficstate.metrics import cv_rho
@@ -20,13 +21,12 @@ from trafficstate.network import (
     check_cfl,
     validate_network,
 )
-from trafficstate.sensing import moving_average_speed
+from trafficstate.sensing import add_measurement_noise, moving_average_speed
 from trafficstate.simulate import (
     PRESET_NAMES,
     CflViolationError,
     Scenario,
     emulate_probe_speeds,
-    frames_from_simulation,
     load_scenario,
     make_congestion_scenario,
     preset_filter_defaults,
@@ -367,48 +367,45 @@ class TestSyntheticMeasurements:
         sim = self.scenario()
         with pytest.raises(ValueError, match="rng is required"):
             synthetic_measurements(sim, penetration=0.5)
-        with pytest.raises(ValueError, match="rng is required"):
-            synthetic_measurements(sim, flow_noise_std_vph=100.0)
-        with pytest.raises(ValueError, match="rng is required"):
-            synthetic_measurements(sim, speed_noise_std_kmh=2.0)
+
+    # Noise is added by ``add_measurement_noise`` to the clean measurements.
 
     def test_flow_noise_floors_ramp_magnitudes(self):
         sim = self.scenario()
-        raw = synthetic_measurements(
-            sim, np.random.default_rng(3), flow_noise_std_vph=5000.0
-        )
+        raw = add_measurement_noise(synthetic_measurements(sim), np.random.default_rng(3), flow_std_vph=5000.0)
         assert raw.measured_ramp_flows_vph[2].min() >= 0.0
         assert min(q.min() for q in raw.sensor_flows_vph.values()) < 0.0
 
     def test_clamp_floors_entry_and_sensor_flows(self):
         sim = self.scenario()
-        raw = synthetic_measurements(
-            sim, np.random.default_rng(3), flow_noise_std_vph=5000.0, clamp_nonnegative=True
+        raw = add_measurement_noise(
+            synthetic_measurements(sim), np.random.default_rng(3), flow_std_vph=5000.0, clamp_nonnegative=True
         )
         assert raw.entry_flow_vph.min() >= 0.0
         assert min(q.min() for q in raw.sensor_flows_vph.values()) >= 0.0
 
     def test_same_seed_same_measurements(self):
         sim = self.scenario()
-        a = synthetic_measurements(
-            sim, np.random.default_rng(8), penetration=0.4, flow_noise_std_vph=50.0
-        )
-        b = synthetic_measurements(
-            sim, np.random.default_rng(8), penetration=0.4, flow_noise_std_vph=50.0
-        )
+
+        def noisy(rng):
+            return add_measurement_noise(synthetic_measurements(sim, rng, penetration=0.4), rng, flow_std_vph=50.0)
+
+        a, b = noisy(np.random.default_rng(8)), noisy(np.random.default_rng(8))
         assert np.array_equal(a.speeds_kmh, b.speeds_kmh, equal_nan=True)
         assert np.array_equal(a.entry_flow_vph, b.entry_flow_vph)
 
 
 class TestFrameAssembly:
+    """Clean measurements, then noise, then ``cli._smoothed``: the path of every run."""
+
     def test_window_one_keeps_raw_speeds(self):
         # Segment 1 starts empty, so its step-0 cell reports nothing whatever
         # the draws: the raw speeds have a gap for window=1 to keep.
         sc = make_scenario(make_config(n=3, sensors=(3,)), 30, 20.0, 90.0, 1800.0)
         sim = simulate_truth(dataclasses.replace(sc, initial_density_veh_km=np.array([0.0, 20.0, 20.0])))
-        rng_args = dict(penetration=0.3, flow_noise_std_vph=20.0)
-        raw = synthetic_measurements(sim, np.random.default_rng(4), **rng_args)
-        meas = frames_from_simulation(sim, np.random.default_rng(4), window=1, **rng_args)
+        rng = np.random.default_rng(4)
+        raw = add_measurement_noise(synthetic_measurements(sim, rng, penetration=0.3), rng, flow_std_vph=20.0)
+        meas = cli._smoothed(raw, 1)
         assert np.isnan(raw.speeds_kmh[0, 0])
         assert np.array_equal(meas.speeds_kmh, raw.speeds_kmh, equal_nan=True)
         assert np.array_equal(meas.entry_flow_vph, raw.entry_flow_vph)
@@ -419,19 +416,10 @@ class TestFrameAssembly:
             make_scenario(make_config(n=3, sensors=(3,)), 30, 20.0, 90.0, 1800.0)
         )
         raw = synthetic_measurements(sim, np.random.default_rng(5), penetration=0.3)
-        meas = frames_from_simulation(sim, np.random.default_rng(5), penetration=0.3, window=3)
+        meas = cli._smoothed(raw, 3)
         expected = moving_average_speed(raw.speeds_kmh, window=3)
         assert np.array_equal(meas.speeds_kmh, expected, equal_nan=True)
         assert np.array_equal(meas.entry_flow_vph, raw.entry_flow_vph)
-
-    def test_frames_from_simulation_exact_path(self):
-        cfg = make_config(n=3, sensors=(3,))
-        sim = simulate_truth(make_scenario(cfg, 10, 20.0, 90.0, 1800.0))
-        meas = frames_from_simulation(sim, window=1)
-        assert meas.n_steps == 10
-        assert np.allclose(meas.speeds_kmh, 90.0)
-        assert list(meas.sensor_flows_vph) == [3]
-        assert np.allclose(meas.sensor_flows_vph[3], 1800.0)
 
 
 class TestPresets:
@@ -499,7 +487,7 @@ class TestTruthReconstruction:
         for name in PRESET_NAMES:
             sc = make_congestion_scenario(name, seed=0)
             sim = simulate_truth(sc)
-            frames = frames_from_simulation(sim, window=1)
+            frames = synthetic_measurements(sim)
             idx = build_state_index(sc.cfg)
             lengths = sc.cfg.lengths_km
             # Each ramp state is its flow's per-step density contribution (T/delta) q.
