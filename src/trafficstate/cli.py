@@ -169,14 +169,10 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _parse_ramp_lane(values, cfg: NetworkConfig) -> list[sensing.RampLaneRule]:
+def _ramp_rules(pairs, cfg: NetworkConfig) -> list[sensing.RampLaneRule]:
+    """The ``--ramp-lane`` (segment, lane) pairs as rules, checked against the network."""
     rules = []
-    for item in values or []:
-        try:
-            seg_s, lane_s = item.split(":")
-            seg, lane = int(seg_s), int(lane_s)
-        except ValueError:
-            raise SystemExit(f"--ramp-lane expects SEGMENT:LANE, got {item!r}")
+    for seg, lane in pairs or ():
         if not 1 <= seg <= cfg.n_segments:
             raise SystemExit(f"--ramp-lane segment {seg} outside 1..{cfg.n_segments}")
         kind = cfg.segments[seg - 1].ramp
@@ -220,13 +216,29 @@ def _fraction(text: str) -> float:
     return value
 
 
-def _parse_lanes(spec: str | None) -> frozenset[int]:
-    if not spec:
-        return frozenset()
+def _fractions(text: str) -> list[float]:
+    """argparse type for ``--p``: comma-separated ``_fraction`` values, at least one."""
+    values = [_fraction(x) for x in text.split(",") if x.strip() != ""]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    return values
+
+
+def _lanes(text: str) -> frozenset[int]:
+    """argparse type for ``--exclude-lanes``: comma-separated lane ids."""
     try:
-        return frozenset(int(x) for x in spec.split(",") if x.strip() != "")
+        return frozenset(int(x) for x in text.split(",") if x.strip() != "")
     except ValueError:
-        raise SystemExit(f"--exclude-lanes expects comma-separated integers, got {spec!r}")
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
+def _segment_lane(text: str) -> tuple[int, int]:
+    """argparse type for ``--ramp-lane``: SEGMENT:LANE."""
+    try:
+        seg, lane = (int(x) for x in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected SEGMENT:LANE, got {text!r}")
+    return seg, lane
 
 
 @dataclasses.dataclass(frozen=True)
@@ -278,8 +290,8 @@ def _preset_source(args, sc: simulate.Scenario, rng: np.random.Generator) -> _So
 
 
 def _trajectory_source(args, cfg: NetworkConfig, rng: np.random.Generator) -> _Source:
-    exclude = _parse_lanes(args.exclude_lanes)
-    rules = _parse_ramp_lane(args.ramp_lane, cfg)
+    exclude = args.exclude_lanes
+    rules = _ramp_rules(args.ramp_lane, cfg)
     traj = sensing.load_trajectories(args.trajectories)
     t0 = traj.t_min_s
     meas = sensing.frames_from_trajectories(
@@ -507,13 +519,6 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        p_values = [float(x) for x in args.p.split(",") if x.strip() != ""]
-    except ValueError:
-        raise SystemExit(f"--p expects comma-separated numbers, got {args.p!r}")
-    if not p_values or any(not 0.0 <= p <= 1.0 for p in p_values):
-        raise SystemExit("--p values must lie in [0, 1]")
-
     sc = simulate.make_congestion_scenario(args.preset, args.seed)
     cfg = sc.cfg
     idx = build_state_index(cfg)
@@ -558,7 +563,7 @@ def cmd_sweep(args) -> int:
 
     # One batch per rate, not one for the whole sweep, bounds peak memory;
     # each rate's batch is freed before the next is built.
-    rows = [row for p in p_values for row in rate_rows(p)]
+    rows = [row for p in args.p for row in rate_rows(p)]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -567,7 +572,7 @@ def cmd_sweep(args) -> int:
         writer.writerow(["p", "variant", "mean_cv_rho", "std_cv_rho", "mean_w"])
         for p, variant, mean_cv, std_cv, mean_w in rows:
             writer.writerow([_fmt(p), variant, _fmt(mean_cv), _fmt(std_cv), _fmt(mean_w)])
-    sweep_echo = {"preset": args.preset, "p_values": p_values, "reps": args.reps}
+    sweep_echo = {"preset": args.preset, "p_values": args.p, "reps": args.reps}
     _write_json(out / SUMMARY_JSON, {"config": {**_config_echo(args, cfg, tuning, idx), **sweep_echo}})
     print(f"wrote {len(rows)} rows to {out / SWEEP_CSV}")
     return 0
@@ -656,9 +661,15 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--out", required=True, help="output directory")
     pe.add_argument("--strict-cfl", action="store_true", help="fail instead of warn on accuracy-bound violations")
     pe.add_argument("--clamp-output", action="store_true", help="floor published density estimates at zero")
-    pe.add_argument("--exclude-lanes", help="comma-separated lane ids excluded from totals (trajectories)")
+    pe.add_argument(
+        "--exclude-lanes",
+        type=_lanes,
+        default=frozenset(),
+        help="comma-separated lane ids excluded from totals (trajectories)",
+    )
     pe.add_argument(
         "--ramp-lane",
+        type=_segment_lane,
         action="append",
         metavar="SEGMENT:LANE",
         help="lane rule for counting a ramp's flow from trajectories; repeatable",
@@ -669,7 +680,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pw = sub.add_parser("sweep", help="penetration sweep on a preset")
     pw.add_argument("--preset", required=True, choices=simulate.PRESET_NAMES)
-    pw.add_argument("--p", default="0.02,0.05,0.2,1.0", help="comma-separated penetration rates")
+    pw.add_argument(
+        "--p", type=_fractions, default="0.02,0.05,0.2,1.0", help="comma-separated penetration rates in [0, 1]"
+    )
     pw.add_argument("--reps", type=_whole(1), default=10, help="seeded repetitions per rate")
     pw.add_argument("--seed", type=int, default=0)
     pw.add_argument("--window", type=_whole(1), default=3, help="speed moving-average window, steps")
@@ -698,6 +711,9 @@ def main(argv=None) -> int:
             parser.error("--network applies to --trajectories/--detectors only")
         if (args.exclude_lanes or args.ramp_lane) and not args.trajectories:
             parser.error("--exclude-lanes and --ramp-lane apply to --trajectories only")
+        ramp_segments = [seg for seg, _lane in args.ramp_lane or ()]
+        if len(set(ramp_segments)) != len(ramp_segments):
+            parser.error("--ramp-lane names a segment more than once")
     try:
         return args.func(args)
     except (

@@ -2,8 +2,8 @@
 
 The filter is run in one-step-ahead predictor form: the state estimate
 published for step k+1 uses measurements up to and including step k. The
-gain solve goes through the Cholesky factor of the innovation covariance,
-never its explicit inverse.
+gain solve goes through the Cholesky factor L of the m x m innovation
+covariance S: it inverts the triangular factor L, never S itself.
 
 ``run_filter_batch`` uses the model's structure: the transition matrix is
 lower-bidiagonal plus the ramp columns and an identity block on the ramp

@@ -57,10 +57,6 @@ class StateIndex:
     def n_inputs(self) -> int:
         return 1 + len(self.measured_ramp_segments)
 
-    def theta_position(self, segment: int) -> int:
-        """0-based state position of the ramp state attached to ``segment``."""
-        return self.n_segments + self.theta_segments.index(segment)
-
 
 @dataclass(frozen=True)
 class LtvSnapshot:

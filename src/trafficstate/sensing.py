@@ -34,7 +34,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -134,42 +134,40 @@ class VehicleTrack:
 class TrajectoryData:
     """Trajectory samples of one recording period, as one flat table.
 
-    The read-only columns ``t_s``, ``x_m``, ``speed_mps`` and ``lane`` hold
-    every sample, vehicle after vehicle in the order of ``ids``, each
-    vehicle's samples sorted by time: vehicle ``ids[j]`` owns rows
-    ``starts[j]:starts[j + 1]``. ``tracks`` maps each id to its samples as
-    views into the columns, in the same order.
+    The constructor takes one entry per sample in each column, rows in any
+    order. It groups the rows by vehicle, in order of first appearance, and
+    sorts each vehicle's samples by time, ties keeping row order. The
+    read-only columns ``t_s``, ``x_m``, ``speed_mps`` and ``lane`` then hold
+    every sample, vehicle after vehicle in the order of ``ids``: vehicle
+    ``ids[j]`` owns rows ``starts[j]:starts[j + 1]``. ``tracks`` maps each id
+    to its samples as views into the columns, in the same order.
     """
 
-    def __init__(self, tracks: Iterable[VehicleTrack]):
-        by_id = {t.vehicle_id: t for t in tracks}
-        if not by_id:
+    def __init__(self, vehicle_id, t_s, x_m, speed_mps, lane):
+        vehicle_id, lane = np.asarray(vehicle_id, dtype=np.int64), np.asarray(lane, dtype=np.int64)
+        t_s, x_m, speed_mps = (np.asarray(c, dtype=float) for c in (t_s, x_m, speed_mps))
+        shapes = {c.shape for c in (vehicle_id, t_s, x_m, speed_mps, lane)}
+        if len(shapes) != 1 or t_s.ndim != 1:
+            raise ValueError(f"trajectory columns must be 1-D and of equal length, got shapes {shapes}")
+        if t_s.size == 0:
             raise TrajectoryFormatError("no trajectory samples")
-        parts = by_id.values()
-        self._adopt(
-            np.array(list(by_id), dtype=np.int64),
-            np.cumsum([0] + [len(t.times_s) for t in parts]),
-            np.concatenate([t.times_s for t in parts], dtype=float),
-            np.concatenate([t.positions_m for t in parts], dtype=float),
-            np.concatenate([t.speeds_mps for t in parts], dtype=float),
-            np.concatenate([t.lanes for t in parts]),
-        )
-
-    @classmethod
-    def _from_columns(cls, ids, starts, t_s, x_m, speed_mps, lane) -> TrajectoryData:
-        """Adopt columns already in table order, without copying them."""
-        traj = cls.__new__(cls)
-        traj._adopt(ids, starts, t_s, x_m, speed_mps, lane)
-        return traj
-
-    def _adopt(self, ids, starts, t_s, x_m, speed_mps, lane) -> None:
-        self.ids, self.starts = ids, starts
-        self.t_s, self.x_m, self.speed_mps, self.lane = t_s, x_m, speed_mps, lane
-        for column in (ids, starts, t_s, x_m, speed_mps, lane):
+        ids, first, inverse = np.unique(vehicle_id, return_index=True, return_inverse=True)
+        appearance = np.argsort(first)
+        rank = np.empty_like(appearance)
+        rank[appearance] = np.arange(ids.size)
+        vehicle = rank[inverse.ravel()]
+        del first, inverse, rank
+        order = np.lexsort((t_s, vehicle))
+        self.starts = np.concatenate([[0], np.cumsum(np.bincount(vehicle))])
+        del vehicle
+        # The sorted copies set a trajectory run's peak memory: the sort keys
+        # are freed before they are made.
+        self.ids = ids[appearance]
+        self.t_s, self.x_m, self.speed_mps, self.lane = (c[order] for c in (t_s, x_m, speed_mps, lane))
+        for column in (self.ids, self.starts, self.t_s, self.x_m, self.speed_mps, self.lane):
             column.flags.writeable = False
-        self.vehicle_ids: tuple[int, ...] = tuple(sorted(ids.tolist()))
-        self.t_min_s = float(t_s[starts[:-1]].min())
-        self.t_max_s = float(t_s[starts[1:] - 1].max())
+        self.vehicle_ids: tuple[int, ...] = tuple(ids.tolist())
+        self.t_min_s, self.t_max_s = float(self.t_s.min()), float(self.t_s.max())
         self._grid_key, self._grid_value = None, None
 
     @cached_property
@@ -190,9 +188,6 @@ class TrajectoryData:
         if self._grid_key != key:
             self._grid_key, self._grid_value = key, _step_grid(self, times_s, max_gap_s)
         return self._grid_value
-
-    def __len__(self) -> int:
-        return self.ids.size
 
 
 @dataclass(frozen=True)
@@ -231,13 +226,14 @@ def _bad_row(path: str | Path, columns: Mapping[str, type]) -> str | None:
 
 def _read_columns(
     path: str | Path, columns: Mapping[str, type], error: type[ValueError]
-) -> dict[str, np.ndarray] | None:
-    """Parse the named CSV columns in C; None when there are no rows.
+) -> dict[str, np.ndarray]:
+    """Parse the named CSV columns in C; they are empty when there are no rows.
 
     A column's kind is ``int``, ``float`` or ``_finite`` (a float that may
     not be NaN or infinite). The header may list the columns in any order,
     among others. The columns returned are views into one parsed table.
     """
+    dtype = [(name, "i8" if kind is int else "f8") for name, kind in columns.items()]
     with open(path) as fh:
         header = fh.readline()
         fields = next(csv.reader([header])) if header else None
@@ -245,7 +241,7 @@ def _read_columns(
             raise error(f"{path}: header must contain {sorted(columns)}, got {fields}")
         start = fh.tell()
         if not any(line.strip() for line in iter(fh.readline, "")):
-            return None
+            return {name: np.empty(0, kind) for name, kind in dtype}
         fh.seek(start)
         where = {name: i for i, name in enumerate(fields)}
         try:
@@ -258,7 +254,7 @@ def _read_columns(
                     comments=None,
                     ndmin=1,
                     usecols=[where[name] for name in columns],
-                    dtype=[(name, "i8" if kind is int else "f8") for name, kind in columns.items()],
+                    dtype=dtype,
                 )
         except (ValueError, DeprecationWarning) as exc:
             raise error(_bad_row(path, columns) or f"{path}: {exc}") from exc
@@ -276,32 +272,15 @@ def _group_starts(keys: np.ndarray) -> np.ndarray:
 def load_trajectories(path: str | Path) -> TrajectoryData:
     """Read a trajectory CSV: vehicle_id,t_s,x_m,lane,speed_mps.
 
-    Tracks keep the order in which vehicles first appear; samples are
-    sorted by time, ties keeping file order. A NaN or infinite time,
-    position or speed is a format error.
+    Rows may come in any order (see ``TrajectoryData``). A NaN or infinite
+    time, position or speed is a format error.
     """
     cols = _read_columns(
         path,
         {"vehicle_id": int, "t_s": _finite, "x_m": _finite, "lane": int, "speed_mps": _finite},
         TrajectoryFormatError,
     )
-    if cols is None:
-        raise TrajectoryFormatError("no trajectory samples")
-    ids, first, inverse = np.unique(cols.pop("vehicle_id"), return_index=True, return_inverse=True)
-    appearance = np.argsort(first)
-    rank = np.empty_like(appearance)
-    rank[appearance] = np.arange(ids.size)
-    vehicle = rank[inverse.ravel()]
-    del first, inverse, rank
-    order = np.lexsort((cols["t_s"], vehicle))
-    starts = np.concatenate([[0], np.cumsum(np.bincount(vehicle))])
-    del vehicle
-    # This sets the run's peak memory: the sort keys are gone, and the parsed
-    # table is freed once its last column is replaced by its sorted copy.
-    for name in cols:
-        cols[name] = cols[name][order]
-    del order
-    return TrajectoryData._from_columns(ids[appearance], starts, **cols)
+    return TrajectoryData(**cols)
 
 
 def assign_connected(vehicle_ids: Sequence[int], penetration: float, rng: np.random.Generator) -> frozenset[int]:
@@ -638,7 +617,7 @@ def load_detectors(path: str | Path) -> list[DetectorSeries]:
         {"detector_pos_m": _finite, "t_s": _finite, "flow_vph": float, "speed_kmh": float},
         DetectorFormatError,
     )
-    if cols is None:
+    if cols["t_s"].size == 0:
         raise DetectorFormatError(f"{path}: no detector rows")
     order = np.lexsort((cols["t_s"], cols["detector_pos_m"]))
     cols = {name: col[order] for name, col in cols.items()}

@@ -34,7 +34,6 @@ __all__ = [
     "make_congestion_scenario",
     "preset_filter_defaults",
     "save_scenario",
-    "load_scenario",
     "PRESET_NAMES",
 ]
 
@@ -101,10 +100,6 @@ class SimulationResult:
     scenario: Scenario
     densities: np.ndarray
     segment_flows: np.ndarray
-
-    @property
-    def exit_flow_vph(self) -> np.ndarray:
-        return self.segment_flows[:, -1]
 
     @property
     def speeds_kmh(self) -> np.ndarray:
@@ -349,7 +344,7 @@ def preset_filter_defaults(name: str) -> dict[str, float]:
 
 
 def save_scenario(sc: Scenario, path: str | Path) -> None:
-    """Write a scenario to JSON so a run can be reproduced elsewhere."""
+    """Write a scenario to JSON for inspection; nothing in the package reads it back."""
     payload = {
         "name": sc.name,
         "n_steps": sc.n_steps,
@@ -361,16 +356,3 @@ def save_scenario(sc: Scenario, path: str | Path) -> None:
     }
     Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
 
-
-def load_scenario(path: str | Path) -> Scenario:
-    """Read a scenario written by ``save_scenario``; a bad network raises NetworkFormatError."""
-    raw = json.loads(Path(path).read_text())
-    return Scenario(
-        cfg=NetworkConfig.from_dict(raw.get("network")),
-        n_steps=int(raw["n_steps"]),
-        initial_density_veh_km=np.array(raw["initial_density_veh_km"], dtype=float),
-        speeds_kmh=np.array(raw["speeds_kmh"], dtype=float),
-        entry_flow_vph=np.array(raw["entry_flow_vph"], dtype=float),
-        ramp_flows_vph={int(seg): np.array(v, dtype=float) for seg, v in raw.get("ramp_flows_vph", {}).items()},
-        name=str(raw.get("name", "")),
-    )

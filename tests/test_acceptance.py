@@ -309,7 +309,7 @@ def test_criterion_07_simulated_truth_conserves_vehicles():
             sign = 1.0 if sc.cfg.segments[seg - 1].ramp is RampType.ON else -1.0
             net_ramp += sign * series
         through = float(
-            sc.cfg.time_step_h * np.sum(sc.entry_flow_vph - sim.exit_flow_vph + net_ramp)
+            sc.cfg.time_step_h * np.sum(sc.entry_flow_vph - sim.segment_flows[:, -1] + net_ramp)
         )
         return abs(stored - through) / max(abs(stored), abs(through), 1.0)
 

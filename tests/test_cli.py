@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from trafficstate import cli, kalman, metrics, sensing, simulate
 from trafficstate.network import NetworkConfig, Segment, load_network
 from trafficstate.sensing import Measurements
-from trafficstate.simulate import load_scenario
 
 
 def write_network(path, *, n=2, length_km=0.5, time_step_h=5 / 3600, sensors=(2,)):
@@ -100,15 +99,16 @@ class TestSimulate:
         assert code == 0
         assert "wrote 360 steps" in capsys.readouterr().out
 
-        sc = load_scenario(out / "scenario.json")
-        assert sc.name == "ngsim_like"
+        scenario = json.loads((out / "scenario.json").read_text())
+        assert scenario["name"] == "ngsim_like"
+        assert NetworkConfig.from_dict(scenario["network"]) == simulate.make_congestion_scenario("ngsim_like", 0).cfg
 
         header, rows = read_csv(out / "truth.csv")
         assert header == ["k", "segment", "rho_true", "v_true", "q_true"]
         assert len(rows) == 360 * 8
         first = rows[0]
         assert first[0] == "0" and first[1] == "1"
-        assert float(first[2]) == pytest.approx(sc.initial_density_veh_km[0])
+        assert float(first[2]) == pytest.approx(scenario["initial_density_veh_km"][0])
 
 
 class TestEstimate:
@@ -428,12 +428,14 @@ class TestSweep:
 
         assert read_summary(out)["config"]["p_values"] == [0.2, 1.0]
 
-    def test_bad_p_specs_abort(self, tmp_path):
+    def test_bad_p_specs_abort(self, tmp_path, capsys):
         base = ["sweep", "--preset", "ngsim_like", "--reps", "1", "--out", str(tmp_path / "o")]
-        with pytest.raises(SystemExit):
-            cli.main(base + ["--p", "0.5,oops"])
-        with pytest.raises(SystemExit):
-            cli.main(base + ["--p", "1.5"])
+        for spec in ("0.5,oops", "1.5", "nan", "-0.1", ","):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(base + ["--p", spec])
+            assert exc.value.code == 2
+            assert "argument --p" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_rows_match_single_estimate_runs(self, tmp_path, read_summary):
         # One path from the clean measurements to the filter: each row of a
@@ -487,7 +489,9 @@ def test_invalid_speed_spread_exits_two(tmp_path, capsys, command, spread):
     + [("estimate", "--penetration", value) for value in ("nan", "inf", "-3", "1.5")]
     + [("estimate", "--warmup", value) for value in ("-5", "2.5")]
     + [("sweep", "--warmup", "-5")]
-    + [("sweep", "--reps", value) for value in ("0", "-1")],
+    + [("sweep", "--reps", value) for value in ("0", "-1")]
+    + [("estimate", "--exclude-lanes", value) for value in ("a", "1,x")]
+    + [("estimate", "--ramp-lane", value) for value in ("x", "4", "4:9:1", "4:b")],
 )
 def test_invalid_noise_or_penetration_exits_two(tmp_path, capsys, command, flag, value):
     args = [command, "--preset", "ngsim_like", flag, value, "--out", str(tmp_path / "o")]
@@ -524,6 +528,16 @@ def test_trajectory_only_flags_exit_two_on_other_sources(tmp_path, capsys, sourc
         cli.main([*estimate_args(tmp_path, source), flag, value, "--out", str(out)])
     assert exc.value.code == 2
     assert "apply to --trajectories only" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ramp_lane_segment_given_twice_exits_two(tmp_path, capsys):
+    out = tmp_path / "o"
+    rules = ["--ramp-lane", "1:9", "--ramp-lane", "1:8"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*estimate_args(tmp_path, "trajectories"), *rules, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--ramp-lane names a segment more than once" in capsys.readouterr().err
     assert not out.exists()
 
 

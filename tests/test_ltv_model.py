@@ -64,8 +64,6 @@ class TestStateIndex:
         assert idx.n_theta == 2
         assert idx.dim == 8
         assert idx.n_inputs == 2
-        assert idx.theta_position(2) == 6
-        assert idx.theta_position(5) == 7
 
     def test_plain_network_has_no_extra_states(self):
         idx = build_state_index(make_config(3, sensors=(3,)))
@@ -298,5 +296,5 @@ class TestConversions:
         cfg = make_config(4, sensors=(4,), ramps=ramps, lengths=[0.5, 0.5, 0.4, 0.5])
         idx = build_state_index(cfg)
         x = np.zeros(idx.dim)
-        x[idx.theta_position(3)] = theta
+        x[4] = theta  # the one ramp state follows the four densities
         assert ramp_flows_of(cfg, idx, x) == {3: pytest.approx(720.0)}

@@ -12,3 +12,10 @@ def test_quick_start_block_runs(capsys):
     out = capsys.readouterr().out
     assert "density error CV:" in out
     assert "estimated ramp flow, last step:" in out
+
+
+def test_later_python_blocks_run():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)[1:]
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {"__name__": "readme_block"})

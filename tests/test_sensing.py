@@ -17,7 +17,6 @@ from trafficstate.sensing import (
     RampLaneRule,
     TrajectoryData,
     TrajectoryFormatError,
-    VehicleTrack,
     add_measurement_noise,
     assign_connected,
     frames_from_detectors,
@@ -65,24 +64,25 @@ def make_config(n=2, sensors=(2,), ramps=None):
 
 
 def make_track(vid, x0_m, speed_mps, *, t0_s=0.0, n_samples=13, lane=1, lanes=None):
-    times = t0_s + np.arange(n_samples, dtype=float)
-    positions = x0_m + speed_mps * np.arange(n_samples, dtype=float)
-    speeds = np.full(n_samples, float(speed_mps))
-    lane_arr = np.asarray(lanes, dtype=int) if lanes is not None else np.full(n_samples, lane, dtype=int)
-    return VehicleTrack(
-        vehicle_id=vid, times_s=times, positions_m=positions, speeds_mps=speeds, lanes=lane_arr
-    )
+    """One vehicle at constant speed, sampled once a second, as flat sample columns."""
+    steps = np.arange(n_samples, dtype=float)
+    return {
+        "vehicle_id": np.full(n_samples, vid),
+        "t_s": t0_s + steps,
+        "x_m": x0_m + speed_mps * steps,
+        "speed_mps": np.full(n_samples, float(speed_mps)),
+        "lane": np.asarray(lanes) if lanes is not None else np.full(n_samples, lane),
+    }
+
+
+def trajectory(*tracks):
+    """A TrajectoryData over the rows of ``make_track`` columns, in the order given."""
+    return TrajectoryData(**{name: np.concatenate([t[name] for t in tracks]) for name in tracks[0]})
 
 
 def three_vehicle_traj():
     # Constant 50 m/s on a 1000 m stretch; one vehicle per region.
-    return TrajectoryData(
-        [
-            make_track(1, -50.0, 50.0),
-            make_track(2, 450.0, 50.0),
-            make_track(3, 950.0, 50.0),
-        ]
-    )
+    return trajectory(make_track(1, -50.0, 50.0), make_track(2, 450.0, 50.0), make_track(3, 950.0, 50.0))
 
 
 class TestMeasurements:
@@ -131,10 +131,11 @@ class TestLoaders:
         )
         traj = load_trajectories(path)
         assert traj.vehicle_ids == (3, 7)
-        assert len(traj) == 2
-        # Samples are sorted by time inside each track.
-        assert np.allclose(traj.tracks[7].times_s, [0.0, 1.0])
-        assert np.allclose(traj.tracks[7].positions_m, [0.0, 10.0])
+        # Vehicles in order of first appearance, samples sorted by time inside each.
+        assert traj.ids.tolist() == [7, 3]
+        assert traj.starts.tolist() == [0, 2, 3]
+        assert traj.t_s.tolist() == [0.0, 1.0, 0.0]
+        assert traj.x_m.tolist() == [0.0, 10.0, 50.0]
         assert traj.t_min_s == 0.0
         assert traj.t_max_s == 1.0
 
@@ -161,10 +162,10 @@ class TestLoaders:
             "2,15.0,a,10.0,1.0,7\n"
             "2,15.0,b,0.0,0.0,7\n"
         )
-        track = load_trajectories(path).tracks[7]
-        assert np.array_equal(track.times_s, [0.0, 1.0])
-        assert np.array_equal(track.positions_m, [0.0, 10.0])
-        assert np.array_equal(track.lanes, [2, 2])
+        traj = load_trajectories(path)
+        assert np.array_equal(traj.t_s, [0.0, 1.0])
+        assert np.array_equal(traj.x_m, [0.0, 10.0])
+        assert np.array_equal(traj.lane, [2, 2])
 
     @pytest.mark.parametrize("bad", ["7.0,0.0,0.0,2,15.0", "7,0.0,0.0,2.5,15.0"])
     def test_trajectory_ids_and_lanes_must_be_integers(self, tmp_path, bad):
@@ -280,17 +281,17 @@ class TestAssignConnected:
 
 class TestPositionsAt:
     def test_latest_sample_within_gap(self):
-        traj = TrajectoryData([make_track(1, 0.0, 15.0, n_samples=3)])
+        traj = trajectory(make_track(1, 0.0, 15.0, n_samples=3))
         [snap] = grid_snapshots(traj, [1.5])
         assert snap[1] == (15.0, 15.0, 1)
 
     def test_stale_sample_is_dropped(self):
-        traj = TrajectoryData([make_track(1, 0.0, 15.0, n_samples=3)])
+        traj = trajectory(make_track(1, 0.0, 15.0, n_samples=3))
         assert 1 in grid_snapshots(traj, [2.9])[0]
         assert grid_snapshots(traj, [3.5]) == [{}]
 
     def test_before_first_sample_absent(self):
-        traj = TrajectoryData([make_track(1, 0.0, 15.0, t0_s=10.0)])
+        traj = trajectory(make_track(1, 0.0, 15.0, t0_s=10.0))
         assert grid_snapshots(traj, [9.0]) == [{}]
 
 
@@ -298,24 +299,20 @@ class TestSegmentSpeeds:
     def test_connected_mean_in_kmh(self):
         # Two connected vehicles in segment 1 at 10 and 14 m/s average to
         # 12 m/s = 43.2 km/h; segment 2 has nobody and stays NaN.
-        traj = TrajectoryData(
-            [make_track(1, 100.0, 10.0), make_track(2, 200.0, 14.0)]
-        )
+        traj = trajectory(make_track(1, 100.0, 10.0), make_track(2, 200.0, 14.0))
         cfg = make_config()
         series = segment_speed_series(traj, cfg, 1, frozenset({1, 2}))
         assert series[0, 0] == pytest.approx(43.2)
         assert np.isnan(series[0, 1])
 
     def test_unconnected_vehicles_are_invisible(self):
-        traj = TrajectoryData([make_track(1, 100.0, 10.0), make_track(2, 200.0, 14.0)])
+        traj = trajectory(make_track(1, 100.0, 10.0), make_track(2, 200.0, 14.0))
         cfg = make_config()
         series = segment_speed_series(traj, cfg, 1, frozenset({2}))
         assert series[0, 0] == pytest.approx(14.0 * 3.6)
 
     def test_excluded_lanes_are_invisible(self):
-        traj = TrajectoryData(
-            [make_track(1, 100.0, 10.0, lane=1), make_track(2, 200.0, 14.0, lane=9)]
-        )
+        traj = trajectory(make_track(1, 100.0, 10.0, lane=1), make_track(2, 200.0, 14.0, lane=9))
         cfg = make_config()
         series = segment_speed_series(
             traj, cfg, 1, frozenset({1, 2}), exclude_lanes=frozenset({9})
@@ -353,55 +350,33 @@ class TestMovingAverage:
 class TestCrossings:
     def test_interpolated_crossing_time(self):
         # 100 m/s from x = 450: reaches 500 halfway through the first second.
-        track = VehicleTrack(
-            vehicle_id=1,
-            times_s=np.array([0.0, 1.0]),
-            positions_m=np.array([450.0, 550.0]),
-            speeds_mps=np.array([100.0, 100.0]),
-            lanes=np.array([1, 1]),
-        )
-        times = first_crossings(TrajectoryData([track]), 500.0)
+        traj = TrajectoryData(vehicle_id=[1, 1], t_s=[0.0, 1.0], x_m=[450.0, 550.0], speed_mps=[100.0] * 2, lane=[1, 1])
+        times = first_crossings(traj, 500.0)
         assert times[1] == pytest.approx(0.5)
 
     def test_vehicles_past_or_short_are_omitted(self):
         past = make_track(1, 600.0, 10.0, n_samples=3)
         short = make_track(2, 0.0, 10.0, n_samples=3)
-        times = first_crossings(TrajectoryData([past, short]), 500.0)
+        times = first_crossings(trajectory(past, short), 500.0)
         assert times == {}
 
     def test_flow_counts_per_interval(self):
         # Two crossings inside (0, 5] make 2 / (5/3600) = 1440 veh/h.
-        tracks = [
-            VehicleTrack(
-                vehicle_id=vid,
-                times_s=np.array([0.0, 5.0]),
-                positions_m=np.array([400.0, 900.0]),
-                speeds_mps=np.array([100.0, 100.0]),
-                lanes=np.array([1, 1]),
-            )
-            for vid in (1, 2)
-        ]
-        flow = virtual_detector_flow(TrajectoryData(tracks), 500.0, 2, T_STEP_H)
+        # Vehicles 1 and 2 at 100 m/s, their samples interleaved.
+        traj = TrajectoryData([1, 2, 1, 2], [0.0, 0.0, 5.0, 5.0], [400.0, 400.0, 900.0, 900.0], [100.0] * 4, [1] * 4)
+        flow = virtual_detector_flow(traj, 500.0, 2, T_STEP_H)
         assert np.allclose(flow, [1440.0, 0.0])
 
     def test_interval_edges_are_left_open_right_closed(self):
         # A crossing exactly at t = 0 precedes the first interval; one at
         # exactly t = 5 lands in it.
-        at_zero = VehicleTrack(
-            vehicle_id=1,
-            times_s=np.array([-1.0, 1.0]),
-            positions_m=np.array([450.0, 550.0]),
-            speeds_mps=np.array([50.0, 50.0]),
-            lanes=np.array([1, 1]),
+        traj = TrajectoryData(
+            vehicle_id=[1, 1, 2, 2],
+            t_s=[-1.0, 1.0, 4.0, 6.0],
+            x_m=[450.0, 550.0, 400.0, 600.0],
+            speed_mps=[50.0, 50.0, 100.0, 100.0],
+            lane=[1, 1, 1, 1],
         )
-        at_five = VehicleTrack(
-            vehicle_id=2,
-            times_s=np.array([4.0, 6.0]),
-            positions_m=np.array([400.0, 600.0]),
-            speeds_mps=np.array([100.0, 100.0]),
-            lanes=np.array([1, 1]),
-        )
-        traj = TrajectoryData([at_zero, at_five])
         times = first_crossings(traj, 500.0)
         assert times[1] == pytest.approx(0.0)
         assert times[2] == pytest.approx(5.0)
@@ -409,11 +384,10 @@ class TestCrossings:
         assert np.allclose(flow, [720.0, 0.0])
 
     def test_lane_filter_at_crossing(self):
-        tracks = [
+        traj = trajectory(
             make_track(1, 450.0, 50.0, lane=2, n_samples=4),
             make_track(2, 450.0, 50.0, lane=7, n_samples=4),
-        ]
-        traj = TrajectoryData(tracks)
+        )
         kept = virtual_detector_flow(traj, 500.0, 1, T_STEP_H, lanes=frozenset({2}))
         both = virtual_detector_flow(traj, 500.0, 1, T_STEP_H)
         assert kept[0] == pytest.approx(720.0)
@@ -425,7 +399,7 @@ class TestLaneTransitions:
         lanes = [9, 9, 1, 9, 1, 1]
         track = make_track(1, 0.0, 10.0, n_samples=6, lanes=lanes)
         rule = RampLaneRule(segment=1, lane=9, kind=RampType.ON)
-        flow = lane_transition_flow(TrajectoryData([track]), rule, 2, T_STEP_H)
+        flow = lane_transition_flow(trajectory(track), rule, 2, T_STEP_H)
         # First departure from lane 9 happens at t = 2, inside (0, 5].
         assert np.allclose(flow, [720.0, 0.0])
 
@@ -433,22 +407,20 @@ class TestLaneTransitions:
         lanes = [1, 1, 1, 1, 1, 1, 9]
         track = make_track(1, 0.0, 10.0, n_samples=7, lanes=lanes)
         rule = RampLaneRule(segment=1, lane=9, kind=RampType.OFF)
-        flow = lane_transition_flow(TrajectoryData([track]), rule, 2, T_STEP_H)
+        flow = lane_transition_flow(trajectory(track), rule, 2, T_STEP_H)
         # Arrival at t = 6 falls in the second interval (5, 10].
         assert np.allclose(flow, [0.0, 720.0])
 
     def test_vehicle_never_on_ramp_lane_contributes_nothing(self):
         track = make_track(1, 0.0, 10.0, n_samples=6, lane=1)
         rule = RampLaneRule(segment=1, lane=9, kind=RampType.ON)
-        flow = lane_transition_flow(TrajectoryData([track]), rule, 2, T_STEP_H)
+        flow = lane_transition_flow(trajectory(track), rule, 2, T_STEP_H)
         assert np.allclose(flow, 0.0)
 
 
 class TestGroundTruth:
     def test_counts_over_length(self):
-        traj = TrajectoryData(
-            [make_track(vid, x0, 0.01) for vid, x0 in ((1, 100.0), (2, 200.0), (3, 300.0), (4, 700.0))]
-        )
+        traj = trajectory(*(make_track(vid, x0, 0.01) for vid, x0 in ((1, 100.0), (2, 200.0), (3, 300.0), (4, 700.0))))
         cfg = make_config()
         rho = ground_truth_densities(traj, cfg, 1)
         assert rho[0, 0] == pytest.approx(3 / 0.5)
@@ -479,9 +451,7 @@ class TestFramesFromTrajectories:
         cfg = make_config(ramps={2: (RampType.ON, True)})
         lanes = [9, 9, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
         merger = make_track(4, 600.0, 10.0, lanes=lanes)
-        traj = TrajectoryData(
-            [make_track(1, -50.0, 50.0), make_track(2, 450.0, 50.0), merger]
-        )
+        traj = trajectory(make_track(1, -50.0, 50.0), make_track(2, 450.0, 50.0), merger)
         rule = RampLaneRule(segment=2, lane=9, kind=RampType.ON)
         meas = frames_from_trajectories(
             traj, cfg, 1.0, np.random.default_rng(0), ramp_rules=[rule]
@@ -500,7 +470,7 @@ class TestFramesFromTrajectories:
         ]
         tracks.append(make_track(301, 2.0, 25.0, t0_s=3.5, n_samples=42, lane=9))
         meas = frames_from_trajectories(
-            TrajectoryData(tracks),
+            trajectory(*tracks),
             make_config(),
             1.0,
             np.random.default_rng(0),
@@ -515,7 +485,7 @@ class TestFramesFromTrajectories:
         assert entry.sum() == pytest.approx(exit_.sum())
 
     def test_too_short_recording_raises(self):
-        traj = TrajectoryData([make_track(1, 0.0, 10.0, n_samples=3)])
+        traj = trajectory(make_track(1, 0.0, 10.0, n_samples=3))
         with pytest.raises(ValueError, match="too short"):
             frames_from_trajectories(traj, make_config(), 1.0, np.random.default_rng(0))
 
@@ -843,7 +813,7 @@ def recordings(draw, *, unique_times=False):
         st.sampled_from(edges_m + [-1.0, edges_m[-1] + 1.0]),
         st.floats(-100.0, edges_m[-1] + 100.0, allow_nan=False),
     )
-    tracks = []
+    columns = {"vehicle_id": [], "t_s": [], "x_m": [], "speed_mps": [], "lane": []}
     ids = draw(st.lists(st.integers(0, 50), min_size=1, max_size=6, unique=True))
     for vid in ids:
         n = draw(st.integers(1, 8))
@@ -853,21 +823,55 @@ def recordings(draw, *, unique_times=False):
         )
         if unique_times:
             steps = [d + 0.25 for d in steps]
-        tracks.append(
-            VehicleTrack(
-                vehicle_id=vid,
-                times_s=t0 + np.concatenate([[0.0], np.cumsum(steps)]),
-                positions_m=np.array(draw(st.lists(position, min_size=n, max_size=n))),
-                speeds_mps=np.array(
-                    draw(st.lists(st.floats(0.0, 40.0), min_size=n, max_size=n))
-                ),
-                lanes=np.array(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))),
-            )
-        )
-    traj = TrajectoryData(tracks)
+        columns["vehicle_id"] += [vid] * n
+        columns["t_s"] += (t0 + np.concatenate([[0.0], np.cumsum(steps)])).tolist()
+        columns["x_m"] += draw(st.lists(position, min_size=n, max_size=n))
+        columns["speed_mps"] += draw(st.lists(st.floats(0.0, 40.0), min_size=n, max_size=n))
+        columns["lane"] += draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    traj = TrajectoryData(**columns)
     connected = frozenset(draw(st.lists(st.sampled_from(ids), unique=True)))
     exclude = frozenset(draw(st.lists(st.integers(1, 3), max_size=2, unique=True)))
     return traj, cfg, connected, exclude
+
+
+def table_rows(traj):
+    """(vehicle_id, t_s, x_m, speed_mps, lane) of every sample, in table order."""
+    vehicle = np.repeat(traj.ids, np.diff(traj.starts))
+    return list(zip(*(c.tolist() for c in (vehicle, traj.t_s, traj.x_m, traj.speed_mps, traj.lane))))
+
+
+class TestTrajectoryData:
+    @settings(max_examples=100)
+    @given(recordings(), st.randoms(use_true_random=False))
+    def test_shuffled_rows_give_the_table_of_the_ordered_ones(self, rec, rnd):
+        rows = table_rows(rec[0])
+        rnd.shuffle(rows)
+        shuffled = TrajectoryData(*zip(*rows))
+        # The ordered rows: vehicles by first appearance, then time, ties in row order.
+        rank = {}
+        for row in rows:
+            rank.setdefault(row[0], len(rank))
+        ordered_rows = sorted(rows, key=lambda row: (rank[row[0]], row[1]))
+        ordered = TrajectoryData(*zip(*ordered_rows))
+        assert table_rows(ordered) == ordered_rows
+        assert shuffled.ids.tolist() == ordered.ids.tolist() == list(rank)
+        assert shuffled.starts.tolist() == ordered.starts.tolist()
+        for name in ("t_s", "x_m", "speed_mps", "lane"):
+            assert getattr(shuffled, name).tobytes() == getattr(ordered, name).tobytes()
+        assert (shuffled.t_min_s, shuffled.t_max_s) == (ordered.t_min_s, ordered.t_max_s)
+
+    def test_columns_of_unequal_length_raise(self):
+        with pytest.raises(ValueError, match="equal length"):
+            TrajectoryData([1, 1], [0.0, 1.0], [0.0, 5.0, 10.0], [5.0, 5.0], [1, 1])
+
+    def test_no_samples_raise(self):
+        with pytest.raises(TrajectoryFormatError, match="no trajectory samples"):
+            TrajectoryData([], [], [], [], [])
+
+    def test_columns_are_read_only(self):
+        traj = three_vehicle_traj()
+        with pytest.raises(ValueError, match="read-only"):
+            traj.x_m[0] = 0.0
 
 
 class TestStepGridProperties:

@@ -27,7 +27,6 @@ from trafficstate.simulate import (
     CflViolationError,
     Scenario,
     emulate_probe_speeds,
-    load_scenario,
     make_congestion_scenario,
     preset_filter_defaults,
     save_scenario,
@@ -164,7 +163,7 @@ class TestSimulateTruth:
         sim = simulate_truth(sc)
         assert np.allclose(sim.densities, 20.0)
         assert np.allclose(sim.segment_flows, 1800.0)
-        assert np.allclose(sim.exit_flow_vph, 1800.0)
+        assert np.allclose(sim.segment_flows[:, -1], 1800.0)
 
     def test_ramp_signs_with_frozen_traffic(self):
         # Zero speed stops all mainstream transport, isolating the ramps:
@@ -202,7 +201,7 @@ class TestSimulateTruth:
             for seg, series in sc.ramp_flows_vph.items():
                 sign = 1.0 if sc.cfg.segments[seg - 1].ramp is RampType.ON else -1.0
                 net_ramp += sign * series
-            through = float(T * np.sum(sc.entry_flow_vph - sim.exit_flow_vph + net_ramp))
+            through = float(T * np.sum(sc.entry_flow_vph - sim.segment_flows[:, -1] + net_ramp))
             scale = max(abs(stored), abs(through), 1.0)
             assert abs(stored - through) / scale < 1e-9
 
@@ -217,9 +216,10 @@ class TestSimulateTruth:
         off = sum(q for seg, q in sc.ramp_flows_vph.items() if sc.cfg.segments[seg - 1].ramp is RampType.OFF)
         stored = sim.densities @ lengths
         change = np.diff(stored)
-        through = T * (sc.entry_flow_vph - sim.exit_flow_vph + on - off)
+        exit_flow = sim.segment_flows[:, -1]
+        through = T * (sc.entry_flow_vph - exit_flow + on - off)
         # Relative to the vehicles stored plus those moved in the step.
-        gross = np.abs(sim.densities[:-1]) @ lengths + T * (sc.entry_flow_vph + np.abs(sim.exit_flow_vph) + on + off)
+        gross = np.abs(sim.densities[:-1]) @ lengths + T * (sc.entry_flow_vph + np.abs(exit_flow) + on + off)
         assert np.all(np.abs(change - through) <= 1e-9 * np.maximum(gross, 1.0))
 
     def test_strict_cfl_raises_on_fast_scenarios(self):
@@ -510,35 +510,49 @@ class TestTruthReconstruction:
             assert cv < 0.05, f"{name}: cv_rho {cv:.4f}"
 
 
+def scenario_from_json(path):
+    """The Scenario that ``save_scenario`` wrote to ``path``, read with ``json``."""
+    raw = json.loads(path.read_text())
+    return Scenario(
+        cfg=NetworkConfig.from_dict(raw["network"]),
+        n_steps=raw["n_steps"],
+        initial_density_veh_km=raw["initial_density_veh_km"],
+        speeds_kmh=raw["speeds_kmh"],
+        entry_flow_vph=raw["entry_flow_vph"],
+        ramp_flows_vph={int(seg): q for seg, q in raw["ramp_flows_vph"].items()},
+        name=raw["name"],
+    )
+
+
 class TestScenarioIo:
     def test_round_trip(self, tmp_path):
+        # scenario.json holds every input of the scenario, exactly.
         sc = make_congestion_scenario("ngsim_like", seed=3)
         path = tmp_path / "scenario.json"
         save_scenario(sc, path)
-        loaded = load_scenario(path)
+        loaded = scenario_from_json(path)
         assert loaded.cfg == sc.cfg
         assert loaded.n_steps == sc.n_steps
         assert loaded.name == sc.name
-        assert np.allclose(loaded.initial_density_veh_km, sc.initial_density_veh_km)
-        assert np.allclose(loaded.speeds_kmh, sc.speeds_kmh)
-        assert np.allclose(loaded.entry_flow_vph, sc.entry_flow_vph)
+        assert np.array_equal(loaded.initial_density_veh_km, sc.initial_density_veh_km)
+        assert np.array_equal(loaded.speeds_kmh, sc.speeds_kmh)
+        assert np.array_equal(loaded.entry_flow_vph, sc.entry_flow_vph)
         assert set(loaded.ramp_flows_vph) == set(sc.ramp_flows_vph)
         for seg in sc.ramp_flows_vph:
-            assert np.allclose(loaded.ramp_flows_vph[seg], sc.ramp_flows_vph[seg])
+            assert np.array_equal(loaded.ramp_flows_vph[seg], sc.ramp_flows_vph[seg])
 
     def test_round_trip_simulates_identically(self, tmp_path):
         sc = make_congestion_scenario("a20_like", seed=1)
         path = tmp_path / "scenario.json"
         save_scenario(sc, path)
         a = simulate_truth(sc)
-        b = simulate_truth(load_scenario(path))
-        assert np.allclose(a.densities, b.densities, atol=1e-12)
+        b = simulate_truth(scenario_from_json(path))
+        assert np.array_equal(a.densities, b.densities)
 
     def test_bad_network_raises_network_format_error(self, tmp_path):
         path = tmp_path / "scenario.json"
         save_scenario(make_congestion_scenario("ngsim_like", seed=0), path)
         payload = json.loads(path.read_text())
         payload["network"]["segments"][2]["ramp"] = "diagonal"
-        path.write_text(json.dumps(payload))
         with pytest.raises(NetworkFormatError, match="segment 3: unknown ramp type"):
-            load_scenario(path)
+            NetworkConfig.from_dict(payload["network"])
