@@ -169,15 +169,19 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+class FlagError(Exception):
+    """A flag value that the network it is checked against rejects (exit 2)."""
+
+
 def _ramp_rules(pairs, cfg: NetworkConfig) -> list[sensing.RampLaneRule]:
     """The ``--ramp-lane`` (segment, lane) pairs as rules, checked against the network."""
     rules = []
     for seg, lane in pairs or ():
         if not 1 <= seg <= cfg.n_segments:
-            raise SystemExit(f"--ramp-lane segment {seg} outside 1..{cfg.n_segments}")
+            raise FlagError(f"--ramp-lane segment {seg} outside 1..{cfg.n_segments}")
         kind = cfg.segments[seg - 1].ramp
         if kind is RampType.NONE:
-            raise SystemExit(f"--ramp-lane segment {seg} carries no ramp in the network")
+            raise FlagError(f"--ramp-lane segment {seg} carries no ramp in the network")
         rules.append(sensing.RampLaneRule(segment=seg, lane=lane, kind=kind))
     return rules
 
@@ -326,7 +330,7 @@ def _trajectory_source(args, cfg: NetworkConfig, rng: np.random.Generator) -> _S
     )
 
 
-def _detector_source(args, cfg: NetworkConfig, rng: np.random.Generator) -> _Source:
+def _detector_source(args, cfg: NetworkConfig, rng: np.random.Generator | None) -> _Source:
     """Detector readings as reported: no sampling draws from ``rng``, no smoothing."""
     meas = sensing.frames_from_detectors(sensing.load_detectors(args.detectors), cfg)
     # Density truth: the sensor flow over the speed, where the filter would read it.
@@ -343,11 +347,12 @@ def _detector_source(args, cfg: NetworkConfig, rng: np.random.Generator) -> _Sou
     )
 
 
-def _noisy(args, meas: sensing.Measurements, rng: np.random.Generator) -> sensing.Measurements:
+def _noisy(args, meas: sensing.Measurements, rng: np.random.Generator | None) -> sensing.Measurements:
     """``meas`` with the noise of ``--flow-noise-std`` and ``--speed-noise-std``.
 
     Speeds, entry flows and sensor flows are floored at zero under
-    ``--clamp-noise``, whatever the noise. A zero std draws nothing.
+    ``--clamp-noise``, whatever the noise. A zero std draws nothing, and
+    ``rng`` may then be None.
     """
     return sensing.add_measurement_noise(
         meas,
@@ -456,7 +461,10 @@ def cmd_estimate(args) -> int:
     tuning = _resolve_tuning(args, idx, len(sensors), defaults)
 
     # Every source runs the same tail: noise, then smoothing, then the filter.
-    rng = _rep_rng(args.seed, 0, 1)
+    # A run that draws nothing (detector readings without noise) gets no
+    # generator, so it never loads numpy.random.
+    draws = not args.detectors or args.flow_noise_std > 0 or args.speed_noise_std > 0
+    rng = _rep_rng(args.seed, 0, 1) if draws else None
     src = ingest(rng)
     K, n = src.meas.n_steps, cfg.n_segments
     _check_warmup(args.warmup, K)
@@ -717,6 +725,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (
+        FlagError,
         NetworkFormatError,
         sensing.TrajectoryFormatError,
         sensing.DetectorFormatError,

@@ -141,6 +141,11 @@ class TrajectoryData:
     every sample, vehicle after vehicle in the order of ``ids``: vehicle
     ``ids[j]`` owns rows ``starts[j]:starts[j + 1]``. ``tracks`` maps each id
     to its samples as views into the columns, in the same order.
+
+    Rows already in that order (grouped by vehicle, times never falling
+    within a vehicle) are adopted without a sort or a copy, so the columns
+    may share memory with numpy array arguments; the arguments themselves
+    stay writeable. ``vehicle_ids`` lists the ids in ascending order.
     """
 
     def __init__(self, vehicle_id, t_s, x_m, speed_mps, lane):
@@ -151,19 +156,27 @@ class TrajectoryData:
             raise ValueError(f"trajectory columns must be 1-D and of equal length, got shapes {shapes}")
         if t_s.size == 0:
             raise TrajectoryFormatError("no trajectory samples")
-        ids, first, inverse = np.unique(vehicle_id, return_index=True, return_inverse=True)
-        appearance = np.argsort(first)
-        rank = np.empty_like(appearance)
-        rank[appearance] = np.arange(ids.size)
-        vehicle = rank[inverse.ravel()]
-        del first, inverse, rank
-        order = np.lexsort((t_s, vehicle))
-        self.starts = np.concatenate([[0], np.cumsum(np.bincount(vehicle))])
-        del vehicle
-        # The sorted copies set a trajectory run's peak memory: the sort keys
-        # are freed before they are made.
-        self.ids = ids[appearance]
-        self.t_s, self.x_m, self.speed_mps, self.lane = (c[order] for c in (t_s, x_m, speed_mps, lane))
+        starts = _ordered_starts(vehicle_id, t_s)
+        if starts is not None:
+            # Already grouped and time-ordered, as recordings usually are: the
+            # columns are adopted as they are, without a sort or a copy.
+            self.ids, self.starts = vehicle_id[starts[:-1]], starts
+            ids = np.sort(self.ids)
+            self.t_s, self.x_m, self.speed_mps, self.lane = (c.view() for c in (t_s, x_m, speed_mps, lane))
+        else:
+            ids, first, inverse = np.unique(vehicle_id, return_index=True, return_inverse=True)
+            appearance = np.argsort(first)
+            rank = np.empty_like(appearance)
+            rank[appearance] = np.arange(ids.size)
+            vehicle = rank[inverse.ravel()]
+            del first, inverse, rank
+            order = np.lexsort((t_s, vehicle))
+            self.starts = np.concatenate([[0], np.cumsum(np.bincount(vehicle))])
+            del vehicle
+            # The sorted copies set the peak memory of this path: the sort
+            # keys are freed before they are made.
+            self.ids = ids[appearance]
+            self.t_s, self.x_m, self.speed_mps, self.lane = (c[order] for c in (t_s, x_m, speed_mps, lane))
         for column in (self.ids, self.starts, self.t_s, self.x_m, self.speed_mps, self.lane):
             column.flags.writeable = False
         self.vehicle_ids: tuple[int, ...] = tuple(ids.tolist())
@@ -269,6 +282,22 @@ def _group_starts(keys: np.ndarray) -> np.ndarray:
     return np.concatenate([[0], change, [keys.size]])
 
 
+def _ordered_starts(vehicle_id: np.ndarray, t_s: np.ndarray) -> np.ndarray | None:
+    """``_group_starts`` of rows grouped by vehicle and time-ordered within each, else None.
+
+    Grouped rows give each vehicle one run of equal ids, so no id heads two
+    runs. Time-ordered rows never go back in time within a run; a NaN time
+    fails the test.
+    """
+    forward = t_s[1:] >= t_s[:-1]
+    forward |= vehicle_id[1:] != vehicle_id[:-1]  # from one run's last row to the next one's first
+    if not forward.all():
+        return None
+    starts = _group_starts(vehicle_id)
+    heads = np.sort(vehicle_id[starts[:-1]])
+    return None if (heads[1:] == heads[:-1]).any() else starts
+
+
 def load_trajectories(path: str | Path) -> TrajectoryData:
     """Read a trajectory CSV: vehicle_id,t_s,x_m,lane,speed_mps.
 
@@ -322,14 +351,20 @@ def _step_grid(
     step, track after track in table order, steps ascending.
     """
     first = np.searchsorted(times_s, traj.t_s)
-    stop = np.empty_like(first)
-    stop[:-1] = first[1:]
-    stop[traj.starts[1:] - 1] = times_s.size
-    rows = np.flatnonzero(stop > first)
+    last = traj.starts[1:] - 1
+    # A row covers up to the next row's first grid time; a vehicle's last
+    # row, up to the end of the grid. Only the kept rows get a stop.
+    covers = np.empty(first.size, dtype=bool)
+    np.less(first[:-1], first[1:], out=covers[:-1])
+    covers[last] = first[last] < times_s.size
+    rows = np.flatnonzero(covers)
+    stop = first.take(rows + 1, mode="clip")
+    stop[np.searchsorted(rows, last[covers[last]])] = times_s.size
+    del covers
     first, t_s = first[rows], traj.t_s[rows]
     # A sample only gets staler as the grid time grows, so its fresh grid
     # times are a prefix of the ones it covers.
-    stop = _bisect(first, stop[rows], lambda k: ~(times_s[k] - t_s > max_gap_s))
+    stop = _bisect(first, stop, lambda k: ~(times_s[k] - t_s > max_gap_s))
     counts = stop - first
     steps = np.repeat(first - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
     rows = np.repeat(rows, counts)
@@ -718,7 +753,7 @@ def frames_from_detectors(
 
 def add_measurement_noise(
     meas: Measurements,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     *,
     flow_std_vph: float = 0.0,
     speed_std_kmh: float = 0.0,
@@ -731,7 +766,8 @@ def add_measurement_noise(
     unless ``clamp_nonnegative`` floors them at zero, except measured ramp
     magnitudes, which are always floored (a negative magnitude has no
     direction to encode). Draws run step by step: the N speeds, then the
-    entry flow, the sensors and the ramps in segment order.
+    entry flow, the sensors and the ramps in segment order. ``rng`` is only
+    used when there is something to draw, and may be None otherwise.
     """
     if flow_std_vph < 0 or speed_std_kmh < 0:
         raise ValueError("noise standard deviations must be non-negative")
@@ -743,8 +779,9 @@ def add_measurement_noise(
         [np.full((K, n), speed_std_kmh > 0), np.isfinite(flows) & (flow_std_vph > 0)], axis=1
     )
     scale = np.concatenate([np.full(n, speed_std_kmh), np.full(flows.shape[1], flow_std_vph)])
-    draws = rng.standard_normal(np.count_nonzero(mask))
-    table[mask] += np.broadcast_to(scale, table.shape)[mask] * draws
+    n_draws = np.count_nonzero(mask)
+    if n_draws:
+        table[mask] += np.broadcast_to(scale, table.shape)[mask] * rng.standard_normal(n_draws)
 
     def floored(x: np.ndarray) -> np.ndarray:
         # Python's max(x, 0.0): -0.0 and NaN pass through unchanged.

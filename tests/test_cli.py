@@ -541,6 +541,18 @@ def test_ramp_lane_segment_given_twice_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "rule, message",
+    [("9:4", "--ramp-lane segment 9 outside 1..2"), ("1:4", "--ramp-lane segment 1 carries no ramp in the network")],
+    ids=["outside-the-network", "segment-without-a-ramp"],
+)
+def test_ramp_lane_the_network_rejects_exits_two(tmp_path, capsys, rule, message):
+    out = tmp_path / "o"
+    assert cli.main([*estimate_args(tmp_path, "trajectories"), "--ramp-lane", rule, "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("exists", [True, False], ids=["file", "missing-file"])
 def test_network_with_a_preset_exits_two(tmp_path, capsys, exists):
     net = write_network(tmp_path / "net.json") if exists else tmp_path / "nope.json"
@@ -721,6 +733,20 @@ def test_import_loads_no_scipy():
     code = "import sys, trafficstate.cli; sys.exit('scipy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_runs_load_only_the_numpy_modules_they_use(tmp_path):
+    # pytest has loaded both modules already, so each run gets a fresh interpreter.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    runs = {
+        "numpy.random": estimate_args(tmp_path, "detectors") + ["--clamp-noise"],
+        "numpy.ma": estimate_args(tmp_path, "trajectories") + ["--penetration", "0.5"],
+    }
+    for module, args in runs.items():
+        args = [*args, "--warmup", "0", "--out", str(tmp_path / module)]
+        code = f"import sys; from trafficstate import cli; assert cli.main({args!r}) == 0; sys.exit({module!r} in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True)
+        assert proc.returncode == 0, (module, proc.stderr.decode())
 
 
 # The per-cell writers the columnar grid writer replaced, kept verbatim as

@@ -840,25 +840,87 @@ def table_rows(traj):
     return list(zip(*(c.tolist() for c in (vehicle, traj.t_s, traj.x_m, traj.speed_mps, traj.lane))))
 
 
+def ordered_rows(rows):
+    """The rows in table order: vehicles by first appearance, then time, ties in row order.
+
+    Also returns the ids in order of first appearance. Times must not be NaN.
+    """
+    rank = {}
+    for row in rows:
+        rank.setdefault(row[0], len(rank))
+    return sorted(rows, key=lambda row: (rank[row[0]], row[1])), list(rank)
+
+
+def assert_table_of(traj, rows):
+    """``traj`` holds ``rows`` in table order, with its ids, starts and ascending ``vehicle_ids``."""
+    want, ids = ordered_rows(rows)
+    assert table_rows(traj) == want
+    assert traj.ids.tolist() == ids
+    assert traj.starts[-1] == len(rows)
+    assert traj.vehicle_ids == tuple(sorted(ids))
+
+
 class TestTrajectoryData:
     @settings(max_examples=100)
     @given(recordings(), st.randoms(use_true_random=False))
     def test_shuffled_rows_give_the_table_of_the_ordered_ones(self, rec, rnd):
+        # Ordered rows are adopted as they are; shuffled ones are sorted.
         rows = table_rows(rec[0])
         rnd.shuffle(rows)
         shuffled = TrajectoryData(*zip(*rows))
-        # The ordered rows: vehicles by first appearance, then time, ties in row order.
-        rank = {}
-        for row in rows:
-            rank.setdefault(row[0], len(rank))
-        ordered_rows = sorted(rows, key=lambda row: (rank[row[0]], row[1]))
-        ordered = TrajectoryData(*zip(*ordered_rows))
-        assert table_rows(ordered) == ordered_rows
-        assert shuffled.ids.tolist() == ordered.ids.tolist() == list(rank)
+        ordered = TrajectoryData(*zip(*ordered_rows(rows)[0]))
+        assert_table_of(ordered, rows)
+        assert shuffled.ids.tolist() == ordered.ids.tolist()
+        assert shuffled.vehicle_ids == ordered.vehicle_ids
         assert shuffled.starts.tolist() == ordered.starts.tolist()
         for name in ("t_s", "x_m", "speed_mps", "lane"):
             assert getattr(shuffled, name).tobytes() == getattr(ordered, name).tobytes()
         assert (shuffled.t_min_s, shuffled.t_max_s) == (ordered.t_min_s, ordered.t_max_s)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # Vehicle 7 reappears after vehicle 3.
+            [(7, 0.0, 0.0, 10.0, 1), (3, 0.0, 50.0, 12.0, 2), (7, 1.0, 10.0, 10.0, 1)],
+            # Time goes back within vehicle 7.
+            [(7, 1.0, 10.0, 10.0, 1), (7, 0.0, 0.0, 10.0, 1), (3, 0.0, 50.0, 12.0, 2)],
+            # Equal times, in rows that need sorting and in rows that do not.
+            [(7, 1.0, 10.0, 10.0, 1), (7, 0.0, 0.0, 10.0, 1), (7, 1.0, 11.0, 9.0, 2)],
+            [(7, 0.0, 0.0, 10.0, 1), (7, 0.0, 1.0, 11.0, 2), (3, 4.0, 5.0, 6.0, 1), (3, 4.0, 7.0, 8.0, 1)],
+            # Ordered rows whose ids do not ascend: ``vehicle_ids`` does, ``ids`` does not.
+            [(9, 0.0, 0.0, 1.0, 1), (9, 1.0, 1.0, 1.0, 1), (2, 0.0, 0.0, 1.0, 1), (5, 0.0, 0.0, 1.0, 1)],
+        ],
+        ids=["id-reappears", "time-goes-back", "equal-times-sorted", "equal-times-ordered", "ids-not-ascending"],
+    )
+    def test_rows_are_grouped_and_sorted(self, rows):
+        assert_table_of(TrajectoryData(*zip(*rows)), rows)
+
+    def test_a_nan_time_is_sorted_last_within_its_vehicle(self):
+        # No comparison with NaN holds, so these rows are not taken as time-ordered.
+        traj = TrajectoryData([7, 7, 7, 3], [0.0, math.nan, 1.0, 0.0], [0.0, 5.0, 10.0, 50.0], [10.0] * 4, [1] * 4)
+        assert traj.ids.tolist() == [7, 3]
+        assert traj.starts.tolist() == [0, 3, 4]
+        assert traj.t_s.tolist()[:2] == [0.0, 1.0] and math.isnan(traj.t_s[2])
+        assert traj.x_m.tolist() == [0.0, 10.0, 5.0, 50.0]
+
+    @pytest.mark.parametrize("order", [[0, 1, 2], [1, 0, 2]], ids=["ordered", "shuffled"])
+    def test_caller_arrays_stay_writeable_and_unchanged(self, order):
+        columns = [
+            np.array([7, 7, 3])[order],
+            np.array([0.0, 1.0, 0.0])[order],
+            np.array([0.0, 10.0, 50.0])[order],
+            np.array([10.0, 10.0, 12.0])[order],
+            np.array([1, 1, 2])[order],
+        ]
+        before = [c.copy() for c in columns]
+        traj = TrajectoryData(*columns)
+        for column, copy in zip(columns, before):
+            assert column.flags.writeable
+            assert np.array_equal(column, copy)
+        # Ordered columns are adopted, shuffled ones copied; both read-only.
+        assert np.shares_memory(traj.t_s, columns[1]) == (order == [0, 1, 2])
+        assert not traj.t_s.flags.writeable
+        assert table_rows(traj) == [(7, 0.0, 0.0, 10.0, 1), (7, 1.0, 10.0, 10.0, 1), (3, 0.0, 50.0, 12.0, 2)]
 
     def test_columns_of_unequal_length_raise(self):
         with pytest.raises(ValueError, match="equal length"):
