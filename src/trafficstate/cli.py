@@ -173,8 +173,12 @@ class FlagError(Exception):
     """A flag value that the network it is checked against rejects (exit 2)."""
 
 
+class RunFormatError(Exception):
+    """A stored run file that ``metrics`` cannot read back (exit 2)."""
+
+
 def _ramp_rules(pairs, cfg: NetworkConfig) -> list[sensing.RampLaneRule]:
-    """The ``--ramp-lane`` (segment, lane) pairs as rules, checked against the network."""
+    """The ``--ramp-lane`` (segment, lane) pairs as rules, checked against the network, one per measured ramp."""
     rules = []
     for seg, lane in pairs or ():
         if not 1 <= seg <= cfg.n_segments:
@@ -183,6 +187,9 @@ def _ramp_rules(pairs, cfg: NetworkConfig) -> list[sensing.RampLaneRule]:
         if kind is RampType.NONE:
             raise FlagError(f"--ramp-lane segment {seg} carries no ramp in the network")
         rules.append(sensing.RampLaneRule(segment=seg, lane=lane, kind=kind))
+    missing = sorted(set(cfg.ramp_segments(measured=True)) - {r.segment for r in rules})
+    if missing:
+        raise FlagError(f"measured ramps without a --ramp-lane rule: {missing}")
     return rules
 
 
@@ -305,7 +312,7 @@ def _trajectory_source(args, cfg: NetworkConfig, rng: np.random.Generator) -> _S
         rng,
         t0_s=t0,
         exclude_lanes=exclude,
-        ramp_rules=[r for r in rules if cfg.segments[r.segment - 1].ramp_measured],
+        ramp_rules=rules,
     )
     K = meas.n_steps
     ramp_true = {r.segment: sensing.lane_transition_flow(traj, r, K, cfg.time_step_h, t0_s=t0) for r in rules}
@@ -313,7 +320,7 @@ def _trajectory_source(args, cfg: NetworkConfig, rng: np.random.Generator) -> _S
         meas,
         rho_true=sensing.ground_truth_densities(traj, cfg, K, t0_s=t0, exclude_lanes=exclude),
         v_true=sensing.segment_speed_series(
-            traj, cfg, K, frozenset(traj.vehicle_ids), t0_s=t0, exclude_lanes=exclude
+            traj, cfg, K, frozenset(traj.ids.tolist()), t0_s=t0, exclude_lanes=exclude
         ),
         ramp_flow_true=_segment_table(K, cfg.n_segments, ramp_true),
         default_speed=100.0,
@@ -588,14 +595,18 @@ def cmd_sweep(args) -> int:
 
 def cmd_metrics(args) -> int:
     out = Path(args.out)
-    config = json.loads((out / SUMMARY_JSON).read_text())["config"]
-    cfg = NetworkConfig.from_dict(config["network"])
+    try:
+        config = json.loads((out / SUMMARY_JSON).read_text())["config"]
+        network = config["network"]
+    except (KeyError, TypeError) as exc:
+        raise RunFormatError(f"{out / SUMMARY_JSON}: no config.network block") from exc
+    cfg = NetworkConfig.from_dict(network)
     warmup = int(config.get("warmup", metrics.DEFAULT_WARMUP_STEPS))
     with open(out / ESTIMATES_CSV, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != _CSV_COLUMNS:
-            raise SystemExit(f"{out / ESTIMATES_CSV}: unexpected header {header}")
+            raise RunFormatError(f"{out / ESTIMATES_CSV}: unexpected header {header}")
         cells = np.array([[_parse_cell(c) for c in row] for row in reader], dtype=float)
     cells = cells.reshape(-1, len(_CSV_COLUMNS))  # also when there are no rows
     columns = {
@@ -726,6 +737,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (
         FlagError,
+        RunFormatError,
         NetworkFormatError,
         sensing.TrajectoryFormatError,
         sensing.DetectorFormatError,

@@ -6,7 +6,8 @@ Two ingestion paths produce the same columnar Measurements:
   marked as connected, segment speeds are averaged over the connected
   vehicles present at each sampling instant, and flows are obtained from
   virtual detectors that count trajectory crossings at segment boundaries.
-  The samples are held in one flat table sorted by vehicle and time, and
+  The samples are held in one flat table sorted by vehicle id and time
+  (``_sorted_rows``, which sorts detector files by position and time), and
   every quantity is computed by array passes over it; which sample each
   vehicle reports at each sampling instant (the step grid, ``_step_grid``)
   is evaluated once per recording and grid, and each vehicle's first
@@ -135,17 +136,17 @@ class TrajectoryData:
     """Trajectory samples of one recording period, as one flat table.
 
     The constructor takes one entry per sample in each column, rows in any
-    order. It groups the rows by vehicle, in order of first appearance, and
-    sorts each vehicle's samples by time, ties keeping row order. The
-    read-only columns ``t_s``, ``x_m``, ``speed_mps`` and ``lane`` then hold
-    every sample, vehicle after vehicle in the order of ``ids``: vehicle
-    ``ids[j]`` owns rows ``starts[j]:starts[j + 1]``. ``tracks`` maps each id
-    to its samples as views into the columns, in the same order.
+    order, and sorts them by vehicle id and then by time, ties keeping row
+    order. The read-only columns ``t_s``, ``x_m``, ``speed_mps`` and
+    ``lane`` then hold every sample, vehicle after vehicle in the ascending
+    order of ``ids``: vehicle ``ids[j]`` owns rows ``starts[j]:starts[j + 1]``.
+    ``tracks`` maps each id to its samples as views into the columns, in the
+    same order. So no result depends on the order of the rows, as long as no
+    vehicle has two samples at one time.
 
-    Rows already in that order (grouped by vehicle, times never falling
-    within a vehicle) are adopted without a sort or a copy, so the columns
-    may share memory with numpy array arguments; the arguments themselves
-    stay writeable. ``vehicle_ids`` lists the ids in ascending order.
+    Rows already in that order are adopted without a sort or a copy, so the
+    columns may share memory with numpy array arguments; the arguments
+    themselves stay writeable.
     """
 
     def __init__(self, vehicle_id, t_s, x_m, speed_mps, lane):
@@ -156,30 +157,10 @@ class TrajectoryData:
             raise ValueError(f"trajectory columns must be 1-D and of equal length, got shapes {shapes}")
         if t_s.size == 0:
             raise TrajectoryFormatError("no trajectory samples")
-        starts = _ordered_starts(vehicle_id, t_s)
-        if starts is not None:
-            # Already grouped and time-ordered, as recordings usually are: the
-            # columns are adopted as they are, without a sort or a copy.
-            self.ids, self.starts = vehicle_id[starts[:-1]], starts
-            ids = np.sort(self.ids)
-            self.t_s, self.x_m, self.speed_mps, self.lane = (c.view() for c in (t_s, x_m, speed_mps, lane))
-        else:
-            ids, first, inverse = np.unique(vehicle_id, return_index=True, return_inverse=True)
-            appearance = np.argsort(first)
-            rank = np.empty_like(appearance)
-            rank[appearance] = np.arange(ids.size)
-            vehicle = rank[inverse.ravel()]
-            del first, inverse, rank
-            order = np.lexsort((t_s, vehicle))
-            self.starts = np.concatenate([[0], np.cumsum(np.bincount(vehicle))])
-            del vehicle
-            # The sorted copies set the peak memory of this path: the sort
-            # keys are freed before they are made.
-            self.ids = ids[appearance]
-            self.t_s, self.x_m, self.speed_mps, self.lane = (c[order] for c in (t_s, x_m, speed_mps, lane))
+        sorted_rows = _sorted_rows(vehicle_id, t_s, x_m, speed_mps, lane)
+        self.ids, self.starts, (self.t_s, self.x_m, self.speed_mps, self.lane) = sorted_rows
         for column in (self.ids, self.starts, self.t_s, self.x_m, self.speed_mps, self.lane):
             column.flags.writeable = False
-        self.vehicle_ids: tuple[int, ...] = tuple(ids.tolist())
         self.t_min_s, self.t_max_s = float(self.t_s.min()), float(self.t_s.max())
         self._grid_key, self._grid_value = None, None
 
@@ -282,20 +263,26 @@ def _group_starts(keys: np.ndarray) -> np.ndarray:
     return np.concatenate([[0], change, [keys.size]])
 
 
-def _ordered_starts(vehicle_id: np.ndarray, t_s: np.ndarray) -> np.ndarray | None:
-    """``_group_starts`` of rows grouped by vehicle and time-ordered within each, else None.
+def _sorted_rows(
+    key: np.ndarray, t_s: np.ndarray, *columns: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The rows in ascending (key, time) order, ties keeping row order.
 
-    Grouped rows give each vehicle one run of equal ids, so no id heads two
-    runs. Time-ordered rows never go back in time within a run; a NaN time
-    fails the test.
+    Returns each group's key, the ``_group_starts`` of the sorted keys, and
+    ``t_s`` and ``columns`` in that order. Rows already in it are adopted as
+    they are, as views: one linear lexicographic check decides, and a NaN
+    time fails it. Any other rows get one stable ``lexsort``.
     """
+    # Forward: the key rises, or it stays and the time does not fall.
     forward = t_s[1:] >= t_s[:-1]
-    forward |= vehicle_id[1:] != vehicle_id[:-1]  # from one run's last row to the next one's first
-    if not forward.all():
-        return None
-    starts = _group_starts(vehicle_id)
-    heads = np.sort(vehicle_id[starts[:-1]])
-    return None if (heads[1:] == heads[:-1]).any() else starts
+    forward |= key[1:] != key[:-1]
+    forward &= key[1:] >= key[:-1]
+    # Rows in order take the full slice, which makes views, not copies.
+    order = slice(None) if forward.all() else np.lexsort((t_s, key))
+    key = key[order]
+    starts = _group_starts(key)
+    key = key[starts[:-1]]  # frees the sorted keys before the sorted columns are made
+    return key, starts, [c[order] for c in (t_s, *columns)]
 
 
 def load_trajectories(path: str | Path) -> TrajectoryData:
@@ -600,7 +587,7 @@ def frames_from_trajectories(
     if n_steps <= 0:
         raise ValueError(f"recording too short: {n_steps} steps")
 
-    connected = assign_connected(traj.vehicle_ids, penetration, rng)
+    connected = assign_connected(traj.ids, penetration, rng)
     speeds = segment_speed_series(
         traj, cfg, n_steps, connected, t0_s=t0_s, exclude_lanes=exclude_lanes, max_gap_s=max_gap_s
     )
@@ -643,9 +630,9 @@ class DetectorSeries:
 def load_detectors(path: str | Path) -> list[DetectorSeries]:
     """Read a detector CSV: detector_pos_m,t_s,flow_vph,speed_kmh.
 
-    Series are sorted by position; samples by time, ties keeping file order.
-    A NaN or infinite position or time is a format error; a NaN flow or
-    speed is a missing reading.
+    Series are sorted by position; samples by time, ties keeping file order;
+    a file already in that order is not copied. A NaN or infinite position
+    or time is a format error; a NaN flow or speed is a missing reading.
     """
     cols = _read_columns(
         path,
@@ -654,17 +641,10 @@ def load_detectors(path: str | Path) -> list[DetectorSeries]:
     )
     if cols["t_s"].size == 0:
         raise DetectorFormatError(f"{path}: no detector rows")
-    order = np.lexsort((cols["t_s"], cols["detector_pos_m"]))
-    cols = {name: col[order] for name, col in cols.items()}
-    starts = _group_starts(cols["detector_pos_m"])
+    positions, starts, (t_s, flows, speeds) = _sorted_rows(*cols.values())
     return [
-        DetectorSeries(
-            position_m=float(cols["detector_pos_m"][a]),
-            times_s=cols["t_s"][a:b],
-            flows_vph=cols["flow_vph"][a:b],
-            speeds_kmh=cols["speed_kmh"][a:b],
-        )
-        for a, b in zip(starts[:-1], starts[1:])
+        DetectorSeries(position_m=pos, times_s=t_s[a:b], flows_vph=flows[a:b], speeds_kmh=speeds[a:b])
+        for pos, a, b in zip(positions.tolist(), starts[:-1], starts[1:])
     ]
 
 
@@ -675,24 +655,29 @@ def snap_detectors_to_boundaries(
 
     Boundary 0 is the stretch entry; boundary i the downstream end of
     segment i. Detectors farther than ``tolerance_m`` from every boundary
-    are dropped with a warning; a boundary claimed twice keeps the nearer
-    detector.
+    are dropped; a boundary claimed twice keeps the nearer detector, the
+    first one on a tie. One warning per call counts and places the detectors
+    dropped each way.
     """
     boundaries_m = cfg.boundaries_km() * 1000.0
     assigned: dict[int, tuple[float, DetectorSeries]] = {}
+    far, displaced = [], []
     for det in detectors:
         dists = np.abs(boundaries_m - det.position_m)
         b = int(np.argmin(dists))
         d = float(dists[b])
         if d > tolerance_m:
-            logger.warning(
-                "detector at %.1f m is %.1f m from the nearest boundary, dropped",
-                det.position_m,
-                d,
-            )
-            continue
-        if b not in assigned or d < assigned[b][0]:
+            far.append(det.position_m)
+        elif b in assigned and assigned[b][0] <= d:
+            displaced.append(det.position_m)
+        else:
+            if b in assigned:
+                displaced.append(assigned[b][1].position_m)
             assigned[b] = (d, det)
+    if far:
+        logger.warning("dropped %d detectors beyond %.1f m of every boundary, at %s m", len(far), tolerance_m, far)
+    if displaced:
+        logger.warning("dropped %d detectors whose boundary a nearer one takes, at %s m", len(displaced), displaced)
     return {b: det for b, (_d, det) in assigned.items()}
 
 
@@ -780,6 +765,8 @@ def add_measurement_noise(
     )
     scale = np.concatenate([np.full(n, speed_std_kmh), np.full(flows.shape[1], flow_std_vph)])
     n_draws = np.count_nonzero(mask)
+    if n_draws and rng is None:
+        raise ValueError("an rng is required when noise is requested")
     if n_draws:
         table[mask] += np.broadcast_to(scale, table.shape)[mask] * rng.standard_normal(n_draws)
 

@@ -553,6 +553,22 @@ def test_ramp_lane_the_network_rejects_exits_two(tmp_path, capsys, rule, message
     assert not out.exists()
 
 
+def test_measured_ramp_without_a_lane_rule_exits_two_before_loading(tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the trajectory file was read before the lane rules were checked")
+
+    monkeypatch.setattr(sensing, "load_trajectories", unreachable)
+    net = tmp_path / "net.json"
+    payload = json.loads(write_network(net).read_text())
+    payload["segments"][1].update(ramp="on_ramp", ramp_measured=True)
+    net.write_text(json.dumps(payload))
+    out = tmp_path / "o"
+    args = ["estimate", "--trajectories", str(write_trajectories(tmp_path / "t.csv")), "--network", str(net)]
+    assert cli.main([*args, "--out", str(out)]) == 2
+    assert "error: measured ramps without a --ramp-lane rule: [2]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("exists", [True, False], ids=["file", "missing-file"])
 def test_network_with_a_preset_exits_two(tmp_path, capsys, exists):
     net = write_network(tmp_path / "net.json") if exists else tmp_path / "nope.json"
@@ -657,13 +673,49 @@ def test_trajectory_run_evaluates_the_step_grid_once(tmp_path, monkeypatch):
     assert calls == [2]
 
 
+def test_row_order_changes_no_output_byte(tmp_path):
+    # Eight vehicles at different speeds share the first segment for 30 s,
+    # so each mean speed adds up more than two values.
+    lines = [
+        f"{vid},{t},{5.0 * vid + (vid + 3.1) * t / 1.7!r},1,{(vid + 3.1) / 1.7 + t / 13.0!r}"
+        for vid in range(1, 9)
+        for t in range(31)
+    ]
+    net = write_network(tmp_path / "net.json")
+    header = "vehicle_id,t_s,x_m,lane,speed_mps\n"
+    shuffled = [lines[i] for i in np.random.default_rng(5).permutation(len(lines))]
+    digests = []
+    for name, rows in (("ordered", lines), ("shuffled", shuffled), ("descending", lines[::-1])):
+        (tmp_path / f"{name}.csv").write_text(header + "\n".join(rows) + "\n")
+        out = tmp_path / name
+        args = ["estimate", "--trajectories", str(tmp_path / f"{name}.csv"), "--network", str(net)]
+        assert cli.main([*args, "--warmup", "0", "--out", str(out)]) == 0
+        digests.append((out / "estimates.csv").read_bytes())
+    assert digests[1] == digests[0] and digests[2] == digests[0]
+
+
 class TestMetricsCommand:
-    def test_header_mismatch_aborts(self, tmp_path):
+    def run_dir(self, tmp_path):
         out = tmp_path / "est"
-        cli.main(["estimate", "--preset", "ngsim_like", "--window", "1", "--out", str(out)])
+        assert cli.main(["estimate", "--preset", "ngsim_like", "--window", "1", "--out", str(out)]) == 0
+        return out
+
+    def test_header_mismatch_aborts(self, tmp_path, capsys):
+        out = self.run_dir(tmp_path)
         (out / "estimates.csv").write_text("k,segment,weird\n0,1,2\n")
-        with pytest.raises(SystemExit, match="unexpected header"):
-            cli.main(["metrics", "--out", str(out)])
+        capsys.readouterr()
+        assert cli.main(["metrics", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {out / 'estimates.csv'}: unexpected header")
+
+    @pytest.mark.parametrize("drop", ["config", "network"])
+    def test_summary_without_a_network_exits_two(self, tmp_path, capsys, drop):
+        out = self.run_dir(tmp_path)
+        summary = json.loads((out / "summary.json").read_text())
+        del (summary if drop == "config" else summary["config"])[drop]
+        (out / "summary.json").write_text(json.dumps(summary))
+        capsys.readouterr()
+        assert cli.main(["metrics", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {out / 'summary.json'}: no config.network block\n"
 
     def test_network_round_trips_through_the_summary(self, tmp_path, monkeypatch, read_summary):
         # The network echoed in summary.json is the one metrics rebuilds,

@@ -130,12 +130,11 @@ class TestLoaders:
             "3,0.0,50.0,1,20.0\n"
         )
         traj = load_trajectories(path)
-        assert traj.vehicle_ids == (3, 7)
-        # Vehicles in order of first appearance, samples sorted by time inside each.
-        assert traj.ids.tolist() == [7, 3]
-        assert traj.starts.tolist() == [0, 2, 3]
-        assert traj.t_s.tolist() == [0.0, 1.0, 0.0]
-        assert traj.x_m.tolist() == [0.0, 10.0, 50.0]
+        # Vehicles in ascending id order, samples sorted by time inside each.
+        assert traj.ids.tolist() == [3, 7]
+        assert traj.starts.tolist() == [0, 1, 3]
+        assert traj.t_s.tolist() == [0.0, 0.0, 1.0]
+        assert traj.x_m.tolist() == [50.0, 0.0, 10.0]
         assert traj.t_min_s == 0.0
         assert traj.t_max_s == 1.0
 
@@ -235,6 +234,17 @@ class TestLoaders:
         (series,) = load_detectors(path)
         assert np.array_equal(series.times_s, [0.0, 0.0, 5.0])
         assert np.array_equal(series.flows_vph, [3000.0, 2900.0, 2800.0])
+
+    @pytest.mark.parametrize("rows", [[0, 1, 2, 3], [2, 0, 3, 1]], ids=["ordered", "shuffled"])
+    def test_detector_file_in_order_is_not_copied(self, tmp_path, rows):
+        lines = ["0.0,0.0,1.0,90.0", "0.0,5.0,2.0,91.0", "500.0,0.0,3.0,92.0", "500.0,5.0,4.0,93.0"]
+        path = tmp_path / "det.csv"
+        path.write_text("\n".join(["detector_pos_m,t_s,flow_vph,speed_kmh", *(lines[i] for i in rows)]) + "\n")
+        first, second = load_detectors(path)
+        assert (first.position_m, second.position_m) == (0.0, 500.0)
+        assert first.flows_vph.tolist() + second.flows_vph.tolist() == [1.0, 2.0, 3.0, 4.0]
+        # In order, every series is a view into the one parsed table.
+        assert (first.times_s.base is second.speeds_kmh.base) == (rows == [0, 1, 2, 3])
 
     def test_detector_bad_row_reports_line(self, tmp_path):
         path = tmp_path / "det.csv"
@@ -508,6 +518,17 @@ class TestDetectorSnapping:
         snapped = snap_detectors_to_boundaries([_series(503.0), _series(498.0)], cfg)
         assert snapped[1].position_m == 498.0
 
+    def test_one_warning_per_kind_of_drop(self, caplog):
+        cfg = make_config()
+        series = [_series(x) for x in (250.0, 503.0, 700.0, 498.0, 1002.0, 999.0, 1001.0)]
+        with caplog.at_level(logging.WARNING, logger="trafficstate.sensing"):
+            snapped = snap_detectors_to_boundaries(series, cfg)
+        assert {b: det.position_m for b, det in snapped.items()} == {1: 498.0, 2: 999.0}
+        assert [r.getMessage() for r in caplog.records] == [
+            "dropped 2 detectors beyond 100.0 m of every boundary, at [250.0, 700.0] m",
+            "dropped 3 detectors whose boundary a nearer one takes, at [503.0, 1002.0, 1001.0] m",
+        ]
+
     def test_all_detectors_out_of_tolerance_raises_downstream(self):
         cfg = make_config()
         with pytest.raises(DetectorFormatError, match="near any segment boundary"):
@@ -643,6 +664,13 @@ class TestMeasurementNoise:
     def test_negative_std_raises(self):
         with pytest.raises(ValueError, match="non-negative"):
             add_measurement_noise(self.frames(), np.random.default_rng(0), flow_std_vph=-1.0)
+
+    def test_noise_without_a_generator_raises(self):
+        with pytest.raises(ValueError, match="an rng is required"):
+            add_measurement_noise(self.frames(), None, flow_std_vph=5.0)
+        # Nothing to draw: no generator needed.
+        out = add_measurement_noise(self.frames(), None, clamp_nonnegative=True)
+        assert np.array_equal(out.speeds_kmh, self.frames().speeds_kmh)
 
 
 def _oracle_noise(meas, rng, flow_std, speed_std, clamp):
@@ -834,6 +862,23 @@ def recordings(draw, *, unique_times=False):
     return traj, cfg, connected, exclude
 
 
+@st.composite
+def busy_rows(draw):
+    """Rows of 3 to 12 vehicles sampled once a second across a 1 km stretch.
+
+    Several vehicles share most (step, segment) cells, so a sum over them
+    depends on the order it adds them in.
+    """
+    rows = []
+    for vid in draw(st.lists(st.integers(0, 50), min_size=3, max_size=12, unique=True)):
+        n, t0 = draw(st.integers(2, 20)), draw(st.integers(-2, 5))
+        x0, v = draw(st.floats(-200.0, 900.0)), draw(st.floats(1.0, 40.0))
+        speeds = draw(st.lists(st.floats(0.0, 40.0), min_size=n, max_size=n))
+        lanes = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        rows += [(vid, float(t0 + s), x0 + v * s, speeds[s], lanes[s]) for s in range(n)]
+    return rows
+
+
 def table_rows(traj):
     """(vehicle_id, t_s, x_m, speed_mps, lane) of every sample, in table order."""
     vehicle = np.repeat(traj.ids, np.diff(traj.starts))
@@ -841,23 +886,19 @@ def table_rows(traj):
 
 
 def ordered_rows(rows):
-    """The rows in table order: vehicles by first appearance, then time, ties in row order.
+    """The rows in table order: vehicles by ascending id, then time, ties in row order.
 
-    Also returns the ids in order of first appearance. Times must not be NaN.
+    Also returns the ids in ascending order. Times must not be NaN.
     """
-    rank = {}
-    for row in rows:
-        rank.setdefault(row[0], len(rank))
-    return sorted(rows, key=lambda row: (rank[row[0]], row[1])), list(rank)
+    return sorted(rows, key=lambda row: (row[0], row[1])), sorted({row[0] for row in rows})
 
 
 def assert_table_of(traj, rows):
-    """``traj`` holds ``rows`` in table order, with its ids, starts and ascending ``vehicle_ids``."""
+    """``traj`` holds ``rows`` in table order, with its ids and starts."""
     want, ids = ordered_rows(rows)
     assert table_rows(traj) == want
     assert traj.ids.tolist() == ids
     assert traj.starts[-1] == len(rows)
-    assert traj.vehicle_ids == tuple(sorted(ids))
 
 
 class TestTrajectoryData:
@@ -871,7 +912,6 @@ class TestTrajectoryData:
         ordered = TrajectoryData(*zip(*ordered_rows(rows)[0]))
         assert_table_of(ordered, rows)
         assert shuffled.ids.tolist() == ordered.ids.tolist()
-        assert shuffled.vehicle_ids == ordered.vehicle_ids
         assert shuffled.starts.tolist() == ordered.starts.tolist()
         for name in ("t_s", "x_m", "speed_mps", "lane"):
             assert getattr(shuffled, name).tobytes() == getattr(ordered, name).tobytes()
@@ -887,7 +927,7 @@ class TestTrajectoryData:
             # Equal times, in rows that need sorting and in rows that do not.
             [(7, 1.0, 10.0, 10.0, 1), (7, 0.0, 0.0, 10.0, 1), (7, 1.0, 11.0, 9.0, 2)],
             [(7, 0.0, 0.0, 10.0, 1), (7, 0.0, 1.0, 11.0, 2), (3, 4.0, 5.0, 6.0, 1), (3, 4.0, 7.0, 8.0, 1)],
-            # Ordered rows whose ids do not ascend: ``vehicle_ids`` does, ``ids`` does not.
+            # Rows grouped by vehicle and time-ordered, but ids not ascending: sorted.
             [(9, 0.0, 0.0, 1.0, 1), (9, 1.0, 1.0, 1.0, 1), (2, 0.0, 0.0, 1.0, 1), (5, 0.0, 0.0, 1.0, 1)],
         ],
         ids=["id-reappears", "time-goes-back", "equal-times-sorted", "equal-times-ordered", "ids-not-ascending"],
@@ -897,20 +937,20 @@ class TestTrajectoryData:
 
     def test_a_nan_time_is_sorted_last_within_its_vehicle(self):
         # No comparison with NaN holds, so these rows are not taken as time-ordered.
-        traj = TrajectoryData([7, 7, 7, 3], [0.0, math.nan, 1.0, 0.0], [0.0, 5.0, 10.0, 50.0], [10.0] * 4, [1] * 4)
-        assert traj.ids.tolist() == [7, 3]
-        assert traj.starts.tolist() == [0, 3, 4]
-        assert traj.t_s.tolist()[:2] == [0.0, 1.0] and math.isnan(traj.t_s[2])
-        assert traj.x_m.tolist() == [0.0, 10.0, 5.0, 50.0]
+        traj = TrajectoryData([3, 7, 7, 7], [0.0, 0.0, math.nan, 1.0], [50.0, 0.0, 5.0, 10.0], [10.0] * 4, [1] * 4)
+        assert traj.ids.tolist() == [3, 7]
+        assert traj.starts.tolist() == [0, 1, 4]
+        assert traj.t_s.tolist()[:3] == [0.0, 0.0, 1.0] and math.isnan(traj.t_s[3])
+        assert traj.x_m.tolist() == [50.0, 0.0, 10.0, 5.0]
 
     @pytest.mark.parametrize("order", [[0, 1, 2], [1, 0, 2]], ids=["ordered", "shuffled"])
     def test_caller_arrays_stay_writeable_and_unchanged(self, order):
         columns = [
-            np.array([7, 7, 3])[order],
-            np.array([0.0, 1.0, 0.0])[order],
-            np.array([0.0, 10.0, 50.0])[order],
-            np.array([10.0, 10.0, 12.0])[order],
-            np.array([1, 1, 2])[order],
+            np.array([3, 7, 7])[order],
+            np.array([0.0, 0.0, 1.0])[order],
+            np.array([50.0, 0.0, 10.0])[order],
+            np.array([12.0, 10.0, 10.0])[order],
+            np.array([2, 1, 1])[order],
         ]
         before = [c.copy() for c in columns]
         traj = TrajectoryData(*columns)
@@ -920,7 +960,7 @@ class TestTrajectoryData:
         # Ordered columns are adopted, shuffled ones copied; both read-only.
         assert np.shares_memory(traj.t_s, columns[1]) == (order == [0, 1, 2])
         assert not traj.t_s.flags.writeable
-        assert table_rows(traj) == [(7, 0.0, 0.0, 10.0, 1), (7, 1.0, 10.0, 10.0, 1), (3, 0.0, 50.0, 12.0, 2)]
+        assert table_rows(traj) == [(3, 0.0, 50.0, 12.0, 2), (7, 0.0, 0.0, 10.0, 1), (7, 1.0, 10.0, 10.0, 1)]
 
     def test_columns_of_unequal_length_raise(self):
         with pytest.raises(ValueError, match="equal length"):
@@ -974,7 +1014,7 @@ class TestStepGridProperties:
             path = Path(tmp) / "traj.csv"
             path.write_text("\n".join(lines) + "\n")
             loaded = load_trajectories(path)
-        assert loaded.vehicle_ids == traj.vehicle_ids
+        assert loaded.ids.tolist() == traj.ids.tolist()
         assert (loaded.t_min_s, loaded.t_max_s) == (traj.t_min_s, traj.t_max_s)
         for vid, track in traj.tracks.items():
             got = loaded.tracks[vid]
@@ -986,12 +1026,38 @@ class TestStepGridProperties:
         assert np.array_equal(
             ground_truth_densities(loaded, cfg, n_steps), ground_truth_densities(traj, cfg, n_steps)
         )
-        assert np.allclose(
-            segment_speed_series(loaded, cfg, n_steps, connected),
-            segment_speed_series(traj, cfg, n_steps, connected),
-            rtol=1e-12,
-            equal_nan=True,
+        assert (
+            segment_speed_series(loaded, cfg, n_steps, connected).tobytes()
+            == segment_speed_series(traj, cfg, n_steps, connected).tobytes()
         )
+
+    @settings(max_examples=100)
+    @given(
+        busy_rows(),
+        st.randoms(use_true_random=False),
+        st.sampled_from([RampType.ON, RampType.OFF]),
+        st.sampled_from([None, frozenset({1}), frozenset({2, 3})]),
+    )
+    def test_row_order_changes_no_output_bit(self, rows, rnd, kind, lanes):
+        # Without two samples of one vehicle at one time, any order of the
+        # rows gives the same table, so the same bits in every output.
+        cfg, n_steps = make_config(), 4
+        connected = frozenset(row[0] for row in rows)
+        rule = RampLaneRule(segment=1, lane=2, kind=kind)
+
+        def outputs(rows):
+            traj = TrajectoryData(*zip(*rows))
+            return [
+                segment_speed_series(traj, cfg, n_steps, connected),
+                ground_truth_densities(traj, cfg, n_steps, exclude_lanes=frozenset({3})),
+                virtual_detector_flow(traj, 500.0, n_steps, T_STEP_H, lanes=lanes),
+                lane_transition_flow(traj, rule, n_steps, T_STEP_H),
+            ]
+
+        want = outputs(rows)
+        rnd.shuffle(rows)
+        for got, expected in zip(outputs(rows), want):
+            assert got.tobytes() == expected.tobytes()
 
 
 # Property tests: the array code of crossings, event flows, lane transitions
