@@ -304,24 +304,15 @@ def _trajectory_source(args, cfg: NetworkConfig, rng: np.random.Generator) -> _S
     exclude = args.exclude_lanes
     rules = _ramp_rules(args.ramp_lane, cfg)
     traj = sensing.load_trajectories(args.trajectories)
-    t0 = traj.t_min_s
     meas = sensing.frames_from_trajectories(
-        traj,
-        cfg,
-        args.penetration,
-        rng,
-        t0_s=t0,
-        exclude_lanes=exclude,
-        ramp_rules=rules,
+        traj, cfg, args.penetration, rng, exclude_lanes=exclude, ramp_rules=rules
     )
     K = meas.n_steps
-    ramp_true = {r.segment: sensing.lane_transition_flow(traj, r, K, cfg.time_step_h, t0_s=t0) for r in rules}
+    ramp_true = {r.segment: sensing.lane_transition_flow(traj, r, K, cfg.time_step_h) for r in rules}
     return _Source(
         meas,
-        rho_true=sensing.ground_truth_densities(traj, cfg, K, t0_s=t0, exclude_lanes=exclude),
-        v_true=sensing.segment_speed_series(
-            traj, cfg, K, frozenset(traj.ids.tolist()), t0_s=t0, exclude_lanes=exclude
-        ),
+        rho_true=sensing.ground_truth_densities(traj, cfg, K, exclude_lanes=exclude),
+        v_true=sensing.segment_speed_series(traj, cfg, K, frozenset(traj.ids.tolist()), exclude_lanes=exclude),
         ramp_flow_true=_segment_table(K, cfg.n_segments, ramp_true),
         default_speed=100.0,
         smoothed=True,
@@ -464,8 +455,7 @@ def cmd_estimate(args) -> int:
         cfg, defaults = load_network(args.network), {"measurement_var": 100.0, "initial_density": 4.0}
         ingest = functools.partial(_detector_source, args, cfg)
     idx = build_state_index(cfg)
-    sensors = tuple(sorted(cfg.flow_sensor_segments))
-    tuning = _resolve_tuning(args, idx, len(sensors), defaults)
+    tuning = _resolve_tuning(args, idx, len(cfg.flow_sensor_segments), defaults)
 
     # Every source runs the same tail: noise, then smoothing, then the filter.
     # A run that draws nothing (detector readings without noise) gets no
@@ -488,7 +478,6 @@ def cmd_estimate(args) -> int:
         idx,
         tuning,
         meas,
-        sensor_segments=sensors,
         default_speed_kmh=src.default_speed,
         strict_cfl=args.strict_cfl,
         clamp_nonnegative=args.clamp_output,
@@ -537,8 +526,7 @@ def cmd_sweep(args) -> int:
     sc = simulate.make_congestion_scenario(args.preset, args.seed)
     cfg = sc.cfg
     idx = build_state_index(cfg)
-    sensors = tuple(sorted(cfg.flow_sensor_segments))
-    tuning = _resolve_tuning(args, idx, len(sensors), simulate.preset_filter_defaults(args.preset))
+    tuning = _resolve_tuning(args, idx, len(cfg.flow_sensor_segments), simulate.preset_filter_defaults(args.preset))
     result = simulate.simulate_truth(sc, strict_cfl=args.strict_cfl)
     K = sc.n_steps
     _check_warmup(args.warmup, K)
@@ -560,7 +548,6 @@ def cmd_sweep(args) -> int:
             idx,
             tuning,
             batch,
-            sensor_segments=sensors,
             default_speed_kmh=default_speed,
             strict_cfl=args.strict_cfl,
             clamp_nonnegative=args.clamp_output,
@@ -609,8 +596,16 @@ def cmd_metrics(args) -> int:
             raise RunFormatError(f"{out / ESTIMATES_CSV}: unexpected header {header}")
         cells = np.array([[_parse_cell(c) for c in row] for row in reader], dtype=float)
     cells = cells.reshape(-1, len(_CSV_COLUMNS))  # also when there are no rows
+    n = cfg.n_segments
+    K = len(cells) // n
+    grid = np.column_stack([np.repeat(np.arange(K), n), np.tile(np.arange(1, n + 1), K)])
+    if len(cells) != K * n or not np.array_equal(cells[:, :2], grid):
+        raise RunFormatError(
+            f"{out / ESTIMATES_CSV}: the k and segment columns of its {len(cells)} rows"
+            f" do not form a grid of steps x {n} segments"
+        )
     columns = {
-        name: np.ascontiguousarray(cells[:, j].reshape(-1, cfg.n_segments))
+        name: np.ascontiguousarray(cells[:, j].reshape(K, n))
         for j, name in enumerate(_CSV_COLUMNS)
         if name not in ("k", "segment")
     }
@@ -741,7 +736,7 @@ def main(argv=None) -> int:
         NetworkFormatError,
         sensing.TrajectoryFormatError,
         sensing.DetectorFormatError,
-        FileNotFoundError,
+        OSError,
         json.JSONDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -266,8 +266,6 @@ def run_filter(
     tuning: FilterTuning,
     meas: Measurements,
     *,
-    sensor_segments: Sequence[int] | None = None,
-    v_floor_kmh: float = V_FLOOR_KMH,
     default_speed_kmh: float = 100.0,
     strict_cfl: bool = False,
     clamp_nonnegative: bool = False,
@@ -278,8 +276,6 @@ def run_filter(
         idx,
         tuning,
         [meas],
-        sensor_segments=sensor_segments,
-        v_floor_kmh=v_floor_kmh,
         default_speed_kmh=default_speed_kmh,
         strict_cfl=strict_cfl,
         clamp_nonnegative=clamp_nonnegative,
@@ -292,8 +288,6 @@ def run_filter_batch(
     tuning: FilterTuning,
     runs: Sequence[Measurements],
     *,
-    sensor_segments: Sequence[int] | None = None,
-    v_floor_kmh: float = V_FLOOR_KMH,
     default_speed_kmh: float = 100.0,
     strict_cfl: bool = False,
     clamp_nonnegative: bool = False,
@@ -305,15 +299,16 @@ def run_filter_batch(
 
     Gap handling: a missing segment speed holds the last seen value for
     that segment (free-flow ``default_speed_kmh`` before anything is seen);
-    a missing sensor flow, or a sensor speed at or below ``v_floor_kmh``,
-    holds the previous density reading for that sensor, seeded from the
-    initial mean; a missing entry flow holds the previous one, starting at
-    zero. Discretization violations warn (one line for the batch) unless
-    ``strict_cfl``. ``clamp_nonnegative`` floors published density
-    estimates at zero (the raw filter state keeps evolving unclamped).
+    a missing sensor flow, or a sensor speed at or below ``V_FLOOR_KMH``
+    (2 km/h), holds the previous density reading for that sensor, seeded
+    from the initial mean; a missing entry flow holds the previous one,
+    starting at zero. Discretization violations warn (one line for the
+    batch) unless ``strict_cfl``. ``clamp_nonnegative`` floors published
+    density estimates at zero (the raw filter state keeps evolving
+    unclamped).
 
-    ``sensor_segments`` defaults to every declared flow sensor; pass an
-    explicit subset to study reduced placements.
+    The measurement vector reads every flow sensor of the network, in
+    ascending segment order, so ``tuning`` is sized to their number.
 
     Each step is the update of ``kf_step`` computed from the model's
     structure in O(dim^2): see the module docstring.
@@ -322,9 +317,7 @@ def run_filter_batch(
     if not runs:
         raise ValueError("run_filter_batch needs at least one run")
     n = idx.n_segments
-    if sensor_segments is None:
-        sensor_segments = tuple(sorted(cfg.flow_sensor_segments))
-    sensor_segments = tuple(sorted(set(int(j) for j in sensor_segments)))
+    sensor_segments = tuple(sorted(cfg.flow_sensor_segments))
     ratios = cfg.time_step_h / cfg.lengths_km
     B = build_B(idx, cfg.lengths_km, cfg.time_step_h)
     # C only selects rows: C M == M[sel].
@@ -356,7 +349,7 @@ def run_filter_batch(
 
     q = np.stack([meas.sensor_table(sensor_segments) for meas in runs])
     v_sensor = speeds_used[..., sel]
-    reading = np.isfinite(q) & (v_sensor > v_floor_kmh)
+    reading = np.isfinite(q) & (v_sensor > V_FLOOR_KMH)
     z_raw = np.divide(q, v_sensor, out=np.full_like(q, np.nan), where=reading)
     z_used = _hold(z_raw, reading, tuning.initial_mean[sel])
     held_steps = np.count_nonzero(~reading.all(axis=2), axis=1)

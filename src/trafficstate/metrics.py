@@ -1,8 +1,9 @@
 """Evaluation quantities for estimation runs.
 
-All metrics can exclude a warm-up window so the filter's initialization
-transient is not scored; callers that want the full-horizon value pass
-warmup=0 (run summaries report both).
+The density metrics can exclude a warm-up window so the filter's
+initialization transient is not scored; callers that want the full-horizon
+value pass warmup=0 (run summaries report both). The ramp-flow metrics
+score the series they are given, so callers slice the warm-up off first.
 """
 
 from __future__ import annotations
@@ -94,9 +95,9 @@ def speed_error_covariance(
     return float(np.mean(cells))
 
 
-def ramp_flow_rmse(est, truth, *, warmup: int = 0) -> float:
+def ramp_flow_rmse(est, truth) -> float:
     """Root mean square ramp-flow error in veh/h over the step series."""
-    e, t = _paired(est, truth, warmup)
+    e, t = _paired(est, truth, 0)
     return float(np.sqrt(np.mean((e - t) ** 2)))
 
 

@@ -63,17 +63,27 @@ class Segment:
             object.__setattr__(self, "ramp", RampType(self.ramp))
 
 
+def _flag(raw: dict, name: str, default: bool, where: str = "") -> bool:
+    """A JSON boolean field; any other value, such as the string "false", is a format error."""
+    value = raw.get(name, default)
+    if not isinstance(value, bool):
+        raise NetworkFormatError(f"{where}{name} must be true or false, got {value!r}")
+    return value
+
+
 def _segment_from_dict(d: dict, pos: int) -> Segment:
     try:
         length = float(d["length_km"])
     except (KeyError, TypeError, ValueError) as exc:
         raise NetworkFormatError(f"segment {pos}: bad or missing length_km") from exc
+    if not math.isfinite(length):
+        raise NetworkFormatError(f"segment {pos}: length_km must be finite, got {length}")
     ramp_raw = d.get("ramp", "none")
     try:
         ramp = RampType(ramp_raw)
     except ValueError as exc:
         raise NetworkFormatError(f"segment {pos}: unknown ramp type {ramp_raw!r}") from exc
-    return Segment(length_km=length, ramp=ramp, ramp_measured=bool(d.get("ramp_measured", False)))
+    return Segment(length_km=length, ramp=ramp, ramp_measured=_flag(d, "ramp_measured", False, f"segment {pos}: "))
 
 
 @dataclass(frozen=True)
@@ -158,7 +168,9 @@ class NetworkConfig:
 
         Schema: ``{"time_step_h": float, "segments": [{"length_km": float,
         "ramp": "none"|"on_ramp"|"off_ramp", "ramp_measured": bool}, ...],
-        "flow_sensors": [int, ...], "entry_flow_measured": bool}``.
+        "flow_sensors": [int, ...], "entry_flow_measured": bool}``. Lengths
+        and the time step must be finite, flags JSON booleans and sensors
+        JSON integers.
         """
         if not isinstance(raw, dict):
             raise NetworkFormatError("expected a JSON object at top level")
@@ -167,21 +179,22 @@ class NetworkConfig:
             seg_list = raw["segments"]
         except (KeyError, TypeError, ValueError) as exc:
             raise NetworkFormatError("missing or malformed time_step_h/segments") from exc
+        if not math.isfinite(time_step):
+            raise NetworkFormatError(f"time_step_h must be finite, got {time_step}")
         if not isinstance(seg_list, list) or not seg_list:
             raise NetworkFormatError("segments must be a non-empty array")
         segments = tuple(_segment_from_dict(d, i) for i, d in enumerate(seg_list, start=1))
         sensors = raw.get("flow_sensors", [])
         if not isinstance(sensors, list):
             raise NetworkFormatError("flow_sensors must be an array of segment indices")
-        try:
-            sensor_set = frozenset(int(j) for j in sensors)
-        except (TypeError, ValueError) as exc:
-            raise NetworkFormatError("flow_sensors entries must be integers") from exc
+        bad = [j for j in sensors if not isinstance(j, int) or isinstance(j, bool)]
+        if bad:
+            raise NetworkFormatError(f"flow_sensors entries must be integers, got {bad}")
         return cls(
             segments=segments,
-            flow_sensor_segments=sensor_set,
+            flow_sensor_segments=frozenset(sensors),
             time_step_h=time_step,
-            entry_flow_measured=bool(raw.get("entry_flow_measured", True)),
+            entry_flow_measured=_flag(raw, "entry_flow_measured", True),
         )
 
 
@@ -228,13 +241,16 @@ def validate_network(cfg: NetworkConfig) -> ValidationReport:
     violations: list[Violation] = []
     n = cfg.n_segments
 
-    bad_len = tuple(i for i, s in enumerate(cfg.segments, start=1) if s.length_km <= 0)
+    # Each chained comparison is false for NaN as for an infinite value.
+    bad_len = tuple(i for i, s in enumerate(cfg.segments, start=1) if not 0 < s.length_km < math.inf)
     if bad_len:
         violations.append(
-            Violation("segment-length", f"non-positive segment length at {list(bad_len)}", bad_len)
+            Violation("segment-length", f"non-positive or non-finite segment length at {list(bad_len)}", bad_len)
         )
-    if cfg.time_step_h <= 0:
-        violations.append(Violation("time-step", f"time_step_h must be positive, got {cfg.time_step_h}"))
+    if not 0 < cfg.time_step_h < math.inf:
+        violations.append(
+            Violation("time-step", f"time_step_h must be positive and finite, got {cfg.time_step_h}")
+        )
     if not cfg.entry_flow_measured:
         violations.append(Violation("entry-flow", "entry flow must be measured"))
 

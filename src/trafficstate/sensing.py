@@ -11,10 +11,15 @@ Two ingestion paths produce the same columnar Measurements:
   every quantity is computed by array passes over it; which sample each
   vehicle reports at each sampling instant (the step grid, ``_step_grid``)
   is evaluated once per recording and grid, and each vehicle's first
-  crossing of a position comes from ``_crossings``;
+  crossing of a position comes from ``_crossings``. The time axis starts
+  at the recording's first sample time t_min: step k samples the vehicles
+  at t_min + k*T and counts the flow over (t_min + k*T, t_min + (k+1)*T].
+  A vehicle whose latest sample is more than ``MAX_GAP_S`` (1 s) old has
+  left the recording;
 * stationary detector files (macroscopic data): each detector snaps to the
-  nearest segment boundary, boundary i feeding segment i and boundary 0
-  feeding the entry flow.
+  nearest segment boundary within ``SNAP_TOLERANCE_M`` (100 m), boundary i
+  feeding segment i and boundary 0 feeding the entry flow, and the time
+  axis runs from the first sample to the last.
 
 Every loader returns clean Measurements: no noise, and speeds not
 smoothed. ``add_measurement_noise`` corrupts any Measurements and
@@ -64,6 +69,10 @@ __all__ = [
 ]
 
 MPS_TO_KMH = 3.6
+# A vehicle whose latest sample is older than this has left the recording.
+MAX_GAP_S = 1.0
+# A detector farther than this from every segment boundary is dropped.
+SNAP_TOLERANCE_M = 100.0
 
 
 class TrajectoryFormatError(ValueError):
@@ -172,15 +181,16 @@ class TrajectoryData:
             for vid, a, b in zip(self.ids.tolist(), bounds[:-1], bounds[1:])
         }
 
-    def _grid(self, times_s: np.ndarray, max_gap_s: float):
-        """``_step_grid`` of this recording, kept for the next request of the same grid.
+    def _grid(self, n_steps: int, time_step_h: float):
+        """``_step_grid`` at the times t_min + k*T, kept for the next request of the same grid.
 
         The speed series, the truth densities and the all-vehicle speeds of
         one run ask for the same grid; it is evaluated once.
         """
-        key = (times_s.tobytes(), max_gap_s)
+        key = (n_steps, time_step_h)
         if self._grid_key != key:
-            self._grid_key, self._grid_value = key, _step_grid(self, times_s, max_gap_s)
+            times_s = self.t_min_s + np.arange(n_steps) * (time_step_h * 3600.0)
+            self._grid_key, self._grid_value = key, _step_grid(self, times_s)
         return self._grid_value
 
 
@@ -326,13 +336,13 @@ def _bisect(lo: np.ndarray, hi: np.ndarray, holds) -> np.ndarray:
 
 
 def _step_grid(
-    traj: TrajectoryData, times_s: np.ndarray, max_gap_s: float
+    traj: TrajectoryData, times_s: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Each vehicle's latest sample at or before each grid time.
 
     A sample covers the grid times from its own time up to, not including,
     its vehicle's next sample (every later grid time after the vehicle's
-    last sample), as long as it is fresh: a sample older than ``max_gap_s``
+    last sample), as long as it is fresh: a sample older than ``MAX_GAP_S``
     means the vehicle has left the recording. Returns flat (track, step,
     x_m, speed_mps, lane) arrays with one entry per vehicle present at a
     step, track after track in table order, steps ascending.
@@ -351,7 +361,7 @@ def _step_grid(
     first, t_s = first[rows], traj.t_s[rows]
     # A sample only gets staler as the grid time grows, so its fresh grid
     # times are a prefix of the ones it covers.
-    stop = _bisect(first, stop, lambda k: ~(times_s[k] - t_s > max_gap_s))
+    stop = _bisect(first, stop, lambda k: ~(times_s[k] - t_s > MAX_GAP_S))
     counts = stop - first
     steps = np.repeat(first - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
     rows = np.repeat(rows, counts)
@@ -374,18 +384,16 @@ def segment_speed_series(
     n_steps: int,
     connected: frozenset[int],
     *,
-    t0_s: float = 0.0,
     exclude_lanes: frozenset[int] = frozenset(),
-    max_gap_s: float = 1.0,
 ) -> np.ndarray:
     """(K, N) connected-vehicle mean speed per segment in km/h, NaN if none.
 
     The speed of segment i at step k averages the instantaneous speeds of
-    the connected vehicles located in segment i at time t0 + k*T.
+    the connected vehicles located in segment i at time t_min + k*T, t_min
+    being the recording's first sample time.
     """
-    T_s = cfg.time_step_h * 3600.0
     shape = (n_steps, cfg.n_segments)
-    track, k, x, v, lane = traj._grid(t0_s + np.arange(n_steps) * T_s, max_gap_s)
+    track, k, x, v, lane = traj._grid(n_steps, cfg.time_step_h)
     is_connected = np.isin(traj.ids, list(connected))
     keep = is_connected[track] & ~np.isin(lane, list(exclude_lanes))
     cells, keep = _cells(cfg, k, x, keep)
@@ -454,9 +462,10 @@ def _crossings(traj: TrajectoryData, x_m: float) -> tuple[np.ndarray, np.ndarray
     return track, t0 + (x_m - x0) / (x1 - x0) * (t1 - t0)
 
 
-def _bin_crossings(times_s: np.ndarray, n_steps: int, T_s: float, t0_s: float) -> np.ndarray:
-    k = np.ceil((times_s - t0_s) / T_s) - 1
-    return np.bincount(k[(k >= 0) & (k < n_steps)].astype(np.int64), minlength=n_steps)
+def _binned_flow(traj: TrajectoryData, times_s: np.ndarray, n_steps: int, time_step_h: float) -> np.ndarray:
+    """(K,) flow in veh/h of events at ``times_s``, step k counting (t_min + k*T, t_min + (k+1)*T]."""
+    k = np.ceil((times_s - traj.t_min_s) / (time_step_h * 3600.0)) - 1
+    return np.bincount(k[(k >= 0) & (k < n_steps)].astype(np.int64), minlength=n_steps) / time_step_h
 
 
 def virtual_detector_flow(
@@ -465,22 +474,21 @@ def virtual_detector_flow(
     n_steps: int,
     time_step_h: float,
     *,
-    t0_s: float = 0.0,
     lanes: frozenset[int] | None = None,
 ) -> np.ndarray:
     """(K,) flow in veh/h past position x, counting crossings per interval.
 
-    Step k covers the interval (t0 + k*T, t0 + (k+1)*T]. ``lanes``
-    restricts the count to vehicles in those lanes at the crossing.
+    Step k covers the interval (t_min + k*T, t_min + (k+1)*T], t_min being
+    the recording's first sample time. ``lanes`` restricts the count to
+    vehicles in those lanes at the crossing.
     """
-    return _event_flow(traj, *_crossings(traj, x_m), n_steps, time_step_h, t0_s, lanes)
+    return _event_flow(traj, *_crossings(traj, x_m), n_steps, time_step_h, lanes)
 
 
 def _entry_flow(
     traj: TrajectoryData,
     cfg: NetworkConfig,
     n_steps: int,
-    t0_s: float,
     lanes: frozenset[int] | None,
 ) -> np.ndarray:
     """(K,) flow in veh/h into the stretch.
@@ -496,7 +504,7 @@ def _entry_flow(
     inside = np.flatnonzero((0.0 <= traj.x_m[first]) & (traj.x_m[first] < end_m))
     track = np.concatenate([track, inside])
     times = np.concatenate([times, traj.t_s[first[inside]]])
-    return _event_flow(traj, track, times, n_steps, cfg.time_step_h, t0_s, lanes)
+    return _event_flow(traj, track, times, n_steps, cfg.time_step_h, lanes)
 
 
 def _event_flow(
@@ -505,7 +513,6 @@ def _event_flow(
     times_s: np.ndarray,
     n_steps: int,
     time_step_h: float,
-    t0_s: float,
     lanes: frozenset[int] | None,
 ) -> np.ndarray:
     """(K,) flow in veh/h of one event per (track, time) pair.
@@ -517,19 +524,11 @@ def _event_flow(
         end = traj.starts[track + 1]
         after = _bisect(traj.starts[track], end, lambda i: traj.t_s[i] <= times_s)
         times_s = times_s[np.isin(traj.lane[np.minimum(after, end - 1)], list(lanes))]
-    counts = _bin_crossings(times_s, n_steps, time_step_h * 3600.0, t0_s)
-    return counts / time_step_h
+    return _binned_flow(traj, times_s, n_steps, time_step_h)
 
 
-def lane_transition_flow(
-    traj: TrajectoryData,
-    rule: RampLaneRule,
-    n_steps: int,
-    time_step_h: float,
-    *,
-    t0_s: float = 0.0,
-) -> np.ndarray:
-    """(K,) ramp flow in veh/h counted from lane transitions.
+def lane_transition_flow(traj: TrajectoryData, rule: RampLaneRule, n_steps: int, time_step_h: float) -> np.ndarray:
+    """(K,) ramp flow in veh/h counted from lane transitions, binned as in ``virtual_detector_flow``.
 
     Each vehicle contributes at most once, at its first transition off the
     ramp lane (on-ramp) or onto it (off-ramp).
@@ -539,22 +538,14 @@ def lane_transition_flow(
         rows, _track = _first_steps(traj, on[:-1] & ~on[1:])
     else:
         rows, _track = _first_steps(traj, ~on[:-1] & on[1:])
-    counts = _bin_crossings(traj.t_s[rows], n_steps, time_step_h * 3600.0, t0_s)
-    return counts / time_step_h
+    return _binned_flow(traj, traj.t_s[rows], n_steps, time_step_h)
 
 
 def ground_truth_densities(
-    traj: TrajectoryData,
-    cfg: NetworkConfig,
-    n_steps: int,
-    *,
-    t0_s: float = 0.0,
-    exclude_lanes: frozenset[int] = frozenset(),
-    max_gap_s: float = 1.0,
+    traj: TrajectoryData, cfg: NetworkConfig, n_steps: int, *, exclude_lanes: frozenset[int] = frozenset()
 ) -> np.ndarray:
-    """(K, N) reference density: vehicles in segment at kT over its length."""
-    T_s = cfg.time_step_h * 3600.0
-    _track, k, x, _v, lane = traj._grid(t0_s + np.arange(n_steps) * T_s, max_gap_s)
+    """(K, N) reference density: vehicles in segment at t_min + k*T over its length."""
+    _track, k, x, _v, lane = traj._grid(n_steps, cfg.time_step_h)
     cells, _keep = _cells(cfg, k, x, ~np.isin(lane, list(exclude_lanes)))
     counts = np.bincount(cells, minlength=n_steps * cfg.n_segments)
     return counts.reshape(n_steps, cfg.n_segments) / cfg.lengths_km
@@ -566,41 +557,34 @@ def frames_from_trajectories(
     penetration: float,
     rng: np.random.Generator,
     *,
-    n_steps: int | None = None,
-    t0_s: float = 0.0,
     exclude_lanes: frozenset[int] = frozenset(),
     ramp_rules: Sequence[RampLaneRule] = (),
-    max_gap_s: float = 1.0,
 ) -> Measurements:
     """Clean estimator inputs from microscopic data: no noise, speeds not smoothed.
 
-    Connected vehicles are drawn once for the whole recording; each
-    segment speed is the mean over the connected vehicles present at the
-    sampling instant (``segment_speed_series``). Flows come from virtual
+    The grid starts at the recording's first sample time t_min and has one
+    step per whole T until its last sample. Connected vehicles are drawn
+    once for the whole recording; each segment speed is the mean over the
+    connected vehicles present at the sampling instant
+    (``segment_speed_series``). Flows come from virtual
     detectors at the entry boundary (which also counts vehicles first seen
     inside segment 1) and at the downstream boundary of every segment
     carrying a flow sensor; measured ramps need a RampLaneRule.
     """
-    T_s = cfg.time_step_h * 3600.0
-    if n_steps is None:
-        n_steps = int(math.floor((traj.t_max_s - t0_s) / T_s))
+    n_steps = int(math.floor((traj.t_max_s - traj.t_min_s) / (cfg.time_step_h * 3600.0)))
     if n_steps <= 0:
         raise ValueError(f"recording too short: {n_steps} steps")
 
     connected = assign_connected(traj.ids, penetration, rng)
-    speeds = segment_speed_series(
-        traj, cfg, n_steps, connected, t0_s=t0_s, exclude_lanes=exclude_lanes, max_gap_s=max_gap_s
-    )
+    speeds = segment_speed_series(traj, cfg, n_steps, connected, exclude_lanes=exclude_lanes)
 
     boundaries_m = cfg.boundaries_km() * 1000.0
     lanes_kept = None
     if exclude_lanes:
         lanes_kept = frozenset(set(np.unique(traj.lane).tolist()) - set(exclude_lanes))
-    entry = _entry_flow(traj, cfg, n_steps, t0_s, lanes_kept)
+    entry = _entry_flow(traj, cfg, n_steps, lanes_kept)
     sensor_flows = {
-        j: virtual_detector_flow(
-            traj, boundaries_m[j], n_steps, cfg.time_step_h, t0_s=t0_s, lanes=lanes_kept
-        )
+        j: virtual_detector_flow(traj, boundaries_m[j], n_steps, cfg.time_step_h, lanes=lanes_kept)
         for j in sorted(cfg.flow_sensor_segments)
     }
 
@@ -610,7 +594,7 @@ def frames_from_trajectories(
     if missing:
         raise ValueError(f"measured ramps without a lane rule: {sorted(missing)}")
     ramp_flows = {
-        seg: lane_transition_flow(traj, rules_by_segment[seg], n_steps, cfg.time_step_h, t0_s=t0_s)
+        seg: lane_transition_flow(traj, rules_by_segment[seg], n_steps, cfg.time_step_h)
         for seg in sorted(measured_segments)
     }
 
@@ -649,12 +633,12 @@ def load_detectors(path: str | Path) -> list[DetectorSeries]:
 
 
 def snap_detectors_to_boundaries(
-    detectors: Sequence[DetectorSeries], cfg: NetworkConfig, *, tolerance_m: float = 100.0
+    detectors: Sequence[DetectorSeries], cfg: NetworkConfig
 ) -> dict[int, DetectorSeries]:
     """Assign each detector to its nearest segment boundary (0..N).
 
     Boundary 0 is the stretch entry; boundary i the downstream end of
-    segment i. Detectors farther than ``tolerance_m`` from every boundary
+    segment i. Detectors farther than ``SNAP_TOLERANCE_M`` from every boundary
     are dropped; a boundary claimed twice keeps the nearer detector, the
     first one on a tie. One warning per call counts and places the detectors
     dropped each way.
@@ -666,7 +650,7 @@ def snap_detectors_to_boundaries(
         dists = np.abs(boundaries_m - det.position_m)
         b = int(np.argmin(dists))
         d = float(dists[b])
-        if d > tolerance_m:
+        if d > SNAP_TOLERANCE_M:
             far.append(det.position_m)
         elif b in assigned and assigned[b][0] <= d:
             displaced.append(det.position_m)
@@ -675,38 +659,30 @@ def snap_detectors_to_boundaries(
                 displaced.append(assigned[b][1].position_m)
             assigned[b] = (d, det)
     if far:
-        logger.warning("dropped %d detectors beyond %.1f m of every boundary, at %s m", len(far), tolerance_m, far)
+        logger.warning("dropped %d detectors beyond %.1f m of every boundary, at %s m", len(far), SNAP_TOLERANCE_M, far)
     if displaced:
         logger.warning("dropped %d detectors whose boundary a nearer one takes, at %s m", len(displaced), displaced)
     return {b: det for b, (_d, det) in assigned.items()}
 
 
-def frames_from_detectors(
-    detectors: Sequence[DetectorSeries],
-    cfg: NetworkConfig,
-    *,
-    n_steps: int | None = None,
-    t0_s: float | None = None,
-    tolerance_m: float = 100.0,
-) -> Measurements:
+def frames_from_detectors(detectors: Sequence[DetectorSeries], cfg: NetworkConfig) -> Measurements:
     """Build the estimator inputs from stationary detector files.
 
     The detector snapped to boundary i supplies segment i's speed, and its
     flow when segment i carries a sensor in the network config; boundary 0
     supplies the entry flow. Each detector sample is mapped to the nearest
-    step of the grid t0 + k*T; steps without a sample stay missing. When
+    step of the grid t0 + k*T, which runs from the first sample t0 of the
+    snapped detectors to their last; steps without a sample stay missing. When
     several samples of one detector map to the same step, the later one
     wins; the dropped ones are counted in one warning.
     """
-    by_boundary = snap_detectors_to_boundaries(detectors, cfg, tolerance_m=tolerance_m)
+    by_boundary = snap_detectors_to_boundaries(detectors, cfg)
     if not by_boundary:
         raise DetectorFormatError("no detector lies near any segment boundary")
     T_s = cfg.time_step_h * 3600.0
-    if t0_s is None:
-        t0_s = min(float(d.times_s[0]) for d in by_boundary.values())
-    if n_steps is None:
-        t_end = max(float(d.times_s[-1]) for d in by_boundary.values())
-        n_steps = int(math.floor((t_end - t0_s) / T_s)) + 1
+    t0_s = min(float(d.times_s[0]) for d in by_boundary.values())
+    t_end = max(float(d.times_s[-1]) for d in by_boundary.values())
+    n_steps = int(math.floor((t_end - t0_s) / T_s)) + 1
 
     n = cfg.n_segments
     speeds = np.full((n_steps, n), np.nan)

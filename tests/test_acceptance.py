@@ -416,8 +416,8 @@ def test_criterion_10_recorded_trajectories():
 
     def run(penetration, seed):
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-        frames = cli._smoothed(frames_from_trajectories(traj, cfg, penetration, rng, t0_s=traj.t_min_s), 3)
-        truth = ground_truth_densities(traj, cfg, frames.n_steps, t0_s=traj.t_min_s)
+        frames = cli._smoothed(frames_from_trajectories(traj, cfg, penetration, rng), 3)
+        truth = ground_truth_densities(traj, cfg, frames.n_steps)
         tuning = default_tuning(idx, len(cfg.flow_sensor_segments))
         result = run_filter(cfg, idx, tuning, frames)
         est = result.densities[: frames.n_steps]

@@ -91,6 +91,24 @@ class TestValidate:
         assert cli.main(["validate", "--network", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("ramp_measured", "false"),
+            ("entry_flow_measured", "false"),
+            ("flow_sensors", [1.9]),
+            ("length_km", math.nan),
+        ],
+    )
+    def test_values_that_mean_something_else_exit_two(self, tmp_path, capsys, field, value):
+        net = write_network(tmp_path / "net.json")
+        payload = json.loads(net.read_text())
+        (payload["segments"][1] if field in ("ramp_measured", "length_km") else payload)[field] = value
+        net.write_text(json.dumps(payload))
+        assert cli.main(["validate", "--network", str(net)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {net}: ") and field in err and err.count("\n") == 1
+
 
 class TestSimulate:
     def test_writes_scenario_and_truth(self, tmp_path, capsys):
@@ -366,6 +384,25 @@ class TestEstimate:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["trajectories", "network", "out"])
+    def test_unusable_paths_exit_two_with_one_line(self, tmp_path, capsys, target):
+        # A directory where a file is read, or a file where the output
+        # directory goes: one error line, no traceback.
+        paths = {
+            "trajectories": write_trajectories(tmp_path / "t.csv"),
+            "network": write_network(tmp_path / "net.json"),
+            "out": tmp_path / "o",
+        }
+        if target == "out":
+            paths["out"].write_text("")
+        else:
+            paths[target] = tmp_path / "a_directory"
+            paths[target].mkdir()
+        args = ["estimate", "--trajectories", str(paths["trajectories"]), "--network", str(paths["network"])]
+        assert cli.main([*args, "--warmup", "0", "--out", str(paths["out"])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and str(paths[target]) in err and err.count("\n") == 1
 
     def test_strict_cfl_exits_one(self, tmp_path, capsys, read_summary):
         # 90 km/h over 50 m segments at a 5 s step breaks the bound.
@@ -643,7 +680,7 @@ def test_trajectory_speed_noise_is_added_before_smoothing(tmp_path, monkeypatch)
 
     def clean():
         rng = cli._rep_rng(3, 0, 1)
-        return sensing.frames_from_trajectories(traj, cfg, 0.5, rng, t0_s=traj.t_min_s), rng
+        return sensing.frames_from_trajectories(traj, cfg, 0.5, rng), rng
 
     meas, rng = clean()
     want = sensing.moving_average_speed(sensing.add_measurement_noise(meas, rng, speed_std_kmh=6.0).speeds_kmh, 3)
@@ -706,6 +743,25 @@ class TestMetricsCommand:
         capsys.readouterr()
         assert cli.main(["metrics", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {out / 'estimates.csv'}: unexpected header")
+
+    @pytest.mark.parametrize("change", ["missing", "extra", "reordered"])
+    def test_rows_off_the_step_grid_exit_two(self, tmp_path, capsys, change):
+        # ngsim_like writes 360 steps x 8 segments = 2880 rows.
+        out = self.run_dir(tmp_path)
+        header, *rows = (out / "estimates.csv").read_text().splitlines()
+        if change == "missing":
+            rows = rows[:-1]
+        elif change == "extra":
+            rows = rows + rows[-1:]
+        else:
+            rows[0], rows[1] = rows[1], rows[0]
+        (out / "estimates.csv").write_text("\n".join([header, *rows]) + "\n")
+        capsys.readouterr()
+        assert cli.main(["metrics", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out / 'estimates.csv'}: the k and segment columns of its {len(rows)} rows"
+            " do not form a grid of steps x 8 segments\n"
+        )
 
     @pytest.mark.parametrize("drop", ["config", "network"])
     def test_summary_without_a_network_exits_two(self, tmp_path, capsys, drop):

@@ -311,17 +311,24 @@ class TestRunFilter:
         seed=st.integers(0, 2**32 - 1),
         n_steps=st.integers(0, 30),
         drop=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
-        v_floor=st.sampled_from([0.0, 2.0, 40.0]),
+        slow=st.sampled_from([0.0, 0.3, 0.8]),
     )
-    def test_gap_filling_matches_the_per_step_loop(self, seed, n_steps, drop, v_floor):
-        # The per-step hold loop run_filter used before its columnar gap filling.
+    def test_gap_filling_matches_the_per_step_loop(self, seed, n_steps, drop, slow):
+        # The per-step hold loop run_filter used before its columnar gap
+        # filling. About ``slow`` of the speeds are redrawn below, at and
+        # just above the 2 km/h floor, where a sensor reading is held.
+        v_floor = 2.0
         rng = np.random.default_rng(seed)
         cfg, _ = random_observable_network(rng)
         idx = build_state_index(cfg)
         sensors = tuple(sorted(cfg.flow_sensor_segments))
         tuning = default_tuning(idx, len(sensors), initial_density=rng.uniform(10.0, 50.0))
         meas = random_frames(rng, cfg, idx, n_steps, drop=drop)
-        result = run_filter(cfg, idx, tuning, meas, v_floor_kmh=v_floor, default_speed_kmh=55.0)
+        speeds = meas.speeds_kmh.copy()
+        redrawn = np.isfinite(speeds) & (rng.random(speeds.shape) < slow)
+        speeds[redrawn] = rng.choice([0.0, 1.5, 2.0, 2.5], size=np.count_nonzero(redrawn))
+        meas = dataclasses.replace(meas, speeds_kmh=speeds)
+        result = run_filter(cfg, idx, tuning, meas, default_speed_kmh=55.0)
 
         speeds = np.zeros((n_steps, idx.n_segments))
         z_used = np.zeros((n_steps, len(sensors)))
@@ -448,7 +455,7 @@ class TestRunFilter:
             entry_flow_vph=[1800.0],
             sensor_flows_vph={2: [2700.0]},
         )
-        result = run_filter(cfg, idx, tuning, frames, v_floor_kmh=2.0)
+        result = run_filter(cfg, idx, tuning, frames)
         assert result.measurements_used[0, 0] == pytest.approx(25.0)
         assert result.held_measurement_steps == 1
 

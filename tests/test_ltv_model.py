@@ -219,9 +219,9 @@ def step(idx, cfg, x, speeds, entry, measured=None):
 
 def ramp_flows_of(cfg, idx, x):
     """Ramp flows (veh/h) of state x, as FilterResult.ramp_flows reports them."""
-    tuning = dataclasses.replace(default_tuning(idx, 1), initial_mean=x)
+    tuning = dataclasses.replace(default_tuning(idx, len(cfg.flow_sensor_segments)), initial_mean=x)
     empty = Measurements(np.zeros((0, idx.n_segments)), np.zeros(0))
-    result = run_filter(cfg, idx, tuning, empty, sensor_segments=[idx.n_segments])
+    result = run_filter(cfg, idx, tuning, empty)
     return dict(zip(idx.theta_segments, result.ramp_flows(cfg.lengths_km, cfg.time_step_h)[0]))
 
 

@@ -1,6 +1,7 @@
 """Tests for network topology, validation rules, and the CFL check."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -106,6 +107,14 @@ class TestValidateNetwork:
         assert report.ok
         assert report.violations == ()
         assert str(report) == "network ok"
+
+    @pytest.mark.parametrize("length, step", [(math.nan, 0.01), (math.inf, 0.01), (0.5, math.nan), (0.5, math.inf)])
+    def test_non_finite_length_or_time_step_flagged(self, length, step):
+        segments = (Segment(0.5), Segment(length))
+        cfg = NetworkConfig(segments=segments, flow_sensor_segments=frozenset({2}), time_step_h=step)
+        report = validate_network(cfg)
+        want = ["segment-length"] if not math.isfinite(length) else ["time-step"]
+        assert [v.rule for v in report.violations] == want
 
     def test_nonpositive_length_flagged(self):
         cfg = NetworkConfig(
@@ -302,3 +311,25 @@ class TestNetworkIo:
         raw["flow_sensors"] = "3"
         with pytest.raises(NetworkFormatError, match="^flow_sensors must be an array"):
             NetworkConfig.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"ramp_measured": "false"}, "segment 2: ramp_measured must be true or false, got 'false'"),
+            ({"ramp_measured": 1}, "segment 2: ramp_measured must be true or false, got 1"),
+            ({"entry_flow_measured": "false"}, "entry_flow_measured must be true or false, got 'false'"),
+            ({"flow_sensors": [1.9]}, "flow_sensors entries must be integers, got [1.9]"),
+            ({"flow_sensors": [2, True]}, "flow_sensors entries must be integers, got [True]"),
+            ({"length_km": math.nan}, "segment 2: length_km must be finite, got nan"),
+            ({"length_km": math.inf}, "segment 2: length_km must be finite, got inf"),
+            ({"time_step_h": math.nan}, "time_step_h must be finite, got nan"),
+        ],
+    )
+    def test_values_that_mean_something_else_raise(self, change, message):
+        # JSON allows NaN and Infinity; bool("false") is True and int(1.9) is 1.
+        raw = make_config(n=2, sensors=(2,), ramps={2: (RampType.ON, True)}).to_dict()
+        for key, value in change.items():
+            (raw["segments"][1] if key in ("ramp_measured", "length_km") else raw)[key] = value
+        with pytest.raises(NetworkFormatError) as err:
+            NetworkConfig.from_dict(json.loads(json.dumps(raw)))
+        assert str(err.value) == message

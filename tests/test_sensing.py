@@ -35,9 +35,9 @@ from trafficstate.sensing import _crossings, _step_grid
 T_STEP_H = 5 / 3600  # 5 s
 
 
-def grid_snapshots(traj, times_s, max_gap_s=1.0):
+def grid_snapshots(traj, times_s):
     """Per grid time, {id: (x_m, speed_mps, lane)} of the vehicles ``_step_grid`` places there."""
-    track, steps, x, v, lane = _step_grid(traj, np.asarray(times_s, dtype=float), max_gap_s)
+    track, steps, x, v, lane = _step_grid(traj, np.asarray(times_s, dtype=float))
     out = [{} for _ in times_s]
     for j, k, xj, vj, lj in zip(track.tolist(), steps.tolist(), x.tolist(), v.tolist(), lane.tolist()):
         out[k][int(traj.ids[j])] = (xj, vj, lj)
@@ -378,20 +378,21 @@ class TestCrossings:
         assert np.allclose(flow, [1440.0, 0.0])
 
     def test_interval_edges_are_left_open_right_closed(self):
-        # A crossing exactly at t = 0 precedes the first interval; one at
-        # exactly t = 5 lands in it.
+        # The recording starts at t = 0. A crossing exactly at t = 5 lands in
+        # the first interval (0, 5], not the second; one exactly at t = 10
+        # lands in the second.
         traj = TrajectoryData(
             vehicle_id=[1, 1, 2, 2],
-            t_s=[-1.0, 1.0, 4.0, 6.0],
+            t_s=[0.0, 10.0, 8.0, 12.0],
             x_m=[450.0, 550.0, 400.0, 600.0],
-            speed_mps=[50.0, 50.0, 100.0, 100.0],
+            speed_mps=[10.0, 10.0, 50.0, 50.0],
             lane=[1, 1, 1, 1],
         )
         times = first_crossings(traj, 500.0)
-        assert times[1] == pytest.approx(0.0)
-        assert times[2] == pytest.approx(5.0)
-        flow = virtual_detector_flow(traj, 500.0, 2, T_STEP_H)
-        assert np.allclose(flow, [720.0, 0.0])
+        assert times[1] == 5.0
+        assert times[2] == 10.0
+        flow = virtual_detector_flow(traj, 500.0, 3, T_STEP_H)
+        assert np.allclose(flow, [720.0, 720.0, 0.0])
 
     def test_lane_filter_at_crossing(self):
         traj = trajectory(
@@ -478,7 +479,8 @@ class TestFramesFromTrajectories:
             make_track(vid, float(rng.uniform(0.5, 5.0)), 25.0, t0_s=float(vid), n_samples=42)
             for vid in range(1, 301)
         ]
-        tracks.append(make_track(301, 2.0, 25.0, t0_s=3.5, n_samples=42, lane=9))
+        # An excluded-lane vehicle starts the recording at t = 0.
+        tracks.append(make_track(301, 2.0, 25.0, t0_s=0.0, n_samples=42, lane=9))
         meas = frames_from_trajectories(
             trajectory(*tracks),
             make_config(),
@@ -573,9 +575,14 @@ class TestFramesFromDetectors:
         assert meas.speeds_kmh[2, 0] == pytest.approx(90.0)
 
     def test_samples_snap_to_nearest_step(self):
+        # The entry detector spans the grid: steps at 0 s and 5 s.
         cfg = make_config(sensors=(2,))
-        detectors = [_series(1000.0, times=(4.9,), flows=(2000.0,), speeds=(85.0,))]
-        meas = frames_from_detectors(detectors, cfg, t0_s=0.0, n_steps=2)
+        detectors = [
+            _series(0.0, times=(0.0, 5.0), flows=(900.0, 900.0), speeds=(90.0, 90.0)),
+            _series(1000.0, times=(4.9,), flows=(2000.0,), speeds=(85.0,)),
+        ]
+        meas = frames_from_detectors(detectors, cfg)
+        assert meas.n_steps == 2
         assert np.array_equal(meas.sensor_flows_vph[2], [np.nan, 2000.0], equal_nan=True)
         assert np.isnan(meas.speeds_kmh[0, 1])
 
@@ -801,7 +808,7 @@ def _oracle_snapshot(traj, t_s, max_gap_s):
     return out
 
 
-def _oracle_series(traj, cfg, n_steps, connected, exclude, max_gap_s):
+def _oracle_series(traj, cfg, n_steps, connected, exclude, t0_s, max_gap_s):
     T_s = cfg.time_step_h * 3600.0
     n = cfg.n_segments
     speeds = np.full((n_steps, n), np.nan)
@@ -810,7 +817,7 @@ def _oracle_series(traj, cfg, n_steps, connected, exclude, max_gap_s):
         sums = np.zeros(n)
         counts = np.zeros(n, dtype=int)
         everyone = np.zeros(n)
-        for vid, (x_m, v_mps, lane) in _oracle_snapshot(traj, k * T_s, max_gap_s).items():
+        for vid, (x_m, v_mps, lane) in _oracle_snapshot(traj, t0_s + k * T_s, max_gap_s).items():
             seg = _oracle_segment(cfg, x_m / 1000.0)
             if lane in exclude or seg is None:
                 continue
@@ -829,7 +836,11 @@ LENGTHS_KM = (0.25, 0.5)
 
 @st.composite
 def recordings(draw, *, unique_times=False):
-    """Small recordings with stale gaps, early samples, off-stretch and boundary positions."""
+    """Small recordings with stale gaps, late starts, off-stretch and boundary positions.
+
+    The recording's clock starts at a drawn offset, and each vehicle at its
+    own offset from it; gaps between samples fall below, at and above 1 s.
+    """
     n_seg = draw(st.integers(1, 3))
     cfg = NetworkConfig(
         segments=tuple(Segment(length_km=draw(st.sampled_from(LENGTHS_KM))) for _ in range(n_seg)),
@@ -842,6 +853,7 @@ def recordings(draw, *, unique_times=False):
         st.floats(-100.0, edges_m[-1] + 100.0, allow_nan=False),
     )
     columns = {"vehicle_id": [], "t_s": [], "x_m": [], "speed_mps": [], "lane": []}
+    start = draw(st.sampled_from([0.0, -1.0, 2.5, 600.0]))
     ids = draw(st.lists(st.integers(0, 50), min_size=1, max_size=6, unique=True))
     for vid in ids:
         n = draw(st.integers(1, 8))
@@ -852,7 +864,7 @@ def recordings(draw, *, unique_times=False):
         if unique_times:
             steps = [d + 0.25 for d in steps]
         columns["vehicle_id"] += [vid] * n
-        columns["t_s"] += (t0 + np.concatenate([[0.0], np.cumsum(steps)])).tolist()
+        columns["t_s"] += (start + t0 + np.concatenate([[0.0], np.cumsum(steps)])).tolist()
         columns["x_m"] += draw(st.lists(position, min_size=n, max_size=n))
         columns["speed_mps"] += draw(st.lists(st.floats(0.0, 40.0), min_size=n, max_size=n))
         columns["lane"] += draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
@@ -978,22 +990,19 @@ class TestTrajectoryData:
 
 class TestStepGridProperties:
     @settings(max_examples=150)
-    @given(recordings(), st.integers(0, 6), st.sampled_from([0.5, 1.0, 3.0]))
-    def test_grid_matches_per_step_loop(self, rec, n_steps, max_gap_s):
+    @given(recordings(), st.integers(0, 6))
+    def test_grid_matches_per_step_loop(self, rec, n_steps):
+        # The grid starts at the first sample; a sample more than 1 s old is stale.
         traj, cfg, connected, exclude = rec
-        want_speeds, want_density = _oracle_series(traj, cfg, n_steps, connected, exclude, max_gap_s)
-        speeds = segment_speed_series(
-            traj, cfg, n_steps, connected, exclude_lanes=exclude, max_gap_s=max_gap_s
-        )
-        density = ground_truth_densities(
-            traj, cfg, n_steps, exclude_lanes=exclude, max_gap_s=max_gap_s
-        )
+        want_speeds, want_density = _oracle_series(traj, cfg, n_steps, connected, exclude, traj.t_min_s, 1.0)
+        speeds = segment_speed_series(traj, cfg, n_steps, connected, exclude_lanes=exclude)
+        density = ground_truth_densities(traj, cfg, n_steps, exclude_lanes=exclude)
         # Bit-for-bit, NaN cells included.
         assert speeds.tobytes() == want_speeds.tobytes()
         assert density.tobytes() == want_density.tobytes()
-        times = np.arange(n_steps) * cfg.time_step_h * 3600.0
-        want = [_oracle_snapshot(traj, t, max_gap_s) for t in times]
-        assert grid_snapshots(traj, times, max_gap_s) == want
+        times = traj.t_min_s + np.arange(n_steps) * cfg.time_step_h * 3600.0
+        want = [_oracle_snapshot(traj, t, 1.0) for t in times]
+        assert grid_snapshots(traj, times) == want
 
     @settings(max_examples=60)
     @given(recordings(unique_times=True), st.randoms(use_true_random=False))
@@ -1154,25 +1163,34 @@ class TestFlowProperties:
     @given(
         recordings(),
         st.integers(0, 6),
-        st.sampled_from([-1.0, 0.0, 2.5]),
         st.one_of(st.none(), st.frozensets(st.integers(1, 3))),
         st.data(),
     )
-    def test_detector_flows_match_the_per_vehicle_loop(self, rec, n_steps, t0_s, lanes, data):
+    def test_detector_flows_match_the_per_vehicle_loop(self, rec, n_steps, lanes, data):
         traj, cfg, _connected, _exclude = rec
         x_m = data.draw(_detector_positions(cfg))
-        got = virtual_detector_flow(traj, x_m, n_steps, T_STEP_H, t0_s=t0_s, lanes=lanes)
-        want = _oracle_event_flow(traj, _oracle_crossing_times(traj, x_m), n_steps, T_STEP_H, t0_s, lanes)
+        got = virtual_detector_flow(traj, x_m, n_steps, T_STEP_H, lanes=lanes)
+        want = _oracle_event_flow(
+            traj, _oracle_crossing_times(traj, x_m), n_steps, T_STEP_H, traj.t_min_s, lanes
+        )
         assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=150)
-    @given(recordings(), st.integers(1, 6), st.sampled_from([-1.0, 0.0, 2.5]), st.integers(0, 2**32 - 1))
-    def test_frames_match_the_per_vehicle_loops(self, rec, n_steps, t0_s, seed):
-        # Entry flow, sensor flows and the lanes kept after an exclusion.
+    @given(recordings(), st.integers(0, 2**32 - 1))
+    def test_frames_match_the_per_vehicle_loops(self, rec, seed):
+        # Entry flow, sensor flows and the lanes kept after an exclusion, on
+        # one step per whole T from the first sample to the last.
         traj, cfg, _connected, exclude = rec
-        meas = frames_from_trajectories(
-            traj, cfg, 0.5, np.random.default_rng(seed), n_steps=n_steps, t0_s=t0_s, exclude_lanes=exclude
-        )
+        t0_s = min(float(tr.times_s[0]) for tr in traj.tracks.values())
+        t_end = max(float(tr.times_s[-1]) for tr in traj.tracks.values())
+        n_steps = math.floor((t_end - t0_s) / (T_STEP_H * 3600.0))
+        rng = np.random.default_rng(seed)
+        if n_steps <= 0:
+            with pytest.raises(ValueError, match="too short"):
+                frames_from_trajectories(traj, cfg, 0.5, rng, exclude_lanes=exclude)
+            return
+        meas = frames_from_trajectories(traj, cfg, 0.5, rng, exclude_lanes=exclude)
+        assert meas.n_steps == n_steps
         lanes = None
         if exclude:
             lanes = frozenset({int(l) for tr in traj.tracks.values() for l in np.unique(tr.lanes)} - exclude)
@@ -1189,15 +1207,14 @@ class TestFlowProperties:
     @given(
         recordings(),
         st.integers(0, 6),
-        st.sampled_from([-1.0, 0.0, 2.5]),
         st.integers(1, 3),
         st.sampled_from([RampType.ON, RampType.OFF]),
     )
-    def test_lane_transitions_match_the_per_vehicle_loop(self, rec, n_steps, t0_s, lane, kind):
+    def test_lane_transitions_match_the_per_vehicle_loop(self, rec, n_steps, lane, kind):
         traj, _cfg, _connected, _exclude = rec
         rule = RampLaneRule(segment=1, lane=lane, kind=kind)
-        got = lane_transition_flow(traj, rule, n_steps, T_STEP_H, t0_s=t0_s)
-        want = _oracle_lane_transition_flow(traj, rule, n_steps, T_STEP_H, t0_s)
+        got = lane_transition_flow(traj, rule, n_steps, T_STEP_H)
+        want = _oracle_lane_transition_flow(traj, rule, n_steps, T_STEP_H, traj.t_min_s)
         assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=150)
