@@ -12,10 +12,12 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
 import functools
 import json
 import logging
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Mapping
@@ -68,10 +70,21 @@ def _parse_cell(s: str) -> float:
     return float(s) if s else math.nan
 
 
-def _rep_rng(seed: int, rep: int, reps: int) -> np.random.Generator:
-    """Generator for repetition ``rep`` of a run seeded with ``seed``."""
-    children = np.random.SeedSequence(seed).spawn(reps)
-    return np.random.default_rng(children[rep])
+def _rep_seeds(seed: int, reps: int) -> list[np.random.SeedSequence]:
+    """Seeds of the ``reps`` repetitions of a run seeded with ``seed``; ``estimate`` is repetition 0 of 1."""
+    return np.random.SeedSequence(seed).spawn(reps)
+
+
+def _out_dir(text: str) -> Path:
+    """The output directory ``--out``, checked before any work and not yet created.
+
+    The path, or else its nearest existing ancestor, must be a directory.
+    """
+    out = Path(text)
+    existing = next((p for p in (out, *out.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(existing))
+    return out
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -103,6 +116,11 @@ def _tuning_echo(tuning, idx) -> dict:
         "initial_var": float(tuning.initial_cov[0, 0]),
     }
 
+
+# A sweep's filter batch takes whole rates while its state table, runs x
+# (K+1) x dim float64s, stays within this many bytes; every batch takes at
+# least one rate.
+_BATCH_STATE_BYTES = 1_500_000
 
 # Rows per block of the grid writer: enough to amortise the numpy calls,
 # few enough that the strings in flight do not grow with steps x segments.
@@ -150,10 +168,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    out = _out_dir(args.out)
     sc = simulate.make_congestion_scenario(args.preset, args.seed)
     result = simulate.simulate_truth(sc, strict_cfl=args.strict_cfl)
     cfl = check_cfl(sc.cfg, sc.speeds_kmh)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     simulate.save_scenario(sc, out / SCENARIO_JSON)
     _write_grid_csv(
@@ -442,6 +460,7 @@ def _config_echo(args, cfg: NetworkConfig, tuning, idx) -> dict:
 
 
 def cmd_estimate(args) -> int:
+    out = _out_dir(args.out)
     # The network and the source's tuning defaults are known before any
     # ingestion, so bad tuning flags fail before the costly part of the run.
     if args.preset:
@@ -461,7 +480,7 @@ def cmd_estimate(args) -> int:
     # A run that draws nothing (detector readings without noise) gets no
     # generator, so it never loads numpy.random.
     draws = not args.detectors or args.flow_noise_std > 0 or args.speed_noise_std > 0
-    rng = _rep_rng(args.seed, 0, 1) if draws else None
+    rng = np.random.default_rng(_rep_seeds(args.seed, 1)[0]) if draws else None
     src = ingest(rng)
     K, n = src.meas.n_steps, cfg.n_segments
     _check_warmup(args.warmup, K)
@@ -494,7 +513,6 @@ def cmd_estimate(args) -> int:
     }
     run_metrics = _run_metrics(cfg, columns, args.warmup)
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_grid_csv(out / ESTIMATES_CSV, K, n, columns)
     config_echo = {
@@ -523,6 +541,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    out = _out_dir(args.out)
     sc = simulate.make_congestion_scenario(args.preset, args.seed)
     cfg = sc.cfg
     idx = build_state_index(cfg)
@@ -533,41 +552,50 @@ def cmd_sweep(args) -> int:
     rho_true = result.densities[:K]
 
     default_speed = float(np.mean(sc.speeds_kmh))
+    seeds = _rep_seeds(args.seed, args.reps)
+    # Whole rates share a batch while its state table stays within the cap,
+    # so a small preset takes few batches and a large one keeps its peak
+    # memory; each batch is freed before the next is built.
+    runs_per_rate = 2 * args.reps
+    rate_bytes = runs_per_rate * (K + 1) * idx.dim * np.dtype(float).itemsize
+    per_batch = max(1, _BATCH_STATE_BYTES // rate_bytes)
 
-    def rate_rows(p: float) -> list[tuple]:
-        # Every repetition and variant of the rate is filtered as one batch,
-        # ordered rep by rep: (rep 0 raw, rep 0 smoothed, rep 1 raw, ...).
-        batch = []
-        for rep in range(args.reps):
-            rng = _rep_rng(args.seed, rep, args.reps)
-            clean = simulate.synthetic_measurements(result, rng, penetration=p, speed_spread_kmh=args.speed_spread)
-            raw = _noisy(args, clean, rng)
-            batch += [raw, _smoothed(raw, args.window)]
+    def runs(rates: list[float]):
+        # Rate by rate, then rep by rep: (rep 0 raw, rep 0 smoothed, rep 1 raw, ...).
+        for p in rates:
+            for seed in seeds:
+                rng = np.random.default_rng(seed)
+                clean = simulate.synthetic_measurements(result, rng, penetration=p, speed_spread_kmh=args.speed_spread)
+                raw = _noisy(args, clean, rng)
+                yield raw
+                yield _smoothed(raw, args.window)
+
+    def batch_rows(rates: list[float]) -> list[tuple]:
         results = kalman.run_filter_batch(
             cfg,
             idx,
             tuning,
-            batch,
+            runs(rates),
             default_speed_kmh=default_speed,
             strict_cfl=args.strict_cfl,
             clamp_nonnegative=args.clamp_output,
         )
         rows = []
-        for j, variant in enumerate(("instantaneous", "moving_average")):
-            cvs = [metrics.cv_rho(fr.densities[:K], rho_true, warmup=args.warmup) for fr in results[j::2]]
-            ws = [
-                metrics.speed_error_covariance(rho_true, fr.speeds_used, sc.speeds_kmh, cfg, warmup=args.warmup)
-                for fr in results[j::2]
-            ]
-            std = float(np.std(cvs, ddof=1)) if len(cvs) > 1 else 0.0
-            rows.append((p, variant, float(np.mean(cvs)), std, float(np.mean(ws))))
+        for i, p in enumerate(rates):
+            for j, variant in enumerate(("instantaneous", "moving_average")):
+                variant_results = results[i * runs_per_rate + j : (i + 1) * runs_per_rate : 2]
+                cvs = [metrics.cv_rho(fr.densities[:K], rho_true, warmup=args.warmup) for fr in variant_results]
+                ws = [
+                    metrics.speed_error_covariance(rho_true, fr.speeds_used, sc.speeds_kmh, cfg, warmup=args.warmup)
+                    for fr in variant_results
+                ]
+                std = float(np.std(cvs, ddof=1)) if len(cvs) > 1 else 0.0
+                rows.append((p, variant, float(np.mean(cvs)), std, float(np.mean(ws))))
         return rows
 
-    # One batch per rate, not one for the whole sweep, bounds peak memory;
-    # each rate's batch is freed before the next is built.
-    rows = [row for p in args.p for row in rate_rows(p)]
+    batches = [args.p[first : first + per_batch] for first in range(0, len(args.p), per_batch)]
+    rows = [row for rates in batches for row in batch_rows(rates)]
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / SWEEP_CSV, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -594,8 +622,15 @@ def cmd_metrics(args) -> int:
         header = next(reader, None)
         if header != _CSV_COLUMNS:
             raise RunFormatError(f"{out / ESTIMATES_CSV}: unexpected header {header}")
-        cells = np.array([[_parse_cell(c) for c in row] for row in reader], dtype=float)
-    cells = cells.reshape(-1, len(_CSV_COLUMNS))  # also when there are no rows
+        rows = []
+        for row in reader:
+            try:
+                if len(row) != len(_CSV_COLUMNS):
+                    raise ValueError(f"expected {len(_CSV_COLUMNS)} fields, got {len(row)}")
+                rows.append([_parse_cell(c) for c in row])
+            except ValueError as exc:
+                raise RunFormatError(f"{out / ESTIMATES_CSV}:{reader.line_num}: {exc}") from exc
+    cells = np.array(rows, dtype=float).reshape(-1, len(_CSV_COLUMNS))  # also when there are no rows
     n = cfg.n_segments
     K = len(cells) // n
     grid = np.column_stack([np.repeat(np.arange(K), n), np.tile(np.arange(1, n + 1), K)])

@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -29,7 +29,8 @@ import numpy as np
 from trafficstate.ltv_model import (  # noqa: F401
     LtvSnapshot,
     StateIndex,
-    apply_A,
+    _apply_A_into,
+    _coefficients,
     build_A,
     build_B,
     build_C,
@@ -82,7 +83,13 @@ def _check_symmetric_psd(name: str, M: np.ndarray, dim: int) -> np.ndarray:
         raise ValueError(f"{name} must be {dim}x{dim}, got {M.shape}")
     if not np.allclose(M, M.T, atol=1e-10):
         raise ValueError(f"{name} must be symmetric")
-    eigmin = float(np.linalg.eigvalsh(M).min())
+    diagonal = np.diagonal(M)
+    # A diagonal matrix's eigenvalues are its diagonal entries; a dense
+    # eigvalsh of a large diagonal Q or P0 costs far more.
+    if np.count_nonzero(M) == np.count_nonzero(diagonal):
+        eigmin = float(diagonal.min())
+    else:
+        eigmin = float(np.linalg.eigvalsh(M).min())
     if eigmin < -1e-10:
         raise ValueError(f"{name} must be positive semidefinite (min eigenvalue {eigmin:.3e})")
     return M
@@ -248,16 +255,17 @@ class FilterResult:
         return theta * scale[np.newaxis, :]
 
 
-def _hold(values: np.ndarray, valid: np.ndarray, initial) -> np.ndarray:
-    """Each invalid cell takes the last valid value above it in its column, else ``initial``.
+def _hold(values: np.ndarray, valid: np.ndarray, initial) -> None:
+    """Fill each invalid cell in place with the last valid value above it in its column, else ``initial``.
 
-    Rows are the second-to-last axis; leading axes are independent runs.
+    ``values`` is (runs, K, columns), rows on axis 1; it may be a view. Rows
+    are filled in ascending order, so a gap takes the already filled row
+    above it, and only rows with a gap cost a call; no table-sized
+    temporary is made.
     """
-    rows = np.where(valid, np.arange(values.shape[-2])[:, np.newaxis], -1)
-    np.maximum.accumulate(rows, axis=-2, out=rows)
-    held = np.take_along_axis(values, np.maximum(rows, 0), axis=-2)
-    np.copyto(held, initial, where=rows < 0)
-    return held
+    invalid = ~valid
+    for k in np.flatnonzero(invalid.any(axis=(0, 2))).tolist():
+        np.copyto(values[:, k], values[:, k - 1] if k else initial, where=invalid[:, k])
 
 
 def run_filter(
@@ -286,7 +294,7 @@ def run_filter_batch(
     cfg: NetworkConfig,
     idx: StateIndex,
     tuning: FilterTuning,
-    runs: Sequence[Measurements],
+    runs: Iterable[Measurements],
     *,
     default_speed_kmh: float = 100.0,
     strict_cfl: bool = False,
@@ -296,6 +304,10 @@ def run_filter_batch(
 
     The runs share the network, the tuning and the step count K; each is
     filtered independently and gets its own ``FilterResult``, in order.
+    ``runs`` may be any iterable, a generator included. It is read once,
+    and no run is referenced after its columns are stacked, so a caller
+    that passes a generator never holds a batch's inputs beside the
+    stacked copy.
 
     Gap handling: a missing segment speed holds the last seen value for
     that segment (free-flow ``default_speed_kmh`` before anything is seen);
@@ -313,9 +325,6 @@ def run_filter_batch(
     Each step is the update of ``kf_step`` computed from the model's
     structure in O(dim^2): see the module docstring.
     """
-    runs = list(runs)
-    if not runs:
-        raise ValueError("run_filter_batch needs at least one run")
     n = idx.n_segments
     sensor_segments = tuple(sorted(cfg.flow_sensor_segments))
     ratios = cfg.time_step_h / cfg.lengths_km
@@ -329,30 +338,41 @@ def run_filter_batch(
             f"measurement_cov is {tuning.n_measurements}x{tuning.n_measurements},"
             f" but {len(sensor_segments)} sensors are in use"
         )
-    step_counts = sorted({meas.n_steps for meas in runs})
+    # Each run's columns: speeds (K, N), sensor flows (K, m) and inputs
+    # (K, n_inputs), whose entry column still has its gaps.
+    read = [
+        (
+            meas.speeds_kmh,
+            meas.sensor_table(sensor_segments),
+            build_u(idx, meas.entry_flow_vph, meas.measured_ramp_flows_vph),
+        )
+        for meas in runs
+    ]
+    if not read:
+        raise ValueError("run_filter_batch needs at least one run")
+    step_counts = sorted({speeds.shape[0] for speeds, _, _ in read})
     if len(step_counts) > 1:
         raise ValueError(f"runs of a batch must share their step count, got {step_counts}")
-    for meas in runs:
-        if meas.speeds_kmh.shape[1] != n:
-            raise ValueError(f"expected {n} segment speeds per step, got {meas.speeds_kmh.shape[1]}")
-    n_runs, K = len(runs), step_counts[0]
+    for speeds, _, _ in read:
+        if speeds.shape[1] != n:
+            raise ValueError(f"expected {n} segment speeds per step, got {speeds.shape[1]}")
+    n_runs, K = len(read), step_counts[0]
 
-    # Run-major columns: (runs, K, ...).
-    speeds_used = np.stack([meas.speeds_kmh for meas in runs])
-    speeds_used = _hold(speeds_used, np.isfinite(speeds_used), default_speed_kmh)
-    entry = np.stack([meas.entry_flow_vph for meas in runs])[..., np.newaxis]
-    entry_ok = np.isfinite(entry)
+    # Run-major columns: (runs, K, ...), gaps filled in place.
+    speeds_used, z_used, u = (np.stack(column) for column in zip(*read))
+    del read
+    _hold(speeds_used, np.isfinite(speeds_used), default_speed_kmh)
+    entry_ok = np.isfinite(u[..., :1])
     held_entry_steps = K - np.count_nonzero(entry_ok, axis=(1, 2))
-    entry = _hold(entry, entry_ok, 0.0)[..., 0]
+    _hold(u[..., :1], entry_ok, 0.0)
     # B u is formed per step: a (runs, K, dim) table would be as large as the states.
-    u = np.stack([build_u(idx, entry[r], meas.measured_ramp_flows_vph) for r, meas in enumerate(runs)])
-
-    q = np.stack([meas.sensor_table(sensor_segments) for meas in runs])
+    # Sensor flows become density readings where the speed allows.
     v_sensor = speeds_used[..., sel]
-    reading = np.isfinite(q) & (v_sensor > V_FLOOR_KMH)
-    z_raw = np.divide(q, v_sensor, out=np.full_like(q, np.nan), where=reading)
-    z_used = _hold(z_raw, reading, tuning.initial_mean[sel])
+    reading = np.isfinite(z_used) & (v_sensor > V_FLOOR_KMH)
+    np.divide(z_used, v_sensor, out=z_used, where=reading)
+    _hold(z_used, reading, tuning.initial_mean[sel])
     held_steps = np.count_nonzero(~reading.all(axis=2), axis=1)
+    del entry_ok, v_sensor, reading
 
     d = idx.dim
     states = np.zeros((n_runs, K + 1, d))
@@ -363,6 +383,8 @@ def run_filter_batch(
     states[:, 0] = x
     # Posterior [P - K C P | x + K nu], multiplied by A in one pass.
     posterior = np.empty((n_runs, d, d + 1))
+    AM = np.empty_like(posterior)
+    APA = np.empty_like(P)
 
     for k in range(K):
         innovation = z_used[:, k] - x[:, sel]
@@ -371,11 +393,14 @@ def run_filter_batch(
         gain = _gain(CP, CP[..., sel], R, k)
         np.subtract(P, gain @ CP, out=posterior[..., :d])
         posterior[..., d] = x + (gain @ innovation[..., np.newaxis])[..., 0]
-        AM = apply_A(idx, ratios, speeds_used[:, k], posterior)
+        diag, sub = _coefficients(ratios, speeds_used[:, k])
+        _apply_A_into(idx, diag, sub, posterior, AM)
         x = AM[..., d] + u[:, k] @ B.T
         # P is symmetric, so A P A^T = A (A P)^T.
-        P = apply_A(idx, ratios, speeds_used[:, k], AM[..., :d].swapaxes(-1, -2)) + Q
-        P = 0.5 * (P + P.swapaxes(-1, -2))
+        _apply_A_into(idx, diag, sub, AM[..., :d].swapaxes(-1, -2), APA)
+        APA += Q
+        np.add(APA, APA.swapaxes(-1, -2), out=P)
+        P *= 0.5
         states[:, k + 1] = x
 
     # One log line per batch for each kind of fill or violation.

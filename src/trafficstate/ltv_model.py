@@ -108,11 +108,20 @@ def apply_A(idx: StateIndex, ratios: np.ndarray, speeds_kmh: np.ndarray, M: np.n
     Leading axes are runs of a batch: speeds (..., N) and M (..., dim, k)
     give one product per run.
     """
-    n = idx.n_segments
+    return _apply_A_into(idx, *_coefficients(ratios, speeds_kmh), M, np.empty(M.shape))
+
+
+def _coefficients(ratios: np.ndarray, speeds_kmh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A's density diagonal 1 - c_i v_i and subdiagonal c_i v_{i-1}, per run."""
     c, v = ratios, speeds_kmh
-    out = np.empty(M.shape)
-    out[..., :n, :] = (1.0 - c * v)[..., np.newaxis] * M[..., :n, :]
-    out[..., 1:n, :] += (c[1:] * v[..., :-1])[..., np.newaxis] * M[..., : n - 1, :]
+    return 1.0 - c * v, c[1:] * v[..., :-1]
+
+
+def _apply_A_into(idx: StateIndex, diag: np.ndarray, sub: np.ndarray, M: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``apply_A`` from A's coefficients, written into ``out``, which must not overlap M."""
+    n = idx.n_segments
+    np.multiply(diag[..., np.newaxis], M[..., :n, :], out=out[..., :n, :])
+    out[..., 1:n, :] += sub[..., np.newaxis] * M[..., : n - 1, :]
     for j, (seg, kind) in enumerate(zip(idx.theta_segments, idx.theta_kinds)):
         if kind is RampType.ON:
             out[..., seg - 1, :] += M[..., n + j, :]

@@ -300,8 +300,8 @@ def check_cfl(cfg: NetworkConfig, speeds_kmh) -> CflReport:
     ratios = cfg.time_step_h * v / cfg.lengths_km[np.newaxis, :]
     finite = np.isfinite(ratios)
     max_ratio = float(np.max(ratios[finite])) if finite.any() else 0.0
-    bad = np.argwhere(finite & (ratios >= 1.0))
-    violations = tuple((int(k), int(i) + 1, float(ratios[k, i])) for k, i in bad)
+    k, i = np.nonzero(finite & (ratios >= 1.0))
+    violations = tuple(zip(k.tolist(), (i + 1).tolist(), ratios[k, i].tolist()))
     return CflReport(max_ratio=max_ratio, violations=violations)
 
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface."""
 
 import csv
+import errno
 import json
 import math
 import os
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trafficstate import cli, kalman, metrics, sensing, simulate
+from trafficstate.ltv_model import build_state_index
 from trafficstate.network import NetworkConfig, Segment, load_network
 from trafficstate.sensing import Measurements
 
@@ -490,6 +492,58 @@ class TestSweep:
             assert cli.main([*args, "--out", str(out)]) == 0
             assert by_variant[variant] == pytest.approx(read_summary(out)["metrics"]["cv_rho"], rel=1e-9, abs=0)
 
+    def test_whole_rates_share_a_batch_under_the_state_cap(self, tmp_path, monkeypatch):
+        # Two repetitions make 4 runs per rate. How rates are batched
+        # changes no output byte.
+        sc = simulate.make_congestion_scenario("ngsim_like", 3)
+        rate_bytes = 4 * (sc.n_steps + 1) * build_state_index(sc.cfg).dim * 8
+        sizes = []
+        real = kalman.run_filter_batch
+
+        def spy(cfg, idx, tuning, runs, **kwargs):
+            results = real(cfg, idx, tuning, runs, **kwargs)
+            sizes.append(len(results))
+            return results
+
+        monkeypatch.setattr(kalman, "run_filter_batch", spy)
+        outputs = []
+        for cap, want in ((1, [4, 4, 4]), (2 * rate_bytes - 1, [4, 4, 4]), (2 * rate_bytes, [8, 4]), (10**9, [12])):
+            monkeypatch.setattr(cli, "_BATCH_STATE_BYTES", cap)
+            sizes.clear()
+            out = tmp_path / str(cap)
+            args = ["sweep", "--preset", "ngsim_like", "--p", "0.05,0.2,1.0", "--reps", "2", "--seed", "3"]
+            assert cli.main([*args, "--out", str(out)]) == 0
+            assert sizes == want, cap
+            outputs.append([(out / name).read_bytes() for name in ("sweep.csv", "summary.json")])
+        assert all(o == outputs[0] for o in outputs)
+
+
+@pytest.mark.parametrize("where", ["file", "under-a-file"])
+@pytest.mark.parametrize("source", ["simulate", "preset", "trajectories", "detectors", "sweep"])
+def test_out_that_cannot_be_a_directory_exits_two_before_any_work(tmp_path, capsys, monkeypatch, source, where):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for module, name in (
+        (simulate, "make_congestion_scenario"),
+        (simulate, "simulate_truth"),
+        (sensing, "load_trajectories"),
+        (sensing, "load_detectors"),
+        (cli, "load_network"),
+        (kalman, "run_filter_batch"),
+    ):
+        monkeypatch.setattr(module, name, unreachable)
+    if source in ("simulate", "sweep"):
+        args = [source, "--preset", "ngsim_like"]
+    else:
+        args = estimate_args(tmp_path, source)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker if where == "file" else blocker / "runs" / "o"
+    assert cli.main([*args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{blocker}'\n"
+    assert blocker.read_text() == ""
+
 
 @pytest.mark.parametrize("command", ["estimate", "sweep"])
 @pytest.mark.parametrize("window", ["0", "-3"])
@@ -679,7 +733,7 @@ def test_trajectory_speed_noise_is_added_before_smoothing(tmp_path, monkeypatch)
     cfg, traj = load_network(net), sensing.load_trajectories(path)
 
     def clean():
-        rng = cli._rep_rng(3, 0, 1)
+        rng = np.random.default_rng(cli._rep_seeds(3, 1)[0])
         return sensing.frames_from_trajectories(traj, cfg, 0.5, rng), rng
 
     meas, rng = clean()
@@ -762,6 +816,21 @@ class TestMetricsCommand:
             f"error: {out / 'estimates.csv'}: the k and segment columns of its {len(rows)} rows"
             " do not form a grid of steps x 8 segments\n"
         )
+
+    @pytest.mark.parametrize(
+        "line, want",
+        [("7,2,1.0,2.0,3.0,4.0,5.0,6.0", "expected 9 fields, got 8"), ("7,2,1.0,x,3.0,4.0,5.0,6.0,7.0", "'x'")],
+        ids=["missing-field", "not-a-number"],
+    )
+    def test_malformed_row_exits_two_naming_its_line(self, tmp_path, capsys, line, want):
+        out = self.run_dir(tmp_path)
+        header, *rows = (out / "estimates.csv").read_text().splitlines()
+        rows[57] = line
+        (out / "estimates.csv").write_text("\n".join([header, *rows]) + "\n")
+        capsys.readouterr()
+        assert cli.main(["metrics", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out / 'estimates.csv'}:59: ") and want in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("drop", ["config", "network"])
     def test_summary_without_a_network_exits_two(self, tmp_path, capsys, drop):

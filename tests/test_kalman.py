@@ -2,6 +2,7 @@
 
 import dataclasses
 import logging
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import random_observable_network
 
+from trafficstate import kalman
 from trafficstate.kalman import (
     CflViolationError,
     FilterState,
@@ -125,6 +127,52 @@ class TestFilterTuning:
         )
         assert tuning.dim == 2
         assert tuning.n_measurements == 3
+
+    def test_diagonal_covariances_need_no_eigensolver(self, monkeypatch):
+        # A diagonal matrix's eigenvalues are its diagonal entries.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("eigvalsh ran on a diagonal matrix")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", unreachable)
+        idx = build_state_index(make_config(200, sensors=(1, 100, 200)))
+        assert default_tuning(idx, 3).dim == 200
+        with pytest.raises(ValueError, match=r"semidefinite \(min eigenvalue -2\.000e\+00\)"):
+            FilterTuning(
+                process_cov=np.diag([1.0, -2.0]),
+                measurement_cov=np.eye(1),
+                initial_mean=np.zeros(2),
+                initial_cov=np.eye(2),
+            )
+
+    def test_positive_diagonal_with_a_negative_eigenvalue_rejected(self):
+        with pytest.raises(ValueError, match=r"semidefinite \(min eigenvalue -1\.000e\+00\)"):
+            FilterTuning(
+                process_cov=np.eye(2),
+                measurement_cov=np.eye(1),
+                initial_mean=np.zeros(2),
+                initial_cov=np.array([[1.0, 2.0], [2.0, 1.0]]),
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(-3e-10, 1e-10),
+                st.sampled_from([-1e-10, np.nextafter(-1e-10, -1.0), np.nextafter(-1e-10, 0.0), -0.0]),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_diagonal_check_agrees_with_the_eigensolver(self, diagonal):
+        M = np.diag(diagonal)
+        rejected = np.linalg.eigvalsh(M).min() < -1e-10
+        try:
+            FilterTuning(process_cov=M, measurement_cov=np.eye(1), initial_mean=np.zeros(M.shape[0]), initial_cov=M)
+        except ValueError as exc:
+            assert rejected, exc
+        else:
+            assert not rejected
 
 
 class TestDefaultTuning:
@@ -604,10 +652,57 @@ class TestRunFilterBatch:
         cfg = make_config(2, sensors=(2,))
         idx = build_state_index(cfg)
         tuning = default_tuning(idx, 1)
-        with pytest.raises(ValueError, match="at least one run"):
-            run_filter_batch(cfg, idx, tuning, [])
+        for empty in ([], iter(())):
+            with pytest.raises(ValueError, match="at least one run"):
+                run_filter_batch(cfg, idx, tuning, empty)
         with pytest.raises(ValueError, match="step count"):
             run_filter_batch(cfg, idx, tuning, [fixed_point_frames(3), fixed_point_frames(4)])
+
+    def test_a_generator_gives_the_results_of_a_list(self):
+        cfg = mixed_batch_network()
+        idx = build_state_index(cfg)
+        tuning = default_tuning(idx, 2, initial_ramp_state=0.1)
+        rng = np.random.default_rng(6)
+        batch = [random_frames(rng, cfg, idx, 40, drop=drop) for drop in (0.0, 0.5, 0.9)]
+        inputs = [(meas.speeds_kmh.copy(), meas.entry_flow_vph.copy()) for meas in batch]
+        from_list = run_filter_batch(cfg, idx, tuning, batch)
+        from_generator = run_filter_batch(cfg, idx, tuning, (meas for meas in batch))
+        assert len(from_generator) == len(from_list) == 3
+        for got, want in zip(from_generator, from_list):
+            for name in ("states", "speeds_used", "measurements_used", "innovations"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert np.array_equal(got.final.cov, want.final.cov)
+            assert got.cfl == want.cfl
+            assert got.held_measurement_steps == want.held_measurement_steps
+            assert got.held_entry_steps == want.held_entry_steps
+        # Gaps are filled in the stacked copies, never in the runs.
+        for meas, (speeds, entry) in zip(batch, inputs):
+            assert np.array_equal(meas.speeds_kmh, speeds, equal_nan=True)
+            assert np.array_equal(meas.entry_flow_vph, entry, equal_nan=True)
+
+    def test_runs_are_released_before_the_first_step(self, monkeypatch):
+        cfg = make_config(3, sensors=(1, 3))
+        idx = build_state_index(cfg)
+        refs = []
+
+        def runs():
+            rng = np.random.default_rng(7)
+            for _ in range(3):
+                meas = random_frames(rng, cfg, idx, 5)
+                refs.append(weakref.ref(meas))
+                yield meas
+
+        alive = []
+        real = kalman._gain
+
+        def gain(*args):
+            if not alive:
+                alive.append([ref() is not None for ref in refs])
+            return real(*args)
+
+        monkeypatch.setattr(kalman, "_gain", gain)
+        run_filter_batch(cfg, idx, default_tuning(idx, 2), runs())
+        assert alive == [[False, False, False]]
 
     def test_one_warning_per_batch(self, caplog):
         # Every run breaks the accuracy bound and misses entry flows; the
