@@ -1,9 +1,9 @@
 """Kalman filtering of the time-varying density model.
 
 The filter is run in one-step-ahead predictor form: the state estimate
-published for step k+1 uses measurements up to and including step k. The
-gain solve goes through the Cholesky factor L of the m x m innovation
-covariance S: it inverts the triangular factor L, never S itself.
+published for step k+1 uses measurements up to and including step k. One
+eigendecomposition S = V diag(w) V^T of the m x m innovation covariance per
+step gives both the cond(S) guard and the gain solve; S is never inverted.
 
 ``run_filter_batch`` uses the model's structure: the transition matrix is
 lower-bidiagonal plus the ramp columns and an identity block on the ramp
@@ -182,15 +182,15 @@ def _gain(CP: np.ndarray, CPCt: np.ndarray, R: np.ndarray, step: int) -> np.ndar
     """Kalman gain P C^T S^-1 from C P and C P C^T, with S = C P C^T + R.
 
     Leading axes are runs of a batch: CP is (..., m, dim) and the gain
-    (..., dim, m). cond(S) is the ratio of S's extreme eigenvalues; a
-    non-positive smallest eigenvalue counts as infinite. The solve goes
-    through the Cholesky factor L of S: the gain is (L^-T L^-1 C P)^T, with
-    L^-1 from a stacked inverse of the small m x m factor.
+    (..., dim, m). One stacked eigendecomposition S = V diag(w) V^T serves
+    the guard and the solve. cond(S) is w_max / w_min; a non-positive w_min
+    counts as infinite. Past the guard every w is positive, and the gain is
+    (V diag(1/w) V^T C P)^T.
     """
     S = CPCt + R
     S = 0.5 * (S + S.swapaxes(-1, -2))
-    eig = np.linalg.eigvalsh(S)
-    lo, hi = eig[..., 0], eig[..., -1]
+    w, V = np.linalg.eigh(S)
+    lo, hi = w[..., 0], w[..., -1]
     # cond(S) = hi / lo < COND_LIMIT without dividing: false for lo <= 0 and for NaN.
     ok = hi < COND_LIMIT * lo
     if not ok.all():
@@ -198,13 +198,7 @@ def _gain(CP: np.ndarray, CPCt: np.ndarray, R: np.ndarray, step: int) -> np.ndar
         lo_r, hi_r = float(lo.flat[run]), float(hi.flat[run])
         cond = hi_r / lo_r if lo_r > 0.0 else math.inf
         raise SingularInnovationError(step, cond, run if ok.size > 1 else None)
-    try:
-        L_inv = np.linalg.inv(np.linalg.cholesky(S))
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"Cholesky factorization of the innovation covariance failed at step {step}"
-        ) from exc
-    X = L_inv.swapaxes(-1, -2) @ (L_inv @ CP)
+    X = (V / w[..., np.newaxis, :]) @ (V.swapaxes(-1, -2) @ CP)
     return X.swapaxes(-1, -2)
 
 
@@ -313,11 +307,11 @@ def run_filter_batch(
     that segment (free-flow ``default_speed_kmh`` before anything is seen);
     a missing sensor flow, or a sensor speed at or below ``V_FLOOR_KMH``
     (2 km/h), holds the previous density reading for that sensor, seeded
-    from the initial mean; a missing entry flow holds the previous one,
-    starting at zero. Discretization violations warn (one line for the
-    batch) unless ``strict_cfl``. ``clamp_nonnegative`` floors published
-    density estimates at zero (the raw filter state keeps evolving
-    unclamped).
+    from the initial mean; a missing entry or measured ramp flow holds the
+    previous one, starting at zero. Held inputs and discretization
+    violations warn in one line each per batch; ``strict_cfl`` makes a
+    violation an error. ``clamp_nonnegative`` floors published densities at
+    zero (the raw filter state keeps evolving unclamped).
 
     The measurement vector reads every flow sensor of the network, in
     ascending segment order, so ``tuning`` is sized to their number.
@@ -339,7 +333,7 @@ def run_filter_batch(
             f" but {len(sensor_segments)} sensors are in use"
         )
     # Each run's columns: speeds (K, N), sensor flows (K, m) and inputs
-    # (K, n_inputs), whose entry column still has its gaps.
+    # (K, n_inputs), whose flow columns still have their gaps.
     read = [
         (
             meas.speeds_kmh,
@@ -362,9 +356,10 @@ def run_filter_batch(
     speeds_used, z_used, u = (np.stack(column) for column in zip(*read))
     del read
     _hold(speeds_used, np.isfinite(speeds_used), default_speed_kmh)
-    entry_ok = np.isfinite(u[..., :1])
-    held_entry_steps = K - np.count_nonzero(entry_ok, axis=(1, 2))
-    _hold(u[..., :1], entry_ok, 0.0)
+    u_ok = np.isfinite(u)
+    held_entry_steps = np.count_nonzero(~u_ok[..., 0], axis=1)
+    held_ramp_steps = np.count_nonzero(~u_ok[..., 1:].all(axis=2), axis=1)
+    _hold(u, u_ok, 0.0)
     # B u is formed per step: a (runs, K, dim) table would be as large as the states.
     # Sensor flows become density readings where the speed allows.
     v_sensor = speeds_used[..., sel]
@@ -372,7 +367,7 @@ def run_filter_batch(
     np.divide(z_used, v_sensor, out=z_used, where=reading)
     _hold(z_used, reading, tuning.initial_mean[sel])
     held_steps = np.count_nonzero(~reading.all(axis=2), axis=1)
-    del entry_ok, v_sensor, reading
+    del u_ok, v_sensor, reading
 
     d = idx.dim
     states = np.zeros((n_runs, K + 1, d))
@@ -403,15 +398,13 @@ def run_filter_batch(
         P *= 0.5
         states[:, k + 1] = x
 
-    # One log line per batch for each kind of fill or violation.
-    held_total = int(held_entry_steps.sum())
-    if held_total:
-        logger.warning(
-            "entry flow missing at %d of %d steps%s; held the previous value",
-            held_total,
-            n_runs * K,
-            _in_runs(np.count_nonzero(held_entry_steps), n_runs),
-        )
+    # One log line per batch for the held inputs, and one for the violations.
+    held = [
+        f"{name} missing at {int(c.sum())} of {n_runs * K} steps{_in_runs(np.count_nonzero(c), n_runs)}"
+        for name, c in (("entry flow", held_entry_steps), ("measured ramp flow", held_ramp_steps)) if c.any()
+    ]
+    if held:
+        logger.warning("%s; held the previous value", ", ".join(held))
     cfls = [check_cfl(cfg, v) if K else CflReport(0.0, ()) for v in speeds_used]
     hit = [c for c in cfls if not c.ok]
     if hit:

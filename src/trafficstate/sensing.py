@@ -674,7 +674,8 @@ def frames_from_detectors(detectors: Sequence[DetectorSeries], cfg: NetworkConfi
     step of the grid t0 + k*T, which runs from the first sample t0 of the
     snapped detectors to their last; steps without a sample stay missing. When
     several samples of one detector map to the same step, the later one
-    wins; the dropped ones are counted in one warning.
+    wins, and a negative flow or speed, a detector fault code, is missing
+    like a NaN; one warning counts each kind of drop.
     """
     by_boundary = snap_detectors_to_boundaries(detectors, cfg)
     if not by_boundary:
@@ -685,9 +686,9 @@ def frames_from_detectors(detectors: Sequence[DetectorSeries], cfg: NetworkConfi
     n_steps = int(math.floor((t_end - t0_s) / T_s)) + 1
 
     n = cfg.n_segments
-    speeds = np.full((n_steps, n), np.nan)
-    entry = np.full(n_steps, np.nan)
-    sensor_flows = {j: np.full(n_steps, np.nan) for j in sorted(cfg.flow_sensor_segments)}
+    sensors = sorted(cfg.flow_sensor_segments)
+    table = np.full((n_steps, n + 1 + len(sensors)), np.nan)
+    speeds, entry, sensor_flows = table[:, :n], table[:, n], dict(zip(sensors, table[:, n + 1 :].T))
 
     dropped = 0
     for b, det in sorted(by_boundary.items()):
@@ -709,6 +710,10 @@ def frames_from_detectors(detectors: Sequence[DetectorSeries], cfg: NetworkConfi
             " kept the later one",
             dropped,
         )
+    negative = table < 0.0
+    table[negative] = np.nan
+    if negative.any():
+        logger.warning("%d negative detector flows or speeds treated as missing", np.count_nonzero(negative))
     return Measurements(speeds, entry, sensor_flows)
 
 

@@ -305,9 +305,10 @@ class TestEstimate:
         }
 
     @pytest.mark.parametrize("noise", [[], ["--flow-noise-std", "20"]], ids=["no-noise", "flow-noise"])
-    def test_clamp_noise_floors_detector_speeds_without_speed_noise(self, tmp_path, noise):
-        # A detector reports a negative speed; --clamp-noise floors it with
-        # or without noise on the flows.
+    def test_negative_detector_speed_is_held_with_clamp_noise(self, tmp_path, noise):
+        # A detector reports a negative speed, a fault code: it is a missing
+        # reading that holds the previous speed, and --clamp-noise never sees
+        # it, with or without noise on the flows.
         net = write_network(tmp_path / "net.json")
         det = write_detectors(tmp_path / "det.csv")
         lines = det.read_text().splitlines()
@@ -320,8 +321,8 @@ class TestEstimate:
         assert cli.main(args) == 0
         header, rows = read_csv(out / "estimates.csv")
         v_used = {(int(r[0]), int(r[1])): float(r[header.index("v_used")]) for r in rows}
-        assert v_used[(4, 1)] == 0.0
-        assert min(v_used.values()) == 0.0
+        assert v_used[(4, 1)] == 90.0
+        assert min(v_used.values()) == 90.0
 
     def test_detector_truth_uses_the_filter_speed_floor(self, tmp_path, read_summary):
         # The exit detector reads exactly the floor speed at even steps: its

@@ -252,6 +252,66 @@ class TestKfStep:
         assert err.value.cond > 1e12
 
 
+class TestGain:
+    @settings(max_examples=100)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        runs=st.integers(1, 4),
+        m=st.integers(1, 6),
+        extra=st.integers(0, 5),
+        log_cond=st.floats(0.0, 9.0),
+    )
+    def test_matches_the_explicit_inverse_up_to_cond(self, seed, runs, m, extra, log_cond):
+        # S = V diag(w) V^T with w spread log-evenly from 1 to cond(S), so the
+        # error bound scales with cond(S): ||S^-1|| = 1.
+        rng = np.random.default_rng(seed)
+        cond = 10.0**log_cond
+        w = np.geomspace(1.0, cond, m)
+        V = np.linalg.qr(rng.normal(size=(runs, m, m)))[0]
+        S = (V * w) @ V.swapaxes(-1, -2)
+        S = 0.5 * (S + S.swapaxes(-1, -2))
+        CP = rng.normal(size=(runs, m, m + extra))
+        R = np.diag(rng.uniform(0.0, 1.0, m))
+        got = kalman._gain(CP, S - R, R, 0)
+        want = CP.swapaxes(-1, -2) @ np.linalg.inv(S)
+        for g, wt, cp in zip(got, want, CP):
+            assert np.linalg.norm(g - wt) <= 1e-13 * cond * np.linalg.norm(cp)
+
+    def test_one_eigendecomposition_per_step(self, monkeypatch):
+        cfg = mixed_batch_network()
+        idx = build_state_index(cfg)
+        tuning = default_tuning(idx, 2, initial_ramp_state=0.1)
+        rng = np.random.default_rng(8)
+        batch = [random_frames(rng, cfg, idx, 7) for _ in range(3)]
+        snap = LtvSnapshot(
+            A=build_A(idx, cfg.lengths_km, cfg.time_step_h, np.full(cfg.n_segments, 90.0)),
+            B=build_B(idx, cfg.lengths_km, cfg.time_step_h),
+            u=build_u(idx, 1800.0),
+            C=build_C(idx, (3, 6)),
+        )
+        # The tuning is built; from here on the filter factors S only with eigh.
+        calls = []
+        real_eigh = np.linalg.eigh
+
+        def eigh(S):
+            calls.append(S.shape)
+            return real_eigh(S)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the filter called a factorization other than eigh")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        for name in ("cholesky", "inv", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, unreachable)
+        run_filter_batch(cfg, idx, tuning, batch)
+        assert calls == [(3, 2, 2)] * 7
+        calls.clear()
+        state = FilterState(x_hat=tuning.initial_mean, cov=tuning.initial_cov, k=0)
+        for _ in range(4):
+            state = kf_step(state, snap, np.full(2, 30.0), tuning)
+        assert calls == [(2, 2)] * 4
+
+
 def fixed_point_frames(k_steps, entry=1800.0, speed=90.0, flow=1800.0):
     return Measurements(
         speeds_kmh=np.full((k_steps, 2), speed),
@@ -532,6 +592,31 @@ class TestRunFilter:
         assert result.held_entry_steps == 3
         warnings = [r.getMessage() for r in caplog.records if "entry flow" in r.getMessage()]
         assert warnings == ["entry flow missing at 3 of 5 steps; held the previous value"]
+
+    def test_missing_measured_ramp_flows_hold_like_the_entry_flow(self, caplog):
+        # A missing measured ramp flow holds the previous one, zero before
+        # any, instead of turning every later state NaN.
+        cfg = make_config(3, sensors=(3,), ramps={2: (RampType.ON, True)})
+        idx = build_state_index(cfg)
+        ramp, entry = np.full(12, 300.0), np.full(12, 1800.0)
+        ramp[[0, 5]] = np.nan
+        entry[3] = np.nan
+        gapped = Measurements(np.full((12, 3), 90.0), entry, {3: np.full(12, 2000.0)}, {2: ramp})
+        filled = dataclasses.replace(
+            gapped,
+            entry_flow_vph=np.where(np.isnan(entry), 1800.0, entry),
+            measured_ramp_flows_vph={2: np.where(np.arange(12) == 0, 0.0, 300.0)},
+        )
+        tuning = default_tuning(idx, 1)
+        with caplog.at_level(logging.WARNING, logger="trafficstate.kalman"):
+            result = run_filter(cfg, idx, tuning, gapped)
+        assert np.isfinite(result.states).all()
+        assert np.array_equal(result.states, run_filter(cfg, idx, tuning, filled).states)
+        assert result.held_entry_steps == 1
+        assert [r.getMessage() for r in caplog.records] == [
+            "entry flow missing at 1 of 12 steps, measured ramp flow missing at 2 of 12 steps;"
+            " held the previous value"
+        ]
 
     def test_strict_cfl_raises(self):
         cfg = make_config(2, sensors=(2,), time_step_h=5 / 3600, length=0.05)

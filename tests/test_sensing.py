@@ -604,6 +604,36 @@ class TestFramesFromDetectors:
         assert len(warnings) == 1
         assert warnings[0].startswith("2 detector samples fell on a step already sampled")
 
+    def test_negative_readings_are_missing_and_counted_once(self, caplog):
+        # -1 is a common detector fault code. A negative speed or flow is a
+        # missing reading, exactly like a NaN, and one warning counts them.
+        cfg = make_config(n=3, sensors=(2, 3))
+        times = np.arange(40) * T_STEP_H * 3600.0
+
+        def corridor(fault):
+            entry, flows, speeds = np.full(40, 2700.0), np.full(40, 2500.0), np.full(40, 90.0)
+            entry[7] = fault
+            flows[[3, 25]] = fault
+            speeds[20:30] = fault
+            return [
+                _series(0.0, times, entry, np.full(40, 95.0)),
+                _series(500.0, times, np.full(40, 2600.0), np.full(40, 92.0)),
+                _series(1000.0, times, flows, speeds),
+                _series(1500.0, times, np.full(40, 2500.0), np.full(40, 88.0)),
+            ]
+
+        with caplog.at_level(logging.WARNING, logger="trafficstate.sensing"):
+            faulty = frames_from_detectors(corridor(-1.0), cfg)
+        assert [r.getMessage() for r in caplog.records] == [
+            "13 negative detector flows or speeds treated as missing"
+        ]
+        missing = frames_from_detectors(corridor(np.nan), cfg)
+        assert np.isnan(faulty.speeds_kmh[20:30, 1]).all()
+        assert np.array_equal(faulty.speeds_kmh, missing.speeds_kmh, equal_nan=True)
+        assert np.array_equal(faulty.entry_flow_vph, missing.entry_flow_vph, equal_nan=True)
+        for j in (2, 3):
+            assert np.array_equal(faulty.sensor_flows_vph[j], missing.sensor_flows_vph[j], equal_nan=True)
+
 
 class TestMeasurementNoise:
     def frames(self):
