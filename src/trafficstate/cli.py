@@ -529,6 +529,7 @@ def cmd_estimate(args) -> int:
         "cfl": {"max_ratio": fr.cfl.max_ratio, "violations": len(fr.cfl.violations)},
         "held_measurement_steps": fr.held_measurement_steps,
         "held_entry_steps": fr.held_entry_steps,
+        "held_ramp_steps": fr.held_ramp_steps,
         "validation_ok": report.ok,
         "metrics": run_metrics,
     }
@@ -616,7 +617,11 @@ def cmd_metrics(args) -> int:
     except (KeyError, TypeError) as exc:
         raise RunFormatError(f"{out / SUMMARY_JSON}: no config.network block") from exc
     cfg = NetworkConfig.from_dict(network)
-    warmup = int(config.get("warmup", metrics.DEFAULT_WARMUP_STEPS))
+    warmup = config.get("warmup", metrics.DEFAULT_WARMUP_STEPS)
+    if type(warmup) is not int or warmup < 0:
+        raise RunFormatError(
+            f"{out / SUMMARY_JSON}: config.warmup must be an integer >= 0, got {json.dumps(warmup)}"
+        )
     with open(out / ESTIMATES_CSV, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)

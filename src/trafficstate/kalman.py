@@ -222,8 +222,9 @@ class FilterResult:
     ``states`` has K+1 rows: row k is the prediction for step k, row 0 the
     initial mean. ``speeds_used`` and ``measurements_used`` record what the
     filter actually consumed after gap filling and the speed floor guard.
-    ``held_measurement_steps`` and ``held_entry_steps`` count the steps that
-    held a previous sensor reading or entry flow.
+    ``held_measurement_steps``, ``held_entry_steps`` and ``held_ramp_steps``
+    count the steps that held a previous sensor reading, entry flow or
+    measured ramp flow.
     """
 
     states: np.ndarray
@@ -236,6 +237,7 @@ class FilterResult:
     index: StateIndex
     held_measurement_steps: int = 0
     held_entry_steps: int = 0
+    held_ramp_steps: int = 0
 
     @property
     def densities(self) -> np.ndarray:
@@ -434,6 +436,7 @@ def run_filter_batch(
             index=idx,
             held_measurement_steps=int(held_steps[r]),
             held_entry_steps=int(held_entry_steps[r]),
+            held_ramp_steps=int(held_ramp_steps[r]),
         )
         for r in range(n_runs)
     ]

@@ -220,7 +220,7 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class CflReport:
-    """Result of the discretization accuracy check T*v/delta < 1."""
+    """Result of the discretization accuracy check 0 <= T*v/delta < 1."""
 
     max_ratio: float
     violations: tuple[tuple[int, int, float], ...]  # (step k, segment i, ratio)
@@ -287,7 +287,8 @@ def check_cfl(cfg: NetworkConfig, speeds_kmh) -> CflReport:
     """Evaluate T*v_i(k)/delta_i for a per-step, per-segment speed series.
 
     ``speeds_kmh`` is (K, N) array-like; NaN entries (missing reports) are
-    skipped. A pair (k, i) is flagged iff its ratio is >= 1.
+    skipped. A pair (k, i) is flagged iff its ratio is >= 1 or negative: a
+    negative speed gives the transition matrix a diagonal entry above 1.
     """
     v = np.asarray(speeds_kmh, dtype=float)
     if v.ndim == 1:
@@ -300,7 +301,7 @@ def check_cfl(cfg: NetworkConfig, speeds_kmh) -> CflReport:
     ratios = cfg.time_step_h * v / cfg.lengths_km[np.newaxis, :]
     finite = np.isfinite(ratios)
     max_ratio = float(np.max(ratios[finite])) if finite.any() else 0.0
-    k, i = np.nonzero(finite & (ratios >= 1.0))
+    k, i = np.nonzero(finite & ((ratios >= 1.0) | (ratios < 0.0)))
     violations = tuple(zip(k.tolist(), (i + 1).tolist(), ratios[k, i].tolist()))
     return CflReport(max_ratio=max_ratio, violations=violations)
 

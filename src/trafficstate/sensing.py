@@ -6,16 +6,16 @@ Two ingestion paths produce the same columnar Measurements:
   marked as connected, segment speeds are averaged over the connected
   vehicles present at each sampling instant, and flows are obtained from
   virtual detectors that count trajectory crossings at segment boundaries.
-  The samples are held in one flat table sorted by vehicle id and time
-  (``_sorted_rows``, which sorts detector files by position and time), and
-  every quantity is computed by array passes over it; which sample each
-  vehicle reports at each sampling instant (the step grid, ``_step_grid``)
-  is evaluated once per recording and grid, and each vehicle's first
-  crossing of a position comes from ``_crossings``. The time axis starts
-  at the recording's first sample time t_min: step k samples the vehicles
-  at t_min + k*T and counts the flow over (t_min + k*T, t_min + (k+1)*T].
-  A vehicle whose latest sample is more than ``MAX_GAP_S`` (1 s) old has
-  left the recording;
+  The samples are held in one contiguous array per column, sorted by
+  vehicle id and time (``_sorted_rows``, which sorts detector files by
+  position and time), and every quantity is computed by array passes over
+  them; which sample each vehicle reports at each sampling instant (the
+  step grid, ``_step_grid``) is evaluated once per recording and grid, and
+  each vehicle's first crossing of a position comes from ``_crossings``.
+  The time axis starts at the recording's first sample time t_min: step k
+  samples the vehicles at t_min + k*T and counts the flow over
+  (t_min + k*T, t_min + (k+1)*T]. A vehicle whose latest sample is more
+  than ``MAX_GAP_S`` (1 s) old has left the recording;
 * stationary detector files (macroscopic data): each detector snaps to the
   nearest segment boundary within ``SNAP_TOLERANCE_M`` (100 m), boundary i
   feeding segment i and boundary 0 feeding the entry flow, and the time
@@ -27,8 +27,10 @@ smoothed. ``add_measurement_noise`` corrupts any Measurements and
 them to every source in that order, noise first.
 
 External units (meters, seconds, m/s) are converted here, once. Both
-loaders reject NaN or infinite times and positions (and trajectory speeds)
-with the file and line of the first such row.
+loaders parse their file in blocks of lines straight into one contiguous
+array per column (``_read_columns``), and reject NaN or infinite times and
+positions (and trajectory speeds) with the file and line of the first such
+row.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import islice
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -73,6 +76,10 @@ MPS_TO_KMH = 3.6
 MAX_GAP_S = 1.0
 # A detector farther than this from every segment boundary is dropped.
 SNAP_TOLERANCE_M = 100.0
+# Input CSVs are counted this many characters at a time, then parsed this
+# many lines at a time.
+READ_BLOCK_CHARS = 1 << 16
+READ_BLOCK_LINES = 1 << 11
 
 
 class TrajectoryFormatError(ValueError):
@@ -235,7 +242,10 @@ def _read_columns(
 
     A column's kind is ``int``, ``float`` or ``_finite`` (a float that may
     not be NaN or infinite). The header may list the columns in any order,
-    among others. The columns returned are views into one parsed table.
+    among others. Each column returned is its own contiguous array: the
+    file's newlines are counted first, and its lines are then parsed
+    ``READ_BLOCK_LINES`` at a time straight into arrays of that length, so a
+    load holds the kept columns and one block.
     """
     dtype = [(name, "i8" if kind is int else "f8") for name, kind in columns.items()]
     with open(path) as fh:
@@ -244,27 +254,41 @@ def _read_columns(
         if fields is None or not set(columns).issubset(fields):
             raise error(f"{path}: header must contain {sorted(columns)}, got {fields}")
         start = fh.tell()
-        if not any(line.strip() for line in iter(fh.readline, "")):
+        n_lines, blank = 1, True
+        for text in iter(partial(fh.read, READ_BLOCK_CHARS), ""):
+            n_lines += text.count("\n")
+            blank = blank and text.isspace()
+        if blank:
             return {name: np.empty(0, kind) for name, kind in dtype}
         fh.seek(start)
+        # Lines bound the rows; the pages past the last row are never touched.
+        out = {name: np.empty(n_lines, kind) for name, kind in dtype}
         where = {name: i for i, name in enumerate(fields)}
+        rows = 0
         try:
             with warnings.catch_warnings():
                 # numpy < 2 only warns when it truncates "2.5" to an integer.
                 warnings.simplefilter("error", DeprecationWarning)
-                table = np.loadtxt(
-                    fh,
-                    delimiter=",",
-                    comments=None,
-                    ndmin=1,
-                    usecols=[where[name] for name in columns],
-                    dtype=dtype,
-                )
+                # A block of blank lines parses to no rows.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                for _ in range(0, n_lines, READ_BLOCK_LINES):
+                    block = np.loadtxt(
+                        islice(fh, READ_BLOCK_LINES),
+                        delimiter=",",
+                        comments=None,
+                        ndmin=1,
+                        usecols=[where[name] for name in columns],
+                        dtype=dtype,
+                    )
+                    for name in columns:
+                        out[name][rows : rows + block.size] = block[name]
+                    rows += block.size
         except (ValueError, DeprecationWarning) as exc:
             raise error(_bad_row(path, columns) or f"{path}: {exc}") from exc
-    if not all(np.isfinite(table[name]).all() for name, kind in columns.items() if kind is _finite):
+    cols = {name: column[:rows] for name, column in out.items()}
+    if not all(np.isfinite(cols[name]).all() for name, kind in columns.items() if kind is _finite):
         raise error(_bad_row(path, columns) or f"{path}: non-finite values")
-    return {name: table[name] for name in columns}
+    return cols
 
 
 def _group_starts(keys: np.ndarray) -> np.ndarray:

@@ -357,6 +357,26 @@ class TestEstimate:
         summary = read_summary(out)
         assert summary["held_entry_steps"] == 2
 
+    def test_summary_counts_held_ramp_flows(self, tmp_path, monkeypatch, read_summary):
+        # Lane counts are never missing, so the count drops two of them.
+        real = sensing.lane_transition_flow
+
+        def gapped(*args):
+            flow = real(*args)
+            flow[[0, 1]] = np.nan
+            return flow
+
+        monkeypatch.setattr(sensing, "lane_transition_flow", gapped)
+        net = tmp_path / "net.json"
+        payload = json.loads(write_network(net).read_text())
+        payload["segments"][1].update(ramp="on_ramp", ramp_measured=True)
+        net.write_text(json.dumps(payload))
+        out = tmp_path / "est"
+        args = ["estimate", "--trajectories", str(write_trajectories(tmp_path / "t.csv")), "--network", str(net)]
+        assert cli.main([*args, "--ramp-lane", "2:4", "--warmup", "0", "--out", str(out)]) == 0
+        summary = read_summary(out)
+        assert (summary["held_entry_steps"], summary["held_ramp_steps"]) == (0, 2)
+
     def test_q_ramp_is_null_without_ramp_states(self, tmp_path, read_summary):
         net = write_network(tmp_path / "net.json")
         traj = write_trajectories(tmp_path / "traj.csv")
@@ -842,6 +862,17 @@ class TestMetricsCommand:
         capsys.readouterr()
         assert cli.main(["metrics", "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {out / 'summary.json'}: no config.network block\n"
+
+    @pytest.mark.parametrize("warmup", [None, 2.7, "x", -5, True])
+    def test_summary_with_a_bad_warmup_exits_two(self, tmp_path, capsys, warmup):
+        out = self.run_dir(tmp_path)
+        summary = json.loads((out / "summary.json").read_text())
+        summary["config"]["warmup"] = warmup
+        (out / "summary.json").write_text(json.dumps(summary))
+        capsys.readouterr()
+        assert cli.main(["metrics", "--out", str(out)]) == 2
+        want = f"error: {out / 'summary.json'}: config.warmup must be an integer >= 0, got {json.dumps(warmup)}\n"
+        assert capsys.readouterr().err == want
 
     def test_network_round_trips_through_the_summary(self, tmp_path, monkeypatch, read_summary):
         # The network echoed in summary.json is the one metrics rebuilds,

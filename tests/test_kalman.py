@@ -612,7 +612,7 @@ class TestRunFilter:
             result = run_filter(cfg, idx, tuning, gapped)
         assert np.isfinite(result.states).all()
         assert np.array_equal(result.states, run_filter(cfg, idx, tuning, filled).states)
-        assert result.held_entry_steps == 1
+        assert (result.held_entry_steps, result.held_ramp_steps) == (1, 2)
         assert [r.getMessage() for r in caplog.records] == [
             "entry flow missing at 1 of 12 steps, measured ramp flow missing at 2 of 12 steps;"
             " held the previous value"

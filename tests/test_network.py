@@ -208,6 +208,18 @@ class TestCheckCfl:
         assert any(k == 1 and i == 1 for k, i, _ in report.violations)
         assert report.max_ratio == pytest.approx(1.1111111111111112)
 
+    def test_negative_speed_is_flagged(self):
+        # A negative speed puts a diagonal entry above 1 into the transition matrix.
+        cfg = NetworkConfig(
+            segments=(Segment(0.05), Segment(0.05)),
+            flow_sensor_segments=frozenset({2}),
+            time_step_h=5 / 3600,
+        )
+        report = check_cfl(cfg, np.array([[20.0, 30.0], [-0.5, 10.0]]))
+        assert not report.ok
+        assert report.violations == ((1, 1, pytest.approx(-0.5 * 5 / 3600 / 0.05)),)
+        assert report.max_ratio == pytest.approx(30.0 * 5 / 3600 / 0.05)
+
     def test_one_dimensional_input_is_a_single_step(self):
         cfg = make_config(n=2, sensors=(2,))
         report = check_cfl(cfg, [30.0, 40.0])

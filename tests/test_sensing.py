@@ -2,7 +2,9 @@
 
 import logging
 import math
+import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trafficstate import sensing
 from trafficstate.network import NetworkConfig, RampType, Segment
 from trafficstate.sensing import (
     DetectorFormatError,
@@ -30,7 +33,7 @@ from trafficstate.sensing import (
     snap_detectors_to_boundaries,
     virtual_detector_flow,
 )
-from trafficstate.sensing import _crossings, _step_grid
+from trafficstate.sensing import _crossings, _finite, _read_columns, _step_grid
 
 T_STEP_H = 5 / 3600  # 5 s
 
@@ -236,15 +239,34 @@ class TestLoaders:
         assert np.array_equal(series.flows_vph, [3000.0, 2900.0, 2800.0])
 
     @pytest.mark.parametrize("rows", [[0, 1, 2, 3], [2, 0, 3, 1]], ids=["ordered", "shuffled"])
-    def test_detector_file_in_order_is_not_copied(self, tmp_path, rows):
+    def test_detector_file_in_order_is_not_copied(self, tmp_path, monkeypatch, rows):
         lines = ["0.0,0.0,1.0,90.0", "0.0,5.0,2.0,91.0", "500.0,0.0,3.0,92.0", "500.0,5.0,4.0,93.0"]
         path = tmp_path / "det.csv"
         path.write_text("\n".join(["detector_pos_m,t_s,flow_vph,speed_kmh", *(lines[i] for i in rows)]) + "\n")
+        read, sorts = [], []
+        real_read, real_lexsort = sensing._read_columns, np.lexsort
+
+        def read_columns(*args):
+            read.append(real_read(*args))
+            return read[-1]
+
+        def lexsort(keys):
+            sorts.append(keys)
+            return real_lexsort(keys)
+
+        monkeypatch.setattr(sensing, "_read_columns", read_columns)
+        monkeypatch.setattr(np, "lexsort", lexsort)
         first, second = load_detectors(path)
         assert (first.position_m, second.position_m) == (0.0, 500.0)
         assert first.flows_vph.tolist() + second.flows_vph.tolist() == [1.0, 2.0, 3.0, 4.0]
-        # In order, every series is a view into the one parsed table.
-        assert (first.times_s.base is second.speeds_kmh.base) == (rows == [0, 1, 2, 3])
+        # In order, every series is a view into the columns as read, and nothing is sorted.
+        ordered = rows == [0, 1, 2, 3]
+        assert len(sorts) == (not ordered)
+        (columns,) = read
+        for series in (first, second):
+            assert np.shares_memory(series.times_s, columns["t_s"]) == ordered
+            assert np.shares_memory(series.flows_vph, columns["flow_vph"]) == ordered
+            assert np.shares_memory(series.speeds_kmh, columns["speed_kmh"]) == ordered
 
     def test_detector_bad_row_reports_line(self, tmp_path):
         path = tmp_path / "det.csv"
@@ -263,6 +285,99 @@ class TestLoaders:
         path.write_text("detector_pos_m,t_s,flow_vph,speed_kmh\n")
         with pytest.raises(DetectorFormatError, match="no detector rows"):
             load_detectors(path)
+
+
+TRAJECTORY_COLUMNS = {"vehicle_id": int, "t_s": _finite, "x_m": _finite, "lane": int, "speed_mps": _finite}
+
+
+def random_trajectory_lines(rng, n_rows, blank_lines):
+    """Header fields and data lines of a trajectory CSV: shuffled columns, one extra text column."""
+    fields = [*TRAJECTORY_COLUMNS, "note"]
+    rng.shuffle(fields)
+    scale = 10.0 ** rng.integers(-3, 6, size=(n_rows, 3))
+    values = {
+        "vehicle_id": rng.integers(-(2**40), 2**40, n_rows).tolist(),
+        "lane": rng.integers(-3, 9, n_rows).tolist(),
+        "t_s": (rng.standard_normal(n_rows) * scale[:, 0]).tolist(),
+        "x_m": np.round(rng.standard_normal(n_rows) * scale[:, 1], 2).tolist(),
+        "speed_mps": (rng.standard_normal(n_rows) * scale[:, 2]).tolist(),
+        "note": [f"n{i}" for i in range(n_rows)],
+    }
+    lines = [",".join(str(values[name][i]) for name in fields) for i in range(n_rows)]
+    for at in sorted(rng.integers(0, n_rows + 1, blank_lines).tolist(), reverse=True):
+        lines.insert(at, "")
+    return fields, lines
+
+
+class TestReadColumns:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_rows=st.integers(0, 2000),
+        block_lines=st.integers(1, 300),
+        block_chars=st.integers(1, 5000),
+        blank_lines=st.sampled_from([0, 0, 1, 5]),
+        trailing_newline=st.booleans(),
+        bad_block=st.none() | st.integers(1, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocks_read_what_one_loadtxt_reads(
+        self, n_rows, block_lines, block_chars, blank_lines, trailing_newline, bad_block, seed
+    ):
+        # Any block size gives the columns, bit for bit and dtype for dtype,
+        # of one loadtxt over the whole file; a bad row first in a later
+        # block is reported at its line of the file.
+        fields, lines = random_trajectory_lines(np.random.default_rng(seed), n_rows, blank_lines)
+        bad_at = None
+        if bad_block is not None and bad_block * block_lines < len(lines) and lines[bad_block * block_lines]:
+            bad_at = bad_block * block_lines
+            cells = lines[bad_at].split(",")
+            cells[fields.index("t_s")] = "oops"
+            lines[bad_at] = ",".join(cells)
+        text = "\n".join([",".join(fields), *lines]) + ("\n" if trailing_newline else "")
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sensing, "READ_BLOCK_LINES", block_lines)
+            mp.setattr(sensing, "READ_BLOCK_CHARS", block_chars)
+            path = Path(tmp) / "traj.csv"
+            path.write_text(text)
+            if bad_at is not None:
+                with pytest.raises(TrajectoryFormatError, match=f"^{re.escape(str(path))}:{bad_at + 2}: bad row"):
+                    _read_columns(path, TRAJECTORY_COLUMNS, TrajectoryFormatError)
+                return
+            got = _read_columns(path, TRAJECTORY_COLUMNS, TrajectoryFormatError)
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                want = np.loadtxt(
+                    path,
+                    delimiter=",",
+                    comments=None,
+                    skiprows=1,
+                    ndmin=1,
+                    usecols=[fields.index(name) for name in TRAJECTORY_COLUMNS],
+                    dtype=[(name, "i8" if kind is int else "f8") for name, kind in TRAJECTORY_COLUMNS.items()],
+                )
+        assert list(got) == list(TRAJECTORY_COLUMNS)
+        for name, column in got.items():
+            assert column.dtype == want.dtype[name]
+            assert column.tobytes() == want[name].tobytes()
+
+    @pytest.mark.parametrize(
+        "header, row, columns",
+        [
+            ("vehicle_id,t_s,x_m,lane,speed_mps", "7,0.5,10.0,2,15.0", TRAJECTORY_COLUMNS),
+            (
+                "detector_pos_m,t_s,flow_vph,speed_kmh",
+                "0.0,0.0,100.0,90.0",
+                {"detector_pos_m": _finite, "t_s": _finite, "flow_vph": float, "speed_kmh": float},
+            ),
+        ],
+        ids=["trajectories", "detectors"],
+    )
+    def test_each_column_is_its_own_contiguous_array(self, tmp_path, header, row, columns):
+        path = tmp_path / "in.csv"
+        path.write_text("\n".join([header, *[row] * 5]) + "\n")
+        got = list(_read_columns(path, columns, ValueError).values())
+        assert all(c.flags.c_contiguous and c.size == 5 for c in got)
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(got) for b in got[i + 1 :])
 
 
 class TestAssignConnected:
