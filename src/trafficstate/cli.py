@@ -28,8 +28,8 @@ from trafficstate import kalman, metrics, sensing, simulate
 from trafficstate.ltv_model import build_state_index
 from trafficstate.network import (
     CflViolationError,
+    InputError,
     NetworkConfig,
-    NetworkFormatError,
     RampType,
     check_cfl,
     load_network,
@@ -187,27 +187,19 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-class FlagError(Exception):
-    """A flag value that the network it is checked against rejects (exit 2)."""
-
-
-class RunFormatError(Exception):
-    """A stored run file that ``metrics`` cannot read back (exit 2)."""
-
-
 def _ramp_rules(pairs, cfg: NetworkConfig) -> list[sensing.RampLaneRule]:
     """The ``--ramp-lane`` (segment, lane) pairs as rules, checked against the network, one per measured ramp."""
     rules = []
     for seg, lane in pairs or ():
         if not 1 <= seg <= cfg.n_segments:
-            raise FlagError(f"--ramp-lane segment {seg} outside 1..{cfg.n_segments}")
+            raise InputError(f"--ramp-lane segment {seg} outside 1..{cfg.n_segments}")
         kind = cfg.segments[seg - 1].ramp
         if kind is RampType.NONE:
-            raise FlagError(f"--ramp-lane segment {seg} carries no ramp in the network")
+            raise InputError(f"--ramp-lane segment {seg} carries no ramp in the network")
         rules.append(sensing.RampLaneRule(segment=seg, lane=lane, kind=kind))
     missing = sorted(set(cfg.ramp_segments(measured=True)) - {r.segment for r in rules})
     if missing:
-        raise FlagError(f"measured ramps without a --ramp-lane rule: {missing}")
+        raise InputError(f"measured ramps without a --ramp-lane rule: {missing}")
     return rules
 
 
@@ -611,22 +603,26 @@ def cmd_sweep(args) -> int:
 
 def cmd_metrics(args) -> int:
     out = Path(args.out)
+    summary = out / SUMMARY_JSON
     try:
-        config = json.loads((out / SUMMARY_JSON).read_text())["config"]
+        config = json.loads(summary.read_text())["config"]
         network = config["network"]
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{summary}: not valid JSON: {exc}") from exc
     except (KeyError, TypeError) as exc:
-        raise RunFormatError(f"{out / SUMMARY_JSON}: no config.network block") from exc
-    cfg = NetworkConfig.from_dict(network)
+        raise InputError(f"{summary}: no config.network block") from exc
+    try:
+        cfg = NetworkConfig.from_dict(network)
+    except InputError as exc:
+        raise InputError(f"{summary}: config.network: {exc}") from exc
     warmup = config.get("warmup", metrics.DEFAULT_WARMUP_STEPS)
     if type(warmup) is not int or warmup < 0:
-        raise RunFormatError(
-            f"{out / SUMMARY_JSON}: config.warmup must be an integer >= 0, got {json.dumps(warmup)}"
-        )
+        raise InputError(f"{summary}: config.warmup must be an integer >= 0, got {json.dumps(warmup)}")
     with open(out / ESTIMATES_CSV, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != _CSV_COLUMNS:
-            raise RunFormatError(f"{out / ESTIMATES_CSV}: unexpected header {header}")
+            raise InputError(f"{out / ESTIMATES_CSV}: unexpected header {header}")
         rows = []
         for row in reader:
             try:
@@ -634,13 +630,13 @@ def cmd_metrics(args) -> int:
                     raise ValueError(f"expected {len(_CSV_COLUMNS)} fields, got {len(row)}")
                 rows.append([_parse_cell(c) for c in row])
             except ValueError as exc:
-                raise RunFormatError(f"{out / ESTIMATES_CSV}:{reader.line_num}: {exc}") from exc
+                raise InputError(f"{out / ESTIMATES_CSV}:{reader.line_num}: {exc}") from exc
     cells = np.array(rows, dtype=float).reshape(-1, len(_CSV_COLUMNS))  # also when there are no rows
     n = cfg.n_segments
     K = len(cells) // n
     grid = np.column_stack([np.repeat(np.arange(K), n), np.tile(np.arange(1, n + 1), K)])
     if len(cells) != K * n or not np.array_equal(cells[:, :2], grid):
-        raise RunFormatError(
+        raise InputError(
             f"{out / ESTIMATES_CSV}: the k and segment columns of its {len(cells)} rows"
             f" do not form a grid of steps x {n} segments"
         )
@@ -770,22 +766,10 @@ def main(argv=None) -> int:
             parser.error("--ramp-lane names a segment more than once")
     try:
         return args.func(args)
-    except (
-        FlagError,
-        RunFormatError,
-        NetworkFormatError,
-        sensing.TrajectoryFormatError,
-        sensing.DetectorFormatError,
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (
-        kalman.SingularInnovationError,
-        CflViolationError,
-        ValueError,
-    ) as exc:
+    except (kalman.SingularInnovationError, CflViolationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

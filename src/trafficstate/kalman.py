@@ -7,11 +7,12 @@ step gives both the cond(S) guard and the gain solve; S is never inverted.
 
 ``run_filter_batch`` uses the model's structure: the transition matrix is
 lower-bidiagonal plus the ramp columns and an identity block on the ramp
-states, so A P A^T is two O(dim^2) row passes (``ltv_model.apply_A``), and
-the output matrix only selects rows, so C P is indexing. A step costs
-O(dim^2) and no dense A is formed. Runs that share a network, tuning and
-step count are filtered together on a leading run axis, so one step of
-numpy calls serves the whole batch; ``run_filter`` is a batch of one.
+states, so A P A^T is two O(dim^2) row passes
+(``ltv_model._apply_A_into``), and the output matrix only selects rows, so
+C P is indexing. A step costs O(dim^2) and no dense A is formed. Runs that
+share a network, tuning and step count are filtered together on a leading
+run axis, so one step of numpy calls serves the whole batch;
+``run_filter`` is a batch of one.
 ``kf_step`` is the dense form of the same update for an arbitrary snapshot.
 """
 
@@ -36,7 +37,7 @@ from trafficstate.ltv_model import (  # noqa: F401
     build_C,
     build_u,
 )
-from trafficstate.network import CflReport, CflViolationError, NetworkConfig, check_cfl
+from trafficstate.network import CflReport, CflViolationError, NetworkConfig, cfl_message, check_cfl
 from trafficstate.sensing import Measurements
 
 logger = logging.getLogger(__name__)
@@ -46,7 +47,6 @@ __all__ = [
     "FilterState",
     "FilterResult",
     "SingularInnovationError",
-    "CflViolationError",
     "default_tuning",
     "kf_step",
     "run_filter",
@@ -408,13 +408,8 @@ def run_filter_batch(
     if held:
         logger.warning("%s; held the previous value", ", ".join(held))
     cfls = [check_cfl(cfg, v) if K else CflReport(0.0, ()) for v in speeds_used]
-    hit = [c for c in cfls if not c.ok]
-    if hit:
-        msg = (
-            f"discretization accuracy bound exceeded at {sum(len(c.violations) for c in hit)}"
-            f" (step, segment) pairs{_in_runs(len(hit), n_runs)},"
-            f" max ratio {max(c.max_ratio for c in hit):.3f}"
-        )
+    if not all(c.ok for c in cfls):
+        msg = cfl_message(cfls)
         if strict_cfl:
             raise CflViolationError(msg)
         logger.warning(msg)

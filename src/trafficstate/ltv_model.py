@@ -22,7 +22,6 @@ __all__ = [
     "StateIndex",
     "LtvSnapshot",
     "build_state_index",
-    "apply_A",
     "build_A",
     "build_B",
     "build_u",
@@ -96,21 +95,6 @@ def _ratios(lengths_km: Sequence[float], time_step_h: float) -> np.ndarray:
     return time_step_h / lengths
 
 
-def apply_A(idx: StateIndex, ratios: np.ndarray, speeds_kmh: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Product A M of one step's transition matrix with a (dim, k) matrix.
-
-    ``ratios`` holds T/delta_i per segment. A is lower-bidiagonal on the
-    densities (diagonal 1 - c_i v_i, subdiagonal c_i v_{i-1}), carries +1
-    (on-ramp) or -1 (off-ramp) in each ramp state's column on its segment's
-    row, and is the identity on the ramp states, so the product costs
-    O(dim * k) and A itself is never formed.
-
-    Leading axes are runs of a batch: speeds (..., N) and M (..., dim, k)
-    give one product per run.
-    """
-    return _apply_A_into(idx, *_coefficients(ratios, speeds_kmh), M, np.empty(M.shape))
-
-
 def _coefficients(ratios: np.ndarray, speeds_kmh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A's density diagonal 1 - c_i v_i and subdiagonal c_i v_{i-1}, per run."""
     c, v = ratios, speeds_kmh
@@ -118,7 +102,17 @@ def _coefficients(ratios: np.ndarray, speeds_kmh: np.ndarray) -> tuple[np.ndarra
 
 
 def _apply_A_into(idx: StateIndex, diag: np.ndarray, sub: np.ndarray, M: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``apply_A`` from A's coefficients, written into ``out``, which must not overlap M."""
+    """Product A M of one step's transition matrix with a (dim, k) matrix, written into ``out``.
+
+    ``diag`` and ``sub`` are A's ``_coefficients``. A is lower-bidiagonal on
+    the densities (diagonal 1 - c_i v_i, subdiagonal c_i v_{i-1}), carries
+    +1 (on-ramp) or -1 (off-ramp) in each ramp state's column on its
+    segment's row, and is the identity on the ramp states, so the product
+    costs O(dim * k) and A itself is never formed. ``out`` must not overlap M.
+
+    Leading axes are runs of a batch: coefficients from speeds (..., N) and
+    M (..., dim, k) give one product per run.
+    """
     n = idx.n_segments
     np.multiply(diag[..., np.newaxis], M[..., :n, :], out=out[..., :n, :])
     out[..., 1:n, :] += sub[..., np.newaxis] * M[..., : n - 1, :]
@@ -145,7 +139,7 @@ def build_A(
     c = _ratios(lengths_km, time_step_h)
     if c.shape != (n,):
         raise ValueError(f"expected {n} segment lengths, got {c.shape[0]}")
-    return apply_A(idx, c, v, np.eye(idx.dim))
+    return _apply_A_into(idx, *_coefficients(c, v), np.eye(idx.dim), np.empty((idx.dim, idx.dim)))
 
 
 def build_B(idx: StateIndex, lengths_km: Sequence[float], time_step_h: float) -> np.ndarray:

@@ -28,16 +28,17 @@ __all__ = [
     "ValidationReport",
     "CflReport",
     "CflViolationError",
-    "NetworkFormatError",
+    "InputError",
     "validate_network",
     "check_cfl",
+    "cfl_message",
     "load_network",
     "save_network",
 ]
 
 
-class NetworkFormatError(ValueError):
-    """Raised when a network file cannot be parsed into a NetworkConfig."""
+class InputError(ValueError):
+    """A file or flag the user supplied cannot be used; the command line exits 2."""
 
 
 class RampType(str, Enum):
@@ -67,7 +68,7 @@ def _flag(raw: dict, name: str, default: bool, where: str = "") -> bool:
     """A JSON boolean field; any other value, such as the string "false", is a format error."""
     value = raw.get(name, default)
     if not isinstance(value, bool):
-        raise NetworkFormatError(f"{where}{name} must be true or false, got {value!r}")
+        raise InputError(f"{where}{name} must be true or false, got {value!r}")
     return value
 
 
@@ -75,14 +76,14 @@ def _segment_from_dict(d: dict, pos: int) -> Segment:
     try:
         length = float(d["length_km"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise NetworkFormatError(f"segment {pos}: bad or missing length_km") from exc
+        raise InputError(f"segment {pos}: bad or missing length_km") from exc
     if not math.isfinite(length):
-        raise NetworkFormatError(f"segment {pos}: length_km must be finite, got {length}")
+        raise InputError(f"segment {pos}: length_km must be finite, got {length}")
     ramp_raw = d.get("ramp", "none")
     try:
         ramp = RampType(ramp_raw)
     except ValueError as exc:
-        raise NetworkFormatError(f"segment {pos}: unknown ramp type {ramp_raw!r}") from exc
+        raise InputError(f"segment {pos}: unknown ramp type {ramp_raw!r}") from exc
     return Segment(length_km=length, ramp=ramp, ramp_measured=_flag(d, "ramp_measured", False, f"segment {pos}: "))
 
 
@@ -164,7 +165,7 @@ class NetworkConfig:
 
     @classmethod
     def from_dict(cls, raw) -> NetworkConfig:
-        """Parse the JSON form, raising NetworkFormatError on a malformed one.
+        """Parse the JSON form, raising InputError on a malformed one.
 
         Schema: ``{"time_step_h": float, "segments": [{"length_km": float,
         "ramp": "none"|"on_ramp"|"off_ramp", "ramp_measured": bool}, ...],
@@ -173,23 +174,23 @@ class NetworkConfig:
         JSON integers.
         """
         if not isinstance(raw, dict):
-            raise NetworkFormatError("expected a JSON object at top level")
+            raise InputError("expected a JSON object at top level")
         try:
             time_step = float(raw["time_step_h"])
             seg_list = raw["segments"]
         except (KeyError, TypeError, ValueError) as exc:
-            raise NetworkFormatError("missing or malformed time_step_h/segments") from exc
+            raise InputError("missing or malformed time_step_h/segments") from exc
         if not math.isfinite(time_step):
-            raise NetworkFormatError(f"time_step_h must be finite, got {time_step}")
+            raise InputError(f"time_step_h must be finite, got {time_step}")
         if not isinstance(seg_list, list) or not seg_list:
-            raise NetworkFormatError("segments must be a non-empty array")
+            raise InputError("segments must be a non-empty array")
         segments = tuple(_segment_from_dict(d, i) for i, d in enumerate(seg_list, start=1))
         sensors = raw.get("flow_sensors", [])
         if not isinstance(sensors, list):
-            raise NetworkFormatError("flow_sensors must be an array of segment indices")
+            raise InputError("flow_sensors must be an array of segment indices")
         bad = [j for j in sensors if not isinstance(j, int) or isinstance(j, bool)]
         if bad:
-            raise NetworkFormatError(f"flow_sensors entries must be integers, got {bad}")
+            raise InputError(f"flow_sensors entries must be integers, got {bad}")
         return cls(
             segments=segments,
             flow_sensor_segments=frozenset(sensors),
@@ -306,17 +307,34 @@ def check_cfl(cfg: NetworkConfig, speeds_kmh) -> CflReport:
     return CflReport(max_ratio=max_ratio, violations=violations)
 
 
+def cfl_message(reports: Sequence[CflReport]) -> str:
+    """The log line for a batch's ``check_cfl`` reports, one per run, when any of them fails.
+
+    Pairs flagged for a negative speed are counted apart: their ratio lies
+    below the bound, so the max ratio alone would not explain them.
+    """
+    hit = [r for r in reports if not r.ok]
+    ratios = [ratio for r in hit for _k, _i, ratio in r.violations]
+    runs = f" in {len(hit)} of {len(reports)} runs" if len(reports) > 1 else ""
+    negative = sum(ratio < 0.0 for ratio in ratios)
+    negative_text = f", {negative} with a negative speed" if negative else ""
+    return (
+        f"discretization accuracy bound exceeded at {len(ratios)} (step, segment) pairs{runs}{negative_text},"
+        f" max ratio {max(r.max_ratio for r in hit):.3f}"
+    )
+
+
 def load_network(path: str | Path) -> NetworkConfig:
     """Read a network config from its JSON file format (see ``NetworkConfig.from_dict``)."""
     text = Path(path).read_text()
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise NetworkFormatError(f"{path}: not valid JSON: {exc}") from exc
+        raise InputError(f"{path}: not valid JSON: {exc}") from exc
     try:
         return NetworkConfig.from_dict(raw)
-    except NetworkFormatError as exc:
-        raise NetworkFormatError(f"{path}: {exc}") from exc
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def save_network(cfg: NetworkConfig, path: str | Path) -> None:

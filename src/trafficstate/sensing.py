@@ -47,7 +47,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from trafficstate.network import NetworkConfig, RampType
+from trafficstate.network import InputError, NetworkConfig, RampType
 
 logger = logging.getLogger(__name__)
 
@@ -56,8 +56,6 @@ __all__ = [
     "VehicleTrack",
     "TrajectoryData",
     "RampLaneRule",
-    "TrajectoryFormatError",
-    "DetectorFormatError",
     "load_trajectories",
     "load_detectors",
     "assign_connected",
@@ -80,14 +78,6 @@ SNAP_TOLERANCE_M = 100.0
 # many lines at a time.
 READ_BLOCK_CHARS = 1 << 16
 READ_BLOCK_LINES = 1 << 11
-
-
-class TrajectoryFormatError(ValueError):
-    """Raised when a trajectory CSV cannot be parsed."""
-
-
-class DetectorFormatError(ValueError):
-    """Raised when a detector CSV cannot be parsed."""
 
 
 @dataclass(frozen=True)
@@ -172,7 +162,7 @@ class TrajectoryData:
         if len(shapes) != 1 or t_s.ndim != 1:
             raise ValueError(f"trajectory columns must be 1-D and of equal length, got shapes {shapes}")
         if t_s.size == 0:
-            raise TrajectoryFormatError("no trajectory samples")
+            raise InputError("no trajectory samples")
         sorted_rows = _sorted_rows(vehicle_id, t_s, x_m, speed_mps, lane)
         self.ids, self.starts, (self.t_s, self.x_m, self.speed_mps, self.lane) = sorted_rows
         for column in (self.ids, self.starts, self.t_s, self.x_m, self.speed_mps, self.lane):
@@ -235,9 +225,7 @@ def _bad_row(path: str | Path, columns: Mapping[str, type]) -> str | None:
     return None
 
 
-def _read_columns(
-    path: str | Path, columns: Mapping[str, type], error: type[ValueError]
-) -> dict[str, np.ndarray]:
+def _read_columns(path: str | Path, columns: Mapping[str, type]) -> dict[str, np.ndarray]:
     """Parse the named CSV columns in C; they are empty when there are no rows.
 
     A column's kind is ``int``, ``float`` or ``_finite`` (a float that may
@@ -252,7 +240,7 @@ def _read_columns(
         header = fh.readline()
         fields = next(csv.reader([header])) if header else None
         if fields is None or not set(columns).issubset(fields):
-            raise error(f"{path}: header must contain {sorted(columns)}, got {fields}")
+            raise InputError(f"{path}: header must contain {sorted(columns)}, got {fields}")
         start = fh.tell()
         n_lines, blank = 1, True
         for text in iter(partial(fh.read, READ_BLOCK_CHARS), ""):
@@ -284,10 +272,10 @@ def _read_columns(
                         out[name][rows : rows + block.size] = block[name]
                     rows += block.size
         except (ValueError, DeprecationWarning) as exc:
-            raise error(_bad_row(path, columns) or f"{path}: {exc}") from exc
+            raise InputError(_bad_row(path, columns) or f"{path}: {exc}") from exc
     cols = {name: column[:rows] for name, column in out.items()}
     if not all(np.isfinite(cols[name]).all() for name, kind in columns.items() if kind is _finite):
-        raise error(_bad_row(path, columns) or f"{path}: non-finite values")
+        raise InputError(_bad_row(path, columns) or f"{path}: non-finite values")
     return cols
 
 
@@ -325,11 +313,7 @@ def load_trajectories(path: str | Path) -> TrajectoryData:
     Rows may come in any order (see ``TrajectoryData``). A NaN or infinite
     time, position or speed is a format error.
     """
-    cols = _read_columns(
-        path,
-        {"vehicle_id": int, "t_s": _finite, "x_m": _finite, "lane": int, "speed_mps": _finite},
-        TrajectoryFormatError,
-    )
+    cols = _read_columns(path, {"vehicle_id": int, "t_s": _finite, "x_m": _finite, "lane": int, "speed_mps": _finite})
     return TrajectoryData(**cols)
 
 
@@ -593,11 +577,12 @@ def frames_from_trajectories(
     (``segment_speed_series``). Flows come from virtual
     detectors at the entry boundary (which also counts vehicles first seen
     inside segment 1) and at the downstream boundary of every segment
-    carrying a flow sensor; measured ramps need a RampLaneRule.
+    carrying a flow sensor; measured ramps need a RampLaneRule. A recording
+    shorter than one step is an ``InputError``.
     """
     n_steps = int(math.floor((traj.t_max_s - traj.t_min_s) / (cfg.time_step_h * 3600.0)))
     if n_steps <= 0:
-        raise ValueError(f"recording too short: {n_steps} steps")
+        raise InputError(f"recording too short: {n_steps} steps")
 
     connected = assign_connected(traj.ids, penetration, rng)
     speeds = segment_speed_series(traj, cfg, n_steps, connected, exclude_lanes=exclude_lanes)
@@ -642,13 +627,9 @@ def load_detectors(path: str | Path) -> list[DetectorSeries]:
     a file already in that order is not copied. A NaN or infinite position
     or time is a format error; a NaN flow or speed is a missing reading.
     """
-    cols = _read_columns(
-        path,
-        {"detector_pos_m": _finite, "t_s": _finite, "flow_vph": float, "speed_kmh": float},
-        DetectorFormatError,
-    )
+    cols = _read_columns(path, {"detector_pos_m": _finite, "t_s": _finite, "flow_vph": float, "speed_kmh": float})
     if cols["t_s"].size == 0:
-        raise DetectorFormatError(f"{path}: no detector rows")
+        raise InputError(f"{path}: no detector rows")
     positions, starts, (t_s, flows, speeds) = _sorted_rows(*cols.values())
     return [
         DetectorSeries(position_m=pos, times_s=t_s[a:b], flows_vph=flows[a:b], speeds_kmh=speeds[a:b])
@@ -703,7 +684,7 @@ def frames_from_detectors(detectors: Sequence[DetectorSeries], cfg: NetworkConfi
     """
     by_boundary = snap_detectors_to_boundaries(detectors, cfg)
     if not by_boundary:
-        raise DetectorFormatError("no detector lies near any segment boundary")
+        raise InputError("no detector lies near any segment boundary")
     T_s = cfg.time_step_h * 3600.0
     t0_s = min(float(d.times_s[0]) for d in by_boundary.values())
     t_end = max(float(d.times_s[-1]) for d in by_boundary.values())

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from trafficstate.network import CflViolationError, NetworkConfig, RampType, Segment, check_cfl
+from trafficstate.network import CflViolationError, NetworkConfig, RampType, Segment, cfl_message, check_cfl
 from trafficstate.sensing import Measurements
 
 logger = logging.getLogger(__name__)
@@ -27,7 +27,6 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "Scenario",
     "SimulationResult",
-    "CflViolationError",
     "simulate_truth",
     "emulate_probe_speeds",
     "synthetic_measurements",
@@ -124,10 +123,7 @@ def simulate_truth(sc: Scenario, *, strict_cfl: bool = False) -> SimulationResul
     """
     cfl = check_cfl(sc.cfg, sc.speeds_kmh)
     if not cfl.ok:
-        msg = (
-            f"scenario {sc.name or '<unnamed>'}: accuracy bound exceeded at"
-            f" {len(cfl.violations)} (step, segment) pairs, max ratio {cfl.max_ratio:.3f}"
-        )
+        msg = f"scenario {sc.name or '<unnamed>'}: {cfl_message([cfl])}"
         if strict_cfl:
             raise CflViolationError(msg)
         logger.warning(msg)

@@ -632,6 +632,42 @@ def test_non_finite_input_row_exits_two(tmp_path, capsys, source, good, bad):
     assert not out.exists()
 
 
+# Each case writes one input file that cannot be used, and the error line
+# that names it. A recording shorter than one step is judged after loading,
+# without its path, like a detector file with no detector near a boundary.
+UNUSABLE_INPUTS = {
+    "summary-not-json": (
+        "summary.json",
+        "{'config': {}}",
+        "{path}: not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+    ),
+    "summary-bad-network": (
+        "summary.json",
+        json.dumps({"config": {"network": {"time_step_h": 0.001, "segments": [{}]}}}),
+        "{path}: config.network: segment 1: bad or missing length_km",
+    ),
+    "recording-too-short": (
+        "t.csv",
+        "vehicle_id,t_s,x_m,lane,speed_mps\n1,0,0.0,1,20.0\n1,3,60.0,1,20.0\n",
+        "recording too short: 0 steps",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(UNUSABLE_INPUTS))
+def test_unusable_input_exits_two_with_one_error_line(tmp_path, capsys, case):
+    name, text, want = UNUSABLE_INPUTS[case]
+    path = tmp_path / name
+    path.write_text(text)
+    if name == "summary.json":
+        args = ["metrics", "--out", str(tmp_path)]
+    else:
+        net = write_network(tmp_path / "net.json")
+        args = ["estimate", "--trajectories", str(path), "--network", str(net), "--out", str(tmp_path / "o")]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == f"error: {want.format(path=path)}\n"
+
+
 @pytest.mark.parametrize("source", ["preset", "detectors"])
 @pytest.mark.parametrize("flag, value", [("--exclude-lanes", "4"), ("--ramp-lane", "4:9")])
 def test_trajectory_only_flags_exit_two_on_other_sources(tmp_path, capsys, source, flag, value):

@@ -4,12 +4,14 @@ and every exported name is used by the package itself, unless it is listed with 
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
 import pytest
 
 import trafficstate
+from trafficstate import cli
 
 # The command line module is a script entry point and exports nothing.
 LIBRARY_MODULES = sorted(
@@ -154,3 +156,46 @@ def test_every_library_default_is_set_by_the_package():
     # A default no caller changes is a constant: drop the parameter, or list
     # the function in UNREFERENCED_EXPORTS if only tests call it.
     assert unset_parameters() == set()
+
+
+# Each exception class of the package, with the exit code the command line gives it.
+EXIT_CODES = {"InputError": 2, "CflViolationError": 1, "SingularInnovationError": 1}
+
+
+def exception_classes() -> dict[str, type]:
+    """Every class the package defines that derives from an exception, by name.
+
+    Each base is evaluated in its module's namespace, so builtin exceptions,
+    the package's own and imported ones all count.
+    """
+    found = {}
+    for path in Path(trafficstate.__file__).parent.glob("*.py"):
+        module = importlib.import_module("trafficstate" if path.stem == "__init__" else f"trafficstate.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                bases = [eval(ast.unparse(base), vars(module)) for base in node.bases]
+                if any(isinstance(b, type) and issubclass(b, BaseException) for b in bases):
+                    found[node.name] = getattr(module, node.name)
+    return found
+
+
+def main_handlers() -> list[tuple[tuple[type, ...], int]]:
+    """Each ``except`` clause of ``cli.main`` in order: the classes it names and the exit code it returns."""
+    handlers = []
+    for node in ast.walk(ast.parse(inspect.getsource(cli.main))):
+        if isinstance(node, ast.ExceptHandler):
+            caught = eval(ast.unparse(node.type), vars(cli))
+            code = next(ret.value.value for ret in ast.walk(node) if isinstance(ret, ast.Return))
+            handlers.append((caught if isinstance(caught, tuple) else (caught,), code))
+    return handlers
+
+
+def test_every_error_class_has_its_exit_code():
+    # A new error class fails here until cli.main names it with an exit code.
+    classes = exception_classes()
+    assert set(classes) == set(EXIT_CODES)
+    handlers = main_handlers()
+    for name, cls in classes.items():
+        # The first clause that catches the class is the one that handles it.
+        caught, code = next((caught, code) for caught, code in handlers if issubclass(cls, caught))
+        assert (cls in caught, code) == (True, EXIT_CODES[name]), name

@@ -12,7 +12,6 @@ from test_acceptance import random_observable_network
 
 from trafficstate import kalman
 from trafficstate.kalman import (
-    CflViolationError,
     FilterState,
     FilterTuning,
     SingularInnovationError,
@@ -30,7 +29,7 @@ from trafficstate.ltv_model import (
     build_state_index,
     build_u,
 )
-from trafficstate.network import NetworkConfig, RampType, Segment
+from trafficstate.network import CflViolationError, NetworkConfig, RampType, Segment
 from trafficstate.sensing import Measurements
 
 
@@ -632,6 +631,19 @@ class TestRunFilter:
         relaxed = run_filter(cfg, idx, tuning, frames, strict_cfl=False)
         assert not relaxed.cfl.ok
         assert relaxed.cfl.max_ratio == pytest.approx(40.0 * (5 / 3600) / 0.05)
+
+    def test_negative_speed_is_named_in_the_violation_line(self, caplog):
+        # Ratios 100/180 = 0.556 and -20/180: only the negative speed breaks
+        # the bound, and the max ratio alone would not say so.
+        cfg = make_config(2, sensors=(2,))
+        idx = build_state_index(cfg)
+        frames = Measurements(np.array([[100.0, -20.0]]), [1000.0], {2: [1000.0]})
+        with caplog.at_level(logging.WARNING, logger="trafficstate.kalman"):
+            run_filter(cfg, idx, default_tuning(idx, 1), frames)
+        want = "discretization accuracy bound exceeded at 1 (step, segment) pairs, 1 with a negative speed, max ratio 0.556"
+        assert [r.getMessage() for r in caplog.records] == [want]
+        with pytest.raises(CflViolationError, match="1 with a negative speed"):
+            run_filter(cfg, idx, default_tuning(idx, 1), frames, strict_cfl=True)
 
     def test_clamp_floors_published_densities_only(self):
         cfg = make_config(2, sensors=(2,), ramps={2: (RampType.OFF, False)})

@@ -7,13 +7,13 @@ import pytest
 
 from trafficstate.kalman import default_tuning, run_filter
 from trafficstate.ltv_model import (
-    apply_A,
     build_A,
     build_B,
     build_C,
     build_state_index,
     build_u,
 )
+from trafficstate.ltv_model import _apply_A_into, _coefficients
 from trafficstate.network import NetworkConfig, RampType, Segment
 from trafficstate.sensing import Measurements
 
@@ -116,7 +116,7 @@ class TestBuildA:
         A = build_A(idx, cfg.lengths_km, cfg.time_step_h, v)
         # A row-major matrix and a transposed view, as the filter passes both.
         for M in (rng.normal(size=(idx.dim, idx.dim + 1)), rng.normal(size=(idx.dim, idx.dim)).T):
-            got = apply_A(idx, cfg.time_step_h / cfg.lengths_km, v, M)
+            got = _apply_A_into(idx, *_coefficients(cfg.time_step_h / cfg.lengths_km, v), M, np.empty(M.shape))
             assert np.allclose(got, A @ M, rtol=0, atol=1e-12)
 
     def test_apply_broadcasts_over_a_run_axis(self):
@@ -127,7 +127,7 @@ class TestBuildA:
         rng = np.random.default_rng(4)
         v = rng.uniform(20.0, 120.0, size=(3, 5))
         M = rng.normal(size=(3, idx.dim, idx.dim + 1))
-        got = apply_A(idx, cfg.time_step_h / cfg.lengths_km, v, M)
+        got = _apply_A_into(idx, *_coefficients(cfg.time_step_h / cfg.lengths_km, v), M, np.empty(M.shape))
         assert got.shape == M.shape
         for r in range(3):
             A = build_A(idx, cfg.lengths_km, cfg.time_step_h, v[r])

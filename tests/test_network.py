@@ -8,8 +8,8 @@ import pytest
 
 from trafficstate.network import (
     CflReport,
+    InputError,
     NetworkConfig,
-    NetworkFormatError,
     RampType,
     Segment,
     check_cfl,
@@ -271,26 +271,26 @@ class TestNetworkIo:
     def test_invalid_json_raises_format_error(self, tmp_path):
         path = tmp_path / "net.json"
         path.write_text("{not json")
-        with pytest.raises(NetworkFormatError):
+        with pytest.raises(InputError):
             load_network(path)
 
     def test_non_object_top_level_raises(self, tmp_path):
         path = tmp_path / "net.json"
         path.write_text("[1, 2, 3]")
-        with pytest.raises(NetworkFormatError):
+        with pytest.raises(InputError):
             load_network(path)
 
     def test_missing_segments_raises(self, tmp_path):
         path = tmp_path / "net.json"
         path.write_text(json.dumps({"time_step_h": 0.01}))
-        with pytest.raises(NetworkFormatError):
+        with pytest.raises(InputError):
             load_network(path)
 
     def test_bad_segment_length_raises(self, tmp_path):
         path = tmp_path / "net.json"
         payload = {"time_step_h": 0.01, "segments": [{"length_km": "wide"}]}
         path.write_text(json.dumps(payload))
-        with pytest.raises(NetworkFormatError, match="segment 1"):
+        with pytest.raises(InputError, match="segment 1"):
             load_network(path)
 
     def test_unknown_ramp_type_raises(self, tmp_path):
@@ -300,7 +300,7 @@ class TestNetworkIo:
             "segments": [{"length_km": 0.5, "ramp": "diagonal"}],
         }
         path.write_text(json.dumps(payload))
-        with pytest.raises(NetworkFormatError, match="ramp type"):
+        with pytest.raises(InputError, match="ramp type"):
             load_network(path)
 
     def test_non_integer_sensor_raises(self, tmp_path):
@@ -311,7 +311,7 @@ class TestNetworkIo:
             "flow_sensors": ["exit"],
         }
         path.write_text(json.dumps(payload))
-        with pytest.raises(NetworkFormatError):
+        with pytest.raises(InputError):
             load_network(path)
 
     def test_dict_form_round_trips_and_names_the_bad_field(self):
@@ -321,7 +321,7 @@ class TestNetworkIo:
         assert raw["segments"][1] == {"length_km": 0.5, "ramp": "off_ramp", "ramp_measured": True}
         assert NetworkConfig.from_dict(json.loads(json.dumps(raw))) == cfg
         raw["flow_sensors"] = "3"
-        with pytest.raises(NetworkFormatError, match="^flow_sensors must be an array"):
+        with pytest.raises(InputError, match="^flow_sensors must be an array"):
             NetworkConfig.from_dict(raw)
 
     @pytest.mark.parametrize(
@@ -342,6 +342,6 @@ class TestNetworkIo:
         raw = make_config(n=2, sensors=(2,), ramps={2: (RampType.ON, True)}).to_dict()
         for key, value in change.items():
             (raw["segments"][1] if key in ("ramp_measured", "length_km") else raw)[key] = value
-        with pytest.raises(NetworkFormatError) as err:
+        with pytest.raises(InputError) as err:
             NetworkConfig.from_dict(json.loads(json.dumps(raw)))
         assert str(err.value) == message

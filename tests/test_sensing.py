@@ -13,13 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trafficstate import sensing
-from trafficstate.network import NetworkConfig, RampType, Segment
+from trafficstate.network import InputError, NetworkConfig, RampType, Segment
 from trafficstate.sensing import (
-    DetectorFormatError,
     Measurements,
     RampLaneRule,
     TrajectoryData,
-    TrajectoryFormatError,
     add_measurement_noise,
     assign_connected,
     frames_from_detectors,
@@ -144,7 +142,7 @@ class TestLoaders:
     def test_trajectory_missing_column_raises(self, tmp_path):
         path = tmp_path / "traj.csv"
         path.write_text("vehicle_id,t_s,x_m\n1,0,0\n")
-        with pytest.raises(TrajectoryFormatError, match="header"):
+        with pytest.raises(InputError, match="header"):
             load_trajectories(path)
 
     def test_trajectory_bad_row_reports_line(self, tmp_path):
@@ -154,7 +152,7 @@ class TestLoaders:
             "1,0.0,0.0,1,15.0\n"
             "1,oops,5.0,1,15.0\n"
         )
-        with pytest.raises(TrajectoryFormatError, match=":3:"):
+        with pytest.raises(InputError, match=":3:"):
             load_trajectories(path)
 
     def test_trajectory_columns_in_any_order(self, tmp_path):
@@ -173,13 +171,13 @@ class TestLoaders:
     def test_trajectory_ids_and_lanes_must_be_integers(self, tmp_path, bad):
         path = tmp_path / "traj.csv"
         path.write_text("vehicle_id,t_s,x_m,lane,speed_mps\n7,0.0,0.0,2,15.0\n" + bad + "\n")
-        with pytest.raises(TrajectoryFormatError, match=":3: bad row"):
+        with pytest.raises(InputError, match=":3: bad row"):
             load_trajectories(path)
 
     def test_empty_trajectory_raises(self, tmp_path):
         path = tmp_path / "traj.csv"
         path.write_text("vehicle_id,t_s,x_m,lane,speed_mps\n")
-        with pytest.raises(TrajectoryFormatError, match="no trajectory samples"):
+        with pytest.raises(InputError, match="no trajectory samples"):
             load_trajectories(path)
 
     @pytest.mark.parametrize(
@@ -196,14 +194,14 @@ class TestLoaders:
         # The last row is the bad one; blank lines count toward its line number.
         path = tmp_path / "traj.csv"
         path.write_text("\n".join(["vehicle_id,t_s,x_m,lane,speed_mps", *rows]) + "\n")
-        with pytest.raises(TrajectoryFormatError, match=f":{len(rows) + 1}: bad row"):
+        with pytest.raises(InputError, match=f":{len(rows) + 1}: bad row"):
             load_trajectories(path)
 
     @pytest.mark.parametrize("bad", ["nan,5.0,100.0,90.0", "0.0,inf,100.0,90.0", "0.0,nan,100.0,90.0"])
     def test_detector_non_finite_position_or_time_is_rejected(self, tmp_path, bad):
         path = tmp_path / "det.csv"
         path.write_text("detector_pos_m,t_s,flow_vph,speed_kmh\n0.0,0.0,100.0,90.0\n" + bad + "\n")
-        with pytest.raises(DetectorFormatError, match=":3: bad row"):
+        with pytest.raises(InputError, match=":3: bad row"):
             load_detectors(path)
 
     def test_detector_nan_readings_are_missing(self, tmp_path):
@@ -271,19 +269,19 @@ class TestLoaders:
     def test_detector_bad_row_reports_line(self, tmp_path):
         path = tmp_path / "det.csv"
         path.write_text("detector_pos_m,t_s,flow_vph,speed_kmh\n0.0,0.0,100,90\n0.0,5.0,x,90\n")
-        with pytest.raises(DetectorFormatError, match=":3: bad row"):
+        with pytest.raises(InputError, match=":3: bad row"):
             load_detectors(path)
 
     def test_detector_missing_column_raises(self, tmp_path):
         path = tmp_path / "det.csv"
         path.write_text("detector_pos_m,t_s,flow_vph\n0,0,100\n")
-        with pytest.raises(DetectorFormatError, match="header"):
+        with pytest.raises(InputError, match="header"):
             load_detectors(path)
 
     def test_detector_empty_raises(self, tmp_path):
         path = tmp_path / "det.csv"
         path.write_text("detector_pos_m,t_s,flow_vph,speed_kmh\n")
-        with pytest.raises(DetectorFormatError, match="no detector rows"):
+        with pytest.raises(InputError, match="no detector rows"):
             load_detectors(path)
 
 
@@ -340,10 +338,10 @@ class TestReadColumns:
             path = Path(tmp) / "traj.csv"
             path.write_text(text)
             if bad_at is not None:
-                with pytest.raises(TrajectoryFormatError, match=f"^{re.escape(str(path))}:{bad_at + 2}: bad row"):
-                    _read_columns(path, TRAJECTORY_COLUMNS, TrajectoryFormatError)
+                with pytest.raises(InputError, match=f"^{re.escape(str(path))}:{bad_at + 2}: bad row"):
+                    _read_columns(path, TRAJECTORY_COLUMNS)
                 return
-            got = _read_columns(path, TRAJECTORY_COLUMNS, TrajectoryFormatError)
+            got = _read_columns(path, TRAJECTORY_COLUMNS)
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
                 want = np.loadtxt(
@@ -375,7 +373,7 @@ class TestReadColumns:
     def test_each_column_is_its_own_contiguous_array(self, tmp_path, header, row, columns):
         path = tmp_path / "in.csv"
         path.write_text("\n".join([header, *[row] * 5]) + "\n")
-        got = list(_read_columns(path, columns, ValueError).values())
+        got = list(_read_columns(path, columns).values())
         assert all(c.flags.c_contiguous and c.size == 5 for c in got)
         assert not any(np.shares_memory(a, b) for i, a in enumerate(got) for b in got[i + 1 :])
 
@@ -648,7 +646,7 @@ class TestDetectorSnapping:
 
     def test_all_detectors_out_of_tolerance_raises_downstream(self):
         cfg = make_config()
-        with pytest.raises(DetectorFormatError, match="near any segment boundary"):
+        with pytest.raises(InputError, match="near any segment boundary"):
             frames_from_detectors([_series(250.0)], cfg)
 
 
@@ -1124,7 +1122,7 @@ class TestTrajectoryData:
             TrajectoryData([1, 1], [0.0, 1.0], [0.0, 5.0, 10.0], [5.0, 5.0], [1, 1])
 
     def test_no_samples_raise(self):
-        with pytest.raises(TrajectoryFormatError, match="no trajectory samples"):
+        with pytest.raises(InputError, match="no trajectory samples"):
             TrajectoryData([], [], [], [], [])
 
     def test_columns_are_read_only(self):

@@ -14,8 +14,9 @@ from trafficstate.kalman import FilterTuning, run_filter
 from trafficstate.ltv_model import build_state_index
 from trafficstate.metrics import cv_rho
 from trafficstate.network import (
+    CflViolationError,
+    InputError,
     NetworkConfig,
-    NetworkFormatError,
     RampType,
     Segment,
     check_cfl,
@@ -24,7 +25,6 @@ from trafficstate.network import (
 from trafficstate.sensing import add_measurement_noise, moving_average_speed
 from trafficstate.simulate import (
     PRESET_NAMES,
-    CflViolationError,
     Scenario,
     emulate_probe_speeds,
     make_congestion_scenario,
@@ -554,5 +554,5 @@ class TestScenarioIo:
         save_scenario(make_congestion_scenario("ngsim_like", seed=0), path)
         payload = json.loads(path.read_text())
         payload["network"]["segments"][2]["ramp"] = "diagonal"
-        with pytest.raises(NetworkFormatError, match="segment 3: unknown ramp type"):
+        with pytest.raises(InputError, match="segment 3: unknown ramp type"):
             NetworkConfig.from_dict(payload["network"])
