@@ -607,7 +607,7 @@ def cmd_metrics(args) -> int:
     try:
         config = json.loads(summary.read_text())["config"]
         network = config["network"]
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"{summary}: not valid JSON: {exc}") from exc
     except (KeyError, TypeError) as exc:
         raise InputError(f"{summary}: no config.network block") from exc
@@ -618,19 +618,22 @@ def cmd_metrics(args) -> int:
     warmup = config.get("warmup", metrics.DEFAULT_WARMUP_STEPS)
     if type(warmup) is not int or warmup < 0:
         raise InputError(f"{summary}: config.warmup must be an integer >= 0, got {json.dumps(warmup)}")
-    with open(out / ESTIMATES_CSV, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _CSV_COLUMNS:
-            raise InputError(f"{out / ESTIMATES_CSV}: unexpected header {header}")
-        rows = []
-        for row in reader:
-            try:
-                if len(row) != len(_CSV_COLUMNS):
-                    raise ValueError(f"expected {len(_CSV_COLUMNS)} fields, got {len(row)}")
-                rows.append([_parse_cell(c) for c in row])
-            except ValueError as exc:
-                raise InputError(f"{out / ESTIMATES_CSV}:{reader.line_num}: {exc}") from exc
+    try:
+        with open(out / ESTIMATES_CSV, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != _CSV_COLUMNS:
+                raise InputError(f"{out / ESTIMATES_CSV}: unexpected header {header}")
+            rows = []
+            for row in reader:
+                try:
+                    if len(row) != len(_CSV_COLUMNS):
+                        raise ValueError(f"expected {len(_CSV_COLUMNS)} fields, got {len(row)}")
+                    rows.append([_parse_cell(c) for c in row])
+                except ValueError as exc:
+                    raise InputError(f"{out / ESTIMATES_CSV}:{reader.line_num}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{out / ESTIMATES_CSV}: not UTF-8 text: {exc}") from exc
     cells = np.array(rows, dtype=float).reshape(-1, len(_CSV_COLUMNS))  # also when there are no rows
     n = cfg.n_segments
     K = len(cells) // n

@@ -326,10 +326,9 @@ def cfl_message(reports: Sequence[CflReport]) -> str:
 
 def load_network(path: str | Path) -> NetworkConfig:
     """Read a network config from its JSON file format (see ``NetworkConfig.from_dict``)."""
-    text = Path(path).read_text()
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(Path(path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"{path}: not valid JSON: {exc}") from exc
     try:
         return NetworkConfig.from_dict(raw)

@@ -28,9 +28,11 @@ them to every source in that order, noise first.
 
 External units (meters, seconds, m/s) are converted here, once. Both
 loaders parse their file in blocks of lines straight into one contiguous
-array per column (``_read_columns``), and reject NaN or infinite times and
+array per column (``_read_columns``): integer columns as int32 unless the
+file holds a value outside its range, floats as float64. So a trajectory
+table keeps 28 bytes per sample. They reject NaN or infinite times and
 positions (and trajectory speeds) with the file and line of the first such
-row.
+row, a header that names a column twice, and a file that is not UTF-8.
 """
 
 from __future__ import annotations
@@ -78,6 +80,7 @@ SNAP_TOLERANCE_M = 100.0
 # many lines at a time.
 READ_BLOCK_CHARS = 1 << 16
 READ_BLOCK_LINES = 1 << 11
+_INT32 = np.iinfo(np.int32)
 
 
 @dataclass(frozen=True)
@@ -152,11 +155,14 @@ class TrajectoryData:
 
     Rows already in that order are adopted without a sort or a copy, so the
     columns may share memory with numpy array arguments; the arguments
-    themselves stay writeable.
+    themselves stay writeable. Integer ``vehicle_id`` and ``lane`` arrays
+    keep their dtype (int32 from ``load_trajectories``, unless a value needs
+    int64), without a cast or a copy; any other input converts to int64.
     """
 
     def __init__(self, vehicle_id, t_s, x_m, speed_mps, lane):
-        vehicle_id, lane = np.asarray(vehicle_id, dtype=np.int64), np.asarray(lane, dtype=np.int64)
+        vehicle_id, lane = (np.asarray(c) for c in (vehicle_id, lane))
+        vehicle_id, lane = (c if c.dtype.kind in "iu" else c.astype(np.int64) for c in (vehicle_id, lane))
         t_s, x_m, speed_mps = (np.asarray(c, dtype=float) for c in (t_s, x_m, speed_mps))
         shapes = {c.shape for c in (vehicle_id, t_s, x_m, speed_mps, lane)}
         if len(shapes) != 1 or t_s.ndim != 1:
@@ -230,27 +236,40 @@ def _read_columns(path: str | Path, columns: Mapping[str, type]) -> dict[str, np
 
     A column's kind is ``int``, ``float`` or ``_finite`` (a float that may
     not be NaN or infinite). The header may list the columns in any order,
-    among others. Each column returned is its own contiguous array: the
-    file's newlines are counted first, and its lines are then parsed
-    ``READ_BLOCK_LINES`` at a time straight into arrays of that length, so a
-    load holds the kept columns and one block.
+    among others, but each of them once. Each column returned is its own
+    contiguous array: the file's newlines are counted first, and its lines
+    are then parsed ``READ_BLOCK_LINES`` at a time straight into arrays of
+    that length, so a load holds the kept columns and one block. An ``int``
+    column is int32, or int64 once a block holds a value outside the int32
+    range: that block widens the column with one copy. A file that is not
+    UTF-8 text is an ``InputError``, like a bad row.
     """
     dtype = [(name, "i8" if kind is int else "f8") for name, kind in columns.items()]
+    # An integer column is held as int32 until a block needs int64.
+    kinds = {name: np.int32 if kind == "i8" else np.float64 for name, kind in dtype}
     with open(path) as fh:
-        header = fh.readline()
-        fields = next(csv.reader([header])) if header else None
-        if fields is None or not set(columns).issubset(fields):
-            raise InputError(f"{path}: header must contain {sorted(columns)}, got {fields}")
-        start = fh.tell()
-        n_lines, blank = 1, True
-        for text in iter(partial(fh.read, READ_BLOCK_CHARS), ""):
-            n_lines += text.count("\n")
-            blank = blank and text.isspace()
+        # The header and the count decode the whole file; a later pass over
+        # it meets no byte they did not.
+        try:
+            header = fh.readline()
+            fields = next(csv.reader([header])) if header else None
+            if fields is None or not set(columns).issubset(fields):
+                raise InputError(f"{path}: header must contain {sorted(columns)}, got {fields}")
+            twice = [name for name in columns if fields.count(name) > 1]
+            if twice:
+                raise InputError(f"{path}: header names column {twice[0]!r} more than once")
+            start = fh.tell()
+            n_lines, blank = 1, True
+            for text in iter(partial(fh.read, READ_BLOCK_CHARS), ""):
+                n_lines += text.count("\n")
+                blank = blank and text.isspace()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
         if blank:
-            return {name: np.empty(0, kind) for name, kind in dtype}
+            return {name: np.empty(0, kind) for name, kind in kinds.items()}
         fh.seek(start)
         # Lines bound the rows; the pages past the last row are never touched.
-        out = {name: np.empty(n_lines, kind) for name, kind in dtype}
+        out = {name: np.empty(n_lines, kind) for name, kind in kinds.items()}
         where = {name: i for i, name in enumerate(fields)}
         rows = 0
         try:
@@ -269,7 +288,13 @@ def _read_columns(path: str | Path, columns: Mapping[str, type]) -> dict[str, np
                         dtype=dtype,
                     )
                     for name in columns:
-                        out[name][rows : rows + block.size] = block[name]
+                        values = block[name]
+                        narrow = out[name].dtype == np.int32
+                        if narrow and values.size and (values.min() < _INT32.min or values.max() > _INT32.max):
+                            wide = np.empty(n_lines, np.int64)
+                            wide[:rows] = out[name][:rows]
+                            out[name] = wide
+                        out[name][rows : rows + block.size] = values
                     rows += block.size
         except (ValueError, DeprecationWarning) as exc:
             raise InputError(_bad_row(path, columns) or f"{path}: {exc}") from exc
@@ -353,16 +378,17 @@ def _step_grid(
     last sample), as long as it is fresh: a sample older than ``MAX_GAP_S``
     means the vehicle has left the recording. Returns flat (track, step,
     x_m, speed_mps, lane) arrays with one entry per vehicle present at a
-    step, track after track in table order, steps ascending.
+    step, track after track in table order, steps ascending. The index
+    arrays are int32: no table held in memory has 2**31 rows.
     """
-    first = np.searchsorted(times_s, traj.t_s)
+    first = np.searchsorted(times_s, traj.t_s).astype(np.int32)
     last = traj.starts[1:] - 1
     # A row covers up to the next row's first grid time; a vehicle's last
     # row, up to the end of the grid. Only the kept rows get a stop.
     covers = np.empty(first.size, dtype=bool)
     np.less(first[:-1], first[1:], out=covers[:-1])
     covers[last] = first[last] < times_s.size
-    rows = np.flatnonzero(covers)
+    rows = np.flatnonzero(covers).astype(np.int32)
     stop = first.take(rows + 1, mode="clip")
     stop[np.searchsorted(rows, last[covers[last]])] = times_s.size
     del covers
@@ -371,9 +397,10 @@ def _step_grid(
     # times are a prefix of the ones it covers.
     stop = _bisect(first, stop, lambda k: ~(times_s[k] - t_s > MAX_GAP_S))
     counts = stop - first
-    steps = np.repeat(first - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+    offsets = first - (np.cumsum(counts, dtype=np.int32) - counts)
+    steps = np.repeat(offsets, counts) + np.arange(counts.sum(), dtype=np.int32)
     rows = np.repeat(rows, counts)
-    track = np.searchsorted(traj.starts, rows, side="right") - 1
+    track = (np.searchsorted(traj.starts, rows, side="right") - 1).astype(np.int32)
     return track, steps, traj.x_m[rows], traj.speed_mps[rows], traj.lane[rows]
 
 

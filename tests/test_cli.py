@@ -668,6 +668,29 @@ def test_unusable_input_exits_two_with_one_error_line(tmp_path, capsys, case):
     assert capsys.readouterr().err == f"error: {want.format(path=path)}\n"
 
 
+@pytest.mark.parametrize("reader", ["network", "trajectories", "detectors", "summary", "estimates"])
+def test_input_that_is_not_utf8_exits_two_naming_the_file(tmp_path, capsys, reader):
+    # Every reader of a user file, on that file with a byte that is never
+    # UTF-8: in a leading UTF-16 byte order mark for JSON, in the last row
+    # for CSV.
+    net = write_network(tmp_path / "net.json")
+    (tmp_path / "summary.json").write_text(json.dumps({"config": {"network": json.loads(net.read_text())}}))
+    row = ",".join(["0"] * len(cli._CSV_COLUMNS))
+    (tmp_path / "estimates.csv").write_text(",".join(cli._CSV_COLUMNS) + "\n" + row + "\n")
+    args, path = {
+        "network": (["validate", "--network", str(net)], net),
+        "trajectories": ([*estimate_args(tmp_path, "trajectories"), "--out", str(tmp_path / "o")], tmp_path / "t.csv"),
+        "detectors": ([*estimate_args(tmp_path, "detectors"), "--out", str(tmp_path / "o")], tmp_path / "d.csv"),
+        "summary": (["metrics", "--out", str(tmp_path)], tmp_path / "summary.json"),
+        "estimates": (["metrics", "--out", str(tmp_path)], tmp_path / "estimates.csv"),
+    }[reader]
+    data = path.read_bytes()
+    path.write_bytes(b"\xff\xfe" + data if path.suffix == ".json" else data[:-2] + b"\xff" + data[-2:])
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "can't decode byte 0xff" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("source", ["preset", "detectors"])
 @pytest.mark.parametrize("flag, value", [("--exclude-lanes", "4"), ("--ramp-lane", "4:9")])
 def test_trajectory_only_flags_exit_two_on_other_sources(tmp_path, capsys, source, flag, value):

@@ -29,7 +29,7 @@ from trafficstate.ltv_model import (
     build_state_index,
     build_u,
 )
-from trafficstate.network import CflViolationError, NetworkConfig, RampType, Segment
+from trafficstate.network import CflViolationError, NetworkConfig, RampType, Segment, validate_network
 from trafficstate.sensing import Measurements
 
 
@@ -871,3 +871,25 @@ class TestObservabilityGramian:
         G, _ = observability_gramian([A] * 7, build_C(idx, [2, 4]))
         assert np.allclose(G, G.T)
         assert np.linalg.eigvalsh(G).min() >= -1e-10
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_placement_rule_holds_exactly_when_the_gramian_has_full_rank(self, data):
+        # Random placements, valid and invalid, beyond criterion 6's 20 valid
+        # ones: the rule accepts a placement exactly when the Gramian over a
+        # window of 2*dim + 5 steps has full rank. Speeds keep the CFL ratio
+        # in criterion 6's band.
+        n = data.draw(st.integers(1, 12), label="n")
+        per_segment = st.tuples(
+            st.floats(0.3, 0.7), st.sampled_from(list(RampType)), st.booleans(), st.floats(0.6, 0.9)
+        )
+        drawn = data.draw(st.lists(per_segment, min_size=n, max_size=n), label="segments")
+        sensors = data.draw(st.sets(st.integers(1, n), min_size=1), label="sensors")
+        T = 10 / 3600
+        segments = [Segment(length_km=L, ramp=kind, ramp_measured=measured) for L, kind, measured, _ in drawn]
+        cfg = NetworkConfig(segments=tuple(segments), flow_sensor_segments=frozenset(sensors), time_step_h=T)
+        idx = build_state_index(cfg)
+        speeds = np.array([ratio for *_, ratio in drawn]) * cfg.lengths_km / T
+        A = build_A(idx, cfg.lengths_km, T, speeds)
+        _, rank = observability_gramian([A] * (2 * idx.dim + 4), build_C(idx, sorted(sensors)))
+        assert validate_network(cfg).ok == (rank == idx.dim)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trafficstate import sensing
@@ -144,6 +144,21 @@ class TestLoaders:
         path.write_text("vehicle_id,t_s,x_m\n1,0,0\n")
         with pytest.raises(InputError, match="header"):
             load_trajectories(path)
+
+    @pytest.mark.parametrize(
+        "header, load",
+        [
+            ("vehicle_id,t_s,x_m,lane,speed_mps,t_s", load_trajectories),
+            ("detector_pos_m,t_s,speed_kmh,flow_vph,speed_kmh", load_detectors),
+        ],
+        ids=["trajectories", "detectors"],
+    )
+    def test_a_column_named_twice_raises_naming_it(self, tmp_path, header, load):
+        path = tmp_path / "in.csv"
+        path.write_text(header + "\n" + ",".join(["1"] * len(header.split(","))) + "\n")
+        twice = header.split(",")[-1]
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}: header names column '{twice}' more than once$"):
+            load(path)
 
     def test_trajectory_bad_row_reports_line(self, tmp_path):
         path = tmp_path / "traj.csv"
@@ -288,19 +303,30 @@ class TestLoaders:
 TRAJECTORY_COLUMNS = {"vehicle_id": int, "t_s": _finite, "x_m": _finite, "lane": int, "speed_mps": _finite}
 
 
-def random_trajectory_lines(rng, n_rows, blank_lines):
-    """Header fields and data lines of a trajectory CSV: shuffled columns, one extra text column."""
+INT32_EDGES = [-(2**31), 2**31 - 1]  # the extremes an int32 column holds
+WIDE_VALUES = [-(2**31) - 1, 2**31, 2**40]  # values that widen a column to int64
+
+
+def random_trajectory_lines(rng, n_rows, blank_lines, wide):
+    """Header fields and data lines of a trajectory CSV: shuffled columns, one extra text column.
+
+    Integer values fit in int32, the extremes included, except one when
+    ``wide`` is a (column, value, row) triple.
+    """
     fields = [*TRAJECTORY_COLUMNS, "note"]
     rng.shuffle(fields)
     scale = 10.0 ** rng.integers(-3, 6, size=(n_rows, 3))
     values = {
-        "vehicle_id": rng.integers(-(2**40), 2**40, n_rows).tolist(),
+        "vehicle_id": rng.choice([*INT32_EDGES, *rng.integers(-(2**31), 2**31, 6).tolist()], n_rows).tolist(),
         "lane": rng.integers(-3, 9, n_rows).tolist(),
         "t_s": (rng.standard_normal(n_rows) * scale[:, 0]).tolist(),
         "x_m": np.round(rng.standard_normal(n_rows) * scale[:, 1], 2).tolist(),
         "speed_mps": (rng.standard_normal(n_rows) * scale[:, 2]).tolist(),
         "note": [f"n{i}" for i in range(n_rows)],
     }
+    if wide is not None and n_rows:
+        column, value, row = wide
+        values[column][min(row, n_rows - 1)] = value
     lines = [",".join(str(values[name][i]) for name in fields) for i in range(n_rows)]
     for at in sorted(rng.integers(0, n_rows + 1, blank_lines).tolist(), reverse=True):
         lines.insert(at, "")
@@ -316,15 +342,22 @@ class TestReadColumns:
         blank_lines=st.sampled_from([0, 0, 1, 5]),
         trailing_newline=st.booleans(),
         bad_block=st.none() | st.integers(1, 20),
+        wide=st.none()
+        | st.tuples(st.sampled_from(["vehicle_id", "lane"]), st.sampled_from(WIDE_VALUES), st.integers(0, 2000)),
         seed=st.integers(0, 2**32 - 1),
     )
+    # A value outside int32 first in the fourth block: of the ids, whose
+    # earlier blocks hold int32's extremes, and of the lanes.
+    @example(200, 50, 700, 0, True, None, ("vehicle_id", 2**31, 170), 1)
+    @example(200, 50, 700, 0, True, None, ("lane", -(2**31) - 1, 199), 2)
     def test_blocks_read_what_one_loadtxt_reads(
-        self, n_rows, block_lines, block_chars, blank_lines, trailing_newline, bad_block, seed
+        self, n_rows, block_lines, block_chars, blank_lines, trailing_newline, bad_block, wide, seed
     ):
-        # Any block size gives the columns, bit for bit and dtype for dtype,
-        # of one loadtxt over the whole file; a bad row first in a later
-        # block is reported at its line of the file.
-        fields, lines = random_trajectory_lines(np.random.default_rng(seed), n_rows, blank_lines)
+        # Any block size gives the columns, bit for bit, of one loadtxt over
+        # the whole file, in its dtype for a float column; an integer column
+        # is int32 when every value fits and int64 otherwise. A bad row first
+        # in a later block is reported at its line of the file.
+        fields, lines = random_trajectory_lines(np.random.default_rng(seed), n_rows, blank_lines, wide)
         bad_at = None
         if bad_block is not None and bad_block * block_lines < len(lines) and lines[bad_block * block_lines]:
             bad_at = bad_block * block_lines
@@ -355,8 +388,13 @@ class TestReadColumns:
                 )
         assert list(got) == list(TRAJECTORY_COLUMNS)
         for name, column in got.items():
-            assert column.dtype == want.dtype[name]
-            assert column.tobytes() == want[name].tobytes()
+            expected = want[name]
+            if TRAJECTORY_COLUMNS[name] is int:
+                fits = expected.size == 0 or -(2**31) <= expected.min() <= expected.max() < 2**31
+                assert (wide is None or wide[0] != name or n_rows == 0) == fits
+                expected = expected.astype(np.int32 if fits else np.int64)
+            assert column.dtype == expected.dtype
+            assert column.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(
         "header, row, columns",
@@ -1115,6 +1153,17 @@ class TestTrajectoryData:
         # Ordered columns are adopted, shuffled ones copied; both read-only.
         assert np.shares_memory(traj.t_s, columns[1]) == (order == [0, 1, 2])
         assert not traj.t_s.flags.writeable
+        assert table_rows(traj) == [(3, 0.0, 50.0, 12.0, 2), (7, 0.0, 0.0, 10.0, 1), (7, 1.0, 10.0, 10.0, 1)]
+
+    def test_integer_columns_keep_their_dtype(self):
+        # Integer arrays are adopted as they are, without a cast or a copy;
+        # anything else becomes int64.
+        ids, lane = np.array([3, 7, 7], dtype=np.int32), np.array([2, 1, 1], dtype=np.int16)
+        traj = TrajectoryData(ids, [0.0, 0.0, 1.0], [50.0, 0.0, 10.0], [12.0, 10.0, 10.0], lane)
+        assert (traj.ids.dtype, traj.lane.dtype) == (np.int32, np.int16)
+        assert np.shares_memory(traj.lane, lane)
+        traj = TrajectoryData([3.0, 7.0, 7.0], [0.0, 0.0, 1.0], [50.0, 0.0, 10.0], [12.0, 10.0, 10.0], [2.0, 1.0, 1.0])
+        assert (traj.ids.dtype, traj.lane.dtype) == (np.int64, np.int64)
         assert table_rows(traj) == [(3, 0.0, 50.0, 12.0, 2), (7, 0.0, 0.0, 10.0, 1), (7, 1.0, 10.0, 10.0, 1)]
 
     def test_columns_of_unequal_length_raise(self):
