@@ -122,9 +122,11 @@ def _tuning_echo(tuning, idx) -> dict:
 # least one rate.
 _BATCH_STATE_BYTES = 1_500_000
 
-# Rows per block of the grid writer: enough to amortise the numpy calls,
-# few enough that the strings in flight do not grow with steps x segments.
-_BLOCK_ROWS = 4096
+# Rows per block of the grid writer, in whole steps and at least one step:
+# enough to amortise the numpy calls, few enough that the strings in flight
+# (about 0.8 MB per 1 000 rows of nine full-precision columns) add little
+# to a run's peak memory.
+_BLOCK_ROWS = 1024
 
 
 def _column_fields(block: np.ndarray) -> list[str]:
@@ -348,7 +350,8 @@ def _detector_source(args, cfg: NetworkConfig, rng: np.random.Generator | None) 
         meas,
         rho_true=np.divide(q, meas.speeds_kmh, out=np.full_like(q, np.nan), where=reading),
         v_true=meas.speeds_kmh,
-        ramp_flow_true=np.full_like(q, np.nan),
+        # Detectors see no ramp truth: a read-only all-NaN view, no memory.
+        ramp_flow_true=np.broadcast_to(np.nan, q.shape),
         default_speed=100.0,
         smoothed=False,
         echo={"source": {"detectors": str(args.detectors), "network": str(args.network)}},
@@ -403,14 +406,12 @@ def _run_metrics(cfg: NetworkConfig, columns: Mapping[str, np.ndarray], warmup: 
         return metrics.cv_rho(e[mask], t[mask], warmup=0)
 
     w = None
-    v_used, v_true = columns["v_used"], columns["v_true"]
+    v_true = columns["v_true"]
     if np.isfinite(v_true).any():
-        rho_w = np.where(np.isfinite(rho_true), rho_true, 0.0)
-        vt = np.where(np.isfinite(v_true), v_true, v_used)
-        w = metrics.speed_error_covariance(rho_w, v_used, vt, cfg, warmup=warmup)
+        w = metrics.speed_error_covariance(rho_true, columns["v_used"], v_true, cfg, warmup=warmup)
 
     est, truth = columns["ramp_flow_est"], columns["ramp_flow_true"]
-    scored = (np.isfinite(est) & np.isfinite(truth)).all(axis=0)
+    scored = np.isfinite(est).all(axis=0) & np.isfinite(truth).all(axis=0)
     ramp_rmse = lag = lag_rmse = None
     if scored.any():
         # C order: the mean then sums the cells in the same order for any

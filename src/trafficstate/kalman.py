@@ -311,9 +311,12 @@ def run_filter_batch(
     (2 km/h), holds the previous density reading for that sensor, seeded
     from the initial mean; a missing entry or measured ramp flow holds the
     previous one, starting at zero. Held inputs and discretization
-    violations warn in one line each per batch; ``strict_cfl`` makes a
-    violation an error. ``clamp_nonnegative`` floors published densities at
-    zero (the raw filter state keeps evolving unclamped).
+    violations warn in one line each per batch, after the last step.
+    ``check_cfl`` runs on the gap-filled speeds before the first step and
+    before the state and covariance buffers are allocated; ``strict_cfl``
+    makes a violation an error raised there, with no held-input line
+    logged. ``clamp_nonnegative`` floors published densities at zero (the
+    raw filter state keeps evolving unclamped).
 
     The measurement vector reads every flow sensor of the network, in
     ascending segment order, so ``tuning`` is sized to their number.
@@ -370,6 +373,13 @@ def run_filter_batch(
     _hold(z_used, reading, tuning.initial_mean[sel])
     held_steps = np.count_nonzero(~reading.all(axis=2), axis=1)
     del u_ok, v_sensor, reading
+    # The speeds the filter will use are final here: check them before the
+    # covariance buffers exist, so the check's (K, N) temporaries never sit
+    # beside them, and a strict run fails before its first step.
+    cfls = [check_cfl(cfg, v) if K else CflReport(0.0, ()) for v in speeds_used]
+    cfl_msg = None if all(c.ok for c in cfls) else cfl_message(cfls)
+    if cfl_msg and strict_cfl:
+        raise CflViolationError(cfl_msg)
 
     d = idx.dim
     states = np.zeros((n_runs, K + 1, d))
@@ -407,12 +417,8 @@ def run_filter_batch(
     ]
     if held:
         logger.warning("%s; held the previous value", ", ".join(held))
-    cfls = [check_cfl(cfg, v) if K else CflReport(0.0, ()) for v in speeds_used]
-    if not all(c.ok for c in cfls):
-        msg = cfl_message(cfls)
-        if strict_cfl:
-            raise CflViolationError(msg)
-        logger.warning(msg)
+    if cfl_msg:
+        logger.warning(cfl_msg)
 
     published = states
     if clamp_nonnegative:

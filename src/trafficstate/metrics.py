@@ -24,6 +24,9 @@ __all__ = [
 ]
 
 DEFAULT_WARMUP_STEPS = 10
+# Cells per block of the speed-error metric: a whole 360 x 8 preset table
+# is one block.
+_BLOCK_CELLS = 8192
 
 
 @dataclass(frozen=True)
@@ -85,13 +88,31 @@ def speed_error_covariance(
     cells, in veh^2/km^2: the empirical covariance of the conservation
     equation error induced by feeding the filter v_hat instead of the true
     mean speed. ``v_hat`` is the speed series the filter actually used.
+    Where the truth is unknown the cell still counts in the mean: a NaN (or
+    infinite) density weighs 0, and a NaN (or infinite) ``v_bar`` counts as
+    ``v_hat``. The cells are formed ``_BLOCK_CELLS`` at a time into one
+    (K - warmup, N) table, whose ``np.mean`` is the result, so no other
+    table of that size is made.
     """
     vh, vb = _paired(v_hat, v_bar, warmup)
     rho = np.asarray(truth_densities, dtype=float)[warmup:]
     if rho.shape != vh.shape:
         raise ValueError(f"shape mismatch: densities {rho.shape} vs speeds {vh.shape}")
-    ratio = cfg.time_step_h / cfg.lengths_km
-    cells = (ratio[np.newaxis, :] ** 2) * rho**2 * (vh - vb) ** 2
+    ratio2 = (cfg.time_step_h / cfg.lengths_km) ** 2
+    cells = np.empty(rho.shape)
+    step = max(1, _BLOCK_CELLS // max(1, cells[:1].size))
+    for a in range(0, cells.shape[0], step):
+        r, h, b = rho[a : a + step], vh[a : a + step], vb[a : a + step]
+        out = cells[a : a + step]
+        # The products of the one-expression form, in its order, in place.
+        np.square(np.where(np.isfinite(r), r, 0.0), out=out)
+        out *= ratio2
+        dv = np.where(np.isfinite(b), b, h)
+        np.subtract(h, dv, out=dv)
+        np.square(dv, out=dv)
+        out *= dv
+        # Freed before the next block's broadcast multiply takes its buffer.
+        del dv
     return float(np.mean(cells))
 
 

@@ -80,7 +80,7 @@ SNAP_TOLERANCE_M = 100.0
 # many lines at a time.
 READ_BLOCK_CHARS = 1 << 16
 READ_BLOCK_LINES = 1 << 11
-_INT32 = np.iinfo(np.int32)
+_INT32, _INT64 = np.iinfo(np.int32), np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
@@ -219,13 +219,18 @@ def _finite(text: str) -> float:
 
 
 def _bad_row(path: str | Path, columns: Mapping[str, type]) -> str | None:
-    """Describe the first row whose columns fail to convert, as ``path:line:``."""
+    """Describe the first row whose columns fail to convert, as ``path:line:``.
+
+    An ``int`` cell must also fit in int64, as it must for ``np.loadtxt``.
+    """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             try:
                 for name, kind in columns.items():
-                    kind(row[name])
+                    value = kind(row[name])
+                    if kind is int and not _INT64.min <= value <= _INT64.max:
+                        raise ValueError(f"{value} outside int64")
             except (TypeError, ValueError):
                 return f"{path}:{reader.line_num}: bad row {row!r}"
     return None

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -632,6 +633,23 @@ def test_non_finite_input_row_exits_two(tmp_path, capsys, source, good, bad):
     assert not out.exists()
 
 
+def test_vehicle_id_outside_int64_exits_two_naming_its_line(tmp_path, capsys):
+    # The id sits in the second parse block, past 2 048 lines, and Python's
+    # int would read it: the error must still name the file's own line.
+    lines = ["vehicle_id,t_s,x_m,lane,speed_mps"]
+    lines += [f"{i % 50},{i / 10},{i % 100 * 10.0},1,20.0" for i in range(3000)]
+    lines[2501] = "99999999999999999999999" + lines[2501][lines[2501].index(",") :]
+    data = tmp_path / "big.csv"
+    data.write_text("\n".join(lines) + "\n")
+    net = write_network(tmp_path / "net.json")
+    out = tmp_path / "o"
+    assert cli.main(["estimate", "--trajectories", str(data), "--network", str(net), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data}:2502: bad row {{'vehicle_id': '99999999999999999999999'")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 # Each case writes one input file that cannot be used, and the error line
 # that names it. A recording shorter than one step is judged after loading,
 # without its path, like a detector file with no detector near a boundary.
@@ -957,6 +975,42 @@ class TestMetricsCommand:
         assert cli.main(["metrics", "--out", str(out)]) == 0
         assert seen == [NetworkConfig.from_dict(payload)]
         assert seen[0].entry_flow_measured is False
+
+
+def test_run_metrics_holds_one_table_and_one_block():
+    # A detector run's columns: density truth at every tenth segment only,
+    # no ramp truth or estimate. Scoring them allocates one (K, N) float
+    # table and one block of the speed-error metric, with one block more of
+    # slack for bool masks and numpy's ufunc buffer; the full-size copies of
+    # the truth it once made would need 1.87 MiB here.
+    K, N = 300, 200
+    sensors = list(range(9, N, 10))
+    cfg = NetworkConfig(
+        segments=tuple(Segment(0.5) for _ in range(N)),
+        flow_sensor_segments=frozenset(s + 1 for s in sensors),
+        time_step_h=5 / 3600,
+    )
+    rng = np.random.default_rng(3)
+    rho_true = np.full((K, N), np.nan)
+    rho_true[:, sensors] = rng.uniform(10.0, 60.0, (K, len(sensors)))
+    no_value = np.broadcast_to(np.nan, (K, N))
+    columns = {
+        "rho_true": rho_true,
+        "rho_est": rng.uniform(10.0, 60.0, (K, N)),
+        "v_used": rng.uniform(20.0, 100.0, (K, N)),
+        "q_sensor": no_value,
+        "v_true": rng.uniform(20.0, 100.0, (K, N)),
+        "ramp_flow_true": no_value,
+        "ramp_flow_est": no_value,
+    }
+    tracemalloc.start()
+    try:
+        block = cli._run_metrics(cfg, columns, metrics.DEFAULT_WARMUP_STEPS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block["speed_error_covariance_w"] > 0.0
+    assert peak <= (K * N + 2 * metrics._BLOCK_CELLS) * np.dtype(float).itemsize
 
 
 @pytest.mark.parametrize(

@@ -825,6 +825,35 @@ class TestRunFilterBatch:
         with pytest.raises(CflViolationError, match="in 3 of 3 runs"):
             run_filter_batch(cfg, idx, default_tuning(idx, 1), batch, strict_cfl=True)
 
+    def test_cfl_is_checked_before_the_first_step(self, monkeypatch, caplog):
+        # The speeds break the bound and entry flows are missing. A strict
+        # batch fails before any step; a relaxed one runs every step and
+        # still logs the held inputs before the violations.
+        cfg = make_config(2, sensors=(2,), time_step_h=5 / 3600, length=0.05)
+        idx = build_state_index(cfg)
+        entry = np.full(6, 1000.0)
+        entry[1] = np.nan
+        batch = [Measurements(np.full((6, 2), 40.0), entry, {2: np.full(6, 1000.0)}) for _ in range(2)]
+        calls = []
+        real = kalman._gain
+
+        def gain(*args):
+            calls.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(kalman, "_gain", gain)
+        with caplog.at_level(logging.WARNING, logger="trafficstate.kalman"):
+            with pytest.raises(CflViolationError, match="at 24 \\(step, segment\\) pairs in 2 of 2 runs"):
+                run_filter_batch(cfg, idx, default_tuning(idx, 1), batch, strict_cfl=True)
+            assert calls == []
+            results = run_filter_batch(cfg, idx, default_tuning(idx, 1), batch)
+        assert calls == list(range(6))
+        assert [r.getMessage() for r in caplog.records] == [
+            "entry flow missing at 2 of 12 steps in 2 of 2 runs; held the previous value",
+            "discretization accuracy bound exceeded at 24 (step, segment) pairs in 2 of 2 runs, max ratio 1.111",
+        ]
+        assert [len(r.cfl.violations) for r in results] == [12, 12]
+
 
 class TestObservabilityGramian:
     def placement_case(self):

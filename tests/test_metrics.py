@@ -1,8 +1,13 @@
 """Tests for the run evaluation metrics."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from trafficstate import metrics
 from trafficstate.metrics import (
     DEFAULT_WARMUP_STEPS,
     RunMetrics,
@@ -101,6 +106,43 @@ class TestSpeedErrorCovariance:
         cfg = one_cell_config()
         with pytest.raises(ValueError, match="shape mismatch"):
             speed_error_covariance(np.zeros((2, 1)), np.zeros((3, 1)), np.zeros((3, 1)), cfg)
+
+    @settings(max_examples=150)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_steps=st.integers(1, 40),
+        n_segments=st.integers(1, 9),
+        block_cells=st.sampled_from([1, 5, 16, 33, metrics._BLOCK_CELLS]),
+        warmup_share=st.floats(0.0, 1.0, exclude_max=True),
+        unknown=st.sampled_from([0.0, 0.2, 0.7, 1.0]),
+    )
+    # Three blocks of 4 rows and a last block of 1; then a warm-up of 10
+    # that leaves 3 of 13 rows, fewer than one block of 5.
+    @example(seed=0, n_steps=13, n_segments=4, block_cells=16, warmup_share=0.0, unknown=0.2)
+    @example(seed=1, n_steps=13, n_segments=1, block_cells=5, warmup_share=0.77, unknown=0.7)
+    def test_blocks_match_the_one_expression_form_bit_for_bit(
+        self, seed, n_steps, n_segments, block_cells, warmup_share, unknown
+    ):
+        # A non-finite truth density weighs 0 and a non-finite true speed
+        # counts as the speed used, over any block size and warm-up.
+        rng = np.random.default_rng(seed)
+        cfg = NetworkConfig(
+            segments=tuple(Segment(float(x)) for x in rng.uniform(0.2, 0.8, n_segments)),
+            flow_sensor_segments=frozenset({n_segments}),
+            time_step_h=5 / 3600,
+        )
+        shape = (n_steps, n_segments)
+        rho, v_hat, v_bar = rng.uniform(0, 150, shape), rng.uniform(0, 120, shape), rng.uniform(0, 120, shape)
+        rho[rng.random(shape) < unknown] = np.nan
+        gaps = rng.random(shape) < unknown
+        v_bar[gaps] = rng.choice([np.nan, np.inf, -np.inf], np.count_nonzero(gaps))
+        warmup = int(warmup_share * n_steps)
+        with mock.patch.object(metrics, "_BLOCK_CELLS", block_cells):
+            got = speed_error_covariance(rho, v_hat, v_bar, cfg, warmup=warmup)
+        ratio = cfg.time_step_h / cfg.lengths_km
+        r, h, b = rho[warmup:], v_hat[warmup:], v_bar[warmup:]
+        want = np.mean((ratio**2) * np.where(np.isfinite(r), r, 0) ** 2 * (h - np.where(np.isfinite(b), b, h)) ** 2)
+        assert got == float(want)
 
 
 class TestRampFlowMetrics:
