@@ -344,7 +344,7 @@ def _detector_source(args, cfg: NetworkConfig, rng: np.random.Generator | None) 
     """Detector readings as reported: no sampling draws from ``rng``, no smoothing."""
     meas = sensing.frames_from_detectors(sensing.load_detectors(args.detectors), cfg)
     # Density truth: the sensor flow over the speed, where the filter would read it.
-    q = meas.sensor_table(range(1, cfg.n_segments + 1))
+    q = meas.flows_vph[:, 1:]
     reading = np.isfinite(q) & (meas.speeds_kmh > kalman.V_FLOOR_KMH)
     return _Source(
         meas,
@@ -499,7 +499,7 @@ def cmd_estimate(args) -> int:
         "rho_true": src.rho_true,
         "rho_est": fr.densities[:K],
         "v_used": fr.speeds_used,
-        "q_sensor": meas.sensor_table(range(1, n + 1)),
+        "q_sensor": meas.flows_vph[:, 1:],
         "v_true": src.v_true,
         "ramp_flow_true": src.ramp_flow_true,
         "ramp_flow_est": _segment_table(K, n, ramp_est),

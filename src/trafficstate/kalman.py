@@ -318,8 +318,9 @@ def run_filter_batch(
     logged. ``clamp_nonnegative`` floors published densities at zero (the
     raw filter state keeps evolving unclamped).
 
-    The measurement vector reads every flow sensor of the network, in
-    ascending segment order, so ``tuning`` is sized to their number.
+    Of ``flows_vph`` only the entry flow, column 0, and the network's flow
+    sensors are read. The measurement vector reads the sensors in ascending
+    segment order, so ``tuning`` is sized to their number.
 
     Each step is the update of ``kf_step`` computed from the model's
     structure in O(dim^2): see the module docstring.
@@ -337,24 +338,20 @@ def run_filter_batch(
             f"measurement_cov is {tuning.n_measurements}x{tuning.n_measurements},"
             f" but {len(sensor_segments)} sensors are in use"
         )
-    # Each run's columns: speeds (K, N), sensor flows (K, m) and inputs
-    # (K, n_inputs), whose flow columns still have their gaps.
-    read = [
-        (
-            meas.speeds_kmh,
-            meas.sensor_table(sensor_segments),
-            build_u(idx, meas.entry_flow_vph, meas.measured_ramp_flows_vph),
-        )
-        for meas in runs
-    ]
+
+    def columns(meas: Measurements) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Speeds (K, N), sensor flows (K, m) and inputs (K, n_inputs), flows with their gaps."""
+        if meas.speeds_kmh.shape[1] != n:
+            raise ValueError(f"expected {n} segment speeds per step, got {meas.speeds_kmh.shape[1]}")
+        flows = meas.flows_vph
+        return meas.speeds_kmh, flows[:, sensor_segments], build_u(idx, flows[:, 0], meas.ramp_flows_vph)
+
+    read = [columns(meas) for meas in runs]
     if not read:
         raise ValueError("run_filter_batch needs at least one run")
     step_counts = sorted({speeds.shape[0] for speeds, _, _ in read})
     if len(step_counts) > 1:
         raise ValueError(f"runs of a batch must share their step count, got {step_counts}")
-    for speeds, _, _ in read:
-        if speeds.shape[1] != n:
-            raise ValueError(f"expected {n} segment speeds per step, got {speeds.shape[1]}")
     n_runs, K = len(read), step_counts[0]
 
     # Run-major columns: (runs, K, ...), gaps filled in place.

@@ -12,7 +12,7 @@ change every step while B and C are constant for a fixed network.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -156,34 +156,29 @@ def build_B(idx: StateIndex, lengths_km: Sequence[float], time_step_h: float) ->
     return B
 
 
-def build_u(
-    idx: StateIndex,
-    entry_flow_vph,
-    measured_ramp_flows_vph: Mapping[int, object] | None = None,
-) -> np.ndarray:
-    """Input vector from the entry flow and measured ramp flow magnitudes.
+def build_u(idx: StateIndex, entry_flow_vph, ramp_table: np.ndarray | None = None) -> np.ndarray:
+    """Input vector from the entry flow and the measured ramps' flow magnitudes.
 
-    Ramp flows are keyed by 1-based segment and given as non-negative
-    magnitudes; the sign is applied here from the ramp kind (off-ramps
-    enter negatively). Segments absent from the mapping default to zero.
-    Given (K,) columns instead of scalars, the result has a leading step
-    axis: one input vector per step, shape (K, n_inputs).
+    Column i of ``ramp_table`` (..., N) is read for a measured ramp on segment
+    i, as a non-negative magnitude; the sign is applied here from the ramp
+    kind (off-ramps enter negatively). Without a table the ramps flow zero.
+    Given (K,) entry flows and a (K, N) table, the result has a leading
+    step axis: one input vector per step, shape (K, n_inputs).
     """
-    flows = dict(measured_ramp_flows_vph or {})
     entry = np.asarray(entry_flow_vph, dtype=float)
     u = np.zeros(entry.shape + (idx.n_inputs,))
     u[..., 0] = entry
-    for jcol, (seg, kind) in enumerate(
-        zip(idx.measured_ramp_segments, idx.measured_ramp_kinds), start=1
-    ):
-        mag = np.asarray(flows.pop(seg, 0.0), dtype=float)
+    shape = entry.shape + (idx.n_segments,)
+    ramps = np.zeros(shape) if ramp_table is None else np.asarray(ramp_table, dtype=float)
+    if ramps.shape != shape:
+        raise ValueError(f"ramp table must have shape {shape}, got {ramps.shape}")
+    for jcol, (seg, kind) in enumerate(zip(idx.measured_ramp_segments, idx.measured_ramp_kinds), start=1):
+        mag = ramps[..., seg - 1]
         if (mag < 0.0).any():
             raise ValueError(
                 f"ramp flow magnitude at segment {seg} must be non-negative, got {mag[mag < 0.0].min()}"
             )
         u[..., jcol] = mag if kind is RampType.ON else -mag
-    if flows:
-        raise ValueError(f"flows given for segments without a measured ramp: {sorted(flows)}")
     return u
 
 

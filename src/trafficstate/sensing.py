@@ -1,6 +1,6 @@
 """Measurement extraction: probe speeds, flow detectors, ground truth.
 
-Two ingestion paths produce the same columnar Measurements:
+Two ingestion paths produce the same Measurements tables:
 
 * vehicle trajectories (microscopic data): a random subset of vehicles is
   marked as connected, segment speeds are averaged over the connected
@@ -40,8 +40,9 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import islice
 from pathlib import Path
@@ -85,49 +86,42 @@ _INT32, _INT64 = np.iinfo(np.int32), np.iinfo(np.int64)
 
 @dataclass(frozen=True)
 class Measurements:
-    """Everything the estimator consumes over K steps, one column per quantity.
+    """Everything the estimator consumes over K steps, as three C-contiguous tables.
 
-    ``speeds_kmh`` is (K, N), NaN where no vehicle reported. The entry flow
-    and every flow series are (K,), NaN where missing (the filter holds the
-    previous value). Flow maps are keyed by 1-based segment; ramp flows are
-    non-negative magnitudes regardless of ramp direction.
+    ``speeds_kmh`` is (K, N), NaN where no vehicle reported. Column b of
+    ``flows_vph`` (K, N + 1) is the flow past segment boundary b: the entry
+    flow at b = 0, the flow sensor's reading at its segment j, NaN where the
+    reading is missing or the boundary has no sensor. ``ramp_flows_vph``
+    (K, N) holds each measured ramp's flow magnitude, whatever its
+    direction, in its segment's column, NaN elsewhere; None measures none.
+    A table given as a strided view is copied, so it keeps no wider table
+    alive.
     """
 
     speeds_kmh: np.ndarray
-    entry_flow_vph: np.ndarray
-    sensor_flows_vph: Mapping[int, np.ndarray] = field(default_factory=dict)
-    measured_ramp_flows_vph: Mapping[int, np.ndarray] = field(default_factory=dict)
+    flows_vph: np.ndarray
+    ramp_flows_vph: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         speeds = np.ascontiguousarray(self.speeds_kmh, dtype=float)
         if speeds.ndim != 2:
             raise ValueError(f"speeds must be a (K, N) table, got shape {speeds.shape}")
-        K = speeds.shape[0]
+        K, n = speeds.shape
 
-        def column(name: str, values) -> np.ndarray:
+        def table(name: str, values, width: int) -> np.ndarray:
             arr = np.ascontiguousarray(values, dtype=float)
-            if arr.shape != (K,):
-                raise ValueError(f"{name} must have shape ({K},), got {arr.shape}")
+            if arr.shape != (K, width):
+                raise ValueError(f"{name} must have shape ({K}, {width}), got {arr.shape}")
             return arr
 
         object.__setattr__(self, "speeds_kmh", speeds)
-        object.__setattr__(self, "entry_flow_vph", column("entry flow", self.entry_flow_vph))
-        for name in ("sensor_flows_vph", "measured_ramp_flows_vph"):
-            series = {
-                int(seg): column(f"flow at segment {seg}", q)
-                for seg, q in sorted(dict(getattr(self, name)).items())
-            }
-            object.__setattr__(self, name, series)
+        object.__setattr__(self, "flows_vph", table("flows", self.flows_vph, n + 1))
+        if self.ramp_flows_vph is not None:
+            object.__setattr__(self, "ramp_flows_vph", table("ramp flows", self.ramp_flows_vph, n))
 
     @property
     def n_steps(self) -> int:
         return self.speeds_kmh.shape[0]
-
-    def sensor_table(self, segments: Sequence[int]) -> np.ndarray:
-        """(K, len(segments)) sensor flows, NaN where a segment has no reading."""
-        missing = np.full(self.n_steps, np.nan)
-        rows = [self.sensor_flows_vph.get(j, missing) for j in segments]
-        return np.array(rows, dtype=float).reshape(len(rows), self.n_steps).T.copy()
 
 
 @dataclass(frozen=True)
@@ -221,16 +215,20 @@ def _finite(text: str) -> float:
 def _bad_row(path: str | Path, columns: Mapping[str, type]) -> str | None:
     """Describe the first row whose columns fail to convert, as ``path:line:``.
 
-    An ``int`` cell must also fit in int64, as it must for ``np.loadtxt``.
+    A cell must also convert as it does for ``np.loadtxt``, which is
+    stricter than Python: ASCII with no ``_``, and an ``int`` cell, once
+    stripped, digits after an optional sign that fit in int64.
     """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             try:
                 for name, kind in columns.items():
-                    value = kind(row[name])
-                    if kind is int and not _INT64.min <= value <= _INT64.max:
-                        raise ValueError(f"{value} outside int64")
+                    value = kind(cell := row[name])
+                    if not cell.isascii() or "_" in cell or kind is int and not (
+                        re.fullmatch(r"[+-]?[0-9]+", cell.strip()) and _INT64.min <= value <= _INT64.max
+                    ):
+                        raise ValueError(f"{cell!r} is not a number np.loadtxt reads")
             except (TypeError, ValueError):
                 return f"{path}:{reader.line_num}: bad row {row!r}"
     return None
@@ -623,23 +621,21 @@ def frames_from_trajectories(
     lanes_kept = None
     if exclude_lanes:
         lanes_kept = frozenset(set(np.unique(traj.lane).tolist()) - set(exclude_lanes))
-    entry = _entry_flow(traj, cfg, n_steps, lanes_kept)
-    sensor_flows = {
-        j: virtual_detector_flow(traj, boundaries_m[j], n_steps, cfg.time_step_h, lanes=lanes_kept)
-        for j in sorted(cfg.flow_sensor_segments)
-    }
+    flows = np.full((n_steps, cfg.n_segments + 1), np.nan)
+    flows[:, 0] = _entry_flow(traj, cfg, n_steps, lanes_kept)
+    for j in cfg.flow_sensor_segments:
+        flows[:, j] = virtual_detector_flow(traj, boundaries_m[j], n_steps, cfg.time_step_h, lanes=lanes_kept)
 
     measured_segments = set(cfg.ramp_segments(measured=True))
     rules_by_segment = {r.segment: r for r in ramp_rules}
     missing = measured_segments - rules_by_segment.keys()
     if missing:
         raise ValueError(f"measured ramps without a lane rule: {sorted(missing)}")
-    ramp_flows = {
-        seg: lane_transition_flow(traj, rules_by_segment[seg], n_steps, cfg.time_step_h)
-        for seg in sorted(measured_segments)
-    }
+    ramp_flows = np.full((n_steps, cfg.n_segments), np.nan) if measured_segments else None
+    for seg in measured_segments:
+        ramp_flows[:, seg - 1] = lane_transition_flow(traj, rules_by_segment[seg], n_steps, cfg.time_step_h)
 
-    return Measurements(speeds, entry, sensor_flows, ramp_flows)
+    return Measurements(speeds, flows, ramp_flows)
 
 
 @dataclass(frozen=True)
@@ -712,8 +708,11 @@ def frames_from_detectors(detectors: Sequence[DetectorSeries], cfg: NetworkConfi
     snapped detectors to their last; steps without a sample stay missing. When
     several samples of one detector map to the same step, the later one
     wins, and a negative flow or speed, a detector fault code, is missing
-    like a NaN; one warning counts each kind of drop.
+    like a NaN; one warning counts each kind of drop. Detectors count no
+    ramp flow, so a network that measures a ramp is an ``InputError``.
     """
+    if measured := cfg.ramp_segments(measured=True):
+        raise InputError(f"detectors count no ramp flow, but the network measures ramps at segments {list(measured)}")
     by_boundary = snap_detectors_to_boundaries(detectors, cfg)
     if not by_boundary:
         raise InputError("no detector lies near any segment boundary")
@@ -723,10 +722,7 @@ def frames_from_detectors(detectors: Sequence[DetectorSeries], cfg: NetworkConfi
     n_steps = int(math.floor((t_end - t0_s) / T_s)) + 1
 
     n = cfg.n_segments
-    sensors = sorted(cfg.flow_sensor_segments)
-    table = np.full((n_steps, n + 1 + len(sensors)), np.nan)
-    speeds, entry, sensor_flows = table[:, :n], table[:, n], dict(zip(sensors, table[:, n + 1 :].T))
-
+    speeds, flows = np.full((n_steps, n), np.nan), np.full((n_steps, n + 1), np.nan)
     dropped = 0
     for b, det in sorted(by_boundary.items()):
         ks = np.rint((det.times_s - t0_s) / T_s).astype(int)
@@ -735,23 +731,21 @@ def frames_from_detectors(detectors: Sequence[DetectorSeries], cfg: NetworkConfi
         keep = (ks >= 0) & (ks < n_steps)
         dropped += int(np.count_nonzero(keep & ~latest))
         keep &= latest
-        if b == 0:
-            entry[ks[keep]] = det.flows_vph[keep]
-            continue
-        speeds[ks[keep], b - 1] = det.speeds_kmh[keep]
-        if b in sensor_flows:
-            sensor_flows[b][ks[keep]] = det.flows_vph[keep]
+        if b:
+            speeds[ks[keep], b - 1] = det.speeds_kmh[keep]
+        if b == 0 or b in cfg.flow_sensor_segments:
+            flows[ks[keep], b] = det.flows_vph[keep]
     if dropped:
         logger.warning(
             "%d detector samples fell on a step already sampled by the same detector;"
             " kept the later one",
             dropped,
         )
-    negative = table < 0.0
-    table[negative] = np.nan
-    if negative.any():
-        logger.warning("%d negative detector flows or speeds treated as missing", np.count_nonzero(negative))
-    return Measurements(speeds, entry, sensor_flows)
+    negative = [table < 0.0 for table in (speeds, flows)]
+    speeds[negative[0]], flows[negative[1]] = np.nan, np.nan
+    if count := sum(map(np.count_nonzero, negative)):
+        logger.warning("%d negative detector flows or speeds treated as missing", count)
+    return Measurements(speeds, flows)
 
 
 def add_measurement_noise(
@@ -764,40 +758,38 @@ def add_measurement_noise(
 ) -> Measurements:
     """Corrupt measurements with independent zero-mean Gaussian noise.
 
-    Flow noise hits every present (finite) entry, sensor and measured ramp
-    flow; speed noise hits every segment speed cell. Values are not clipped
-    unless ``clamp_nonnegative`` floors them at zero, except measured ramp
-    magnitudes, which are always floored (a negative magnitude has no
-    direction to encode). Draws run step by step: the N speeds, then the
-    entry flow, the sensors and the ramps in segment order. ``rng`` is only
-    used when there is something to draw, and may be None otherwise.
+    Flow noise hits every present (finite) cell of ``flows_vph`` and
+    ``ramp_flows_vph``; speed noise hits every speed cell. Values are not
+    clipped unless ``clamp_nonnegative`` floors speeds and flows at zero,
+    except ramp magnitudes, which are always floored (a negative magnitude
+    has no direction to encode). Draws run step by step: the N speeds, the
+    flows by boundary, then the ramps by segment. ``rng`` is only used when
+    there is something to draw, and may be None otherwise. With nothing to
+    draw and nothing to floor, ``meas`` itself is returned.
     """
     if flow_std_vph < 0 or speed_std_kmh < 0:
         raise ValueError("noise standard deviations must be non-negative")
     K, n = meas.speeds_kmh.shape
-    sensors, ramps = meas.sensor_flows_vph, meas.measured_ramp_flows_vph
-    flows = np.column_stack([meas.entry_flow_vph, *sensors.values(), *ramps.values()])
-    table = np.concatenate([meas.speeds_kmh, flows], axis=1)
+    ramps = meas.ramp_flows_vph
+    flows = [meas.flows_vph] if ramps is None else [meas.flows_vph, ramps]
     mask = np.concatenate(
-        [np.full((K, n), speed_std_kmh > 0), np.isfinite(flows) & (flow_std_vph > 0)], axis=1
+        [np.full((K, n), speed_std_kmh > 0), *(np.isfinite(t) & (flow_std_vph > 0) for t in flows)], axis=1
     )
-    scale = np.concatenate([np.full(n, speed_std_kmh), np.full(flows.shape[1], flow_std_vph)])
     n_draws = np.count_nonzero(mask)
     if n_draws and rng is None:
         raise ValueError("an rng is required when noise is requested")
+    if not (n_draws or clamp_nonnegative or (ramps is not None and (ramps < 0.0).any())):
+        return meas
+    table = np.concatenate([meas.speeds_kmh, *flows], axis=1)
     if n_draws:
+        scale = np.where(np.arange(table.shape[1]) < n, speed_std_kmh, flow_std_vph)
         table[mask] += np.broadcast_to(scale, table.shape)[mask] * rng.standard_normal(n_draws)
 
     def floored(x: np.ndarray) -> np.ndarray:
         # Python's max(x, 0.0): -0.0 and NaN pass through unchanged.
         return np.where(0.0 > x, 0.0, x)
 
-    speeds, entry = table[:, :n], table[:, n]
-    flow_cols = table[:, n + 1 :].T
-    noisy_sensors = dict(zip(sensors, flow_cols[: len(sensors)]))
-    noisy_ramps = {s: floored(q) for s, q in zip(ramps, flow_cols[len(sensors) :])}
+    speeds, flows = table[:, :n], table[:, n : 2 * n + 1]
     if clamp_nonnegative:
-        speeds = np.maximum(speeds, 0.0)
-        entry = floored(entry)
-        noisy_sensors = {j: floored(q) for j, q in noisy_sensors.items()}
-    return Measurements(speeds, entry, noisy_sensors, noisy_ramps)
+        speeds, flows = np.maximum(speeds, 0.0), floored(flows)
+    return Measurements(speeds, flows, None if ramps is None else floored(table[:, 2 * n + 1 :]))

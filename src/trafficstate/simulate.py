@@ -192,7 +192,8 @@ def synthetic_measurements(
     tables and no ``rng`` is needed. Below it, probe speeds are emulated by
     ``emulate_probe_speeds``, and the result depends only on the generator
     state. Flows are the truth: the entry demand, the sensor segments'
-    flows and the measured ramps' magnitudes.
+    flows and the measured ramps' magnitudes (zero where the scenario
+    gives none).
     """
     sc = result.scenario
     if penetration >= 1.0:
@@ -201,12 +202,16 @@ def synthetic_measurements(
         raise ValueError("an rng is required when sampling is requested")
     else:
         speeds = emulate_probe_speeds(result, penetration, rng, speed_spread_kmh=speed_spread_kmh)
-    return Measurements(
-        speeds,
-        sc.entry_flow_vph,
-        {j: result.segment_flows[:, j - 1] for j in sc.cfg.flow_sensor_segments},
-        {seg: sc.ramp_flows_vph.get(seg, np.zeros(sc.n_steps)) for seg in sc.cfg.ramp_segments(measured=True)},
-    )
+    n = sc.cfg.n_segments
+    flows = np.full((sc.n_steps, n + 1), np.nan)
+    flows[:, 0] = sc.entry_flow_vph
+    for j in sc.cfg.flow_sensor_segments:
+        flows[:, j] = result.segment_flows[:, j - 1]
+    measured = sc.cfg.ramp_segments(measured=True)
+    ramps = np.full((sc.n_steps, n), np.nan) if measured else None
+    for seg in measured:
+        ramps[:, seg - 1] = sc.ramp_flows_vph.get(seg, 0.0)
+    return Measurements(speeds, flows, ramps)
 
 
 def _raised_cosine(k: np.ndarray, start: int, end: int) -> np.ndarray:

@@ -650,6 +650,42 @@ def test_vehicle_id_outside_int64_exits_two_naming_its_line(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "source, column, cell",
+    [
+        ("--trajectories", "vehicle_id", "1_000"),
+        ("--trajectories", "vehicle_id", "\u0663"),
+        ("--trajectories", "lane", "\u0663"),
+        ("--trajectories", "x_m", "1_0.5"),
+        ("--trajectories", "x_m", "\u0663"),
+        ("--detectors", "flow_vph", "1_0.5"),
+    ],
+    ids=["id-underscore", "id-non-ascii", "lane-non-ascii", "x-underscore", "x-non-ascii", "flow-underscore"],
+)
+def test_cell_only_python_reads_exits_two_naming_its_line(tmp_path, capsys, source, column, cell):
+    # Python's int() and float() read these cells, np.loadtxt does not: the
+    # error must name line 2 503, in the second parse block, not a row of it.
+    if source == "--trajectories":
+        lines = ["vehicle_id,t_s,x_m,lane,speed_mps"]
+        lines += [f"{i % 50},{i / 10},{i % 100 * 10.0},1,20.0" for i in range(3000)]
+    else:
+        lines = ["detector_pos_m,t_s,flow_vph,speed_kmh"]
+        lines += [f"{i % 2 * 1000.0},{i // 2 * 5.0},2700.0,90.0" for i in range(3000)]
+    cells = lines[2502].split(",")
+    cells[lines[0].split(",").index(column)] = cell
+    lines[2502] = ",".join(cells)
+    data = tmp_path / "big.csv"
+    data.write_text("\n".join(lines) + "\n")
+    net = write_network(tmp_path / "net.json")
+    out = tmp_path / "o"
+    assert cli.main(["estimate", source, str(data), "--network", str(net), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data}:2503: bad row {{")
+    assert f"'{column}': '{cell}'" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 # Each case writes one input file that cannot be used, and the error line
 # that names it. A recording shorter than one step is judged after loading,
 # without its path, like a detector file with no detector near a boundary.
@@ -755,6 +791,21 @@ def test_measured_ramp_without_a_lane_rule_exits_two_before_loading(tmp_path, ca
     args = ["estimate", "--trajectories", str(write_trajectories(tmp_path / "t.csv")), "--network", str(net)]
     assert cli.main([*args, "--out", str(out)]) == 2
     assert "error: measured ramps without a --ramp-lane rule: [2]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_detectors_on_a_network_with_a_measured_ramp_exit_two(tmp_path, capsys):
+    # Detectors count no ramp flow; the run must not feed the ramp a silent zero.
+    net = tmp_path / "net.json"
+    payload = json.loads(write_network(net, n=3, sensors=(3,)).read_text())
+    for seg in (1, 2):
+        payload["segments"][seg].update(ramp="on_ramp", ramp_measured=True)
+    net.write_text(json.dumps(payload))
+    out = tmp_path / "o"
+    det = write_detectors(tmp_path / "d.csv", positions=(0.0, 500.0, 1000.0, 1500.0))
+    assert cli.main(["estimate", "--detectors", str(det), "--network", str(net), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: detectors count no ramp flow, but the network measures ramps at segments [2, 3]\n"
     assert not out.exists()
 
 
@@ -881,6 +932,67 @@ def test_row_order_changes_no_output_byte(tmp_path):
         assert cli.main([*args, "--warmup", "0", "--out", str(out)]) == 0
         digests.append((out / "estimates.csv").read_bytes())
     assert digests[1] == digests[0] and digests[2] == digests[0]
+
+
+def _blank_q_sensor(out_dir, n_segments):
+    """(K, N) mask of the empty ``q_sensor`` fields of a run's estimates.csv."""
+    header, rows = read_csv(out_dir / "estimates.csv")
+    column = header.index("q_sensor")
+    return np.array([row[column] == "" for row in rows]).reshape(-1, n_segments)
+
+
+class TestFlowTableLayout:
+    """Only boundary 0 and the sensor boundaries carry flows, and estimates.csv shows just those.
+
+    ``test_simulate`` holds the same property for ``synthetic_measurements``.
+    """
+
+    @settings(max_examples=25)
+    @given(
+        source=st.sampled_from(["trajectories", "detectors"]),
+        n=st.integers(1, 4),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_flows_off_the_sensors_are_missing_and_written_blank(self, tmp_path_factory, source, n, data, seed):
+        sensors = data.draw(st.sets(st.integers(1, n), min_size=1), label="sensors")
+        rng = np.random.default_rng(seed)
+        tmp = tmp_path_factory.mktemp("layout")
+        net = write_network(tmp / "net.json", n=n, sensors=sorted(sensors))
+        cfg = load_network(net)
+        data_file = tmp / "in.csv"
+        if source == "trajectories":
+            # A few vehicles at constant speeds, some starting inside the stretch.
+            lines = ["vehicle_id,t_s,x_m,lane,speed_mps"]
+            for vid in range(1, int(rng.integers(2, 6))):
+                x0, v, t0 = rng.uniform(-100.0, 500.0 * n), rng.uniform(5.0, 40.0), rng.integers(0, 10)
+                lines += [f"{vid},{t0 + t},{x0 + v * t!r},1,{v!r}" for t in range(25)]
+        else:
+            # A detector at every boundary; about a fifth of the readings missing.
+            lines = ["detector_pos_m,t_s,flow_vph,speed_kmh"]
+            for t in range(0, 60, 5):
+                for b in range(n + 1):
+                    flow = "nan" if rng.random() < 0.2 else repr(rng.uniform(0.0, 3000.0))
+                    lines.append(f"{500.0 * b},{t},{flow},{rng.uniform(20.0, 110.0)!r}")
+        data_file.write_text("\n".join(lines) + "\n")
+        if source == "trajectories":
+            meas = sensing.frames_from_trajectories(sensing.load_trajectories(data_file), cfg, 1.0, rng)
+        else:
+            meas = sensing.frames_from_detectors(sensing.load_detectors(data_file), cfg)
+        off = [b for b in range(1, n + 1) if b not in sensors]
+        assert np.isnan(meas.flows_vph[:, off]).all()
+        out = tmp / "out"
+        args = ["estimate", f"--{source}", str(data_file), "--network", str(net), "--warmup", "0"]
+        assert cli.main([*args, "--out", str(out)]) == 0
+        assert np.array_equal(_blank_q_sensor(out, n), np.isnan(meas.flows_vph[:, 1:]))
+
+    @pytest.mark.parametrize("preset", simulate.PRESET_NAMES)
+    def test_preset_q_sensor_is_blank_off_the_sensors(self, tmp_path, preset):
+        assert cli.main(["estimate", "--preset", preset, "--seed", "1", "--out", str(tmp_path)]) == 0
+        cfg = simulate.make_congestion_scenario(preset, 1).cfg
+        blank = _blank_q_sensor(tmp_path, cfg.n_segments)
+        sensor = np.isin(np.arange(1, cfg.n_segments + 1), sorted(cfg.flow_sensor_segments))
+        assert np.array_equal(blank, np.broadcast_to(~sensor, blank.shape))
 
 
 class TestMetricsCommand:
@@ -1088,7 +1200,7 @@ def _oracle_estimates_csv(path, cfg, meas, filter_result, *, rho_true, v_true, r
     _fmt = _oracle_fmt
     n = cfg.n_segments
     K = meas.n_steps
-    q_sensor = meas.sensor_table(range(1, n + 1))
+    q_sensor = meas.flows_vph[:, 1:]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(cli._CSV_COLUMNS)
@@ -1174,11 +1286,11 @@ def test_grid_writer_matches_the_per_cell_writer(tmp_path_factory, data):
     absent = data.draw(st.sets(st.sampled_from(["rho_true", "v_true"])), label="absent")
 
     cfg = NetworkConfig(segments=tuple(Segment(0.5) for _ in range(N)), flow_sensor_segments=frozenset({N}), time_step_h=5 / 3600)
-    meas = Measurements(
-        speeds_kmh=speeds,
-        entry_flow_vph=np.full(K, 1000.0),
-        sensor_flows_vph={seg: sensor_rows[:, seg - 1] for seg in sensors},
-    )
+    flows = np.full((K, N + 1), np.nan)
+    flows[:, 0] = 1000.0
+    for seg in sensors:
+        flows[:, seg] = sensor_rows[:, seg - 1]
+    meas = Measurements(speeds, flows)
     # Filter densities carry one more row than there are steps.
     result = SimpleNamespace(densities=np.vstack([states, extra_row]), speeds_used=speeds_used)
     kwargs = dict(
@@ -1191,7 +1303,7 @@ def test_grid_writer_matches_the_per_cell_writer(tmp_path_factory, data):
         "rho_true": kwargs["rho_true"],
         "rho_est": result.densities,
         "v_used": speeds_used,
-        "q_sensor": meas.sensor_table(range(1, N + 1)),
+        "q_sensor": meas.flows_vph[:, 1:],
         "v_true": kwargs["v_true"],
         "ramp_flow_true": cli._segment_table(K, N, kwargs["ramp_true"]),
         "ramp_flow_est": cli._segment_table(K, N, kwargs["ramp_est"]),

@@ -312,32 +312,28 @@ class TestGain:
 
 
 def fixed_point_frames(k_steps, entry=1800.0, speed=90.0, flow=1800.0):
-    return Measurements(
-        speeds_kmh=np.full((k_steps, 2), speed),
-        entry_flow_vph=np.full(k_steps, entry),
-        sensor_flows_vph={2: np.full(k_steps, flow)},
-    )
+    # Boundary 0 reads the entry flow, boundary 1 has no sensor, boundary 2 does.
+    return Measurements(np.full((k_steps, 2), speed), np.tile([entry, np.nan, flow], (k_steps, 1)))
 
 
 def random_frames(rng, cfg, idx, n_steps, *, max_ratio=0.9, drop=0.2):
     """Random measurements; about ``drop`` of speeds, flows and entries are missing."""
     n = cfg.n_segments
     speeds = np.empty((n_steps, n))
-    sensors = {s: np.full(n_steps, np.nan) for s in sorted(cfg.flow_sensor_segments)}
-    ramps = {s: np.empty(n_steps) for s in idx.measured_ramp_segments}
-    entry = np.full(n_steps, np.nan)
+    flows = np.full((n_steps, n + 1), np.nan)
+    ramps = np.full((n_steps, n), np.nan) if idx.measured_ramp_segments else None
     for k in range(n_steps):
         v = rng.uniform(0.0, max_ratio, size=n) * cfg.lengths_km / cfg.time_step_h
         v[rng.random(n) < drop] = np.nan
         speeds[k] = v
-        for s in sensors:
+        for s in sorted(cfg.flow_sensor_segments):
             if rng.random() >= drop:
-                sensors[s][k] = rng.uniform(500.0, 3000.0)
-        for s in ramps:
-            ramps[s][k] = rng.uniform(0.0, 600.0)
+                flows[k, s] = rng.uniform(500.0, 3000.0)
+        for s in idx.measured_ramp_segments:
+            ramps[k, s - 1] = rng.uniform(0.0, 600.0)
         if rng.random() >= drop:
-            entry[k] = rng.uniform(500.0, 4000.0)
-    return Measurements(speeds, entry, sensors, ramps)
+            flows[k, 0] = rng.uniform(500.0, 4000.0)
+    return Measurements(speeds, flows, ramps)
 
 
 def _worst_gap_to_kf_steps(cfg, idx, tuning, meas, result):
@@ -348,11 +344,10 @@ def _worst_gap_to_kf_steps(cfg, idx, tuning, meas, result):
     entry = 0.0
     worst = 0.0
     for k in range(meas.n_steps):
-        if np.isfinite(meas.entry_flow_vph[k]):
-            entry = meas.entry_flow_vph[k]
+        if np.isfinite(meas.flows_vph[k, 0]):
+            entry = meas.flows_vph[k, 0]
         A = build_A(idx, cfg.lengths_km, cfg.time_step_h, result.speeds_used[k])
-        ramps = {s: q[k] for s, q in meas.measured_ramp_flows_vph.items()}
-        u = build_u(idx, entry, ramps)
+        u = build_u(idx, entry, None if meas.ramp_flows_vph is None else meas.ramp_flows_vph[k])
         z = result.measurements_used[k]
         assert np.allclose(result.innovations[k], z - C @ state.x_hat, rtol=0, atol=1e-9)
         state = kf_step(state, LtvSnapshot(A=A, B=B, u=u, C=C), z, tuning)
@@ -447,11 +442,11 @@ class TestRunFilter:
             filled = np.where(~np.isfinite(v), last_speed, v)
             filled[~np.isfinite(filled)] = 55.0
             last_speed = speeds[k] = filled
-            held_entry_steps += not np.isfinite(meas.entry_flow_vph[k])
+            held_entry_steps += not np.isfinite(meas.flows_vph[k, 0])
             z = held_z.copy()
             held_any = False
             for row, seg in enumerate(sensors):
-                q = meas.sensor_flows_vph[seg][k]
+                q = meas.flows_vph[k, seg]
                 if not np.isfinite(q) or filled[seg - 1] <= v_floor:
                     held_any = True
                     continue
@@ -462,6 +457,37 @@ class TestRunFilter:
         assert result.measurements_used.tobytes() == z_used.tobytes()
         assert result.held_measurement_steps == held_steps
         assert result.held_entry_steps == held_entry_steps
+
+    @settings(max_examples=40)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_steps=st.integers(1, 30),
+        fill=st.sampled_from([-1.0, 0.0, 2500.0, 1e12]),
+    )
+    def test_flows_off_the_sensors_and_measured_ramps_are_never_read(self, seed, n_steps, fill):
+        # Finite values in every flow column of a boundary without a sensor,
+        # and in every ramp column of a segment without a measured ramp,
+        # leave the results unchanged bit for bit.
+        rng = np.random.default_rng(seed)
+        cfg, _ = random_observable_network(rng)
+        cfg = with_measured_ramp(rng, cfg)
+        idx = build_state_index(cfg)
+        tuning = default_tuning(idx, len(cfg.flow_sensor_segments), initial_ramp_state=0.1)
+        meas = random_frames(rng, cfg, idx, n_steps, drop=0.3)
+        off_sensors = [b for b in range(1, cfg.n_segments + 1) if b not in cfg.flow_sensor_segments]
+        unmeasured = [i - 1 for i in range(1, cfg.n_segments + 1) if i not in idx.measured_ramp_segments]
+        assert off_sensors and np.isnan(meas.flows_vph[:, off_sensors]).all()
+        flows, ramps = meas.flows_vph.copy(), meas.ramp_flows_vph.copy()
+        flows[:, off_sensors] = fill
+        ramps[:, unmeasured] = fill
+        filled = Measurements(meas.speeds_kmh, flows, ramps)
+        (want,) = run_filter_batch(cfg, idx, tuning, [meas])
+        (got,) = run_filter_batch(cfg, idx, tuning, [filled])
+        for name in ("states", "speeds_used", "measurements_used", "innovations"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.final.cov.tobytes() == want.final.cov.tobytes()
+        counts = ("held_measurement_steps", "held_entry_steps", "held_ramp_steps")
+        assert [getattr(got, c) for c in counts] == [getattr(want, c) for c in counts]
 
     def test_ill_conditioned_innovation_reports_the_step(self):
         cfg = make_config(3, sensors=(1, 3))
@@ -505,11 +531,7 @@ class TestRunFilter:
         cfg = make_config(3, sensors=(1, 3))
         idx = build_state_index(cfg)
         tuning = default_tuning(idx, 2)
-        frames = Measurements(
-            speeds_kmh=np.full((1, 3), 90.0),
-            entry_flow_vph=[1800.0],
-            sensor_flows_vph={1: [1800.0], 3: [1800.0]},
-        )
+        frames = Measurements(np.full((1, 3), 90.0), [[1800.0, 1800.0, np.nan, 1800.0]])
         result = run_filter(cfg, idx, tuning, frames)
         assert result.sensor_segments == (1, 3)
         assert result.measurements_used.shape == (1, 2)
@@ -518,11 +540,7 @@ class TestRunFilter:
         cfg = make_config(2, sensors=(2,))
         idx = build_state_index(cfg)
         tuning = default_tuning(idx, 1)
-        frames = Measurements(
-            speeds_kmh=np.array([[np.nan, 90.0], [80.0, np.nan]]),
-            entry_flow_vph=[1800.0, 1800.0],
-            sensor_flows_vph={2: [1800.0, 1800.0]},
-        )
+        frames = Measurements(np.array([[np.nan, 90.0], [80.0, np.nan]]), np.tile([1800.0, np.nan, 1800.0], (2, 1)))
         result = run_filter(cfg, idx, tuning, frames, default_speed_kmh=100.0)
         assert np.allclose(result.speeds_used[0], [100.0, 90.0])
         assert np.allclose(result.speeds_used[1], [80.0, 90.0])
@@ -536,11 +554,9 @@ class TestRunFilter:
             initial_mean=np.array([20.0, 25.0]),
             initial_cov=np.eye(2),
         )
-        frames = Measurements(
-            speeds_kmh=np.full((3, 2), 90.0),
-            entry_flow_vph=np.full(3, 1800.0),
-            sensor_flows_vph={2: [np.nan, 2700.0, np.nan]},
-        )
+        flows = np.tile([1800.0, np.nan, np.nan], (3, 1))
+        flows[1, 2] = 2700.0
+        frames = Measurements(np.full((3, 2), 90.0), flows)
         result = run_filter(cfg, idx, tuning, frames)
         # Seeded from the initial mean, then the real reading, then held.
         assert result.measurements_used[0, 0] == pytest.approx(25.0)
@@ -557,11 +573,7 @@ class TestRunFilter:
             initial_mean=np.array([20.0, 25.0]),
             initial_cov=np.eye(2),
         )
-        frames = Measurements(
-            speeds_kmh=np.array([[90.0, 1.5]]),
-            entry_flow_vph=[1800.0],
-            sensor_flows_vph={2: [2700.0]},
-        )
+        frames = Measurements(np.array([[90.0, 1.5]]), [[1800.0, np.nan, 2700.0]])
         result = run_filter(cfg, idx, tuning, frames)
         assert result.measurements_used[0, 0] == pytest.approx(25.0)
         assert result.held_measurement_steps == 1
@@ -575,7 +587,7 @@ class TestRunFilter:
             initial_mean=np.zeros(2),
             initial_cov=np.zeros((2, 2)),
         )
-        frames = Measurements(speeds_kmh=np.full((3, 2), 90.0), entry_flow_vph=np.full(3, np.nan))
+        frames = Measurements(np.full((3, 2), 90.0), np.full((3, 3), np.nan))
         result = run_filter(cfg, idx, tuning, frames)
         # No inflow ever arrives, so the empty-road estimate stays empty.
         assert np.allclose(result.states, 0.0)
@@ -585,7 +597,8 @@ class TestRunFilter:
         idx = build_state_index(cfg)
         entry = np.full(5, 1800.0)
         entry[[0, 2, 3]] = np.nan
-        frames = dataclasses.replace(fixed_point_frames(5), entry_flow_vph=entry)
+        frames = fixed_point_frames(5)
+        frames.flows_vph[:, 0] = entry
         with caplog.at_level(logging.WARNING, logger="trafficstate.kalman"):
             result = run_filter(cfg, idx, default_tuning(idx, 1), frames)
         assert result.held_entry_steps == 3
@@ -597,15 +610,13 @@ class TestRunFilter:
         # any, instead of turning every later state NaN.
         cfg = make_config(3, sensors=(3,), ramps={2: (RampType.ON, True)})
         idx = build_state_index(cfg)
-        ramp, entry = np.full(12, 300.0), np.full(12, 1800.0)
-        ramp[[0, 5]] = np.nan
-        entry[3] = np.nan
-        gapped = Measurements(np.full((12, 3), 90.0), entry, {3: np.full(12, 2000.0)}, {2: ramp})
-        filled = dataclasses.replace(
-            gapped,
-            entry_flow_vph=np.where(np.isnan(entry), 1800.0, entry),
-            measured_ramp_flows_vph={2: np.where(np.arange(12) == 0, 0.0, 300.0)},
-        )
+        flows = np.tile([1800.0, np.nan, np.nan, 2000.0], (12, 1))
+        ramps = np.tile([np.nan, 300.0, np.nan], (12, 1))
+        filled = Measurements(np.full((12, 3), 90.0), flows.copy(), ramps.copy())
+        filled.ramp_flows_vph[0, 1] = 0.0
+        flows[3, 0] = np.nan
+        ramps[[0, 5], 1] = np.nan
+        gapped = Measurements(np.full((12, 3), 90.0), flows, ramps)
         tuning = default_tuning(idx, 1)
         with caplog.at_level(logging.WARNING, logger="trafficstate.kalman"):
             result = run_filter(cfg, idx, tuning, gapped)
@@ -621,11 +632,7 @@ class TestRunFilter:
         cfg = make_config(2, sensors=(2,), time_step_h=5 / 3600, length=0.05)
         idx = build_state_index(cfg)
         tuning = default_tuning(idx, 1)
-        frames = Measurements(
-            speeds_kmh=np.full((1, 2), 40.0),
-            entry_flow_vph=[1000.0],
-            sensor_flows_vph={2: [1000.0]},
-        )
+        frames = Measurements(np.full((1, 2), 40.0), [[1000.0, np.nan, 1000.0]])
         with pytest.raises(CflViolationError, match="max ratio"):
             run_filter(cfg, idx, tuning, frames, strict_cfl=True)
         relaxed = run_filter(cfg, idx, tuning, frames, strict_cfl=False)
@@ -637,7 +644,7 @@ class TestRunFilter:
         # the bound, and the max ratio alone would not say so.
         cfg = make_config(2, sensors=(2,))
         idx = build_state_index(cfg)
-        frames = Measurements(np.array([[100.0, -20.0]]), [1000.0], {2: [1000.0]})
+        frames = Measurements(np.array([[100.0, -20.0]]), [[1000.0, np.nan, 1000.0]])
         with caplog.at_level(logging.WARNING, logger="trafficstate.kalman"):
             run_filter(cfg, idx, default_tuning(idx, 1), frames)
         want = "discretization accuracy bound exceeded at 1 (step, segment) pairs, 1 with a negative speed, max ratio 0.556"
@@ -654,7 +661,7 @@ class TestRunFilter:
             initial_mean=np.array([-5.0, -5.0, 0.2]),
             initial_cov=np.zeros((3, 3)),
         )
-        frames = Measurements(speeds_kmh=np.full((4, 2), 50.0), entry_flow_vph=np.zeros(4))
+        frames = Measurements(np.full((4, 2), 50.0), np.zeros((4, 3)))
         clamped = run_filter(cfg, idx, tuning, frames, clamp_nonnegative=True)
         raw = run_filter(cfg, idx, tuning, frames, clamp_nonnegative=False)
         assert np.all(clamped.densities >= 0.0)
@@ -665,7 +672,7 @@ class TestRunFilter:
     def test_mismatched_tuning_sizes_raise(self):
         cfg = make_config(3, sensors=(3,))
         idx = build_state_index(cfg)
-        empty = Measurements(speeds_kmh=np.zeros((0, 3)), entry_flow_vph=np.zeros(0))
+        empty = Measurements(np.zeros((0, 3)), np.zeros((0, 4)))
         with pytest.raises(ValueError, match="dim"):
             run_filter(cfg, idx, default_tuning(build_state_index(make_config(2, (2,))), 1), empty)
         with pytest.raises(ValueError, match="sensors are in use"):
@@ -674,11 +681,7 @@ class TestRunFilter:
     def test_wrong_frame_speed_shape_raises(self):
         cfg = make_config(3, sensors=(3,))
         idx = build_state_index(cfg)
-        frames = Measurements(
-            speeds_kmh=np.full((1, 2), 80.0),
-            entry_flow_vph=[1000.0],
-            sensor_flows_vph={3: [900.0]},
-        )
+        frames = Measurements(np.full((1, 2), 80.0), [[1000.0, np.nan, np.nan]])
         with pytest.raises(ValueError, match="expected 3 segment speeds"):
             run_filter(cfg, idx, default_tuning(idx, 1), frames)
 
@@ -686,7 +689,7 @@ class TestRunFilter:
         cfg = make_config(3, sensors=(1, 3), ramps={2: (RampType.ON, False)})
         idx = build_state_index(cfg)
         tuning = default_tuning(idx, 2, initial_density=20.0, initial_ramp_state=0.5)
-        empty = Measurements(speeds_kmh=np.zeros((0, 3)), entry_flow_vph=np.zeros(0))
+        empty = Measurements(np.zeros((0, 3)), np.zeros((0, 4)))
         result = run_filter(cfg, idx, tuning, empty)
         flows = result.ramp_flows(cfg.lengths_km, cfg.time_step_h)
         assert flows.shape == (1, 1)
@@ -712,7 +715,8 @@ class TestRunFilterBatch:
         rng = np.random.default_rng(5)
         batch = [random_frames(rng, cfg, idx, 80, drop=drop) for drop in (0.0, 0.3, 0.8)]
         no_entry = random_frames(rng, cfg, idx, 80)
-        batch.append(dataclasses.replace(no_entry, entry_flow_vph=np.full(80, np.nan)))
+        no_entry.flows_vph[:, 0] = np.nan
+        batch.append(no_entry)
         batch.append(random_frames(rng, cfg, idx, 80, max_ratio=1.2))
         results = run_filter_batch(cfg, idx, tuning, batch, default_speed_kmh=70.0, clamp_nonnegative=True)
         assert len(results) == len(batch)
@@ -731,8 +735,8 @@ class TestRunFilterBatch:
         cfg = make_config(3, sensors=(1, 3))
         idx = build_state_index(cfg)
         tuning = default_tuning(idx, 2)
-        flows = {1: np.full(6, 1800.0), 3: np.full(6, 1800.0)}
-        batch = [Measurements(np.full((6, 3), 90.0), np.full(6, 1800.0), flows) for _ in range(3)]
+        flows = np.tile([1800.0, 1800.0, np.nan, 1800.0], (6, 1))
+        batch = [Measurements(np.full((6, 3), 90.0), flows) for _ in range(3)]
         # A speed far past the accuracy bound at step 2 blows up run 1's
         # covariance on segment 1, so S is ill-conditioned at step 3.
         batch[1].speeds_kmh[2, 0] = 1e9
@@ -761,7 +765,7 @@ class TestRunFilterBatch:
         tuning = default_tuning(idx, 2, initial_ramp_state=0.1)
         rng = np.random.default_rng(6)
         batch = [random_frames(rng, cfg, idx, 40, drop=drop) for drop in (0.0, 0.5, 0.9)]
-        inputs = [(meas.speeds_kmh.copy(), meas.entry_flow_vph.copy()) for meas in batch]
+        inputs = [(meas.speeds_kmh.copy(), meas.flows_vph.copy(), meas.ramp_flows_vph.copy()) for meas in batch]
         from_list = run_filter_batch(cfg, idx, tuning, batch)
         from_generator = run_filter_batch(cfg, idx, tuning, (meas for meas in batch))
         assert len(from_generator) == len(from_list) == 3
@@ -773,9 +777,10 @@ class TestRunFilterBatch:
             assert got.held_measurement_steps == want.held_measurement_steps
             assert got.held_entry_steps == want.held_entry_steps
         # Gaps are filled in the stacked copies, never in the runs.
-        for meas, (speeds, entry) in zip(batch, inputs):
+        for meas, (speeds, flows, ramps) in zip(batch, inputs):
             assert np.array_equal(meas.speeds_kmh, speeds, equal_nan=True)
-            assert np.array_equal(meas.entry_flow_vph, entry, equal_nan=True)
+            assert np.array_equal(meas.flows_vph, flows, equal_nan=True)
+            assert np.array_equal(meas.ramp_flows_vph, ramps, equal_nan=True)
 
     def test_runs_are_released_before_the_first_step(self, monkeypatch):
         cfg = make_config(3, sensors=(1, 3))
@@ -808,11 +813,11 @@ class TestRunFilterBatch:
         idx = build_state_index(cfg)
         batch = []
         for j in range(3):
-            entry = np.full(4, 1000.0)
-            entry[: j + 1] = np.nan
+            flows = np.tile([1000.0, np.nan, 1000.0], (4, 1))
+            flows[: j + 1, 0] = np.nan
             speeds = np.full((4, 2), 20.0)
             speeds[: j + 1, 1] = 40.0
-            batch.append(Measurements(speeds, entry, {2: np.full(4, 1000.0)}))
+            batch.append(Measurements(speeds, flows))
         with caplog.at_level(logging.WARNING, logger="trafficstate.kalman"):
             results = run_filter_batch(cfg, idx, default_tuning(idx, 1), batch)
         messages = [r.getMessage() for r in caplog.records]
@@ -831,9 +836,9 @@ class TestRunFilterBatch:
         # still logs the held inputs before the violations.
         cfg = make_config(2, sensors=(2,), time_step_h=5 / 3600, length=0.05)
         idx = build_state_index(cfg)
-        entry = np.full(6, 1000.0)
-        entry[1] = np.nan
-        batch = [Measurements(np.full((6, 2), 40.0), entry, {2: np.full(6, 1000.0)}) for _ in range(2)]
+        flows = np.tile([1000.0, np.nan, 1000.0], (6, 1))
+        flows[1, 0] = np.nan
+        batch = [Measurements(np.full((6, 2), 40.0), flows) for _ in range(2)]
         calls = []
         real = kalman._gain
 

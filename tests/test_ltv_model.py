@@ -150,7 +150,7 @@ class TestBuildBAndU:
         ramps = {2: (RampType.ON, True), 3: (RampType.OFF, True)}
         cfg = make_config(3, sensors=(3,), ramps=ramps)
         idx = build_state_index(cfg)
-        u = build_u(idx, 3600.0, {2: 600.0, 3: 400.0})
+        u = build_u(idx, 3600.0, [np.nan, 600.0, 400.0])
         assert np.allclose(u, [3600.0, 600.0, -400.0])
 
     def test_u_defaults_absent_ramps_to_zero(self):
@@ -162,26 +162,31 @@ class TestBuildBAndU:
         cfg = make_config(2, sensors=(2,), ramps={2: (RampType.ON, True)})
         idx = build_state_index(cfg)
         with pytest.raises(ValueError, match="non-negative"):
-            build_u(idx, 1000.0, {2: -5.0})
+            build_u(idx, 1000.0, [np.nan, -5.0])
 
     def test_u_broadcasts_over_a_step_axis(self):
         ramps = {2: (RampType.ON, True), 3: (RampType.OFF, True)}
         idx = build_state_index(make_config(4, sensors=(4,), ramps=ramps))
         entry = np.array([3600.0, 1200.0, np.nan])
-        flows = {2: np.array([600.0, 0.0, 50.0]), 3: np.array([400.0, 10.0, np.nan])}
-        u = build_u(idx, entry, flows)
+        table = np.full((3, 4), np.nan)
+        table[:, 1] = [600.0, 0.0, 50.0]
+        table[:, 2] = [400.0, 10.0, np.nan]
+        u = build_u(idx, entry, table)
         assert u.shape == (3, 3)
         for k in range(3):
-            want = build_u(idx, entry[k], {seg: q[k] for seg, q in flows.items()})
-            assert np.array_equal(u[k], want, equal_nan=True)
+            assert np.array_equal(u[k], build_u(idx, entry[k], table[k]), equal_nan=True)
+        table[:, 2] = [1.0, -2.0, -1.0]
         with pytest.raises(ValueError, match="segment 3 must be non-negative, got -2.0"):
-            build_u(idx, entry, {3: np.array([1.0, -2.0, -1.0])})
+            build_u(idx, entry, table)
 
-    def test_u_rejects_flows_for_unknown_segments(self):
-        cfg = make_config(2, sensors=(2,), ramps={2: (RampType.ON, True)})
-        idx = build_state_index(cfg)
-        with pytest.raises(ValueError, match="without a measured ramp"):
-            build_u(idx, 1000.0, {1: 100.0})
+    def test_u_reads_only_the_measured_columns(self):
+        # Segment 1 has no ramp and segment 3's is not measured: their
+        # columns are never read, whatever they hold.
+        ramps = {2: (RampType.ON, True), 3: (RampType.OFF, False)}
+        idx = build_state_index(make_config(3, sensors=(3,), ramps=ramps))
+        assert np.array_equal(build_u(idx, 1000.0, [-7.0, 250.0, np.nan]), [1000.0, 250.0])
+        with pytest.raises(ValueError, match=r"ramp table must have shape \(3,\), got \(2,\)"):
+            build_u(idx, 1000.0, [0.0, 250.0])
 
 
 class TestBuildC:
@@ -220,7 +225,7 @@ def step(idx, cfg, x, speeds, entry, measured=None):
 def ramp_flows_of(cfg, idx, x):
     """Ramp flows (veh/h) of state x, as FilterResult.ramp_flows reports them."""
     tuning = dataclasses.replace(default_tuning(idx, len(cfg.flow_sensor_segments)), initial_mean=x)
-    empty = Measurements(np.zeros((0, idx.n_segments)), np.zeros(0))
+    empty = Measurements(np.zeros((0, idx.n_segments)), np.zeros((0, idx.n_segments + 1)))
     result = run_filter(cfg, idx, tuning, empty)
     return dict(zip(idx.theta_segments, result.ramp_flows(cfg.lengths_km, cfg.time_step_h)[0]))
 
@@ -255,15 +260,15 @@ class TestDynamics:
             x = np.concatenate(
                 [rng.uniform(5.0, 60.0, size=n), rng.uniform(0.0, 0.5, size=idx.n_theta)]
             )
-            measured = {
-                seg: float(rng.uniform(0.0, 800.0)) for seg in idx.measured_ramp_segments
-            }
+            measured = np.full(n, np.nan)
+            for seg in idx.measured_ramp_segments:
+                measured[seg - 1] = rng.uniform(0.0, 800.0)
             entry = float(rng.uniform(500.0, 4000.0))
             x1 = step(idx, cfg, x, speeds, entry, measured)
 
             gained = float(np.sum(lengths * (x1[:n] - x[:n])))
             signed_measured = sum(
-                (1.0 if kind is RampType.ON else -1.0) * measured[seg]
+                (1.0 if kind is RampType.ON else -1.0) * measured[seg - 1]
                 for seg, kind in zip(idx.measured_ramp_segments, idx.measured_ramp_kinds)
             )
             theta_flows = ramp_flows_of(cfg, idx, x)

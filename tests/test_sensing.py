@@ -88,37 +88,32 @@ def three_vehicle_traj():
 
 class TestMeasurements:
     def test_coerces_container_types(self):
-        meas = Measurements(
-            speeds_kmh=[[80.0, 90.0]],
-            entry_flow_vph=[1200.0],
-            sensor_flows_vph=((2, [900.0]),),
-        )
+        meas = Measurements(speeds_kmh=[[80.0, 90.0]], flows_vph=[[1200, np.nan, 900.0]])
         assert isinstance(meas.speeds_kmh, np.ndarray)
-        assert isinstance(meas.entry_flow_vph, np.ndarray)
-        assert list(meas.sensor_flows_vph) == [2]
-        assert np.array_equal(meas.sensor_flows_vph[2], [900.0])
-        assert meas.measured_ramp_flows_vph == {}
+        assert meas.flows_vph.dtype == float
+        assert np.array_equal(meas.flows_vph, [[1200.0, np.nan, 900.0]], equal_nan=True)
+        assert meas.ramp_flows_vph is None
         assert meas.n_steps == 1
 
     def test_rejects_columns_of_mismatched_length(self):
         speeds = np.full((3, 2), 80.0)
-        with pytest.raises(ValueError, match="entry flow must have shape"):
-            Measurements(speeds, np.zeros(2))
-        with pytest.raises(ValueError, match="segment 2 must have shape"):
-            Measurements(speeds, np.zeros(3), {2: np.zeros(4)})
-        with pytest.raises(ValueError, match="segment 1 must have shape"):
-            Measurements(speeds, np.zeros(3), {}, {1: np.zeros((3, 1))})
+        with pytest.raises(ValueError, match=r"flows must have shape \(3, 3\), got \(2, 3\)"):
+            Measurements(speeds, np.zeros((2, 3)))
+        with pytest.raises(ValueError, match=r"flows must have shape \(3, 3\), got \(3,\)"):
+            Measurements(speeds, np.zeros(3))
+        with pytest.raises(ValueError, match=r"ramp flows must have shape \(3, 2\), got \(3, 3\)"):
+            Measurements(speeds, np.zeros((3, 3)), np.zeros((3, 3)))
         with pytest.raises(ValueError, match="speeds must be a"):
-            Measurements(np.zeros(3), np.zeros(3))
+            Measurements(np.zeros(3), np.zeros((3, 4)))
 
-    def test_sensor_table_fills_absent_segments_with_nan(self):
-        meas = Measurements(np.zeros((2, 3)), np.zeros(2), {3: [5.0, np.nan], 1: [1.0, 2.0]})
-        assert list(meas.sensor_flows_vph) == [1, 3]
-        table = meas.sensor_table([1, 2, 3])
-        assert table.flags.c_contiguous
-        assert np.array_equal(
-            table, [[1.0, np.nan, 5.0], [2.0, np.nan, np.nan]], equal_nan=True
-        )
+    def test_views_of_a_wider_table_are_copied(self):
+        # A column view would keep the whole table alive; each field gets its
+        # own contiguous array instead.
+        table = np.arange(12.0).reshape(2, 6)
+        meas = Measurements(table[:, :2], table[:, 2:5], table[:, 4:])
+        for field in (meas.speeds_kmh, meas.flows_vph, meas.ramp_flows_vph):
+            assert field.flags.c_contiguous and not np.shares_memory(field, table)
+        assert np.array_equal(meas.flows_vph, table[:, 2:5])
 
 
 class TestLoaders:
@@ -597,10 +592,11 @@ class TestFramesFromTrajectories:
         # 12 s of samples at a 5 s step give two full intervals.
         assert meas.n_steps == 2
         assert np.allclose(meas.speeds_kmh, 180.0)
-        assert meas.entry_flow_vph[0] == pytest.approx(720.0)
-        assert list(meas.sensor_flows_vph) == [2]
-        assert meas.sensor_flows_vph[2][0] == pytest.approx(720.0)
-        assert meas.entry_flow_vph[1] == pytest.approx(0.0)
+        assert meas.flows_vph[0, 0] == pytest.approx(720.0)
+        assert np.isnan(meas.flows_vph[:, 1]).all()
+        assert meas.flows_vph[0, 2] == pytest.approx(720.0)
+        assert meas.flows_vph[1, 0] == pytest.approx(0.0)
+        assert meas.ramp_flows_vph is None
 
     def test_measured_ramp_requires_lane_rule(self):
         cfg = make_config(ramps={2: (RampType.ON, True)})
@@ -618,8 +614,9 @@ class TestFramesFromTrajectories:
         meas = frames_from_trajectories(
             traj, cfg, 1.0, np.random.default_rng(0), ramp_rules=[rule]
         )
-        assert list(meas.measured_ramp_flows_vph) == [2]
-        assert meas.measured_ramp_flows_vph[2] == pytest.approx([720.0, 0.0])
+        assert meas.ramp_flows_vph.shape == (2, 2)
+        assert np.isnan(meas.ramp_flows_vph[:, 0]).all()
+        assert meas.ramp_flows_vph[:, 1] == pytest.approx([720.0, 0.0])
 
     def test_vehicles_first_seen_inside_segment_one_enter(self):
         # A recording that starts at the origin sees each vehicle only after
@@ -639,8 +636,8 @@ class TestFramesFromTrajectories:
             np.random.default_rng(0),
             exclude_lanes=frozenset({9}),
         )
-        entry = meas.entry_flow_vph
-        exit_ = meas.sensor_flows_vph[2]
+        entry = meas.flows_vph[:, 0]
+        exit_ = meas.flows_vph[:, 2]
         assert entry[:50].mean() == pytest.approx(3600.0)
         assert exit_[10:60].mean() == pytest.approx(3600.0)
         # Each vehicle enters once and leaves once; the one at t = 1 is seen
@@ -709,19 +706,21 @@ class TestFramesFromDetectors:
         ]
         meas = frames_from_detectors(detectors, cfg)
         assert meas.n_steps == 3
-        assert list(meas.sensor_flows_vph) == [2]
-        exit_flow = meas.sensor_flows_vph[2]
+        assert meas.ramp_flows_vph is None
+        # Boundary 1's detector has no sensor in the network: its flows are not read.
+        assert np.isnan(meas.flows_vph[:, 1]).all()
+        exit_flow = meas.flows_vph[:, 2]
 
-        assert meas.entry_flow_vph[0] == pytest.approx(3600.0)
+        assert meas.flows_vph[0, 0] == pytest.approx(3600.0)
         assert meas.speeds_kmh[0, 0] == pytest.approx(95.0)
         assert np.isnan(meas.speeds_kmh[0, 1])
         assert np.isnan(exit_flow[0])
 
-        assert meas.entry_flow_vph[1] == pytest.approx(3000.0)
+        assert meas.flows_vph[1, 0] == pytest.approx(3000.0)
         assert meas.speeds_kmh[1, 1] == pytest.approx(88.0)
         assert exit_flow[1] == pytest.approx(2500.0)
 
-        assert np.isnan(meas.entry_flow_vph[2])
+        assert np.isnan(meas.flows_vph[2, 0])
         assert np.isnan(exit_flow[2])
         assert meas.speeds_kmh[2, 0] == pytest.approx(90.0)
 
@@ -734,7 +733,7 @@ class TestFramesFromDetectors:
         ]
         meas = frames_from_detectors(detectors, cfg)
         assert meas.n_steps == 2
-        assert np.array_equal(meas.sensor_flows_vph[2], [np.nan, 2000.0], equal_nan=True)
+        assert np.array_equal(meas.flows_vph[:, 2], [np.nan, 2000.0], equal_nan=True)
         assert np.isnan(meas.speeds_kmh[0, 1])
 
     def test_later_sample_on_the_same_step_wins_and_is_counted(self, caplog):
@@ -748,9 +747,9 @@ class TestFramesFromDetectors:
         with caplog.at_level(logging.WARNING, logger="trafficstate.sensing"):
             meas = frames_from_detectors(detectors, cfg)
         assert meas.n_steps == 3
-        assert meas.sensor_flows_vph[2][1] == 2200.0
+        assert meas.flows_vph[1, 2] == 2200.0
         assert meas.speeds_kmh[1, 1] == 87.0
-        assert meas.entry_flow_vph[2] == 1100.0
+        assert meas.flows_vph[2, 0] == 1100.0
         warnings = [r.getMessage() for r in caplog.records]
         assert len(warnings) == 1
         assert warnings[0].startswith("2 detector samples fell on a step already sampled")
@@ -781,26 +780,40 @@ class TestFramesFromDetectors:
         missing = frames_from_detectors(corridor(np.nan), cfg)
         assert np.isnan(faulty.speeds_kmh[20:30, 1]).all()
         assert np.array_equal(faulty.speeds_kmh, missing.speeds_kmh, equal_nan=True)
-        assert np.array_equal(faulty.entry_flow_vph, missing.entry_flow_vph, equal_nan=True)
-        for j in (2, 3):
-            assert np.array_equal(faulty.sensor_flows_vph[j], missing.sensor_flows_vph[j], equal_nan=True)
+        assert np.array_equal(faulty.flows_vph, missing.flows_vph, equal_nan=True)
+        assert np.isnan(faulty.flows_vph[[7, 3, 25], [0, 2, 2]]).all()
+
+    def test_a_measured_ramp_is_an_input_error(self):
+        cfg = make_config(n=3, sensors=(3,), ramps={2: (RampType.OFF, True), 3: (RampType.ON, False)})
+        detectors = [_series(0.0, times=(0.0,), flows=(900.0,), speeds=(90.0,))]
+        with pytest.raises(InputError, match=r"measures ramps at segments \[2\]$"):
+            frames_from_detectors(detectors, cfg)
 
 
 class TestMeasurementNoise:
     def frames(self):
+        # Entry flow 2000, no sensor at boundary 1, a sensor reading 1500 at
+        # boundary 2, and segment 1's measured ramp at 10 veh/h.
         return Measurements(
             speeds_kmh=np.tile([80.0, 90.0], (40, 1)),
-            entry_flow_vph=np.full(40, 2000.0),
-            sensor_flows_vph={2: np.full(40, 1500.0)},
-            measured_ramp_flows_vph={1: np.full(40, 10.0)},
+            flows_vph=np.tile([2000.0, np.nan, 1500.0], (40, 1)),
+            ramp_flows_vph=np.tile([10.0, np.nan], (40, 1)),
         )
 
     def test_zero_noise_is_identity(self):
-        out = add_measurement_noise(self.frames(), np.random.default_rng(0))
-        assert np.allclose(out.speeds_kmh, [80.0, 90.0])
-        assert np.all(out.entry_flow_vph == 2000.0)
-        assert list(out.sensor_flows_vph) == [2]
-        assert np.all(out.sensor_flows_vph[2] == 1500.0)
+        meas = self.frames()
+        assert add_measurement_noise(meas, np.random.default_rng(0)) is meas
+        assert add_measurement_noise(meas, None, flow_std_vph=0.0, speed_std_kmh=0.0) is meas
+        # Flow noise with no flow present draws nothing either.
+        no_flows = Measurements(meas.speeds_kmh, np.full((40, 3), np.nan))
+        assert add_measurement_noise(no_flows, None, flow_std_vph=50.0) is no_flows
+
+    def test_zero_noise_with_a_clamp_is_a_new_equal_value(self):
+        meas = self.frames()
+        out = add_measurement_noise(meas, None, clamp_nonnegative=True)
+        assert out is not meas
+        for name in ("speeds_kmh", "flows_vph", "ramp_flows_vph"):
+            assert np.array_equal(getattr(out, name), getattr(meas, name), equal_nan=True), name
 
     def test_same_seed_same_noise(self):
         a = add_measurement_noise(
@@ -810,13 +823,15 @@ class TestMeasurementNoise:
             self.frames(), np.random.default_rng(3), flow_std_vph=50.0, speed_std_kmh=2.0
         )
         assert np.array_equal(a.speeds_kmh, b.speeds_kmh)
-        assert np.array_equal(a.entry_flow_vph, b.entry_flow_vph)
+        assert np.array_equal(a.flows_vph, b.flows_vph, equal_nan=True)
+        assert np.array_equal(a.ramp_flows_vph, b.ramp_flows_vph, equal_nan=True)
 
     def test_speed_noise_leaves_flows_alone(self):
         out = add_measurement_noise(
             self.frames(), np.random.default_rng(1), speed_std_kmh=3.0
         )
-        assert np.all(out.entry_flow_vph == 2000.0)
+        assert np.array_equal(out.flows_vph, self.frames().flows_vph, equal_nan=True)
+        assert np.array_equal(out.ramp_flows_vph, self.frames().ramp_flows_vph, equal_nan=True)
         assert not np.allclose(out.speeds_kmh[0], [80.0, 90.0])
 
     def test_ramp_magnitudes_are_always_floored(self):
@@ -826,8 +841,10 @@ class TestMeasurementNoise:
         out = add_measurement_noise(
             self.frames(), np.random.default_rng(2), flow_std_vph=5000.0
         )
-        assert out.measured_ramp_flows_vph[1].min() >= 0.0
-        assert out.sensor_flows_vph[2].min() < 0.0
+        assert out.ramp_flows_vph[:, 0].min() >= 0.0
+        assert out.flows_vph[:, 2].min() < 0.0
+        # Cells without a reading stay missing.
+        assert np.isnan(out.flows_vph[:, 1]).all() and np.isnan(out.ramp_flows_vph[:, 1]).all()
 
     def test_clamp_floors_flows_and_speeds(self):
         out = add_measurement_noise(
@@ -837,16 +854,15 @@ class TestMeasurementNoise:
             speed_std_kmh=200.0,
             clamp_nonnegative=True,
         )
-        assert out.entry_flow_vph.min() >= 0.0
-        assert out.sensor_flows_vph[2].min() >= 0.0
+        assert out.flows_vph[:, [0, 2]].min() >= 0.0
         assert out.speeds_kmh.min() >= 0.0
 
     def test_none_entry_flow_stays_none(self):
         # A missing (NaN) entry flow stays missing and takes no draw.
-        meas = Measurements(speeds_kmh=[[80.0]], entry_flow_vph=[np.nan])
+        meas = Measurements(speeds_kmh=[[80.0]], flows_vph=[[np.nan, np.nan]])
         rng = np.random.default_rng(0)
         out = add_measurement_noise(meas, rng, flow_std_vph=10.0)
-        assert np.isnan(out.entry_flow_vph[0])
+        assert np.isnan(out.flows_vph[0, 0])
         assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
     def test_negative_std_raises(self):
@@ -862,17 +878,16 @@ class TestMeasurementNoise:
 
 
 def _oracle_noise(meas, rng, flow_std, speed_std, clamp):
-    """The per-step noise loop ``add_measurement_noise`` replaced, over the same columns."""
+    """The per-step noise loop ``add_measurement_noise`` replaced, over the same tables."""
 
     def flow(x, floor):
         y = x + rng.normal(0.0, flow_std) if flow_std > 0 else x
         return max(y, 0.0) if floor or clamp else y
 
-    K = meas.n_steps
+    K, n = meas.speeds_kmh.shape
     speeds = np.empty_like(meas.speeds_kmh)
-    entry = np.full(K, np.nan)
-    sensors = {j: np.full(K, np.nan) for j in meas.sensor_flows_vph}
-    ramps = {s: np.full(K, np.nan) for s in meas.measured_ramp_flows_vph}
+    flows = np.full((K, n + 1), np.nan)
+    ramps = None if meas.ramp_flows_vph is None else np.full((K, n), np.nan)
     for k in range(K):
         v = meas.speeds_kmh[k].copy()
         if speed_std > 0:
@@ -880,38 +895,36 @@ def _oracle_noise(meas, rng, flow_std, speed_std, clamp):
         if clamp:
             v = np.maximum(v, 0.0)
         speeds[k] = v
-        if np.isfinite(meas.entry_flow_vph[k]):
-            entry[k] = flow(float(meas.entry_flow_vph[k]), False)
-        for j in sorted(sensors):
-            q = float(meas.sensor_flows_vph[j][k])
+        for b in range(n + 1):
+            q = float(meas.flows_vph[k, b])
             if np.isfinite(q):
-                sensors[j][k] = flow(q, False)
-        for s in sorted(ramps):
-            q = float(meas.measured_ramp_flows_vph[s][k])
+                flows[k, b] = flow(q, False)
+        for i in range(n if ramps is not None else 0):
+            q = float(meas.ramp_flows_vph[k, i])
             if np.isfinite(q):
-                ramps[s][k] = flow(q, True)
-    return Measurements(speeds, entry, sensors, ramps)
+                ramps[k, i] = flow(q, True)
+    return Measurements(speeds, flows, ramps)
 
 
 @st.composite
 def measurement_columns(draw):
-    """Measurements with missing speeds, entry flows and sensor readings."""
+    """Measurements with missing speeds and flows, and boundaries and segments with no reading at all."""
     K = draw(st.integers(0, 6))
     n = draw(st.integers(1, 3))
     value = st.one_of(st.just(np.nan), st.just(-0.0), st.floats(-50.0, 3000.0))
-    segments = st.lists(st.integers(1, 6), max_size=3, unique=True)
 
-    def column():
-        return draw(st.lists(value, min_size=K, max_size=K))
+    def table(width, values):
+        return np.array(draw(st.lists(values, min_size=K * width, max_size=K * width)), dtype=float).reshape(K, width)
 
-    return Measurements(
-        speeds_kmh=np.array(draw(st.lists(value, min_size=K * n, max_size=K * n))).reshape(K, n),
-        entry_flow_vph=column(),
-        sensor_flows_vph={j: column() for j in draw(segments)},
-        measured_ramp_flows_vph={
-            s: draw(st.lists(st.floats(0.0, 800.0), min_size=K, max_size=K)) for s in draw(segments)
-        },
-    )
+    speeds, flows = table(n, value), table(n + 1, value)
+    sensors = draw(st.sets(st.integers(1, n)))
+    flows[:, [b for b in range(1, n + 1) if b not in sensors]] = np.nan
+    measured = sorted(draw(st.sets(st.integers(1, n))))
+    ramps = None
+    if measured:
+        ramps = np.full((K, n), np.nan)
+        ramps[:, np.subtract(measured, 1)] = table(len(measured), st.floats(0.0, 800.0))
+    return Measurements(speeds, flows, ramps)
 
 
 def _oracle_moving_average(s, window):
@@ -943,12 +956,11 @@ class TestColumnarOracles:
         )
         # Bit-for-bit, NaN cells included, and the generator ends in the same state.
         assert got.speeds_kmh.tobytes() == want.speeds_kmh.tobytes()
-        assert got.entry_flow_vph.tobytes() == want.entry_flow_vph.tobytes()
-        for name in ("sensor_flows_vph", "measured_ramp_flows_vph"):
-            got_map, want_map = getattr(got, name), getattr(want, name)
-            assert list(got_map) == list(want_map)
-            for seg in want_map:
-                assert got_map[seg].tobytes() == want_map[seg].tobytes()
+        assert got.flows_vph.tobytes() == want.flows_vph.tobytes()
+        if want.ramp_flows_vph is None:
+            assert got.ramp_flows_vph is None
+        else:
+            assert got.ramp_flows_vph.tobytes() == want.ramp_flows_vph.tobytes()
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     @settings(max_examples=200)
@@ -1387,13 +1399,13 @@ class TestFlowProperties:
         if exclude:
             lanes = frozenset({int(l) for tr in traj.tracks.values() for l in np.unique(tr.lanes)} - exclude)
         want_entry = _oracle_entry_flow(traj, cfg, n_steps, t0_s, lanes)
-        assert meas.entry_flow_vph.tobytes() == want_entry.tobytes()
+        assert meas.flows_vph[:, 0].tobytes() == want_entry.tobytes()
         edges_m = cfg.boundaries_km() * 1000.0
-        for j, got in meas.sensor_flows_vph.items():
+        for j in cfg.flow_sensor_segments:
             want = _oracle_event_flow(
                 traj, _oracle_crossing_times(traj, edges_m[j]), n_steps, T_STEP_H, t0_s, lanes
             )
-            assert got.tobytes() == want.tobytes()
+            assert meas.flows_vph[:, j].tobytes() == want.tobytes()
 
     @settings(max_examples=150)
     @given(

@@ -358,10 +358,32 @@ class TestSyntheticMeasurements:
         sim = self.scenario()
         raw = synthetic_measurements(sim)
         assert np.array_equal(raw.speeds_kmh, sim.speeds_kmh)
-        assert np.array_equal(raw.entry_flow_vph, sim.scenario.entry_flow_vph)
-        assert np.array_equal(raw.sensor_flows_vph[2], sim.segment_flows[:, 1])
-        assert np.array_equal(raw.sensor_flows_vph[3], sim.segment_flows[:, 2])
-        assert np.array_equal(raw.measured_ramp_flows_vph[2], np.full(25, 300.0))
+        assert np.array_equal(raw.flows_vph[:, 0], sim.scenario.entry_flow_vph)
+        assert np.isnan(raw.flows_vph[:, 1]).all()
+        assert np.array_equal(raw.flows_vph[:, 2:], sim.segment_flows[:, 1:])
+        assert np.array_equal(raw.ramp_flows_vph, np.tile([np.nan, 300.0, np.nan], (25, 1)), equal_nan=True)
+
+    def test_measured_ramps_absent_from_the_scenario_flow_zero(self):
+        cfg = make_config(n=3, sensors=(3,), ramps={1: (RampType.OFF, True), 2: (RampType.ON, False)})
+        raw = synthetic_measurements(simulate_truth(make_scenario(cfg, 5, 20.0, 90.0, 1800.0)))
+        assert np.array_equal(raw.ramp_flows_vph, np.tile([0.0, np.nan, np.nan], (5, 1)), equal_nan=True)
+        unmeasured = make_config(n=3, sensors=(3,), ramps={2: (RampType.ON, False)})
+        raw = synthetic_measurements(simulate_truth(make_scenario(unmeasured, 5, 20.0, 90.0, 1800.0)))
+        assert raw.ramp_flows_vph is None
+
+    @settings(max_examples=30, deadline=None)
+    @given(valid_scenarios(), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_flows_off_the_sensors_are_missing(self, sc, p, seed):
+        meas = synthetic_measurements(simulate_truth(sc), np.random.default_rng(seed), penetration=p)
+        off = [b for b in range(1, sc.cfg.n_segments + 1) if b not in sc.cfg.flow_sensor_segments]
+        assert np.isnan(meas.flows_vph[:, off]).all()
+        assert np.isfinite(meas.flows_vph[:, [0, *sc.cfg.flow_sensor_segments]]).all()
+        measured = np.isin(np.arange(1, sc.cfg.n_segments + 1), sc.cfg.ramp_segments(measured=True))
+        if measured.any():
+            assert np.isfinite(meas.ramp_flows_vph[:, measured]).all()
+            assert np.isnan(meas.ramp_flows_vph[:, ~measured]).all()
+        else:
+            assert meas.ramp_flows_vph is None
 
     def test_rng_required_when_randomness_requested(self):
         sim = self.scenario()
@@ -373,16 +395,15 @@ class TestSyntheticMeasurements:
     def test_flow_noise_floors_ramp_magnitudes(self):
         sim = self.scenario()
         raw = add_measurement_noise(synthetic_measurements(sim), np.random.default_rng(3), flow_std_vph=5000.0)
-        assert raw.measured_ramp_flows_vph[2].min() >= 0.0
-        assert min(q.min() for q in raw.sensor_flows_vph.values()) < 0.0
+        assert raw.ramp_flows_vph[:, 1].min() >= 0.0
+        assert raw.flows_vph[:, 2:].min() < 0.0
 
     def test_clamp_floors_entry_and_sensor_flows(self):
         sim = self.scenario()
         raw = add_measurement_noise(
             synthetic_measurements(sim), np.random.default_rng(3), flow_std_vph=5000.0, clamp_nonnegative=True
         )
-        assert raw.entry_flow_vph.min() >= 0.0
-        assert min(q.min() for q in raw.sensor_flows_vph.values()) >= 0.0
+        assert raw.flows_vph[:, [0, 2, 3]].min() >= 0.0
 
     def test_same_seed_same_measurements(self):
         sim = self.scenario()
@@ -392,7 +413,7 @@ class TestSyntheticMeasurements:
 
         a, b = noisy(np.random.default_rng(8)), noisy(np.random.default_rng(8))
         assert np.array_equal(a.speeds_kmh, b.speeds_kmh, equal_nan=True)
-        assert np.array_equal(a.entry_flow_vph, b.entry_flow_vph)
+        assert np.array_equal(a.flows_vph, b.flows_vph, equal_nan=True)
 
 
 class TestFrameAssembly:
@@ -408,8 +429,7 @@ class TestFrameAssembly:
         meas = cli._smoothed(raw, 1)
         assert np.isnan(raw.speeds_kmh[0, 0])
         assert np.array_equal(meas.speeds_kmh, raw.speeds_kmh, equal_nan=True)
-        assert np.array_equal(meas.entry_flow_vph, raw.entry_flow_vph)
-        assert np.array_equal(meas.sensor_flows_vph[3], raw.sensor_flows_vph[3])
+        assert np.array_equal(meas.flows_vph, raw.flows_vph, equal_nan=True)
 
     def test_windowed_frames_use_the_trailing_average(self):
         sim = simulate_truth(
@@ -419,7 +439,7 @@ class TestFrameAssembly:
         meas = cli._smoothed(raw, 3)
         expected = moving_average_speed(raw.speeds_kmh, window=3)
         assert np.array_equal(meas.speeds_kmh, expected, equal_nan=True)
-        assert np.array_equal(meas.entry_flow_vph, raw.entry_flow_vph)
+        assert np.array_equal(meas.flows_vph, raw.flows_vph, equal_nan=True)
 
 
 class TestPresets:
