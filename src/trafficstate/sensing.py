@@ -30,9 +30,11 @@ External units (meters, seconds, m/s) are converted here, once. Both
 loaders parse their file in blocks of lines straight into one contiguous
 array per column (``_read_columns``): integer columns as int32 unless the
 file holds a value outside its range, floats as float64. So a trajectory
-table keeps 28 bytes per sample. They reject NaN or infinite times and
-positions (and trajectory speeds) with the file and line of the first such
-row, a header that names a column twice, and a file that is not UTF-8.
+table keeps 28 bytes per sample. One ``np.loadtxt`` call judges every row:
+a block it rejects, or that holds a NaN or infinite time or position (or
+trajectory speed), is parsed again line by line by the same call, and the
+first row that fails alone is reported with its file and line. A header
+that names a column twice and a file that is not UTF-8 are rejected too.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from __future__ import annotations
 import csv
 import logging
 import math
-import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -81,7 +82,7 @@ SNAP_TOLERANCE_M = 100.0
 # many lines at a time.
 READ_BLOCK_CHARS = 1 << 16
 READ_BLOCK_LINES = 1 << 11
-_INT32, _INT64 = np.iinfo(np.int32), np.iinfo(np.int64)
+_INT32 = np.iinfo(np.int32)
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,9 @@ class Measurements:
     (K, N) holds each measured ramp's flow magnitude, whatever its
     direction, in its segment's column, NaN elsewhere; None measures none.
     A table given as a strided view is copied, so it keeps no wider table
-    alive.
+    alive. Each table is held as a read-only view: a C-contiguous float64
+    array is adopted without a copy, and stays writeable to its owner, but
+    no value can change through another one built from the same array.
     """
 
     speeds_kmh: np.ndarray
@@ -114,10 +117,13 @@ class Measurements:
                 raise ValueError(f"{name} must have shape ({K}, {width}), got {arr.shape}")
             return arr
 
-        object.__setattr__(self, "speeds_kmh", speeds)
-        object.__setattr__(self, "flows_vph", table("flows", self.flows_vph, n + 1))
+        tables = {"speeds_kmh": speeds, "flows_vph": table("flows", self.flows_vph, n + 1)}
         if self.ramp_flows_vph is not None:
-            object.__setattr__(self, "ramp_flows_vph", table("ramp flows", self.ramp_flows_vph, n))
+            tables["ramp_flows_vph"] = table("ramp flows", self.ramp_flows_vph, n)
+        for name, arr in tables.items():
+            view = arr.view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     @property
     def n_steps(self) -> int:
@@ -204,52 +210,30 @@ class RampLaneRule:
     kind: RampType
 
 
-def _finite(text: str) -> float:
-    """A column kind for ``_read_columns``: a float that must be finite."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {text!r}")
-    return value
-
-
-def _bad_row(path: str | Path, columns: Mapping[str, type]) -> str | None:
-    """Describe the first row whose columns fail to convert, as ``path:line:``.
-
-    A cell must also convert as it does for ``np.loadtxt``, which is
-    stricter than Python: ASCII with no ``_``, and an ``int`` cell, once
-    stripped, digits after an optional sign that fit in int64.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            try:
-                for name, kind in columns.items():
-                    value = kind(cell := row[name])
-                    if not cell.isascii() or "_" in cell or kind is int and not (
-                        re.fullmatch(r"[+-]?[0-9]+", cell.strip()) and _INT64.min <= value <= _INT64.max
-                    ):
-                        raise ValueError(f"{cell!r} is not a number np.loadtxt reads")
-            except (TypeError, ValueError):
-                return f"{path}:{reader.line_num}: bad row {row!r}"
-    return None
+class _finite(float):
+    """A column kind for ``_read_columns``: a float that may not be NaN or infinite."""
 
 
 def _read_columns(path: str | Path, columns: Mapping[str, type]) -> dict[str, np.ndarray]:
     """Parse the named CSV columns in C; they are empty when there are no rows.
 
-    A column's kind is ``int``, ``float`` or ``_finite`` (a float that may
-    not be NaN or infinite). The header may list the columns in any order,
-    among others, but each of them once. Each column returned is its own
-    contiguous array: the file's newlines are counted first, and its lines
-    are then parsed ``READ_BLOCK_LINES`` at a time straight into arrays of
-    that length, so a load holds the kept columns and one block. An ``int``
-    column is int32, or int64 once a block holds a value outside the int32
-    range: that block widens the column with one copy. A file that is not
-    UTF-8 text is an ``InputError``, like a bad row.
+    A column's kind is ``int``, ``float`` or ``_finite``. The header may list
+    the columns in any order, among others, but each of them once. Each
+    column returned is its own contiguous array: the file's newlines are
+    counted first, and its lines are then parsed ``READ_BLOCK_LINES`` at a
+    time straight into arrays of that length, so a load holds the kept
+    columns and one block. An ``int`` column is int32, or int64 once a block
+    holds a value outside the int32 range: that block widens the column with
+    one copy. One ``np.loadtxt`` call judges every row: a block it rejects,
+    or whose ``_finite`` columns hold a NaN or an infinity, is read again
+    line by line by the same call, and the first line that fails alone is
+    the ``InputError``, as ``path:line: bad row {header: cell}``. A file
+    that is not UTF-8 text is an ``InputError`` too.
     """
     dtype = [(name, "i8" if kind is int else "f8") for name, kind in columns.items()]
     # An integer column is held as int32 until a block needs int64.
     kinds = {name: np.int32 if kind == "i8" else np.float64 for name, kind in dtype}
+    finite = [name for name, kind in columns.items() if kind is _finite]
     with open(path) as fh:
         # The header and the count decode the whole file; a later pass over
         # it meets no byte they did not.
@@ -274,37 +258,45 @@ def _read_columns(path: str | Path, columns: Mapping[str, type]) -> dict[str, np
         # Lines bound the rows; the pages past the last row are never touched.
         out = {name: np.empty(n_lines, kind) for name, kind in kinds.items()}
         where = {name: i for i, name in enumerate(fields)}
+        parse = partial(
+            np.loadtxt, delimiter=",", comments=None, ndmin=1, usecols=[where[name] for name in columns], dtype=dtype
+        )
+
+        def checked(lines) -> np.ndarray:
+            block = parse(lines)
+            if not all(np.isfinite(block[name]).all() for name in finite):
+                raise ValueError("non-finite values")
+            return block
+
         rows = 0
-        try:
-            with warnings.catch_warnings():
-                # numpy < 2 only warns when it truncates "2.5" to an integer.
-                warnings.simplefilter("error", DeprecationWarning)
-                # A block of blank lines parses to no rows.
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                for _ in range(0, n_lines, READ_BLOCK_LINES):
-                    block = np.loadtxt(
-                        islice(fh, READ_BLOCK_LINES),
-                        delimiter=",",
-                        comments=None,
-                        ndmin=1,
-                        usecols=[where[name] for name in columns],
-                        dtype=dtype,
-                    )
-                    for name in columns:
-                        values = block[name]
-                        narrow = out[name].dtype == np.int32
-                        if narrow and values.size and (values.min() < _INT32.min or values.max() > _INT32.max):
-                            wide = np.empty(n_lines, np.int64)
-                            wide[:rows] = out[name][:rows]
-                            out[name] = wide
-                        out[name][rows : rows + block.size] = values
-                    rows += block.size
-        except (ValueError, DeprecationWarning) as exc:
-            raise InputError(_bad_row(path, columns) or f"{path}: {exc}") from exc
-    cols = {name: column[:rows] for name, column in out.items()}
-    if not all(np.isfinite(cols[name]).all() for name, kind in columns.items() if kind is _finite):
-        raise InputError(_bad_row(path, columns) or f"{path}: non-finite values")
-    return cols
+        with warnings.catch_warnings():
+            # numpy < 2 only warns when it truncates "2.5" to an integer.
+            warnings.simplefilter("error", DeprecationWarning)
+            # A block of blank lines parses to no rows.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            # ``first`` is the file line of the block's first line, the header being line 1.
+            for first in range(2, n_lines + 2, READ_BLOCK_LINES):
+                try:
+                    block = checked(islice(fh, READ_BLOCK_LINES))
+                except (ValueError, DeprecationWarning) as exc:
+                    with open(path) as again:
+                        for line, text in enumerate(islice(again, first - 1, first - 1 + READ_BLOCK_LINES), first):
+                            try:
+                                checked([text])
+                            except (ValueError, DeprecationWarning) as why:
+                                row = dict(zip(fields, text.rstrip("\r\n").split(",")))
+                                raise InputError(f"{path}:{line}: bad row {row!r}") from why
+                    raise InputError(f"{path}: {exc}") from exc
+                for name in columns:
+                    values = block[name]
+                    narrow = out[name].dtype == np.int32
+                    if narrow and values.size and (values.min() < _INT32.min or values.max() > _INT32.max):
+                        wide = np.empty(n_lines, np.int64)
+                        wide[:rows] = out[name][:rows]
+                        out[name] = wide
+                    out[name][rows : rows + block.size] = values
+                rows += block.size
+    return {name: column[:rows] for name, column in out.items()}
 
 
 def _group_starts(keys: np.ndarray) -> np.ndarray:
@@ -630,7 +622,7 @@ def frames_from_trajectories(
     rules_by_segment = {r.segment: r for r in ramp_rules}
     missing = measured_segments - rules_by_segment.keys()
     if missing:
-        raise ValueError(f"measured ramps without a lane rule: {sorted(missing)}")
+        raise InputError(f"measured ramps without a lane rule: {sorted(missing)}")
     ramp_flows = np.full((n_steps, cfg.n_segments), np.nan) if measured_segments else None
     for seg in measured_segments:
         ramp_flows[:, seg - 1] = lane_transition_flow(traj, rules_by_segment[seg], n_steps, cfg.time_step_h)

@@ -686,6 +686,35 @@ def test_cell_only_python_reads_exits_two_naming_its_line(tmp_path, capsys, sour
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "source, column, cell",
+    [("--trajectories", "x_m", '"2512.0"'), ("--detectors", "flow_vph", '"1000.0"')],
+    ids=["trajectories", "detectors"],
+)
+def test_quoted_cell_exits_two_naming_its_line(tmp_path, capsys, source, column, cell):
+    # np.loadtxt reads no quotes, Python's csv module strips them: the error
+    # must name line 2 504, in the second parse block, and show the quotes.
+    if source == "--trajectories":
+        lines = ["vehicle_id,t_s,x_m,lane,speed_mps"]
+        lines += [f"{i % 50},{i / 10},{i % 100 * 10.0},1,20.0" for i in range(3000)]
+    else:
+        lines = ["detector_pos_m,t_s,flow_vph,speed_kmh"]
+        lines += [f"{i % 2 * 1000.0},{i // 2 * 5.0},2700.0,90.0" for i in range(3000)]
+    cells = lines[2503].split(",")
+    cells[lines[0].split(",").index(column)] = cell
+    lines[2503] = ",".join(cells)
+    data = tmp_path / "big.csv"
+    data.write_text("\n".join(lines) + "\n")
+    net = write_network(tmp_path / "net.json")
+    out = tmp_path / "o"
+    assert cli.main(["estimate", source, str(data), "--network", str(net), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data}:2504: bad row {{")
+    assert f"'{column}': '{cell}'" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 # Each case writes one input file that cannot be used, and the error line
 # that names it. A recording shorter than one step is judged after loading,
 # without its path, like a detector file with no detector near a boundary.

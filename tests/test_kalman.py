@@ -595,10 +595,9 @@ class TestRunFilter:
     def test_missing_entry_flows_are_counted_and_logged_once(self, caplog):
         cfg = make_config(2, sensors=(2,))
         idx = build_state_index(cfg)
-        entry = np.full(5, 1800.0)
-        entry[[0, 2, 3]] = np.nan
-        frames = fixed_point_frames(5)
-        frames.flows_vph[:, 0] = entry
+        flows = np.tile([1800.0, np.nan, 1800.0], (5, 1))
+        flows[[0, 2, 3], 0] = np.nan
+        frames = Measurements(np.full((5, 2), 90.0), flows)
         with caplog.at_level(logging.WARNING, logger="trafficstate.kalman"):
             result = run_filter(cfg, idx, default_tuning(idx, 1), frames)
         assert result.held_entry_steps == 3
@@ -612,8 +611,9 @@ class TestRunFilter:
         idx = build_state_index(cfg)
         flows = np.tile([1800.0, np.nan, np.nan, 2000.0], (12, 1))
         ramps = np.tile([np.nan, 300.0, np.nan], (12, 1))
-        filled = Measurements(np.full((12, 3), 90.0), flows.copy(), ramps.copy())
-        filled.ramp_flows_vph[0, 1] = 0.0
+        filled_ramps = ramps.copy()
+        filled_ramps[0, 1] = 0.0
+        filled = Measurements(np.full((12, 3), 90.0), flows.copy(), filled_ramps)
         flows[3, 0] = np.nan
         ramps[[0, 5], 1] = np.nan
         gapped = Measurements(np.full((12, 3), 90.0), flows, ramps)
@@ -715,8 +715,9 @@ class TestRunFilterBatch:
         rng = np.random.default_rng(5)
         batch = [random_frames(rng, cfg, idx, 80, drop=drop) for drop in (0.0, 0.3, 0.8)]
         no_entry = random_frames(rng, cfg, idx, 80)
-        no_entry.flows_vph[:, 0] = np.nan
-        batch.append(no_entry)
+        flows = no_entry.flows_vph.copy()
+        flows[:, 0] = np.nan
+        batch.append(dataclasses.replace(no_entry, flows_vph=flows))
         batch.append(random_frames(rng, cfg, idx, 80, max_ratio=1.2))
         results = run_filter_batch(cfg, idx, tuning, batch, default_speed_kmh=70.0, clamp_nonnegative=True)
         assert len(results) == len(batch)
@@ -736,10 +737,11 @@ class TestRunFilterBatch:
         idx = build_state_index(cfg)
         tuning = default_tuning(idx, 2)
         flows = np.tile([1800.0, 1800.0, np.nan, 1800.0], (6, 1))
-        batch = [Measurements(np.full((6, 3), 90.0), flows) for _ in range(3)]
+        speeds = np.full((3, 6, 3), 90.0)
         # A speed far past the accuracy bound at step 2 blows up run 1's
         # covariance on segment 1, so S is ill-conditioned at step 3.
-        batch[1].speeds_kmh[2, 0] = 1e9
+        speeds[1, 2, 0] = 1e9
+        batch = [Measurements(v, flows) for v in speeds]
         with pytest.raises(SingularInnovationError, match="step 3 of run 1") as err:
             run_filter_batch(cfg, idx, tuning, batch)
         assert (err.value.step, err.value.run) == (3, 1)

@@ -298,6 +298,31 @@ class TestLoaders:
 TRAJECTORY_COLUMNS = {"vehicle_id": int, "t_s": _finite, "x_m": _finite, "lane": int, "speed_mps": _finite}
 
 
+DETECTOR_COLUMNS = {"detector_pos_m": _finite, "t_s": _finite, "flow_vph": float, "speed_kmh": float}
+# Each loader, its header and its i-th valid data line.
+LOADERS = {
+    "trajectories": (
+        load_trajectories,
+        ",".join(TRAJECTORY_COLUMNS),
+        lambda i: f"{i % 7},{i / 4},{i * 12.5},{i % 3},{20 + i % 5}.0",
+    ),
+    "detectors": (load_detectors, ",".join(DETECTOR_COLUMNS), lambda i: f"{i % 2 * 500.0},{i * 5.0},{1800 + i}.0,90.0"),
+}
+# Cells np.loadtxt does not read into a column of each kind, though Python
+# reads most of them; "short" drops the line's last cell instead.
+BAD_TOKENS = {
+    int: ['"7"', "1_000", "\u0663", "2.5", "", "short"],
+    _finite: ['"7.5"', "1_000", "\u0663", "nan", "1e400", "", "short"],
+    float: ['"7.5"', "1_000", "\u0663", "", "short"],
+}
+BAD_CELLS = [
+    (source, column, token)
+    for source, columns in (("trajectories", TRAJECTORY_COLUMNS), ("detectors", DETECTOR_COLUMNS))
+    for column, kind in columns.items()
+    for token in BAD_TOKENS[kind]
+]
+
+
 INT32_EDGES = [-(2**31), 2**31 - 1]  # the extremes an int32 column holds
 WIDE_VALUES = [-(2**31) - 1, 2**31, 2**40]  # values that widen a column to int64
 
@@ -409,6 +434,41 @@ class TestReadColumns:
         got = list(_read_columns(path, columns).values())
         assert all(c.flags.c_contiguous and c.size == 5 for c in got)
         assert not any(np.shares_memory(a, b) for i, a in enumerate(got) for b in got[i + 1 :])
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n_rows=st.integers(1, 30),
+        block_lines=st.integers(1, 6),
+        bad=st.integers(0, 29),
+        cell=st.sampled_from(BAD_CELLS),
+    )
+    # Block edges: the last line of a block, the first of the next, and the file's last.
+    @example(12, 4, 3, ("trajectories", "x_m", '"2512.0"'))
+    @example(12, 4, 4, ("detectors", "flow_vph", '"1000.0"'))
+    @example(12, 4, 11, ("trajectories", "lane", "2.5"))
+    @example(12, 4, 8, ("detectors", "t_s", "short"))
+    def test_a_bad_cell_names_its_own_line(self, n_rows, block_lines, bad, cell):
+        # One cell no loader reads, on any line: the error names exactly
+        # that line and shows the cell as written; without it the file loads.
+        source, column, token = cell
+        load, header, row = LOADERS[source]
+        bad %= n_rows
+        lines = [row(i) for i in range(n_rows)]
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sensing, "READ_BLOCK_LINES", block_lines)
+            path = Path(tmp) / "in.csv"
+            path.write_text("\n".join([header, *lines]) + "\n")
+            load(path)
+            cells = lines[bad].split(",")
+            if token == "short":
+                cells.pop()
+            else:
+                cells[header.split(",").index(column)] = token
+            lines[bad] = ",".join(cells)
+            path.write_text("\n".join([header, *lines]) + "\n")
+            with pytest.raises(InputError, match=f"^{re.escape(str(path))}:{bad + 2}: bad row ") as err:
+                load(path)
+        assert token == "short" or f"{column!r}: {token!r}" in str(err.value)
 
 
 class TestAssignConnected:
@@ -599,8 +659,9 @@ class TestFramesFromTrajectories:
         assert meas.ramp_flows_vph is None
 
     def test_measured_ramp_requires_lane_rule(self):
+        # An input error, as the command line's --ramp-lane check raises.
         cfg = make_config(ramps={2: (RampType.ON, True)})
-        with pytest.raises(ValueError, match="lane rule"):
+        with pytest.raises(InputError, match="lane rule"):
             frames_from_trajectories(
                 three_vehicle_traj(), cfg, 1.0, np.random.default_rng(0)
             )

@@ -22,7 +22,7 @@ from trafficstate.network import (
     check_cfl,
     validate_network,
 )
-from trafficstate.sensing import add_measurement_noise, moving_average_speed
+from trafficstate.sensing import Measurements, add_measurement_noise, moving_average_speed
 from trafficstate.simulate import (
     PRESET_NAMES,
     Scenario,
@@ -362,6 +362,22 @@ class TestSyntheticMeasurements:
         assert np.isnan(raw.flows_vph[:, 1]).all()
         assert np.array_equal(raw.flows_vph[:, 2:], sim.segment_flows[:, 1:])
         assert np.array_equal(raw.ramp_flows_vph, np.tile([np.nan, 300.0, np.nan], (25, 1)), equal_nan=True)
+
+    def test_a_value_cannot_write_into_an_array_it_shares(self):
+        # The exact path adopts the truth's speed table, and two values built
+        # from one array share it: a write through a value raises instead of
+        # changing the other, while the owners' arrays stay writeable.
+        sim = self.scenario()
+        exact = synthetic_measurements(sim)
+        flows = np.array(exact.flows_vph)
+        first, second = Measurements(sim.speeds_kmh, flows), Measurements(sim.speeds_kmh, flows)
+        assert np.shares_memory(exact.speeds_kmh, sim.speeds_kmh)
+        assert np.shares_memory(first.flows_vph, second.flows_vph)
+        for table in (exact.speeds_kmh, first.flows_vph):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = -1.0
+        assert sim.speeds_kmh.flags.writeable and flows.flags.writeable
+        assert np.array_equal(second.flows_vph, exact.flows_vph, equal_nan=True)
 
     def test_measured_ramps_absent_from_the_scenario_flow_zero(self):
         cfg = make_config(n=3, sensors=(3,), ramps={1: (RampType.OFF, True), 2: (RampType.ON, False)})
