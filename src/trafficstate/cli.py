@@ -113,6 +113,7 @@ def _tuning_echo(tuning, idx) -> dict:
         "q_ramp": float(tuning.process_cov[-1, -1]) if idx.n_theta else None,
         "measurement_var": float(tuning.measurement_cov[0, 0]),
         "initial_mean": float(tuning.initial_mean[0]),
+        "initial_ramp": float(tuning.initial_mean[-1]) if idx.n_theta else None,
         "initial_var": float(tuning.initial_cov[0, 0]),
     }
 

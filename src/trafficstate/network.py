@@ -77,8 +77,6 @@ def _segment_from_dict(d: dict, pos: int) -> Segment:
         length = float(d["length_km"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"segment {pos}: bad or missing length_km") from exc
-    if not math.isfinite(length):
-        raise InputError(f"segment {pos}: length_km must be finite, got {length}")
     ramp_raw = d.get("ramp", "none")
     try:
         ramp = RampType(ramp_raw)
@@ -95,6 +93,9 @@ class NetworkConfig:
     position in ``segments``). ``flow_sensor_segments`` holds the segments
     whose exit flow is measured; the stretch entry flow is a separate input
     and is flagged by ``entry_flow_measured``.
+
+    Construction raises InputError unless there is a segment, every length
+    and the time step are positive and finite, and every sensor is in 1..N.
     """
 
     segments: tuple[Segment, ...]
@@ -108,7 +109,15 @@ class NetworkConfig:
             self, "flow_sensor_segments", frozenset(int(j) for j in self.flow_sensor_segments)
         )
         if not self.segments:
-            raise ValueError("NetworkConfig requires at least one segment")
+            raise InputError("segments must be a non-empty array")
+        # Each chained comparison is false for NaN as for an infinite value.
+        for i, seg in enumerate(self.segments, start=1):
+            if not 0 < seg.length_km < math.inf:
+                raise InputError(f"segment {i}: length_km must be positive and finite, got {seg.length_km}")
+        if not 0 < self.time_step_h < math.inf:
+            raise InputError(f"time_step_h must be positive and finite, got {self.time_step_h}")
+        if outside := sorted(j for j in self.flow_sensor_segments if not 1 <= j <= self.n_segments):
+            raise InputError(f"flow_sensors outside 1..{self.n_segments}: {outside}")
 
     @property
     def n_segments(self) -> int:
@@ -169,9 +178,9 @@ class NetworkConfig:
 
         Schema: ``{"time_step_h": float, "segments": [{"length_km": float,
         "ramp": "none"|"on_ramp"|"off_ramp", "ramp_measured": bool}, ...],
-        "flow_sensors": [int, ...], "entry_flow_measured": bool}``. Lengths
-        and the time step must be finite, flags JSON booleans and sensors
-        JSON integers.
+        "flow_sensors": [int, ...], "entry_flow_measured": bool}``. Flags
+        must be JSON booleans and sensors JSON integers; the structural rules
+        are the constructor's.
         """
         if not isinstance(raw, dict):
             raise InputError("expected a JSON object at top level")
@@ -180,9 +189,7 @@ class NetworkConfig:
             seg_list = raw["segments"]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError("missing or malformed time_step_h/segments") from exc
-        if not math.isfinite(time_step):
-            raise InputError(f"time_step_h must be finite, got {time_step}")
-        if not isinstance(seg_list, list) or not seg_list:
+        if not isinstance(seg_list, list):
             raise InputError("segments must be a non-empty array")
         segments = tuple(_segment_from_dict(d, i) for i, d in enumerate(seg_list, start=1))
         sensors = raw.get("flow_sensors", [])
@@ -232,34 +239,18 @@ class CflReport:
 
 
 def validate_network(cfg: NetworkConfig) -> ValidationReport:
-    """Check every structural invariant of a network configuration.
+    """Check the sensor placement rule only; ``NetworkConfig`` checks structure.
 
-    All problems are reported, never raised. ``ok`` is true iff the
-    placement rule makes the augmented system observable by construction:
+    All breaks are reported, never raised. ``ok`` is true iff the
+    placement makes the augmented system observable by construction:
     entry and exit flows measured, and at least one mainstream sensor
     between every two consecutive unmeasured ramps.
     """
     violations: list[Violation] = []
     n = cfg.n_segments
 
-    # Each chained comparison is false for NaN as for an infinite value.
-    bad_len = tuple(i for i, s in enumerate(cfg.segments, start=1) if not 0 < s.length_km < math.inf)
-    if bad_len:
-        violations.append(
-            Violation("segment-length", f"non-positive or non-finite segment length at {list(bad_len)}", bad_len)
-        )
-    if not 0 < cfg.time_step_h < math.inf:
-        violations.append(
-            Violation("time-step", f"time_step_h must be positive and finite, got {cfg.time_step_h}")
-        )
     if not cfg.entry_flow_measured:
         violations.append(Violation("entry-flow", "entry flow must be measured"))
-
-    out_of_range = tuple(sorted(j for j in cfg.flow_sensor_segments if j < 1 or j > n))
-    if out_of_range:
-        violations.append(
-            Violation("sensor-range", f"sensor segments outside 1..{n}: {list(out_of_range)}", out_of_range)
-        )
     if n not in cfg.flow_sensor_segments:
         violations.append(
             Violation("exit-flow", f"exit flow sensor missing: segment {n} must carry a sensor", (n,))

@@ -697,7 +697,8 @@ def frames_from_detectors(detectors: Sequence[DetectorSeries], cfg: NetworkConfi
     flow when segment i carries a sensor in the network config; boundary 0
     supplies the entry flow. Each detector sample is mapped to the nearest
     step of the grid t0 + k*T, which runs from the first sample t0 of the
-    snapped detectors to their last; steps without a sample stay missing. When
+    snapped detectors to the step nearest their last, so every sample lands
+    on the grid; steps without a sample stay missing. When
     several samples of one detector map to the same step, the later one
     wins, and a negative flow or speed, a detector fault code, is missing
     like a NaN; one warning counts each kind of drop. Detectors count no
@@ -711,7 +712,7 @@ def frames_from_detectors(detectors: Sequence[DetectorSeries], cfg: NetworkConfi
     T_s = cfg.time_step_h * 3600.0
     t0_s = min(float(d.times_s[0]) for d in by_boundary.values())
     t_end = max(float(d.times_s[-1]) for d in by_boundary.values())
-    n_steps = int(math.floor((t_end - t0_s) / T_s)) + 1
+    n_steps = int(np.rint((t_end - t0_s) / T_s)) + 1
 
     n = cfg.n_segments
     speeds, flows = np.full((n_steps, n), np.nan), np.full((n_steps, n + 1), np.nan)
@@ -720,13 +721,11 @@ def frames_from_detectors(detectors: Sequence[DetectorSeries], cfg: NetworkConfi
         ks = np.rint((det.times_s - t0_s) / T_s).astype(int)
         # Samples are in time order, so the last of each run of equal steps is the latest.
         latest = np.append(ks[1:] != ks[:-1], True)
-        keep = (ks >= 0) & (ks < n_steps)
-        dropped += int(np.count_nonzero(keep & ~latest))
-        keep &= latest
+        dropped += int(np.count_nonzero(~latest))
         if b:
-            speeds[ks[keep], b - 1] = det.speeds_kmh[keep]
+            speeds[ks[latest], b - 1] = det.speeds_kmh[latest]
         if b == 0 or b in cfg.flow_sensor_segments:
-            flows[ks[keep], b] = det.flows_vph[keep]
+            flows[ks[latest], b] = det.flows_vph[latest]
     if dropped:
         logger.warning(
             "%d detector samples fell on a step already sampled by the same detector;"

@@ -178,6 +178,8 @@ class TestEstimate:
                 "25.0",
                 "--init-mean",
                 "123.0",
+                "--init-ramp",
+                "7",
                 "--out",
                 str(out),
             ]
@@ -186,6 +188,7 @@ class TestEstimate:
         tuning = read_summary(out)["config"]["tuning"]
         assert tuning["measurement_var"] == 25.0
         assert tuning["initial_mean"] == 123.0
+        assert tuning["initial_ramp"] == 7.0
 
     def test_metrics_command_recomputes_the_summary(self, tmp_path, capsys, read_summary):
         # One metrics function serves both commands, and CSV cells round-trip
@@ -387,6 +390,7 @@ class TestEstimate:
         tuning = read_summary(out)["config"]["tuning"]
         assert tuning["q_density"] == 7.0
         assert tuning["q_ramp"] is None
+        assert tuning["initial_ramp"] is None
 
     def test_network_flag_required_for_file_sources(self, tmp_path):
         traj = write_trajectories(tmp_path / "traj.csv")
@@ -835,6 +839,31 @@ def test_detectors_on_a_network_with_a_measured_ramp_exit_two(tmp_path, capsys):
     assert cli.main(["estimate", "--detectors", str(det), "--network", str(net), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == "error: detectors count no ramp flow, but the network measures ramps at segments [2, 3]\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"time_step_h": 0}, "time_step_h must be positive and finite, got 0.0"),
+        ({"time_step_h": -0.001}, "time_step_h must be positive and finite, got -0.001"),
+        ({"length_km": 0}, "segment 1: length_km must be positive and finite, got 0.0"),
+        ({"length_km": -0.5}, "segment 1: length_km must be positive and finite, got -0.5"),
+        ({"sensors": (0, 2)}, "flow_sensors outside 1..2: [0]"),
+        ({"sensors": (2, 9)}, "flow_sensors outside 1..2: [9]"),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "trajectories", "detectors"])
+def test_structural_network_error_exits_two_before_ingestion(tmp_path, capsys, command, change, message):
+    out = tmp_path / "o"
+    if command == "validate":
+        args = ["validate", "--network", str(tmp_path / "net.json")]
+    else:
+        args = [*estimate_args(tmp_path, command), "--out", str(out)]
+    # Written last, over the valid network that estimate_args writes.
+    net = write_network(tmp_path / "net.json", **change)
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == f"error: {net}: {message}\n"
     assert not out.exists()
 
 

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trafficstate.network import (
     CflReport,
@@ -49,7 +51,7 @@ class TestSegment:
 
 class TestNetworkConfig:
     def test_requires_at_least_one_segment(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="^segments must be a non-empty array$"):
             NetworkConfig(segments=(), flow_sensor_segments=frozenset(), time_step_h=0.01)
 
     def test_basic_properties(self):
@@ -108,29 +110,31 @@ class TestValidateNetwork:
         assert report.violations == ()
         assert str(report) == "network ok"
 
+    # A structural break never reaches validate_network: constructing the
+    # network refuses it, naming the field (see TestNetworkConfigRules).
     @pytest.mark.parametrize("length, step", [(math.nan, 0.01), (math.inf, 0.01), (0.5, math.nan), (0.5, math.inf)])
     def test_non_finite_length_or_time_step_flagged(self, length, step):
         segments = (Segment(0.5), Segment(length))
-        cfg = NetworkConfig(segments=segments, flow_sensor_segments=frozenset({2}), time_step_h=step)
-        report = validate_network(cfg)
-        want = ["segment-length"] if not math.isfinite(length) else ["time-step"]
-        assert [v.rule for v in report.violations] == want
+        want = f"segment 2: length_km must be positive and finite, got {length}"
+        if math.isfinite(length):
+            want = f"time_step_h must be positive and finite, got {step}"
+        with pytest.raises(InputError) as err:
+            NetworkConfig(segments=segments, flow_sensor_segments=frozenset({2}), time_step_h=step)
+        assert str(err.value) == want
 
     def test_nonpositive_length_flagged(self):
-        cfg = NetworkConfig(
-            segments=(Segment(0.5), Segment(0.0)),
-            flow_sensor_segments=frozenset({2}),
-            time_step_h=0.01,
-        )
-        report = validate_network(cfg)
-        assert not report.ok
-        assert [v.rule for v in report.violations] == ["segment-length"]
-        assert report.violations[0].indices == (2,)
+        with pytest.raises(InputError) as err:
+            NetworkConfig(
+                segments=(Segment(0.5), Segment(0.0)),
+                flow_sensor_segments=frozenset({2}),
+                time_step_h=0.01,
+            )
+        assert str(err.value) == "segment 2: length_km must be positive and finite, got 0.0"
 
     def test_nonpositive_time_step_flagged(self):
-        cfg = make_config(time_step_h=0.0)
-        rules = {v.rule for v in validate_network(cfg).violations}
-        assert "time-step" in rules
+        with pytest.raises(InputError) as err:
+            make_config(time_step_h=0.0)
+        assert str(err.value) == "time_step_h must be positive and finite, got 0.0"
 
     def test_unmeasured_entry_flow_flagged(self):
         cfg = NetworkConfig(
@@ -143,11 +147,9 @@ class TestValidateNetwork:
         assert "entry-flow" in rules
 
     def test_sensor_out_of_range_flagged(self):
-        cfg = make_config(n=3, sensors=(0, 3, 7))
-        report = validate_network(cfg)
-        bad = [v for v in report.violations if v.rule == "sensor-range"]
-        assert len(bad) == 1
-        assert bad[0].indices == (0, 7)
+        with pytest.raises(InputError) as err:
+            make_config(n=3, sensors=(0, 3, 7))
+        assert str(err.value) == "flow_sensors outside 1..3: [0, 7]"
 
     def test_missing_exit_sensor_flagged(self):
         cfg = make_config(n=4, sensors=(2,))
@@ -332,16 +334,63 @@ class TestNetworkIo:
             ({"entry_flow_measured": "false"}, "entry_flow_measured must be true or false, got 'false'"),
             ({"flow_sensors": [1.9]}, "flow_sensors entries must be integers, got [1.9]"),
             ({"flow_sensors": [2, True]}, "flow_sensors entries must be integers, got [True]"),
-            ({"length_km": math.nan}, "segment 2: length_km must be finite, got nan"),
-            ({"length_km": math.inf}, "segment 2: length_km must be finite, got inf"),
-            ({"time_step_h": math.nan}, "time_step_h must be finite, got nan"),
+            ({"length_km": math.nan}, "segment 2: length_km must be positive and finite, got nan"),
+            ({"length_km": math.inf}, "segment 2: length_km must be positive and finite, got inf"),
+            ({"time_step_h": math.nan}, "time_step_h must be positive and finite, got nan"),
+            ({"time_step_h": 0}, "time_step_h must be positive and finite, got 0.0"),
+            ({"flow_sensors": [2, 9]}, "flow_sensors outside 1..2: [9]"),
         ],
     )
     def test_values_that_mean_something_else_raise(self, change, message):
         # JSON allows NaN and Infinity; bool("false") is True and int(1.9) is 1.
+        # The structural rules are the constructor's, reached through from_dict.
         raw = make_config(n=2, sensors=(2,), ramps={2: (RampType.ON, True)}).to_dict()
         for key, value in change.items():
             (raw["segments"][1] if key in ("ramp_measured", "length_km") else raw)[key] = value
         with pytest.raises(InputError) as err:
             NetworkConfig.from_dict(json.loads(json.dumps(raw)))
         assert str(err.value) == message
+
+
+# Every value the structural rules must tell apart: on the bounds, beyond
+# them, and not a number.
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, -0.5, math.nan, math.inf, -math.inf])
+
+
+class TestNetworkConfigRules:
+    @pytest.mark.parametrize("rule", [None, "length", "time step", "sensor", "no segments"])
+    @given(
+        lengths=st.lists(st.floats(0.01, 5.0), min_size=1, max_size=5),
+        step=st.floats(1e-4, 0.1),
+        entry=st.booleans(),
+        data=st.data(),
+    )
+    def test_construction_refuses_exactly_the_structural_breaks(self, rule, lengths, step, entry, data):
+        # A well-formed network, then the named structural rule broken in it.
+        n = len(lengths)
+        sensors = set(data.draw(st.frozensets(st.integers(1, n), max_size=4)))
+        if rule == "length":
+            lengths[data.draw(st.integers(0, n - 1))] = data.draw(_EDGE_FLOATS)
+        elif rule == "time step":
+            step = data.draw(_EDGE_FLOATS)
+        elif rule == "sensor":
+            sensors.add(data.draw(st.sampled_from([-1, 0, n + 1, n + 7])))
+        elif rule == "no segments":
+            lengths, sensors = [], set()
+        ramps = data.draw(st.lists(st.tuples(st.sampled_from(RampType), st.booleans()), min_size=n, max_size=n))
+        segments = tuple(Segment(length, kind, measured) for length, (kind, measured) in zip(lengths, ramps))
+        broken = (
+            not segments
+            or any(not 0 < length < math.inf for length in lengths)
+            or not 0 < step < math.inf
+            or any(not 1 <= j <= len(segments) for j in sensors)
+        )
+        try:
+            cfg = NetworkConfig(segments, sensors, step, entry)
+        except InputError:
+            assert broken
+            return
+        assert not broken
+        assert NetworkConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+        rules = {v.rule for v in validate_network(cfg).violations}
+        assert rules <= {"entry-flow", "exit-flow", "ramp-placement"}

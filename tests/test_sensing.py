@@ -797,6 +797,19 @@ class TestFramesFromDetectors:
         assert np.array_equal(meas.flows_vph[:, 2], [np.nan, 2000.0], equal_nan=True)
         assert np.isnan(meas.speeds_kmh[0, 1])
 
+    def test_a_sample_past_the_last_whole_step_lands_on_the_nearest_step(self):
+        # With T = 10 s, the exit detector's 17 s sample rounds to step 2: the
+        # grid ends at the step nearest the last sample, not the last whole step.
+        cfg = NetworkConfig(segments=(Segment(0.5), Segment(0.5)), flow_sensor_segments={2}, time_step_h=10 / 3600)
+        detectors = [
+            _series(0.0, times=(0.0, 10.0), flows=(900.0, 900.0), speeds=(90.0, 90.0)),
+            _series(1000.0, times=(0.0, 10.0, 17.0), flows=(1.0, 2.0, 3.0), speeds=(80.0, 81.0, 82.0)),
+        ]
+        meas = frames_from_detectors(detectors, cfg)
+        assert meas.n_steps == 3
+        assert (meas.flows_vph[2, 2], meas.speeds_kmh[2, 1]) == (3.0, 82.0)
+        assert np.isnan(meas.flows_vph[2, 0])
+
     def test_later_sample_on_the_same_step_wins_and_is_counted(self, caplog):
         # With T = 5 s, samples at 3.0 s and 5.0 s (0.4 T apart) both round
         # to step 1; the entry detector's pair at 10 s and 12 s to step 2.
