@@ -57,15 +57,6 @@ _CSV_COLUMNS = [
 ]
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    x = float(x)
-    if not math.isfinite(x):
-        return ""
-    return repr(x)
-
-
 def _parse_cell(s: str) -> float:
     return float(s) if s else math.nan
 
@@ -91,20 +82,21 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _resolve_tuning(args, idx, n_sensors, source_defaults: dict[str, float]):
-    meas_var = args.meas_var if args.meas_var is not None else source_defaults["measurement_var"]
-    init_mean = args.init_mean if args.init_mean is not None else source_defaults["initial_density"]
-    init_ramp = args.init_ramp if args.init_ramp is not None else source_defaults.get("initial_ramp_state")
-    return kalman.default_tuning(
-        idx,
-        n_sensors,
-        density_process_var=args.q_density,
-        ramp_process_var=args.q_ramp,
-        measurement_var=meas_var,
-        initial_density=init_mean,
-        initial_ramp_state=init_ramp,
-        initial_var=args.init_var,
-    )
+# Each tuning flag and the ``default_tuning`` keyword it sets.
+_TUNING_FLAGS = {
+    "q_density": "density_process_var",
+    "q_ramp": "ramp_process_var",
+    "meas_var": "measurement_var",
+    "init_mean": "initial_density",
+    "init_ramp": "initial_ramp_state",
+    "init_var": "initial_var",
+}
+
+
+def _resolve_tuning(args, idx, n_sensors, source_row: dict[str, float]):
+    """Each value from its flag, else the source's calibration row, else ``default_tuning``."""
+    given = {kw: getattr(args, flag) for flag, kw in _TUNING_FLAGS.items() if getattr(args, flag) is not None}
+    return kalman.default_tuning(idx, n_sensors, **{**source_row, **given})
 
 
 def _tuning_echo(tuning, idx) -> dict:
@@ -424,16 +416,16 @@ def _run_metrics(cfg: NetworkConfig, columns: Mapping[str, np.ndarray], warmup: 
         if est.shape[1] == 1 and max_lag >= 1:
             lag, lag_rmse = metrics.ramp_flow_best_lag(est[:, 0], truth[:, 0], max_lag=max_lag)
 
-    return metrics.RunMetrics(
-        cv_rho=cv(warmup),
-        cv_rho_full=cv(0),
-        horizon_steps=K,
-        warmup_steps=warmup,
-        speed_error_covariance_w=w,
-        ramp_flow_rmse=ramp_rmse,
-        ramp_flow_best_lag=lag,
-        ramp_flow_rmse_at_best_lag=lag_rmse,
-    ).to_dict()
+    return {
+        "cv_rho": cv(warmup),
+        "cv_rho_full": cv(0),
+        "horizon_steps": K,
+        "warmup_steps": warmup,
+        "speed_error_covariance_w": w,
+        "ramp_flow_rmse": ramp_rmse,
+        "ramp_flow_best_lag": lag,
+        "ramp_flow_rmse_at_best_lag": lag_rmse,
+    }
 
 
 def _config_echo(args, cfg: NetworkConfig, tuning, idx) -> dict:
@@ -455,20 +447,20 @@ def _config_echo(args, cfg: NetworkConfig, tuning, idx) -> dict:
 
 def cmd_estimate(args) -> int:
     out = _out_dir(args.out)
-    # The network and the source's tuning defaults are known before any
+    # The network and the source's calibration row are known before any
     # ingestion, so bad tuning flags fail before the costly part of the run.
     if args.preset:
         sc = simulate.make_congestion_scenario(args.preset, args.seed)
-        cfg, defaults = sc.cfg, simulate.preset_filter_defaults(args.preset)
+        cfg, row = sc.cfg, simulate.preset_filter_defaults(args.preset)
         ingest = functools.partial(_preset_source, args, sc)
     elif args.trajectories:
-        cfg, defaults = load_network(args.network), {"measurement_var": 10.0, "initial_density": 40.0}
+        cfg, row = load_network(args.network), {}
         ingest = functools.partial(_trajectory_source, args, cfg)
     else:
-        cfg, defaults = load_network(args.network), {"measurement_var": 100.0, "initial_density": 4.0}
+        cfg, row = load_network(args.network), {"measurement_var": 100.0, "initial_density": 4.0}
         ingest = functools.partial(_detector_source, args, cfg)
     idx = build_state_index(cfg)
-    tuning = _resolve_tuning(args, idx, len(cfg.flow_sensor_segments), defaults)
+    tuning = _resolve_tuning(args, idx, len(cfg.flow_sensor_segments), row)
 
     # Every source runs the same tail: noise, then smoothing, then the filter.
     # A run that draws nothing (detector readings without noise) gets no
@@ -593,10 +585,10 @@ def cmd_sweep(args) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     with open(out / SWEEP_CSV, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["p", "variant", "mean_cv_rho", "std_cv_rho", "mean_w"])
-        for p, variant, mean_cv, std_cv, mean_w in rows:
-            writer.writerow([_fmt(p), variant, _fmt(mean_cv), _fmt(std_cv), _fmt(mean_w)])
+        fh.write("p,variant,mean_cv_rho,std_cv_rho,mean_w\n")
+        for p, variant, *values in rows:
+            p_text, *value_texts = _column_fields(np.array([p, *values]))
+            fh.write(",".join([p_text, variant, *value_texts]) + "\n")
     sweep_echo = {"preset": args.preset, "p_values": args.p, "reps": args.reps}
     _write_json(out / SUMMARY_JSON, {"config": {**_config_echo(args, cfg, tuning, idx), **sweep_echo}})
     print(f"wrote {len(rows)} rows to {out / SWEEP_CSV}")
@@ -655,14 +647,13 @@ def cmd_metrics(args) -> int:
 
 
 def _add_tuning_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--q-density", type=float, default=1.0, help="process variance on density states")
-    p.add_argument("--q-ramp", type=float, default=0.01, help="process variance on ramp states")
-    p.add_argument("--meas-var", type=float, default=None, help="measurement variance (default per source)")
-    p.add_argument("--init-mean", type=float, default=None, help="initial state mean (default per source)")
-    p.add_argument(
-        "--init-ramp", type=float, default=None, help="initial ramp-state mean (default per source, else --init-mean)"
-    )
-    p.add_argument("--init-var", type=float, default=1.0, help="initial covariance diagonal")
+    # Unset flags are None: the source's row or ``default_tuning`` supplies them.
+    p.add_argument("--q-density", type=float, help="process variance on density states")
+    p.add_argument("--q-ramp", type=float, help="process variance on ramp states")
+    p.add_argument("--meas-var", type=float, help="measurement variance (default per source)")
+    p.add_argument("--init-mean", type=float, help="initial state mean (default per source)")
+    p.add_argument("--init-ramp", type=float, help="initial ramp-state mean (default per source, else --init-mean)")
+    p.add_argument("--init-var", type=float, help="initial covariance diagonal")
     p.add_argument(
         "--warmup", type=_whole(0), default=metrics.DEFAULT_WARMUP_STEPS, help="steps excluded from metrics"
     )

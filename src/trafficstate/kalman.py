@@ -373,7 +373,7 @@ def run_filter_batch(
     # The speeds the filter will use are final here: check them before the
     # covariance buffers exist, so the check's (K, N) temporaries never sit
     # beside them, and a strict run fails before its first step.
-    cfls = [check_cfl(cfg, v) if K else CflReport(0.0, ()) for v in speeds_used]
+    cfls = [check_cfl(cfg, v) for v in speeds_used]
     cfl_msg = None if all(c.ok for c in cfls) else cfl_message(cfls)
     if cfl_msg and strict_cfl:
         raise CflViolationError(cfl_msg)

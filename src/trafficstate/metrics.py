@@ -8,14 +8,11 @@ score the series they are given, so callers slice the warm-up off first.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
 import numpy as np
 
 from trafficstate.network import NetworkConfig
 
 __all__ = [
-    "RunMetrics",
     "DEFAULT_WARMUP_STEPS",
     "cv_rho",
     "speed_error_covariance",
@@ -27,28 +24,6 @@ DEFAULT_WARMUP_STEPS = 10
 # Cells per block of the speed-error metric: a whole 360 x 8 preset table
 # is one block.
 _BLOCK_CELLS = 8192
-
-
-@dataclass(frozen=True)
-class RunMetrics:
-    """Metrics block of a run summary.
-
-    ``cv_rho`` uses the warm-up exclusion; ``cv_rho_full`` scores the full
-    horizon. ``speed_error_covariance_w`` is in veh^2/km^2, ramp errors in
-    veh/h; entries are None when the run had nothing to score them on.
-    """
-
-    cv_rho: float
-    cv_rho_full: float
-    horizon_steps: int
-    warmup_steps: int
-    speed_error_covariance_w: float | None = None
-    ramp_flow_rmse: float | None = None
-    ramp_flow_best_lag: int | None = None
-    ramp_flow_rmse_at_best_lag: float | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _paired(est, truth, warmup: int):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -72,11 +73,19 @@ def _flag(raw: dict, name: str, default: bool, where: str = "") -> bool:
     return value
 
 
+def _number(value, name: str) -> float:
+    """A JSON number as a float; any other value, such as true or the string "0.5", is a format error."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise InputError(f"{name} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
 def _segment_from_dict(d: dict, pos: int) -> Segment:
     try:
-        length = float(d["length_km"])
-    except (KeyError, TypeError, ValueError) as exc:
+        length = d["length_km"]
+    except (KeyError, TypeError) as exc:
         raise InputError(f"segment {pos}: bad or missing length_km") from exc
+    length = _number(length, f"segment {pos}: length_km")
     ramp_raw = d.get("ramp", "none")
     try:
         ramp = RampType(ramp_raw)
@@ -95,7 +104,8 @@ class NetworkConfig:
     and is flagged by ``entry_flow_measured``.
 
     Construction raises InputError unless there is a segment, every length
-    and the time step are positive and finite, and every sensor is in 1..N.
+    and the time step are positive and finite, and every sensor is an
+    integer (not a bool) in 1..N.
     """
 
     segments: tuple[Segment, ...]
@@ -105,9 +115,10 @@ class NetworkConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "segments", tuple(self.segments))
-        object.__setattr__(
-            self, "flow_sensor_segments", frozenset(int(j) for j in self.flow_sensor_segments)
-        )
+        sensors = list(self.flow_sensor_segments)
+        if bad := [j for j in sensors if isinstance(j, bool) or not isinstance(j, numbers.Integral)]:
+            raise InputError(f"flow_sensors entries must be integers, got {bad}")
+        object.__setattr__(self, "flow_sensor_segments", frozenset(int(j) for j in sensors))
         if not self.segments:
             raise InputError("segments must be a non-empty array")
         # Each chained comparison is false for NaN as for an infinite value.
@@ -179,28 +190,26 @@ class NetworkConfig:
         Schema: ``{"time_step_h": float, "segments": [{"length_km": float,
         "ramp": "none"|"on_ramp"|"off_ramp", "ramp_measured": bool}, ...],
         "flow_sensors": [int, ...], "entry_flow_measured": bool}``. Flags
-        must be JSON booleans and sensors JSON integers; the structural rules
-        are the constructor's.
+        must be JSON booleans, and lengths and the time step JSON numbers;
+        the sensor and structural rules are the constructor's.
         """
         if not isinstance(raw, dict):
             raise InputError("expected a JSON object at top level")
         try:
-            time_step = float(raw["time_step_h"])
+            time_step = raw["time_step_h"]
             seg_list = raw["segments"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
             raise InputError("missing or malformed time_step_h/segments") from exc
+        time_step = _number(time_step, "time_step_h")
         if not isinstance(seg_list, list):
             raise InputError("segments must be a non-empty array")
         segments = tuple(_segment_from_dict(d, i) for i, d in enumerate(seg_list, start=1))
         sensors = raw.get("flow_sensors", [])
         if not isinstance(sensors, list):
             raise InputError("flow_sensors must be an array of segment indices")
-        bad = [j for j in sensors if not isinstance(j, int) or isinstance(j, bool)]
-        if bad:
-            raise InputError(f"flow_sensors entries must be integers, got {bad}")
         return cls(
             segments=segments,
-            flow_sensor_segments=frozenset(sensors),
+            flow_sensor_segments=sensors,
             time_step_h=time_step,
             entry_flow_measured=_flag(raw, "entry_flow_measured", True),
         )

@@ -73,6 +73,25 @@ def read_csv(path):
     return header, rows
 
 
+# The filter's own tuning defaults, as echoed in summary.json.
+TUNING_DEFAULTS = {"q_density": 1.0, "q_ramp": 0.01, "measurement_var": 10.0, "initial_mean": 40.0, "initial_var": 1.0}
+# Each source's calibration row: ngsim_like's, the detectors', none for trajectory files.
+SOURCE_TUNING_ROWS = {
+    "preset": {"measurement_var": 10.0, "initial_mean": 300.0, "initial_ramp": 0.0},
+    "trajectories": {},
+    "detectors": {"measurement_var": 100.0, "initial_mean": 4.0},
+}
+# Each tuning flag and the echo entry it sets.
+TUNING_FLAG_ECHO = {
+    "--q-density": "q_density",
+    "--q-ramp": "q_ramp",
+    "--meas-var": "measurement_var",
+    "--init-mean": "initial_mean",
+    "--init-ramp": "initial_ramp",
+    "--init-var": "initial_var",
+}
+
+
 class TestValidate:
     def test_preset_network_is_ok(self, capsys):
         assert cli.main(["validate", "--preset", "ngsim_like"]) == 0
@@ -101,6 +120,8 @@ class TestValidate:
             ("entry_flow_measured", "false"),
             ("flow_sensors", [1.9]),
             ("length_km", math.nan),
+            ("length_km", "0.5"),
+            ("time_step_h", True),
         ],
     )
     def test_values_that_mean_something_else_exit_two(self, tmp_path, capsys, field, value):
@@ -189,6 +210,45 @@ class TestEstimate:
         assert tuning["measurement_var"] == 25.0
         assert tuning["initial_mean"] == 123.0
         assert tuning["initial_ramp"] == 7.0
+
+    @pytest.mark.parametrize("flag", [None, *TUNING_FLAG_ECHO])
+    @pytest.mark.parametrize("source", ["preset", "trajectories", "detectors"])
+    def test_each_tuning_value_comes_from_its_flag_else_the_source_else_the_filter(
+        self, tmp_path, read_summary, source, flag
+    ):
+        # An unmeasured on-ramp on segment 1 gives the file sources ramp states.
+        args = estimate_args(tmp_path, source)
+        if source != "preset":
+            payload = json.loads((tmp_path / "net.json").read_text())
+            payload["segments"][0]["ramp"] = "on_ramp"
+            (tmp_path / "net.json").write_text(json.dumps(payload))
+        out = tmp_path / "est"
+        flags = [] if flag is None else [flag, "7.5"]
+        assert cli.main([*args, *flags, "--warmup", "0", "--out", str(out)]) == 0
+        want = {**TUNING_DEFAULTS, **SOURCE_TUNING_ROWS[source]}
+        if flag is not None:
+            want[TUNING_FLAG_ECHO[flag]] = 7.5
+        # Without an initial ramp value of its own, the ramp state starts at the initial mean.
+        want.setdefault("initial_ramp", want["initial_mean"])
+        assert read_summary(out)["config"]["tuning"] == want
+
+    def test_detector_metrics_block_names_every_key(self, tmp_path, read_summary):
+        # Detectors see no ramp truth, so the ramp scores are null, not absent.
+        out = tmp_path / "est"
+        assert cli.main([*estimate_args(tmp_path, "detectors"), "--warmup", "0", "--out", str(out)]) == 0
+        m = read_summary(out)["metrics"]
+        assert set(m) == {
+            "cv_rho",
+            "cv_rho_full",
+            "horizon_steps",
+            "warmup_steps",
+            "speed_error_covariance_w",
+            "ramp_flow_rmse",
+            "ramp_flow_best_lag",
+            "ramp_flow_rmse_at_best_lag",
+        }
+        assert m["ramp_flow_rmse"] is m["ramp_flow_best_lag"] is m["ramp_flow_rmse_at_best_lag"] is None
+        assert (m["horizon_steps"], m["warmup_steps"]) == (11, 0)
 
     def test_metrics_command_recomputes_the_summary(self, tmp_path, capsys, read_summary):
         # One metrics function serves both commands, and CSV cells round-trip
@@ -492,6 +552,18 @@ class TestSweep:
             assert np.isfinite(float(r[2])) and float(r[2]) > 0.0
 
         assert read_summary(out)["config"]["p_values"] == [0.2, 1.0]
+
+    def test_numeric_fields_are_the_repr_of_their_value(self, tmp_path):
+        out = tmp_path / "sweep"
+        args = ["sweep", "--preset", "ngsim_like", "--p", "0.05,1", "--reps", "2", "--seed", "3"]
+        assert cli.main([*args, "--out", str(out)]) == 0
+        text = (out / "sweep.csv").read_bytes().decode()
+        assert "\r" not in text
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert len(rows) == 4
+        for row in rows:
+            for field in (row[0], *row[2:]):
+                assert repr(float(field)) == field
 
     def test_bad_p_specs_abort(self, tmp_path, capsys):
         base = ["sweep", "--preset", "ngsim_like", "--reps", "1", "--out", str(tmp_path / "o")]

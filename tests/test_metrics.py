@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from trafficstate import metrics
 from trafficstate.metrics import (
     DEFAULT_WARMUP_STEPS,
-    RunMetrics,
     cv_rho,
     ramp_flow_best_lag,
     ramp_flow_rmse,
@@ -173,25 +172,3 @@ class TestRampFlowMetrics:
         with pytest.raises(ValueError, match="1-d"):
             ramp_flow_best_lag(np.zeros((5, 2)), np.zeros((5, 2)))
 
-
-class TestRunMetrics:
-    def test_to_dict_round_trip(self):
-        metrics = RunMetrics(
-            cv_rho=0.12,
-            cv_rho_full=0.15,
-            horizon_steps=360,
-            warmup_steps=10,
-            speed_error_covariance_w=42.0,
-            ramp_flow_rmse=88.0,
-            ramp_flow_best_lag=4,
-            ramp_flow_rmse_at_best_lag=61.0,
-        )
-        d = metrics.to_dict()
-        assert d["cv_rho"] == 0.12
-        assert d["ramp_flow_best_lag"] == 4
-        assert RunMetrics(**d) == metrics
-
-    def test_optional_fields_default_to_none(self):
-        metrics = RunMetrics(cv_rho=0.1, cv_rho_full=0.2, horizon_steps=100, warmup_steps=10)
-        assert metrics.speed_error_covariance_w is None
-        assert metrics.to_dict()["ramp_flow_rmse"] is None

@@ -326,6 +326,13 @@ class TestNetworkIo:
         with pytest.raises(InputError, match="^flow_sensors must be an array"):
             NetworkConfig.from_dict(raw)
 
+    def test_numpy_numbers_are_numbers(self):
+        # A library caller's dict may hold numpy scalars where JSON has numbers.
+        raw = {"time_step_h": np.int64(1), "segments": [{"length_km": np.float32(0.5)}], "flow_sensors": [1]}
+        cfg = NetworkConfig.from_dict(raw)
+        assert (cfg.time_step_h, cfg.segments[0].length_km) == (1.0, 0.5)
+        assert type(cfg.time_step_h) is float
+
     @pytest.mark.parametrize(
         "change, message",
         [
@@ -339,10 +346,14 @@ class TestNetworkIo:
             ({"time_step_h": math.nan}, "time_step_h must be positive and finite, got nan"),
             ({"time_step_h": 0}, "time_step_h must be positive and finite, got 0.0"),
             ({"flow_sensors": [2, 9]}, "flow_sensors outside 1..2: [9]"),
+            ({"flow_sensors": [[2]]}, "flow_sensors entries must be integers, got [[2]]"),
+            ({"time_step_h": True}, "time_step_h must be a number, got true"),
+            ({"length_km": "0.5"}, 'segment 2: length_km must be a number, got "0.5"'),
         ],
     )
     def test_values_that_mean_something_else_raise(self, change, message):
-        # JSON allows NaN and Infinity; bool("false") is True and int(1.9) is 1.
+        # JSON allows NaN and Infinity; bool("false") is True, int(1.9) is 1
+        # and float(True) is 1.0.
         # The structural rules are the constructor's, reached through from_dict.
         raw = make_config(n=2, sensors=(2,), ramps={2: (RampType.ON, True)}).to_dict()
         for key, value in change.items():
@@ -358,6 +369,14 @@ _EDGE_FLOATS = st.sampled_from([0.0, -0.0, -0.5, math.nan, math.inf, -math.inf])
 
 
 class TestNetworkConfigRules:
+    def test_sensors_must_be_integers_not_bools(self):
+        # int() would take 1.9 and True as sensor 1.
+        with pytest.raises(InputError) as err:
+            NetworkConfig((Segment(0.5),), [1.9, True], 0.01)
+        assert str(err.value) == "flow_sensors entries must be integers, got [1.9, True]"
+        (sensor,) = NetworkConfig((Segment(0.5),), [np.int64(1)], 0.01).flow_sensor_segments
+        assert sensor == 1 and type(sensor) is int
+
     @pytest.mark.parametrize("rule", [None, "length", "time step", "sensor", "no segments"])
     @given(
         lengths=st.lists(st.floats(0.01, 5.0), min_size=1, max_size=5),
