@@ -547,37 +547,50 @@ def cmd_sweep(args) -> int:
     rate_bytes = runs_per_rate * (K + 1) * idx.dim * np.dtype(float).itemsize
     per_batch = max(1, _BATCH_STATE_BYTES // rate_bytes)
 
-    def runs(rates: list[float]):
+    def runs(rates: list[float], filtered: list[int]):
         # Rate by rate, then rep by rep: (rep 0 raw, rep 0 smoothed, rep 1 raw, ...).
         for p in rates:
-            for seed in seeds:
+            for n_filtered, seed in enumerate(seeds, start=1):
                 rng = np.random.default_rng(seed)
+                drawn = rng.bit_generator.state
                 clean = simulate.synthetic_measurements(result, rng, penetration=p, speed_spread_kmh=args.speed_spread)
                 raw = _noisy(args, clean, rng)
                 yield raw
                 yield _smoothed(raw, args.window)
+                # A repetition that draws nothing depends on no seed: every
+                # repetition of the rate is this one, so it is filtered once.
+                if rng.bit_generator.state == drawn:
+                    break
+            filtered.append(n_filtered)
 
     def batch_rows(rates: list[float]) -> list[tuple]:
+        filtered: list[int] = []  # repetitions filtered per rate, filled as the runs are read
         results = kalman.run_filter_batch(
             cfg,
             idx,
             tuning,
-            runs(rates),
+            runs(rates, filtered),
             default_speed_kmh=default_speed,
             strict_cfl=args.strict_cfl,
             clamp_nonnegative=args.clamp_output,
         )
         rows = []
-        for i, p in enumerate(rates):
+        start = 0
+        for p, n_filtered in zip(rates, filtered):
+            stop = start + 2 * n_filtered
+            # A rate filtered once scores each of its repetitions with that run.
+            repeat = args.reps // n_filtered
             for j, variant in enumerate(("instantaneous", "moving_average")):
-                variant_results = results[i * runs_per_rate + j : (i + 1) * runs_per_rate : 2]
+                variant_results = results[start + j : stop : 2]
                 cvs = [metrics.cv_rho(fr.densities[:K], rho_true, warmup=args.warmup) for fr in variant_results]
                 ws = [
                     metrics.speed_error_covariance(rho_true, fr.speeds_used, sc.speeds_kmh, cfg, warmup=args.warmup)
                     for fr in variant_results
                 ]
+                cvs, ws = cvs * repeat, ws * repeat
                 std = float(np.std(cvs, ddof=1)) if len(cvs) > 1 else 0.0
                 rows.append((p, variant, float(np.mean(cvs)), std, float(np.mean(ws))))
+            start = stop
         return rows
 
     batches = [args.p[first : first + per_batch] for first in range(0, len(args.p), per_batch)]

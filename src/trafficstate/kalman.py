@@ -5,11 +5,14 @@ published for step k+1 uses measurements up to and including step k. One
 eigendecomposition S = V diag(w) V^T of the m x m innovation covariance per
 step gives both the cond(S) guard and the gain solve; S is never inverted.
 
-``run_filter_batch`` uses the model's structure: the transition matrix is
-lower-bidiagonal plus the ramp columns and an identity block on the ramp
-states, so A P A^T is two O(dim^2) row passes
-(``ltv_model._apply_A_into``), and the output matrix only selects rows, so
-C P is indexing. A step costs O(dim^2) and no dense A is formed. Runs that
+``run_filter_batch`` uses the model's structure. The output matrix only
+selects rows, so C P is indexing. The transition matrix is lower-bidiagonal
+plus the ramp columns and an identity block on the ramp states, so above
+``ltv_model.DENSE_A_MAX_DIM`` states A P A^T is two O(dim^2) row passes
+(``ltv_model._apply_A_into``) and no dense A is formed. At or below it,
+where a row pass costs more in numpy calls than in arithmetic, each step
+writes A's density diagonal and subdiagonal into one (runs, dim, dim) stack
+(``ltv_model._dense_A``) and A P A^T is two stacked matmuls. Runs that
 share a network, tuning and step count are filtered together on a leading
 run axis, so one step of numpy calls serves the whole batch;
 ``run_filter`` is a batch of one.
@@ -26,15 +29,16 @@ from typing import Iterable, Sequence
 import numpy as np
 
 # build_A stays importable from this module for code that binds it here;
-# the filter itself never forms A.
+# the filter itself does not call it.
+from trafficstate import ltv_model
 from trafficstate.ltv_model import (  # noqa: F401
     LtvSnapshot,
     StateIndex,
     _apply_A_into,
     _coefficients,
+    _dense_A,
     build_A,
     build_B,
-    build_C,
     build_u,
 )
 from trafficstate.network import CflReport, CflViolationError, NetworkConfig, cfl_message, check_cfl
@@ -323,14 +327,16 @@ def run_filter_batch(
     segment order, so ``tuning`` is sized to their number.
 
     Each step is the update of ``kf_step`` computed from the model's
-    structure in O(dim^2): see the module docstring.
+    structure: see the module docstring.
     """
     n = idx.n_segments
     sensor_segments = tuple(sorted(cfg.flow_sensor_segments))
+    if not sensor_segments:
+        raise ValueError("at least one sensor segment is required")
     ratios = cfg.time_step_h / cfg.lengths_km
     B = build_B(idx, cfg.lengths_km, cfg.time_step_h)
     # C only selects rows: C M == M[sel].
-    sel = build_C(idx, sensor_segments).argmax(axis=1)
+    sel = np.array(sensor_segments) - 1
     if tuning.dim != idx.dim:
         raise ValueError(f"tuning is sized for dim {tuning.dim}, model has {idx.dim}")
     if tuning.n_measurements != len(sensor_segments):
@@ -389,6 +395,9 @@ def run_filter_batch(
     posterior = np.empty((n_runs, d, d + 1))
     AM = np.empty_like(posterior)
     APA = np.empty_like(P)
+    dense = d <= ltv_model.DENSE_A_MAX_DIM
+    if dense:
+        A, A_diag, A_sub = _dense_A(idx, n_runs)
 
     for k in range(K):
         innovation = z_used[:, k] - x[:, sel]
@@ -398,10 +407,15 @@ def run_filter_batch(
         np.subtract(P, gain @ CP, out=posterior[..., :d])
         posterior[..., d] = x + (gain @ innovation[..., np.newaxis])[..., 0]
         diag, sub = _coefficients(ratios, speeds_used[:, k])
-        _apply_A_into(idx, diag, sub, posterior, AM)
+        if dense:
+            A_diag[...], A_sub[...] = diag, sub
+            np.matmul(A, posterior, out=AM)
+            np.matmul(AM[..., :d], A.swapaxes(-1, -2), out=APA)
+        else:
+            _apply_A_into(idx, diag, sub, posterior, AM)
+            # P is symmetric, so A P A^T = A (A P)^T.
+            _apply_A_into(idx, diag, sub, AM[..., :d].swapaxes(-1, -2), APA)
         x = AM[..., d] + u[:, k] @ B.T
-        # P is symmetric, so A P A^T = A (A P)^T.
-        _apply_A_into(idx, diag, sub, AM[..., :d].swapaxes(-1, -2), APA)
         APA += Q
         np.add(APA, APA.swapaxes(-1, -2), out=P)
         P *= 0.5

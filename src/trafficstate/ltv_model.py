@@ -125,6 +125,40 @@ def _apply_A_into(idx: StateIndex, diag: np.ndarray, sub: np.ndarray, M: np.ndar
     return out
 
 
+# Up to this state dimension the filter forms each step's A for the whole
+# batch (``_dense_A``) and takes A P A^T as two stacked matmuls; above it,
+# the row passes of ``_apply_A_into`` cost less. Filter step in us (K = 60,
+# medians of 7; 2 cores, numpy 2.4, OpenBLAS 0.3.31):
+#
+#   dim   runs   row passes    dense
+#     8   1/40     91/222      75/178
+#    33   1/40    120/788      88/512
+#    63   1/40    107/2906     85/2391
+#    84   1/40    130/4310    128/4316
+#   105   1/4     249/568     253/712
+#   210   1/4     540/2232   1011/2902
+#
+# The two break even near dim 84; the cap keeps a margin below that.
+DENSE_A_MAX_DIM = 64
+
+
+def _dense_A(idx: StateIndex, n_runs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A (runs, dim, dim) stack of transition matrices and views of its density diagonal and subdiagonal.
+
+    The constant entries, the ramp columns' +1 or -1 and the identity on the
+    ramp states, are set here. Writing one step's ``_coefficients`` into the
+    two (runs, N) and (runs, N - 1) views makes the stack that step's A.
+    """
+    n, d = idx.n_segments, idx.dim
+    A = np.zeros((n_runs, d, d))
+    A[:, range(n, d), range(n, d)] = 1.0
+    for j, (seg, kind) in enumerate(zip(idx.theta_segments, idx.theta_kinds)):
+        A[:, seg - 1, n + j] = 1.0 if kind is RampType.ON else -1.0
+    flat = A.reshape(n_runs, d * d)
+    # Entry (i, i) sits at flat i (d + 1), entry (i, i - 1) one before it.
+    return A, flat[:, : n * (d + 1) : d + 1], flat[:, d : n * (d + 1) - 1 : d + 1]
+
+
 def build_A(
     idx: StateIndex,
     lengths_km: Sequence[float],

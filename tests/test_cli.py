@@ -591,8 +591,8 @@ class TestSweep:
             assert by_variant[variant] == pytest.approx(read_summary(out)["metrics"]["cv_rho"], rel=1e-9, abs=0)
 
     def test_whole_rates_share_a_batch_under_the_state_cap(self, tmp_path, monkeypatch):
-        # Two repetitions make 4 runs per rate. How rates are batched
-        # changes no output byte.
+        # Two repetitions make 4 runs per rate, but p = 1.0 draws nothing
+        # and filters 2. How rates are batched changes no output byte.
         sc = simulate.make_congestion_scenario("ngsim_like", 3)
         rate_bytes = 4 * (sc.n_steps + 1) * build_state_index(sc.cfg).dim * 8
         sizes = []
@@ -605,7 +605,7 @@ class TestSweep:
 
         monkeypatch.setattr(kalman, "run_filter_batch", spy)
         outputs = []
-        for cap, want in ((1, [4, 4, 4]), (2 * rate_bytes - 1, [4, 4, 4]), (2 * rate_bytes, [8, 4]), (10**9, [12])):
+        for cap, want in ((1, [4, 4, 2]), (2 * rate_bytes - 1, [4, 4, 2]), (2 * rate_bytes, [8, 2]), (10**9, [10])):
             monkeypatch.setattr(cli, "_BATCH_STATE_BYTES", cap)
             sizes.clear()
             out = tmp_path / str(cap)
@@ -614,6 +614,35 @@ class TestSweep:
             assert sizes == want, cap
             outputs.append([(out / name).read_bytes() for name in ("sweep.csv", "summary.json")])
         assert all(o == outputs[0] for o in outputs)
+
+    def test_a_rate_that_draws_nothing_is_filtered_once(self, tmp_path, monkeypatch, read_summary):
+        # Noiseless full penetration draws no random number, so its
+        # repetitions are one run: one raw and one smoothed run are filtered,
+        # and each row scores that run once per repetition. Speed noise
+        # draws, so then every repetition is filtered. The mean of seven
+        # equal scores need not be that score to the last bit.
+        sizes = []
+        real = kalman.run_filter_batch
+
+        def spy(cfg, idx, tuning, runs, **kwargs):
+            results = real(cfg, idx, tuning, runs, **kwargs)
+            sizes.append(len(results))
+            return results
+
+        monkeypatch.setattr(kalman, "run_filter_batch", spy)
+        reps, flags = 7, ["--preset", "ngsim_like", "--seed", "4", "--warmup", "20"]
+        sweep = ["sweep", "--p", "1.0", "--reps", str(reps), "--window", "3", *flags]
+        assert cli.main([*sweep, "--out", str(tmp_path / "sweep")]) == 0
+        assert sizes == [2]
+        assert cli.main([*sweep, "--speed-noise-std", "1", "--out", str(tmp_path / "noisy")]) == 0
+        assert sizes == [2, 2 * reps]
+
+        _, rows = read_csv(tmp_path / "sweep" / "sweep.csv")
+        for row, window in zip(rows, ("1", "3")):
+            out = tmp_path / f"estimate{window}"
+            assert cli.main(["estimate", "--penetration", "1.0", "--window", window, *flags, "--out", str(out)]) == 0
+            cvs = [read_summary(out)["metrics"]["cv_rho"]] * reps
+            assert [float(row[2]), float(row[3])] == [float(np.mean(cvs)), float(np.std(cvs, ddof=1))]
 
 
 @pytest.mark.parametrize("where", ["file", "under-a-file"])

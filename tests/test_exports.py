@@ -35,6 +35,7 @@ def test_star_import_binds_every_exported_name():
 
 # Exported names that no module of the package uses, each with why it stays.
 UNREFERENCED_EXPORTS = {
+    "build_C": "the output matrix of the LtvSnapshot that kf_step and observability_gramian take",
     "kf_step": "the dense textbook filter step that criterion 1 holds run_filter to",
     "observability_gramian": "the numerical observability check of the placement rule, criterion 6",
     "save_network": "the file writer paired with load_network",

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import random_observable_network
 
-from trafficstate import kalman
+from trafficstate import kalman, ltv_model
 from trafficstate.kalman import (
     FilterState,
     FilterTuning,
@@ -365,11 +365,18 @@ def with_measured_ramp(rng, cfg):
     return dataclasses.replace(cfg, segments=tuple(segments))
 
 
+# Caps on ltv_model.DENSE_A_MAX_DIM that send every network down one of the
+# filter step's two paths: the row passes of _apply_A_into, or the dense A.
+A_PATHS = pytest.mark.parametrize("dense_max_dim", [0, 10**9], ids=["row-passes", "dense-A"])
+
+
 class TestRunFilter:
-    def test_matches_a_loop_of_dense_kf_steps(self):
+    @A_PATHS
+    def test_matches_a_loop_of_dense_kf_steps(self, monkeypatch, dense_max_dim):
         # The structured step equals kf_step on build_A/build_C snapshots fed
         # with what the run actually consumed, held values included: alone,
         # and as each member of a batch on the same network.
+        monkeypatch.setattr(ltv_model, "DENSE_A_MAX_DIM", dense_max_dim)
         rng = np.random.default_rng(7)
         ramp_kinds = set()
         worst = 0.0
@@ -391,19 +398,23 @@ class TestRunFilter:
         assert ramp_kinds == {RampType.ON, RampType.OFF}
         assert worst <= 1e-9
 
+    @A_PATHS
     @settings(max_examples=25)
     @given(
         seed=st.integers(0, 2**32 - 1),
         n_steps=st.integers(100, 400),
         max_ratio=st.floats(0.05, 0.99),
     )
-    def test_covariance_stays_symmetric_psd(self, seed, n_steps, max_ratio):
+    def test_covariance_stays_symmetric_psd(self, dense_max_dim, seed, n_steps, max_ratio):
         rng = np.random.default_rng(seed)
         cfg, _ = random_observable_network(rng)
         idx = build_state_index(cfg)
         tuning = default_tuning(idx, len(cfg.flow_sensor_segments))
         frames = random_frames(rng, cfg, idx, n_steps, max_ratio=max_ratio)
-        P = run_filter(cfg, idx, tuning, frames).final.cov
+        # Hypothesis refuses the function-scoped monkeypatch fixture.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ltv_model, "DENSE_A_MAX_DIM", dense_max_dim)
+            P = run_filter(cfg, idx, tuning, frames).final.cov
         assert np.array_equal(P, P.T)
         eig = np.linalg.eigvalsh(P)
         assert eig[0] >= -1e-9 * eig[-1]
@@ -677,6 +688,9 @@ class TestRunFilter:
             run_filter(cfg, idx, default_tuning(build_state_index(make_config(2, (2,))), 1), empty)
         with pytest.raises(ValueError, match="sensors are in use"):
             run_filter(cfg, idx, default_tuning(idx, 2), empty)
+        unsensed = make_config(3, sensors=())
+        with pytest.raises(ValueError, match="at least one sensor"):
+            run_filter(unsensed, idx, default_tuning(idx, 0), empty)
 
     def test_wrong_frame_speed_shape_raises(self):
         cfg = make_config(3, sensors=(3,))
