@@ -276,14 +276,6 @@ class _Source:
     echo: dict
 
 
-def _segment_table(n_steps: int, n_segments: int, series: Mapping[int, np.ndarray]) -> np.ndarray:
-    """(K, N) table of per-segment series keyed by 1-based segment, NaN elsewhere."""
-    table = np.full((n_steps, n_segments), np.nan)
-    for seg, values in series.items():
-        table[:, seg - 1] = np.asarray(values, dtype=float)[:n_steps]
-    return table
-
-
 def _preset_source(args, sc: simulate.Scenario, rng: np.random.Generator) -> _Source:
     result = simulate.simulate_truth(sc, strict_cfl=args.strict_cfl)
     meas = simulate.synthetic_measurements(
@@ -294,7 +286,7 @@ def _preset_source(args, sc: simulate.Scenario, rng: np.random.Generator) -> _So
         meas,
         rho_true=result.densities[:K],
         v_true=sc.speeds_kmh,
-        ramp_flow_true=_segment_table(K, sc.cfg.n_segments, sc.ramp_flows_vph),
+        ramp_flow_true=sensing._step_table(K, sc.cfg.n_segments, {j - 1: q for j, q in sc.ramp_flows_vph.items()}),
         default_speed=float(np.mean(sc.speeds_kmh)),
         smoothed=True,
         echo={
@@ -313,12 +305,12 @@ def _trajectory_source(args, cfg: NetworkConfig, rng: np.random.Generator) -> _S
         traj, cfg, args.penetration, rng, exclude_lanes=exclude, ramp_rules=rules
     )
     K = meas.n_steps
-    ramp_true = {r.segment: sensing.lane_transition_flow(traj, r, K, cfg.time_step_h) for r in rules}
+    ramp_true = {r.segment - 1: sensing.lane_transition_flow(traj, r, K, cfg.time_step_h) for r in rules}
     return _Source(
         meas,
         rho_true=sensing.ground_truth_densities(traj, cfg, K, exclude_lanes=exclude),
         v_true=sensing.segment_speed_series(traj, cfg, K, frozenset(traj.ids.tolist()), exclude_lanes=exclude),
-        ramp_flow_true=_segment_table(K, cfg.n_segments, ramp_true),
+        ramp_flow_true=sensing._step_table(K, cfg.n_segments, ramp_true),
         default_speed=100.0,
         smoothed=True,
         echo={
@@ -487,7 +479,8 @@ def cmd_estimate(args) -> int:
         strict_cfl=args.strict_cfl,
         clamp_nonnegative=args.clamp_output,
     )
-    ramp_est = dict(zip(idx.theta_segments, fr.ramp_flows(cfg.lengths_km, cfg.time_step_h).T))
+    ramp_flows = fr.ramp_flows(cfg.lengths_km, cfg.time_step_h)[:K]
+    ramp_est = {seg - 1: ramp_flows[:, j] for j, seg in enumerate(idx.theta_segments)}
     columns = {
         "rho_true": src.rho_true,
         "rho_est": fr.densities[:K],
@@ -495,7 +488,7 @@ def cmd_estimate(args) -> int:
         "q_sensor": meas.flows_vph[:, 1:],
         "v_true": src.v_true,
         "ramp_flow_true": src.ramp_flow_true,
-        "ramp_flow_est": _segment_table(K, n, ramp_est),
+        "ramp_flow_est": sensing._step_table(K, n, ramp_est),
     }
     run_metrics = _run_metrics(cfg, columns, args.warmup)
 

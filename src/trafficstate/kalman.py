@@ -6,15 +6,11 @@ eigendecomposition S = V diag(w) V^T of the m x m innovation covariance per
 step gives both the cond(S) guard and the gain solve; S is never inverted.
 
 ``run_filter_batch`` uses the model's structure. The output matrix only
-selects rows, so C P is indexing. The transition matrix is lower-bidiagonal
-plus the ramp columns and an identity block on the ramp states, so above
-``ltv_model.DENSE_A_MAX_DIM`` states A P A^T is two O(dim^2) row passes
-(``ltv_model._apply_A_into``) and no dense A is formed. At or below it,
-where a row pass costs more in numpy calls than in arithmetic, each step
-writes A's density diagonal and subdiagonal into one (runs, dim, dim) stack
-(``ltv_model._dense_A``) and A P A^T is two stacked matmuls. Runs that
-share a network, tuning and step count are filtered together on a leading
-run axis, so one step of numpy calls serves the whole batch;
+selects rows, so C P is indexing. ``ltv_model`` chooses how each step
+multiplies by A (``ltv_model._A_step``): by row passes that never form A,
+or, for small state dimensions, by stacked matmuls with a dense A. Runs
+that share a network, tuning and step count are filtered together on a
+leading run axis, so one step of numpy calls serves the whole batch;
 ``run_filter`` is a batch of one.
 ``kf_step`` is the dense form of the same update for an arbitrary snapshot.
 """
@@ -31,16 +27,7 @@ import numpy as np
 # build_A stays importable from this module for code that binds it here;
 # the filter itself does not call it.
 from trafficstate import ltv_model
-from trafficstate.ltv_model import (  # noqa: F401
-    LtvSnapshot,
-    StateIndex,
-    _apply_A_into,
-    _coefficients,
-    _dense_A,
-    build_A,
-    build_B,
-    build_u,
-)
+from trafficstate.ltv_model import LtvSnapshot, StateIndex, build_A, build_B, build_u  # noqa: F401
 from trafficstate.network import CflReport, CflViolationError, NetworkConfig, cfl_message, check_cfl
 from trafficstate.sensing import Measurements
 
@@ -333,7 +320,6 @@ def run_filter_batch(
     sensor_segments = tuple(sorted(cfg.flow_sensor_segments))
     if not sensor_segments:
         raise ValueError("at least one sensor segment is required")
-    ratios = cfg.time_step_h / cfg.lengths_km
     B = build_B(idx, cfg.lengths_km, cfg.time_step_h)
     # C only selects rows: C M == M[sel].
     sel = np.array(sensor_segments) - 1
@@ -395,9 +381,7 @@ def run_filter_batch(
     posterior = np.empty((n_runs, d, d + 1))
     AM = np.empty_like(posterior)
     APA = np.empty_like(P)
-    dense = d <= ltv_model.DENSE_A_MAX_DIM
-    if dense:
-        A, A_diag, A_sub = _dense_A(idx, n_runs)
+    A_step = ltv_model._A_step(idx, cfg.lengths_km, cfg.time_step_h, n_runs)
 
     for k in range(K):
         innovation = z_used[:, k] - x[:, sel]
@@ -406,15 +390,7 @@ def run_filter_batch(
         gain = _gain(CP, CP[..., sel], R, k)
         np.subtract(P, gain @ CP, out=posterior[..., :d])
         posterior[..., d] = x + (gain @ innovation[..., np.newaxis])[..., 0]
-        diag, sub = _coefficients(ratios, speeds_used[:, k])
-        if dense:
-            A_diag[...], A_sub[...] = diag, sub
-            np.matmul(A, posterior, out=AM)
-            np.matmul(AM[..., :d], A.swapaxes(-1, -2), out=APA)
-        else:
-            _apply_A_into(idx, diag, sub, posterior, AM)
-            # P is symmetric, so A P A^T = A (A P)^T.
-            _apply_A_into(idx, diag, sub, AM[..., :d].swapaxes(-1, -2), APA)
+        A_step(speeds_used[:, k], posterior, AM, APA)
         x = AM[..., d] + u[:, k] @ B.T
         APA += Q
         np.add(APA, APA.swapaxes(-1, -2), out=P)

@@ -6,7 +6,10 @@ segment i is the per-step density contribution (T/delta_i) * flow, so the
 ramp flow in veh/h is recovered by multiplying with delta_i/T.
 
 All builders take the per-step segment speeds explicitly; the matrices A
-change every step while B and C are constant for a fixed network.
+change every step while B and C are constant for a fixed network. This
+module also chooses how the filter multiplies by A each step (``_A_step``):
+by row passes that use A's structure, or by matmuls with a dense A for
+small state dimensions.
 """
 
 from __future__ import annotations
@@ -125,10 +128,10 @@ def _apply_A_into(idx: StateIndex, diag: np.ndarray, sub: np.ndarray, M: np.ndar
     return out
 
 
-# Up to this state dimension the filter forms each step's A for the whole
-# batch (``_dense_A``) and takes A P A^T as two stacked matmuls; above it,
-# the row passes of ``_apply_A_into`` cost less. Filter step in us (K = 60,
-# medians of 7; 2 cores, numpy 2.4, OpenBLAS 0.3.31):
+# Up to this state dimension the filter's step forms A for the whole batch
+# and takes A P A^T as two stacked matmuls; above it, the row passes of
+# ``_apply_A_into`` cost less. Filter step in us (K = 60, medians of 7;
+# 2 cores, numpy 2.4, OpenBLAS 0.3.31):
 #
 #   dim   runs   row passes    dense
 #     8   1/40     91/222      75/178
@@ -142,21 +145,41 @@ def _apply_A_into(idx: StateIndex, diag: np.ndarray, sub: np.ndarray, M: np.ndar
 DENSE_A_MAX_DIM = 64
 
 
-def _dense_A(idx: StateIndex, n_runs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A (runs, dim, dim) stack of transition matrices and views of its density diagonal and subdiagonal.
+def _A_step(idx: StateIndex, lengths_km: Sequence[float], time_step_h: float, n_runs: int):
+    """The filter's A-products for a batch of ``n_runs``, as one step function.
 
-    The constant entries, the ramp columns' +1 or -1 and the identity on the
-    ramp states, are set here. Writing one step's ``_coefficients`` into the
-    two (runs, N) and (runs, N - 1) views makes the stack that step's A.
+    ``step(speeds, M, AM, APA)`` takes one step's (runs, N) speeds and the
+    (runs, dim, dim + 1) posterior M = [P | x], writes A M into ``AM`` and
+    A P A^T into ``APA``. At or below ``DENSE_A_MAX_DIM`` states, each call
+    writes the step's coefficients into one (runs, dim, dim) stack of A and
+    takes two stacked matmuls; above it, A is never formed and both products
+    are row passes of ``_apply_A_into``, the second using A P A^T = A (A P)^T
+    for symmetric P.
     """
     n, d = idx.n_segments, idx.dim
-    A = np.zeros((n_runs, d, d))
-    A[:, range(n, d), range(n, d)] = 1.0
-    for j, (seg, kind) in enumerate(zip(idx.theta_segments, idx.theta_kinds)):
-        A[:, seg - 1, n + j] = 1.0 if kind is RampType.ON else -1.0
+    ratios = _ratios(lengths_km, time_step_h)
+    if d > DENSE_A_MAX_DIM:
+
+        def row_passes(speeds: np.ndarray, M: np.ndarray, AM: np.ndarray, APA: np.ndarray) -> None:
+            diag, sub = _coefficients(ratios, speeds)
+            _apply_A_into(idx, diag, sub, M, AM)
+            _apply_A_into(idx, diag, sub, AM[..., :d].swapaxes(-1, -2), APA)
+
+        return row_passes
+
+    # Zero coefficients leave only A's constant entries: the ramp columns and
+    # the identity on the ramp states.
+    A = _apply_A_into(idx, np.zeros(n), np.zeros(n - 1), np.eye(d), np.empty((n_runs, d, d)))
     flat = A.reshape(n_runs, d * d)
     # Entry (i, i) sits at flat i (d + 1), entry (i, i - 1) one before it.
-    return A, flat[:, : n * (d + 1) : d + 1], flat[:, d : n * (d + 1) - 1 : d + 1]
+    A_diag, A_sub = flat[:, : n * (d + 1) : d + 1], flat[:, d : n * (d + 1) - 1 : d + 1]
+
+    def dense(speeds: np.ndarray, M: np.ndarray, AM: np.ndarray, APA: np.ndarray) -> None:
+        A_diag[...], A_sub[...] = _coefficients(ratios, speeds)
+        np.matmul(A, M, out=AM)
+        np.matmul(AM[..., :d], A.swapaxes(-1, -2), out=APA)
+
+    return dense
 
 
 def build_A(

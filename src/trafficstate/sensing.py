@@ -130,6 +130,17 @@ class Measurements:
         return self.speeds_kmh.shape[0]
 
 
+def _step_table(n_steps: int, width: int, series: Mapping[int, np.ndarray | float], fill: float = np.nan) -> np.ndarray:
+    """(n_steps, width) table holding each series in the column its key names, ``fill`` elsewhere.
+
+    A series is one value per step, or one value for every step.
+    """
+    table = np.full((n_steps, width), fill)
+    for col, values in series.items():
+        table[:, col] = values
+    return table
+
+
 @dataclass(frozen=True)
 class VehicleTrack:
     """One vehicle's samples, sorted by time."""
@@ -613,21 +624,20 @@ def frames_from_trajectories(
     lanes_kept = None
     if exclude_lanes:
         lanes_kept = frozenset(set(np.unique(traj.lane).tolist()) - set(exclude_lanes))
-    flows = np.full((n_steps, cfg.n_segments + 1), np.nan)
-    flows[:, 0] = _entry_flow(traj, cfg, n_steps, lanes_kept)
+    flows = {0: _entry_flow(traj, cfg, n_steps, lanes_kept)}
     for j in cfg.flow_sensor_segments:
-        flows[:, j] = virtual_detector_flow(traj, boundaries_m[j], n_steps, cfg.time_step_h, lanes=lanes_kept)
+        flows[j] = virtual_detector_flow(traj, boundaries_m[j], n_steps, cfg.time_step_h, lanes=lanes_kept)
 
     measured_segments = set(cfg.ramp_segments(measured=True))
     rules_by_segment = {r.segment: r for r in ramp_rules}
     missing = measured_segments - rules_by_segment.keys()
     if missing:
         raise InputError(f"measured ramps without a lane rule: {sorted(missing)}")
-    ramp_flows = np.full((n_steps, cfg.n_segments), np.nan) if measured_segments else None
+    ramps = {}
     for seg in measured_segments:
-        ramp_flows[:, seg - 1] = lane_transition_flow(traj, rules_by_segment[seg], n_steps, cfg.time_step_h)
-
-    return Measurements(speeds, flows, ramp_flows)
+        ramps[seg - 1] = lane_transition_flow(traj, rules_by_segment[seg], n_steps, cfg.time_step_h)
+    n = cfg.n_segments
+    return Measurements(speeds, _step_table(n_steps, n + 1, flows), _step_table(n_steps, n, ramps) if ramps else None)
 
 
 @dataclass(frozen=True)
@@ -696,9 +706,10 @@ def frames_from_detectors(detectors: Sequence[DetectorSeries], cfg: NetworkConfi
     The detector snapped to boundary i supplies segment i's speed, and its
     flow when segment i carries a sensor in the network config; boundary 0
     supplies the entry flow. Each detector sample is mapped to the nearest
-    step of the grid t0 + k*T, which runs from the first sample t0 of the
-    snapped detectors to the step nearest their last, so every sample lands
-    on the grid; steps without a sample stay missing. When
+    step of the grid t0 + k*T, a sample halfway between two steps to the
+    later one; the grid runs from the first sample t0 of the snapped
+    detectors to the step their last maps to, so every sample lands on the
+    grid; steps without a sample stay missing. When
     several samples of one detector map to the same step, the later one
     wins, and a negative flow or speed, a detector fault code, is missing
     like a NaN; one warning counts each kind of drop. Detectors count no
@@ -712,13 +723,13 @@ def frames_from_detectors(detectors: Sequence[DetectorSeries], cfg: NetworkConfi
     T_s = cfg.time_step_h * 3600.0
     t0_s = min(float(d.times_s[0]) for d in by_boundary.values())
     t_end = max(float(d.times_s[-1]) for d in by_boundary.values())
-    n_steps = int(np.rint((t_end - t0_s) / T_s)) + 1
+    n_steps = int(np.floor((t_end - t0_s) / T_s + 0.5)) + 1
 
     n = cfg.n_segments
     speeds, flows = np.full((n_steps, n), np.nan), np.full((n_steps, n + 1), np.nan)
     dropped = 0
     for b, det in sorted(by_boundary.items()):
-        ks = np.rint((det.times_s - t0_s) / T_s).astype(int)
+        ks = np.floor((det.times_s - t0_s) / T_s + 0.5).astype(int)
         # Samples are in time order, so the last of each run of equal steps is the latest.
         latest = np.append(ks[1:] != ks[:-1], True)
         dropped += int(np.count_nonzero(~latest))

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from trafficstate.network import CflViolationError, NetworkConfig, RampType, Segment, cfl_message, check_cfl
-from trafficstate.sensing import Measurements
+from trafficstate.sensing import Measurements, _step_table
 
 logger = logging.getLogger(__name__)
 
@@ -105,15 +105,6 @@ class SimulationResult:
         return self.scenario.speeds_kmh
 
 
-def _signed_ramp_table(sc: Scenario) -> np.ndarray:
-    """(K, N) net ramp flow, on-ramps positive, off-ramps negative."""
-    net = np.zeros((sc.n_steps, sc.cfg.n_segments))
-    for seg, series in sc.ramp_flows_vph.items():
-        sign = 1.0 if sc.cfg.segments[seg - 1].ramp is RampType.ON else -1.0
-        net[:, seg - 1] = sign * series
-    return net
-
-
 def simulate_truth(sc: Scenario, *, strict_cfl: bool = False) -> SimulationResult:
     """Iterate the density conservation recursion exactly.
 
@@ -131,7 +122,9 @@ def simulate_truth(sc: Scenario, *, strict_cfl: bool = False) -> SimulationResul
     n = sc.cfg.n_segments
     K = sc.n_steps
     ratio = sc.cfg.time_step_h / sc.cfg.lengths_km
-    net_ramp = _signed_ramp_table(sc)
+    # (K, N) net ramp flow, on-ramps positive, off-ramps negative.
+    ramps = {j - 1: q if sc.cfg.segments[j - 1].ramp is RampType.ON else -q for j, q in sc.ramp_flows_vph.items()}
+    net_ramp = _step_table(K, n, ramps, fill=0.0)
 
     densities = np.zeros((K + 1, n))
     flows = np.zeros((K, n))
@@ -203,15 +196,11 @@ def synthetic_measurements(
     else:
         speeds = emulate_probe_speeds(result, penetration, rng, speed_spread_kmh=speed_spread_kmh)
     n = sc.cfg.n_segments
-    flows = np.full((sc.n_steps, n + 1), np.nan)
-    flows[:, 0] = sc.entry_flow_vph
-    for j in sc.cfg.flow_sensor_segments:
-        flows[:, j] = result.segment_flows[:, j - 1]
-    measured = sc.cfg.ramp_segments(measured=True)
-    ramps = np.full((sc.n_steps, n), np.nan) if measured else None
-    for seg in measured:
-        ramps[:, seg - 1] = sc.ramp_flows_vph.get(seg, 0.0)
-    return Measurements(speeds, flows, ramps)
+    K = sc.n_steps
+    sensors = {j: result.segment_flows[:, j - 1] for j in sc.cfg.flow_sensor_segments}
+    flows = _step_table(K, n + 1, {0: sc.entry_flow_vph, **sensors})
+    ramps = {seg - 1: sc.ramp_flows_vph.get(seg, 0.0) for seg in sc.cfg.ramp_segments(measured=True)}
+    return Measurements(speeds, flows, _step_table(K, n, ramps) if ramps else None)
 
 
 def _raised_cosine(k: np.ndarray, start: int, end: int) -> np.ndarray:

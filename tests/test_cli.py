@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from trafficstate import cli, kalman, metrics, sensing, simulate
 from trafficstate.ltv_model import build_state_index
 from trafficstate.network import NetworkConfig, Segment, load_network
-from trafficstate.sensing import Measurements
+from trafficstate.sensing import Measurements, _step_table
 
 
 def write_network(path, *, n=2, length_km=0.5, time_step_h=5 / 3600, sensors=(2,)):
@@ -1464,8 +1464,8 @@ def test_grid_writer_matches_the_per_cell_writer(tmp_path_factory, data):
         "v_used": speeds_used,
         "q_sensor": meas.flows_vph[:, 1:],
         "v_true": kwargs["v_true"],
-        "ramp_flow_true": cli._segment_table(K, N, kwargs["ramp_true"]),
-        "ramp_flow_est": cli._segment_table(K, N, kwargs["ramp_est"]),
+        "ramp_flow_true": _step_table(K, N, {seg - 1: q for seg, q in kwargs["ramp_true"].items()}),
+        "ramp_flow_est": _step_table(K, N, {seg - 1: q for seg, q in kwargs["ramp_est"].items()}),
     }
     assert ["k", "segment", *columns] == cli._CSV_COLUMNS
     tmp = tmp_path_factory.mktemp("grid")

@@ -4,6 +4,7 @@ import dataclasses
 import logging
 import weakref
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -363,6 +364,27 @@ def with_measured_ramp(rng, cfg):
     segments = list(cfg.segments)
     segments[i] = dataclasses.replace(segments[i], ramp=kind, ramp_measured=True)
     return dataclasses.replace(cfg, segments=tuple(segments))
+
+
+class TestHold:
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_gaps_take_the_nearest_valid_value_above(self, data):
+        # Over a leading run axis: a valid cell stays, an invalid one takes
+        # the nearest valid value above it in its column, else ``initial``.
+        runs, K, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 8)), data.draw(st.integers(1, 4))
+        cells = st.floats(-1e3, 1e3) | st.just(np.nan)
+        values = data.draw(hnp.arrays(np.float64, (runs, K, cols), elements=cells))
+        valid = data.draw(hnp.arrays(np.bool_, (runs, K, cols)))
+        initial = data.draw(hnp.arrays(np.float64, (cols,), elements=cells))
+        expected = values.copy()
+        for r, k, c in np.ndindex(runs, K, cols):
+            if not valid[r, k, c]:
+                above = [j for j in range(k) if valid[r, j, c]]
+                expected[r, k, c] = values[r, above[-1], c] if above else initial[c]
+        got = values.copy()
+        kalman._hold(got, valid, initial)
+        assert np.array_equal(got, expected, equal_nan=True)
 
 
 # Caps on ltv_model.DENSE_A_MAX_DIM that send every network down one of the

@@ -4,7 +4,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from trafficstate import ltv_model
 from trafficstate.kalman import default_tuning, run_filter
 from trafficstate.ltv_model import (
     build_A,
@@ -13,7 +16,7 @@ from trafficstate.ltv_model import (
     build_state_index,
     build_u,
 )
-from trafficstate.ltv_model import _apply_A_into, _coefficients
+from trafficstate.ltv_model import _A_step, _apply_A_into, _coefficients
 from trafficstate.network import NetworkConfig, RampType, Segment
 from trafficstate.sensing import Measurements
 
@@ -132,6 +135,46 @@ class TestBuildA:
         for r in range(3):
             A = build_A(idx, cfg.lengths_km, cfg.time_step_h, v[r])
             assert np.allclose(got[r], A @ M[r], rtol=0, atol=1e-12)
+
+
+@st.composite
+def ramp_networks(draw):
+    """A network of 1..8 segments, each carrying no ramp, an on-ramp or an off-ramp, measured or not."""
+    n = draw(st.integers(1, 8))
+    ramps = {
+        seg: (kind, draw(st.booleans()))
+        for seg in range(1, n + 1)
+        if (kind := draw(st.sampled_from(list(RampType)))) is not RampType.NONE
+    }
+    lengths = draw(st.lists(st.floats(0.2, 1.0), min_size=n, max_size=n))
+    return make_config(n, sensors=(n,), ramps=ramps, lengths=lengths)
+
+
+class TestAStep:
+    @pytest.mark.parametrize("dense_max_dim", [0, 10**9], ids=["row-passes", "dense-A"])
+    @settings(max_examples=40)
+    @given(cfg=ramp_networks(), n_runs=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_each_path_matches_build_A(self, dense_max_dim, cfg, n_runs, seed):
+        # Two steps of one step function, on a batch of symmetric X: A [X | x]
+        # and A (A X)^T, which is A X A^T, per run.
+        idx = build_state_index(cfg)
+        d = idx.dim
+        rng = np.random.default_rng(seed)
+        # Hypothesis refuses the function-scoped monkeypatch fixture.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ltv_model, "DENSE_A_MAX_DIM", dense_max_dim)
+            step = _A_step(idx, cfg.lengths_km, cfg.time_step_h, n_runs)
+        for _ in range(2):
+            v = rng.uniform(0.0, 150.0, size=(n_runs, idx.n_segments))
+            L = rng.normal(size=(n_runs, d, d))
+            X = L + L.swapaxes(-1, -2)
+            M = np.concatenate([X, rng.normal(size=(n_runs, d, 1))], axis=2)
+            AM, APA = np.empty_like(M), np.empty_like(X)
+            step(v, M, AM, APA)
+            for r in range(n_runs):
+                A = build_A(idx, cfg.lengths_km, cfg.time_step_h, v[r])
+                assert np.allclose(AM[r], A @ M[r], rtol=0, atol=1e-12)
+                assert np.allclose(APA[r], A @ (A @ X[r]).T, rtol=0, atol=1e-12)
 
 
 class TestBuildBAndU:

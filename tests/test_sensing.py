@@ -810,6 +810,27 @@ class TestFramesFromDetectors:
         assert (meas.flows_vph[2, 2], meas.speeds_kmh[2, 1]) == (3.0, 82.0)
         assert np.isnan(meas.flows_vph[2, 0])
 
+    def test_samples_half_a_step_off_the_grid_fill_every_step(self, caplog):
+        # With T = 60 s the exit detector samples at 30 s, 90 s, ..., 330 s:
+        # each sample is halfway between two steps and goes to the later one,
+        # so none collide and steps 1..6 each get one. Rounding halves to
+        # even would send them to steps 0, 2, 2, 4, 4, 6 and drop two.
+        cfg = NetworkConfig(segments=(Segment(0.5), Segment(0.5)), flow_sensor_segments={2}, time_step_h=60 / 3600)
+        on_grid, off_grid = 60.0 * np.arange(6), 60.0 * np.arange(6) + 30.0
+        exit_flows, exit_speeds = 2000.0 + np.arange(6), 80.0 + np.arange(6)
+        detectors = [
+            _series(0.0, times=on_grid, flows=np.full(6, 900.0), speeds=np.full(6, 90.0)),
+            _series(500.0, times=on_grid, flows=np.full(6, 950.0), speeds=np.full(6, 88.0)),
+            _series(1000.0, times=off_grid, flows=exit_flows, speeds=exit_speeds),
+        ]
+        with caplog.at_level(logging.WARNING, logger="trafficstate.sensing"):
+            meas = frames_from_detectors(detectors, cfg)
+        assert caplog.records == []
+        assert meas.n_steps == 7
+        assert np.array_equal(meas.flows_vph[:, 2], [np.nan, *exit_flows], equal_nan=True)
+        assert np.array_equal(meas.speeds_kmh[:, 1], [np.nan, *exit_speeds], equal_nan=True)
+        assert np.array_equal(meas.flows_vph[:, 0], [*np.full(6, 900.0), np.nan], equal_nan=True)
+
     def test_later_sample_on_the_same_step_wins_and_is_counted(self, caplog):
         # With T = 5 s, samples at 3.0 s and 5.0 s (0.4 T apart) both round
         # to step 1; the entry detector's pair at 10 s and 12 s to step 2.
