@@ -10,7 +10,6 @@ flags and seed produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import errno
 import functools
@@ -55,10 +54,6 @@ _CSV_COLUMNS = [
     "ramp_flow_true",
     "ramp_flow_est",
 ]
-
-
-def _parse_cell(s: str) -> float:
-    return float(s) if s else math.nan
 
 
 def _rep_seeds(seed: int, reps: int) -> list[np.random.SeedSequence]:
@@ -154,7 +149,7 @@ def _write_grid_csv(path: Path, n_steps: int, n_segments: int, columns: dict[str
 
 def cmd_validate(args) -> int:
     if args.preset:
-        cfg = simulate.make_congestion_scenario(args.preset, args.seed).cfg
+        cfg = simulate.make_congestion_scenario(args.preset).cfg
     else:
         cfg = load_network(args.network)
     report = validate_network(cfg)
@@ -618,36 +613,21 @@ def cmd_metrics(args) -> int:
     warmup = config.get("warmup", metrics.DEFAULT_WARMUP_STEPS)
     if type(warmup) is not int or warmup < 0:
         raise InputError(f"{summary}: config.warmup must be an integer >= 0, got {json.dumps(warmup)}")
-    try:
-        with open(out / ESTIMATES_CSV, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != _CSV_COLUMNS:
-                raise InputError(f"{out / ESTIMATES_CSV}: unexpected header {header}")
-            rows = []
-            for row in reader:
-                try:
-                    if len(row) != len(_CSV_COLUMNS):
-                        raise ValueError(f"expected {len(_CSV_COLUMNS)} fields, got {len(row)}")
-                    rows.append([_parse_cell(c) for c in row])
-                except ValueError as exc:
-                    raise InputError(f"{out / ESTIMATES_CSV}:{reader.line_num}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{out / ESTIMATES_CSV}: not UTF-8 text: {exc}") from exc
-    cells = np.array(rows, dtype=float).reshape(-1, len(_CSV_COLUMNS))  # also when there are no rows
+    path = out / ESTIMATES_CSV
+    kinds = {name: int if name in ("k", "segment") else sensing._optional for name in _CSV_COLUMNS}
+    columns = sensing._read_columns(path, kinds)
+    k, segment = columns.pop("k"), columns.pop("segment")
     n = cfg.n_segments
-    K = len(cells) // n
-    grid = np.column_stack([np.repeat(np.arange(K), n), np.tile(np.arange(1, n + 1), K)])
-    if len(cells) != K * n or not np.array_equal(cells[:, :2], grid):
+    K = k.size // n
+    if (
+        k.size != K * n
+        or (k.reshape(K, n) != np.arange(K)[:, np.newaxis]).any()
+        or (segment.reshape(K, n) != np.arange(1, n + 1)).any()
+    ):
         raise InputError(
-            f"{out / ESTIMATES_CSV}: the k and segment columns of its {len(cells)} rows"
-            f" do not form a grid of steps x {n} segments"
+            f"{path}: the k and segment columns of its {k.size} rows do not form a grid of steps x {n} segments"
         )
-    columns = {
-        name: np.ascontiguousarray(cells[:, j].reshape(K, n))
-        for j, name in enumerate(_CSV_COLUMNS)
-        if name not in ("k", "segment")
-    }
+    columns = {name: column.reshape(K, n) for name, column in columns.items()}
     print(json.dumps(_run_metrics(cfg, columns, warmup), indent=2, sort_keys=True))
     return 0
 
@@ -689,7 +669,6 @@ def build_parser() -> argparse.ArgumentParser:
     src = pv.add_mutually_exclusive_group(required=True)
     src.add_argument("--network", help="network JSON file")
     src.add_argument("--preset", choices=simulate.PRESET_NAMES)
-    pv.add_argument("--seed", type=int, default=0)
     pv.set_defaults(func=cmd_validate)
 
     ps = sub.add_parser("simulate", help="write synthetic ground truth for a preset")

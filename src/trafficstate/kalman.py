@@ -72,13 +72,14 @@ def _check_symmetric_psd(name: str, M: np.ndarray, dim: int) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.shape != (dim, dim):
         raise ValueError(f"{name} must be {dim}x{dim}, got {M.shape}")
-    if not np.allclose(M, M.T, atol=1e-10):
-        raise ValueError(f"{name} must be symmetric")
     diagonal = np.diagonal(M)
-    # A diagonal matrix's eigenvalues are its diagonal entries; a dense
-    # eigvalsh of a large diagonal Q or P0 costs far more.
+    # A diagonal matrix is symmetric, and its eigenvalues are its diagonal
+    # entries; the symmetry test and a dense eigvalsh of a large diagonal Q
+    # or P0 cost far more.
     if np.count_nonzero(M) == np.count_nonzero(diagonal):
         eigmin = float(diagonal.min())
+    elif not np.allclose(M, M.T, atol=1e-10):
+        raise ValueError(f"{name} must be symmetric")
     else:
         eigmin = float(np.linalg.eigvalsh(M).min())
     if eigmin < -1e-10:
@@ -388,7 +389,8 @@ def run_filter_batch(
         innovations[:, k] = innovation
         CP = P[:, sel]
         gain = _gain(CP, CP[..., sel], R, k)
-        np.subtract(P, gain @ CP, out=posterior[..., :d])
+        # APA is free until A_step writes A P A^T into it, so it holds K C P.
+        np.subtract(P, np.matmul(gain, CP, out=APA), out=posterior[..., :d])
         posterior[..., d] = x + (gain @ innovation[..., np.newaxis])[..., 0]
         A_step(speeds_used[:, k], posterior, AM, APA)
         x = AM[..., d] + u[:, k] @ B.T

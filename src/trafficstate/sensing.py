@@ -26,15 +26,17 @@ smoothed. ``add_measurement_noise`` corrupts any Measurements and
 ``moving_average_speed`` smooths their speeds; the command line applies
 them to every source in that order, noise first.
 
-External units (meters, seconds, m/s) are converted here, once. Both
-loaders parse their file in blocks of lines straight into one contiguous
-array per column (``_read_columns``): integer columns as int32 unless the
-file holds a value outside its range, floats as float64. So a trajectory
-table keeps 28 bytes per sample. One ``np.loadtxt`` call judges every row:
-a block it rejects, or that holds a NaN or infinite time or position (or
-trajectory speed), is parsed again line by line by the same call, and the
-first row that fails alone is reported with its file and line. A header
-that names a column twice and a file that is not UTF-8 are rejected too.
+External units (meters, seconds, m/s) are converted here, once. Every CSV
+the package reads (both loaders' files, and the ``estimates.csv`` that
+``trafficstate metrics`` reads back) is parsed in blocks of lines straight
+into one contiguous array per column (``_read_columns``): integer columns
+as int32 unless the file holds a value outside its range, floats as
+float64. So a trajectory table keeps 28 bytes per sample. One
+``np.loadtxt`` call judges every row: a block it rejects, or that holds a
+NaN or infinite time or position (or trajectory speed), is parsed again
+line by line by the same call, and the first row that fails alone is
+reported with its file and line. A header that lacks a column or names one
+twice, and a file that is not UTF-8, are rejected too.
 """
 
 from __future__ import annotations
@@ -225,21 +227,30 @@ class _finite(float):
     """A column kind for ``_read_columns``: a float that may not be NaN or infinite."""
 
 
+class _optional(float):
+    """A column kind for ``_read_columns``: a float, NaN where the cell is empty."""
+
+
+def _optional_cell(text: str | bytes) -> float:
+    return float(text) if text else math.nan
+
+
 def _read_columns(path: str | Path, columns: Mapping[str, type]) -> dict[str, np.ndarray]:
     """Parse the named CSV columns in C; they are empty when there are no rows.
 
-    A column's kind is ``int``, ``float`` or ``_finite``. The header may list
-    the columns in any order, among others, but each of them once. Each
-    column returned is its own contiguous array: the file's newlines are
-    counted first, and its lines are then parsed ``READ_BLOCK_LINES`` at a
-    time straight into arrays of that length, so a load holds the kept
-    columns and one block. An ``int`` column is int32, or int64 once a block
-    holds a value outside the int32 range: that block widens the column with
-    one copy. One ``np.loadtxt`` call judges every row: a block it rejects,
-    or whose ``_finite`` columns hold a NaN or an infinity, is read again
-    line by line by the same call, and the first line that fails alone is
-    the ``InputError``, as ``path:line: bad row {header: cell}``. A file
-    that is not UTF-8 text is an ``InputError`` too.
+    A column's kind is ``int``, ``float``, ``_finite`` or ``_optional``; only
+    ``_optional`` cells go through Python, to read an empty cell as NaN. The
+    header may list the columns in any order, among others, but each of them
+    once. Each column returned is its own contiguous array: the file's
+    newlines are counted first, and its lines are then parsed
+    ``READ_BLOCK_LINES`` at a time straight into arrays of that length, so a
+    load holds the kept columns and one block. An ``int`` column is int32, or
+    int64 once a block holds a value outside the int32 range: that block
+    widens the column with one copy. One ``np.loadtxt`` call judges every
+    row: a block it rejects, or whose ``_finite`` columns hold a NaN or an
+    infinity, is read again line by line by the same call, and the first
+    line that fails alone is the ``InputError``, as ``path:line: bad row
+    {header: cell}``. A file that is not UTF-8 text is an ``InputError`` too.
     """
     dtype = [(name, "i8" if kind is int else "f8") for name, kind in columns.items()]
     # An integer column is held as int32 until a block needs int64.
@@ -269,8 +280,11 @@ def _read_columns(path: str | Path, columns: Mapping[str, type]) -> dict[str, np
         # Lines bound the rows; the pages past the last row are never touched.
         out = {name: np.empty(n_lines, kind) for name, kind in kinds.items()}
         where = {name: i for i, name in enumerate(fields)}
+        usecols = [where[name] for name in columns]
+        # Converter keys are file columns, as the ``usecols`` entries are.
+        optional = {where[name]: _optional_cell for name, kind in columns.items() if kind is _optional}
         parse = partial(
-            np.loadtxt, delimiter=",", comments=None, ndmin=1, usecols=[where[name] for name in columns], dtype=dtype
+            np.loadtxt, delimiter=",", comments=None, ndmin=1, usecols=usecols, dtype=dtype, converters=optional or None
         )
 
         def checked(lines) -> np.ndarray:
