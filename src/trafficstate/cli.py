@@ -30,7 +30,6 @@ from trafficstate.network import (
     InputError,
     NetworkConfig,
     RampType,
-    check_cfl,
     load_network,
     validate_network,
 )
@@ -161,7 +160,6 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args.out)
     sc = simulate.make_congestion_scenario(args.preset, args.seed)
     result = simulate.simulate_truth(sc, strict_cfl=args.strict_cfl)
-    cfl = check_cfl(sc.cfg, sc.speeds_kmh)
     out.mkdir(parents=True, exist_ok=True)
     simulate.save_scenario(sc, out / SCENARIO_JSON)
     _write_grid_csv(
@@ -172,7 +170,7 @@ def cmd_simulate(args) -> int:
     )
     print(
         f"wrote {sc.n_steps} steps x {sc.cfg.n_segments} segments to {out / TRUTH_CSV}"
-        f" (max accuracy ratio {cfl.max_ratio:.3f})"
+        f" (max accuracy ratio {result.cfl.max_ratio:.3f})"
     )
     return 0
 

@@ -5,14 +5,14 @@ published for step k+1 uses measurements up to and including step k. One
 eigendecomposition S = V diag(w) V^T of the m x m innovation covariance per
 step gives both the cond(S) guard and the gain solve; S is never inverted.
 
-``run_filter_batch`` uses the model's structure. The output matrix only
-selects rows, so C P is indexing. ``ltv_model`` chooses how each step
-multiplies by A (``ltv_model._A_step``): by row passes that never form A,
-or, for small state dimensions, by stacked matmuls with a dense A. Runs
-that share a network, tuning and step count are filtered together on a
-leading run axis, so one step of numpy calls serves the whole batch;
-``run_filter`` is a batch of one.
-``kf_step`` is the dense form of the same update for an arbitrary snapshot.
+``run_filter_batch`` checks its arguments, ``_prepare`` stacks the runs,
+fills their gaps and checks their speeds, and ``_forward`` runs the steps
+from the state it is given. A step uses the model's structure: C only
+selects rows, so C P is indexing, and ``ltv_model._A_step`` multiplies by
+A, by row passes that never form A or, for small state dimensions, by
+stacked matmuls with a dense A. Runs that share a network, tuning and step
+count are filtered together on a leading run axis; ``run_filter`` is a
+batch of one. ``kf_step`` is the dense form of the same update.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 # the filter itself does not call it.
 from trafficstate import ltv_model
 from trafficstate.ltv_model import LtvSnapshot, StateIndex, build_A, build_B, build_u  # noqa: F401
-from trafficstate.network import CflReport, CflViolationError, NetworkConfig, cfl_message, check_cfl
+from trafficstate.network import CflReport, NetworkConfig, _cfl_decision, _in_runs
 from trafficstate.sensing import Measurements
 
 logger = logging.getLogger(__name__)
@@ -292,38 +292,19 @@ def run_filter_batch(
 
     The runs share the network, the tuning and the step count K; each is
     filtered independently and gets its own ``FilterResult``, in order.
-    ``runs`` may be any iterable, a generator included. It is read once,
-    and no run is referenced after its columns are stacked, so a caller
-    that passes a generator never holds a batch's inputs beside the
-    stacked copy.
-
-    Gap handling: a missing segment speed holds the last seen value for
-    that segment (free-flow ``default_speed_kmh`` before anything is seen);
-    a missing sensor flow, or a sensor speed at or below ``V_FLOOR_KMH``
-    (2 km/h), holds the previous density reading for that sensor, seeded
-    from the initial mean; a missing entry or measured ramp flow holds the
-    previous one, starting at zero. Held inputs and discretization
-    violations warn in one line each per batch, after the last step.
-    ``check_cfl`` runs on the gap-filled speeds before the first step and
-    before the state and covariance buffers are allocated; ``strict_cfl``
-    makes a violation an error raised there, with no held-input line
-    logged. ``clamp_nonnegative`` floors published densities at zero (the
-    raw filter state keeps evolving unclamped).
+    ``runs`` may be a generator; ``_prepare`` says how gaps are filled.
+    Held inputs and discretization violations warn in one line each per
+    batch, after the last step; ``strict_cfl`` makes a violation an error,
+    raised before the first step. ``clamp_nonnegative`` floors published
+    densities at zero (the raw filter state keeps evolving unclamped).
 
     Of ``flows_vph`` only the entry flow, column 0, and the network's flow
     sensors are read. The measurement vector reads the sensors in ascending
     segment order, so ``tuning`` is sized to their number.
-
-    Each step is the update of ``kf_step`` computed from the model's
-    structure: see the module docstring.
     """
-    n = idx.n_segments
     sensor_segments = tuple(sorted(cfg.flow_sensor_segments))
     if not sensor_segments:
         raise ValueError("at least one sensor segment is required")
-    B = build_B(idx, cfg.lengths_km, cfg.time_step_h)
-    # C only selects rows: C M == M[sel].
-    sel = np.array(sensor_segments) - 1
     if tuning.dim != idx.dim:
         raise ValueError(f"tuning is sized for dim {tuning.dim}, model has {idx.dim}")
     if tuning.n_measurements != len(sensor_segments):
@@ -331,13 +312,64 @@ def run_filter_batch(
             f"measurement_cov is {tuning.n_measurements}x{tuning.n_measurements},"
             f" but {len(sensor_segments)} sensors are in use"
         )
+    # C only selects rows: C M == M[sel].
+    sel = np.array(sensor_segments) - 1
+    speeds, z, u, held, cfls, cfl_line = _prepare(cfg, idx, tuning, runs, sel, default_speed_kmh, strict_cfl)
+    n_runs, K = z.shape[:2]
+    x, P = (np.repeat(a[np.newaxis], n_runs, axis=0) for a in (tuning.initial_mean, tuning.initial_cov))
+    states, innovations, x, P = _forward(cfg, idx, tuning, sel, x, P, speeds, z, u)
 
+    held_lines = [
+        f"{name} missing at {int(c.sum())} of {n_runs * K} steps{_in_runs(np.count_nonzero(c), n_runs)}"
+        for name, c in (("entry flow", held[1]), ("measured ramp flow", held[2])) if c.any()
+    ]
+    if held_lines:
+        logger.warning("%s; held the previous value", ", ".join(held_lines))
+    if cfl_line:
+        logger.warning(cfl_line)
+
+    if clamp_nonnegative:
+        np.maximum(states[..., : idx.n_segments], 0.0, out=states[..., : idx.n_segments])
+
+    return [
+        FilterResult(
+            states=states[r],
+            sensor_segments=sensor_segments,
+            speeds_used=speeds[r],
+            measurements_used=z[r],
+            innovations=innovations[r],
+            cfl=cfls[r],
+            final=FilterState(x_hat=x[r], cov=P[r], k=K),
+            index=idx,
+            held_measurement_steps=int(held[0, r]),
+            held_entry_steps=int(held[1, r]),
+            held_ramp_steps=int(held[2, r]),
+        )
+        for r in range(n_runs)
+    ]
+
+
+def _prepare(cfg: NetworkConfig, idx: StateIndex, tuning: FilterTuning, runs, sel, default_speed_kmh, strict_cfl):
+    """A batch's speeds, sensor density readings and inputs u as (runs, K, ...) tables, gaps filled.
+
+    Also returns the (3, runs) counts of steps that held a sensor reading,
+    the entry flow and a measured ramp flow, and ``_cfl_decision``'s
+    reports and line. ``runs`` is read once and no run is kept once
+    stacked, so a generator's runs are freed before the first step.
+
+    Gap handling: a missing segment speed holds the last seen value for
+    that segment (free-flow ``default_speed_kmh`` before anything is seen);
+    a missing sensor flow, or a sensor speed at or below ``V_FLOOR_KMH``
+    (2 km/h), holds the previous density reading for that sensor, seeded
+    from the initial mean; a missing entry or measured ramp flow holds the
+    previous one, starting at zero. The filled speeds are checked before
+    any filter buffer exists, so the check's temporaries never sit beside them.
+    """
     def columns(meas: Measurements) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Speeds (K, N), sensor flows (K, m) and inputs (K, n_inputs), flows with their gaps."""
-        if meas.speeds_kmh.shape[1] != n:
-            raise ValueError(f"expected {n} segment speeds per step, got {meas.speeds_kmh.shape[1]}")
-        flows = meas.flows_vph
-        return meas.speeds_kmh, flows[:, sensor_segments], build_u(idx, flows[:, 0], meas.ramp_flows_vph)
+        if meas.speeds_kmh.shape[1] != idx.n_segments:
+            raise ValueError(f"expected {idx.n_segments} segment speeds per step, got {meas.speeds_kmh.shape[1]}")
+        return meas.speeds_kmh, meas.flows_vph[:, sel + 1], build_u(idx, meas.flows_vph[:, 0], meas.ramp_flows_vph)
 
     read = [columns(meas) for meas in runs]
     if not read:
@@ -345,38 +377,35 @@ def run_filter_batch(
     step_counts = sorted({speeds.shape[0] for speeds, _, _ in read})
     if len(step_counts) > 1:
         raise ValueError(f"runs of a batch must share their step count, got {step_counts}")
-    n_runs, K = len(read), step_counts[0]
-
-    # Run-major columns: (runs, K, ...), gaps filled in place.
-    speeds_used, z_used, u = (np.stack(column) for column in zip(*read))
+    speeds, z, u = (np.stack(column) for column in zip(*read))
     del read
-    _hold(speeds_used, np.isfinite(speeds_used), default_speed_kmh)
+    _hold(speeds, np.isfinite(speeds), default_speed_kmh)
     u_ok = np.isfinite(u)
-    held_entry_steps = np.count_nonzero(~u_ok[..., 0], axis=1)
-    held_ramp_steps = np.count_nonzero(~u_ok[..., 1:].all(axis=2), axis=1)
+    held_entry = np.count_nonzero(~u_ok[..., 0], axis=1)
+    held_ramp = np.count_nonzero(~u_ok[..., 1:].all(axis=2), axis=1)
     _hold(u, u_ok, 0.0)
-    # B u is formed per step: a (runs, K, dim) table would be as large as the states.
     # Sensor flows become density readings where the speed allows.
-    v_sensor = speeds_used[..., sel]
-    reading = np.isfinite(z_used) & (v_sensor > V_FLOOR_KMH)
-    np.divide(z_used, v_sensor, out=z_used, where=reading)
-    _hold(z_used, reading, tuning.initial_mean[sel])
-    held_steps = np.count_nonzero(~reading.all(axis=2), axis=1)
-    del u_ok, v_sensor, reading
-    # The speeds the filter will use are final here: check them before the
-    # covariance buffers exist, so the check's (K, N) temporaries never sit
-    # beside them, and a strict run fails before its first step.
-    cfls = [check_cfl(cfg, v) for v in speeds_used]
-    cfl_msg = None if all(c.ok for c in cfls) else cfl_message(cfls)
-    if cfl_msg and strict_cfl:
-        raise CflViolationError(cfl_msg)
+    v_sensor = speeds[..., sel]
+    reading = np.isfinite(z) & (v_sensor > V_FLOOR_KMH)
+    np.divide(z, v_sensor, out=z, where=reading)
+    _hold(z, reading, tuning.initial_mean[sel])
+    held = np.stack([np.count_nonzero(~reading.all(axis=2), axis=1), held_entry, held_ramp])
+    return speeds, z, u, held, *_cfl_decision(cfg, speeds, strict_cfl, "")
 
+
+def _forward(cfg: NetworkConfig, idx: StateIndex, tuning: FilterTuning, sel, x, P, speeds, z, u):
+    """The step loop over ``_prepare``'s tables, from the carried state x (runs, d) and P (runs, d, d).
+
+    Returns the states (runs, K+1, d), row 0 being x, the innovations and
+    the state after the last step; ``P`` is updated in place. Nothing else
+    is carried: passes over steps [0, k) and [k, K) equal one over all K.
+    """
+    n_runs, K = z.shape[:2]
     d = idx.dim
     states = np.zeros((n_runs, K + 1, d))
-    innovations = np.zeros((n_runs, K, len(sensor_segments)))
+    innovations = np.zeros((n_runs, K, sel.size))
     R, Q = tuning.measurement_cov, tuning.process_cov
-    x = np.repeat(tuning.initial_mean[np.newaxis], n_runs, axis=0)
-    P = np.repeat(tuning.initial_cov[np.newaxis], n_runs, axis=0)
+    B = build_B(idx, cfg.lengths_km, cfg.time_step_h)
     states[:, 0] = x
     # Posterior [P - K C P | x + K nu], multiplied by A in one pass.
     posterior = np.empty((n_runs, d, d + 1))
@@ -385,56 +414,21 @@ def run_filter_batch(
     A_step = ltv_model._A_step(idx, cfg.lengths_km, cfg.time_step_h, n_runs)
 
     for k in range(K):
-        innovation = z_used[:, k] - x[:, sel]
+        innovation = z[:, k] - x[:, sel]
         innovations[:, k] = innovation
         CP = P[:, sel]
         gain = _gain(CP, CP[..., sel], R, k)
         # APA is free until A_step writes A P A^T into it, so it holds K C P.
         np.subtract(P, np.matmul(gain, CP, out=APA), out=posterior[..., :d])
         posterior[..., d] = x + (gain @ innovation[..., np.newaxis])[..., 0]
-        A_step(speeds_used[:, k], posterior, AM, APA)
+        A_step(speeds[:, k], posterior, AM, APA)
+        # B u is formed per step: a (runs, K, dim) table would be as large as the states.
         x = AM[..., d] + u[:, k] @ B.T
         APA += Q
         np.add(APA, APA.swapaxes(-1, -2), out=P)
         P *= 0.5
         states[:, k + 1] = x
-
-    # One log line per batch for the held inputs, and one for the violations.
-    held = [
-        f"{name} missing at {int(c.sum())} of {n_runs * K} steps{_in_runs(np.count_nonzero(c), n_runs)}"
-        for name, c in (("entry flow", held_entry_steps), ("measured ramp flow", held_ramp_steps)) if c.any()
-    ]
-    if held:
-        logger.warning("%s; held the previous value", ", ".join(held))
-    if cfl_msg:
-        logger.warning(cfl_msg)
-
-    published = states
-    if clamp_nonnegative:
-        published = states.copy()
-        published[..., :n] = np.maximum(published[..., :n], 0.0)
-
-    return [
-        FilterResult(
-            states=published[r],
-            sensor_segments=sensor_segments,
-            speeds_used=speeds_used[r],
-            measurements_used=z_used[r],
-            innovations=innovations[r],
-            cfl=cfls[r],
-            final=FilterState(x_hat=x[r], cov=P[r], k=K),
-            index=idx,
-            held_measurement_steps=int(held_steps[r]),
-            held_entry_steps=int(held_entry_steps[r]),
-            held_ramp_steps=int(held_ramp_steps[r]),
-        )
-        for r in range(n_runs)
-    ]
-
-
-def _in_runs(hits: int, n_runs: int) -> str:
-    """Which runs of a batch a log line covers; empty for a single run."""
-    return f" in {hits} of {n_runs} runs" if n_runs > 1 else ""
+    return states, innovations, x, P
 
 
 def observability_gramian(

@@ -7,6 +7,8 @@ at the boundary (meters, m/s, seconds); nothing downstream converts again.
 Segments are numbered 1..N. A flow sensor "at segment j" measures the total
 flow crossing the downstream boundary of segment j; the entry flow of the
 stretch is treated as a model input, not a sensor entry.
+
+``_cfl_decision`` is the one owner of the discretization policy.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -32,7 +33,6 @@ __all__ = [
     "InputError",
     "validate_network",
     "check_cfl",
-    "cfl_message",
     "load_network",
     "save_network",
 ]
@@ -291,9 +291,7 @@ def check_cfl(cfg: NetworkConfig, speeds_kmh) -> CflReport:
     skipped. A pair (k, i) is flagged iff its ratio is >= 1 or negative: a
     negative speed gives the transition matrix a diagonal entry above 1.
     """
-    v = np.asarray(speeds_kmh, dtype=float)
-    if v.ndim == 1:
-        v = v[np.newaxis, :]
+    v = np.atleast_2d(np.asarray(speeds_kmh, dtype=float))
     if v.size == 0:
         return CflReport(max_ratio=0.0, violations=())
     if v.shape[1] != cfg.n_segments:
@@ -307,21 +305,32 @@ def check_cfl(cfg: NetworkConfig, speeds_kmh) -> CflReport:
     return CflReport(max_ratio=max_ratio, violations=violations)
 
 
-def cfl_message(reports: Sequence[CflReport]) -> str:
-    """The log line for a batch's ``check_cfl`` reports, one per run, when any of them fails.
+def _in_runs(hits: int, n_runs: int) -> str:
+    """Which runs of a batch a log line covers; empty for a single run."""
+    return f" in {hits} of {n_runs} runs" if n_runs > 1 else ""
 
-    Pairs flagged for a negative speed are counted apart: their ratio lies
-    below the bound, so the max ratio alone would not explain them.
+
+def _cfl_decision(cfg: NetworkConfig, speed_tables, strict: bool, prefix: str) -> tuple[list[CflReport], str | None]:
+    """``check_cfl`` on each speed table of a batch, and one line, led by ``prefix``, for all that fail.
+
+    Returns the reports and the line, None when all pass; raises
+    ``CflViolationError`` with the line instead when ``strict``. Pairs with
+    a negative speed, whose ratio lies below the bound, are counted apart.
     """
+    reports = [check_cfl(cfg, v) for v in speed_tables]
     hit = [r for r in reports if not r.ok]
+    if not hit:
+        return reports, None
     ratios = [ratio for r in hit for _k, _i, ratio in r.violations]
-    runs = f" in {len(hit)} of {len(reports)} runs" if len(reports) > 1 else ""
     negative = sum(ratio < 0.0 for ratio in ratios)
     negative_text = f", {negative} with a negative speed" if negative else ""
-    return (
-        f"discretization accuracy bound exceeded at {len(ratios)} (step, segment) pairs{runs}{negative_text},"
-        f" max ratio {max(r.max_ratio for r in hit):.3f}"
+    line = (
+        f"{prefix}discretization accuracy bound exceeded at {len(ratios)} (step, segment) pairs"
+        f"{_in_runs(len(hit), len(reports))}{negative_text}, max ratio {max(r.max_ratio for r in hit):.3f}"
     )
+    if strict:
+        raise CflViolationError(line)
+    return reports, line
 
 
 def load_network(path: str | Path) -> NetworkConfig:

@@ -232,7 +232,18 @@ class _optional(float):
 
 
 def _optional_cell(text: str | bytes) -> float:
-    return float(text) if text else math.nan
+    """An ``_optional`` cell: NaN when empty, else read by the rule of a ``float`` cell.
+
+    numpy reads a float as ASCII text between whitespace, so ``float``'s
+    ``_`` separators and non-ASCII digits are refused. numpy < 2 hands a
+    converter the cell as Latin-1 bytes.
+    """
+    if not text:
+        return math.nan
+    cell = (text.decode("latin-1") if isinstance(text, bytes) else text).strip()
+    if not cell.isascii() or "_" in cell:
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(cell)
 
 
 def _read_columns(path: str | Path, columns: Mapping[str, type]) -> dict[str, np.ndarray]:

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from trafficstate.network import CflViolationError, NetworkConfig, RampType, Segment, cfl_message, check_cfl
+from trafficstate.network import CflReport, NetworkConfig, RampType, Segment, _cfl_decision
 from trafficstate.sensing import Measurements, _step_table
 
 logger = logging.getLogger(__name__)
@@ -93,12 +93,14 @@ class SimulationResult:
     """Truth produced by the conservation recursion.
 
     ``densities`` has K+1 rows (row 0 is the initial condition);
-    ``segment_flows`` has K rows of q_i(k) = rho_i(k) * v_i(k).
+    ``segment_flows`` has K rows of q_i(k) = rho_i(k) * v_i(k); ``cfl``
+    is ``check_cfl`` on the scenario's speeds.
     """
 
     scenario: Scenario
     densities: np.ndarray
     segment_flows: np.ndarray
+    cfl: CflReport
 
     @property
     def speeds_kmh(self) -> np.ndarray:
@@ -112,12 +114,9 @@ def simulate_truth(sc: Scenario, *, strict_cfl: bool = False) -> SimulationResul
     with q_i = rho_i * v_i and q_0 the entry demand. The accuracy bound on
     T*v/delta is checked first: violations warn, or raise in strict mode.
     """
-    cfl = check_cfl(sc.cfg, sc.speeds_kmh)
-    if not cfl.ok:
-        msg = f"scenario {sc.name or '<unnamed>'}: {cfl_message([cfl])}"
-        if strict_cfl:
-            raise CflViolationError(msg)
-        logger.warning(msg)
+    (cfl,), line = _cfl_decision(sc.cfg, [sc.speeds_kmh], strict_cfl, f"scenario {sc.name or '<unnamed>'}: ")
+    if line:
+        logger.warning(line)
 
     n = sc.cfg.n_segments
     K = sc.n_steps
@@ -135,7 +134,7 @@ def simulate_truth(sc: Scenario, *, strict_cfl: bool = False) -> SimulationResul
         flows[k] = q
         upstream = np.concatenate([[sc.entry_flow_vph[k]], q[:-1]])
         densities[k + 1] = rho + ratio * (upstream - q + net_ramp[k])
-    return SimulationResult(scenario=sc, densities=densities, segment_flows=flows)
+    return SimulationResult(scenario=sc, densities=densities, segment_flows=flows, cfl=cfl)
 
 
 def emulate_probe_speeds(

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trafficstate import cli, kalman, metrics, sensing, simulate
+from trafficstate import cli, kalman, metrics, network, sensing, simulate
 from trafficstate.ltv_model import build_state_index
 from trafficstate.network import NetworkConfig, Segment, load_network
 from trafficstate.sensing import Measurements, _step_table
@@ -153,6 +153,25 @@ class TestSimulate:
         first = rows[0]
         assert first[0] == "0" and first[1] == "1"
         assert float(first[2]) == pytest.approx(scenario["initial_density_veh_km"][0])
+
+    @pytest.mark.parametrize("preset", simulate.PRESET_NAMES)
+    def test_reports_the_ratio_of_one_check_of_the_speeds(self, tmp_path, capsys, monkeypatch, preset):
+        sc = simulate.make_congestion_scenario(preset, 3)
+        calls = []
+        real = network.check_cfl
+
+        def check_cfl(cfg, speeds):
+            calls.append(speeds)
+            return real(cfg, speeds)
+
+        # Every module that binds the check, so a second call from any of them is counted.
+        for module in (cli, kalman, network, simulate):
+            if hasattr(module, "check_cfl"):
+                monkeypatch.setattr(module, "check_cfl", check_cfl)
+        assert cli.main(["simulate", "--preset", preset, "--seed", "3", "--out", str(tmp_path / "run")]) == 0
+        assert len(calls) == 1 and np.array_equal(calls[0], sc.speeds_kmh)
+        want = real(sc.cfg, sc.speeds_kmh).max_ratio
+        assert capsys.readouterr().out.endswith(f" (max accuracy ratio {want:.3f})\n")
 
 
 class TestEstimate:
@@ -1202,6 +1221,28 @@ class TestMetricsCommand:
         assert cli.main(["metrics", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {out / 'estimates.csv'}:59: ") and want in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("cell", ["2_0", "\u0661\u0662"], ids=["digit-separator", "arabic-indic-digits"])
+    def test_a_value_cell_follows_the_float_rule_of_the_loaders(self, tmp_path, capsys, cell):
+        # Python's float reads both cells as numbers (20 and 12); numpy's float
+        # columns refuse them, in a detector file and in estimates.csv alike.
+        detectors = write_detectors(tmp_path / "d.csv")
+        header, *rows = detectors.read_text().splitlines()
+        rows[3] = f"500.0,5,{cell},90.0"
+        detectors.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        net = ["--network", str(write_network(tmp_path / "net.json"))]
+        assert cli.main(["estimate", "--detectors", str(detectors), *net, "--out", str(tmp_path / "det")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {detectors}:5: bad row {{")
+        out = self.run_dir(tmp_path)
+        header, *rows = (out / "estimates.csv").read_text().splitlines()
+        fields = rows[57].split(",")
+        fields[header.split(",").index("rho_est")] = cell
+        rows[57] = ",".join(fields)
+        (out / "estimates.csv").write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["metrics", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out / 'estimates.csv'}:59: bad row {{") and f"'rho_est': {cell!r}" in err
 
     @pytest.mark.parametrize("cell", ["1.5", ""])
     def test_a_k_cell_that_is_not_an_integer_exits_two_naming_its_line(self, tmp_path, capsys, cell):

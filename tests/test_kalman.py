@@ -768,6 +768,33 @@ class TestRunFilterBatch:
             assert got.held_measurement_steps == want.held_measurement_steps
             assert got.held_entry_steps == want.held_entry_steps
 
+    @A_PATHS
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, 2**32 - 1), n_runs=st.integers(1, 3), n_steps=st.integers(1, 60), data=st.data())
+    def test_a_split_forward_pass_equals_one_pass(self, dense_max_dim, seed, n_runs, n_steps, data):
+        # The step loop carries only (x, P): steps [0, k) and then [k, K),
+        # from the state the first pass returns, give one pass's bits.
+        rng = np.random.default_rng(seed)
+        cfg, _ = random_observable_network(rng)
+        idx = build_state_index(cfg)
+        tuning = default_tuning(idx, len(cfg.flow_sensor_segments), initial_ramp_state=0.1)
+        batch = [random_frames(rng, cfg, idx, n_steps) for _ in range(n_runs)]
+        sel = np.array(sorted(cfg.flow_sensor_segments)) - 1
+        speeds, z, u, *_ = kalman._prepare(cfg, idx, tuning, batch, sel, 100.0, False)
+        k = data.draw(st.integers(0, n_steps), label="k")
+
+        def start():
+            return (np.repeat(a[np.newaxis], n_runs, axis=0) for a in (tuning.initial_mean, tuning.initial_cov))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ltv_model, "DENSE_A_MAX_DIM", dense_max_dim)
+            whole = kalman._forward(cfg, idx, tuning, sel, *start(), speeds, z, u)
+            head = kalman._forward(cfg, idx, tuning, sel, *start(), speeds[:, :k], z[:, :k], u[:, :k])
+            tail = kalman._forward(cfg, idx, tuning, sel, *head[2:], speeds[:, k:], z[:, k:], u[:, k:])
+        assert np.array_equal(whole[0], np.concatenate([head[0], tail[0][:, 1:]], axis=1))
+        assert np.array_equal(whole[1], np.concatenate([head[1], tail[1]], axis=1))
+        assert np.array_equal(whole[2], tail[2]) and np.array_equal(whole[3], tail[3])
+
     def test_ill_conditioned_run_is_named(self):
         cfg = make_config(3, sensors=(1, 3))
         idx = build_state_index(cfg)

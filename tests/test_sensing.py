@@ -435,6 +435,26 @@ class TestReadColumns:
         assert all(c.flags.c_contiguous and c.size == 5 for c in got)
         assert not any(np.shares_memory(a, b) for i, a in enumerate(got) for b in got[i + 1 :])
 
+    @pytest.mark.parametrize(
+        "cell",
+        [" 1.5 ", "-0", "1e999", "nan", "Infinity", ".5", "\xa02e3", "\x1c7", "\u20037", "2_0", "1_000.5", "0x10", "1d5"]
+        + [" ", "1 2", "\xb2", "\u0661\u0662", "\uff11\uff12", "1\xa02"],
+    )
+    def test_an_optional_cell_reads_as_a_float_column_does(self, cell):
+        # numpy 2 hands the converter the cell as str, numpy < 2 as Latin-1
+        # bytes; either way it takes exactly what a float column takes.
+        try:
+            want = repr(float(np.loadtxt([cell], dtype=float, delimiter=",", comments=None, ndmin=1)[0]))
+        except ValueError:
+            want = "refused"
+        for given in [cell, *([cell.encode("latin-1")] if max(map(ord, cell)) < 256 else [])]:
+            try:
+                got = repr(sensing._optional_cell(given))
+            except ValueError:
+                got = "refused"
+            assert got == want, given
+        assert math.isnan(sensing._optional_cell("")) and math.isnan(sensing._optional_cell(b""))
+
     @settings(max_examples=120, deadline=None)
     @given(
         n_rows=st.integers(1, 30),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import logging
 import math
 
 import numpy as np
@@ -229,6 +230,18 @@ class TestSimulateTruth:
             simulate_truth(sc, strict_cfl=True)
         sim = simulate_truth(sc, strict_cfl=False)
         assert sim.densities.shape == (4, 2)
+
+    @pytest.mark.parametrize("name, shown", [("", "<unnamed>"), ("fast", "fast")])
+    def test_relaxed_cfl_warns_in_one_line_naming_the_scenario(self, caplog, name, shown):
+        # 40 km/h over 0.05 km at T = 5 s is a ratio of 1.111 on each of 3 steps x 2 segments.
+        cfg = make_config(time_step_h=5 / 3600, length=0.05)
+        sc = dataclasses.replace(make_scenario(cfg, 3, 10.0, 40.0, 1000.0), name=name)
+        with caplog.at_level(logging.WARNING, logger="trafficstate.simulate"):
+            sim = simulate_truth(sc)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"scenario {shown}: discretization accuracy bound exceeded at 6 (step, segment) pairs, max ratio 1.111"
+        ]
+        assert sim.cfl == check_cfl(cfg, sc.speeds_kmh)
 
 
 class TestProbeEmulation:
